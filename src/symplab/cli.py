@@ -30,7 +30,13 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .polynomials import DegreeLimitError, Poly, format_poly, poly_from_monomials
+from .polynomials import (
+    DegreeLimitError,
+    Poly,
+    check_input_degree,
+    format_poly,
+    poly_from_monomials,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -111,6 +117,8 @@ def _chain_from_data(data: dict, where: str) -> fw.ChainPatch:
         if not isinstance(maps, list) or len(maps) != 2 * n:
             raise ValueError("'maps' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * l, m) for m in maps)
+        for poly in polys:
+            check_input_degree(poly, "chain map component")
         orders = tuple(int(o) for o in data.get("orders", [4] * (2 * l)))
         return fw.ChainPatch(l, polys, orders)
     except (KeyError, TypeError, ValueError) as exc:
@@ -217,6 +225,8 @@ def _parse_x0(args, data: dict, dim: int) -> list[float]:
         raise InputError("no initial point: give --x0 or an 'x0' file entry")
     if len(values) != dim:
         raise InputError(f"x0 needs {dim} coordinates")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError("x0 coordinates must be finite")
     return values
 
 
@@ -242,7 +252,7 @@ def cmd_flow(args, rep: Reporter) -> int:
         if flow.trajectory.blew_up:
             rep.text("trajectory exceeded the norm cap: blow-up")
             return EXIT_FAIL
-        if div.is_zero and drift > args.tol:
+        if div.is_zero and not drift <= args.tol:
             return EXIT_FAIL
         return EXIT_OK
 

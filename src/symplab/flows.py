@@ -28,6 +28,10 @@ from .polynomials import Poly
 
 WORK_DTYPE = np.longdouble
 NORM_CAP = 1e9
+# refusal bound on round(t_final / dt); tangent flows keep every sample
+MAX_STEPS = 10**6
+# J samples per batch_det call on the affine path's per-step det check
+DET_BATCH = 1024
 
 
 class ChainMismatchError(ValueError):
@@ -36,24 +40,26 @@ class ChainMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Fixed-step RK4 run to t_final.
+    """Fixed-step classical RK4 run to t_final.
 
     The step count is round(t_final / dt) and the uniform step width is
     nudged to t_final / steps so the run lands exactly on t_final (when
-    t_final is a multiple of dt the width is dt itself).
+    t_final is a multiple of dt the width is dt itself).  Runs of more than
+    MAX_STEPS steps are refused.
     """
 
     t_final: float
     dt: float
-    integrator: str = "rk4"
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_final) and math.isfinite(self.dt)):
+            raise ValueError("t_final and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
-        if self.integrator != "rk4":
-            raise ValueError("only the fixed 4th-order Runge-Kutta is supported")
+        if not self.t_final / self.dt <= MAX_STEPS:
+            raise ValueError(f"t_final / dt exceeds the budget of {MAX_STEPS} steps")
 
     @property
     def steps(self) -> int:
@@ -168,17 +174,34 @@ class TangentFlow:
         return float(np.max(np.abs(self.det_path() - 1)))
 
 
-def _rk4_run(compiled: CompiledField, xs, js, cfg: FlowConfig,
+def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
              keep_states=False, keep_jacobians=False, track_det=False):
-    """Joint RK4 on a batch of states and (optionally) tangent matrices.
+    """Joint RK4 on a batch of states and, with_j, their tangent maps
+    from J(0) = I.  Fields of degree <= 1 step through the exact one-step
+    propagator, all others through the stage loop.
 
-    Returns (xs, js, states_path, jac_path, max_det_drift, blow_step).
+    Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); the
+    paths are arrays of shape (samples, m, dim) and (samples, m or 1, dim,
+    dim), with samples = steps + 1, or blow_step + 1 after a blow-up.
     """
+    run = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
+    return run(compiled, xs, cfg, with_j, keep_states, keep_jacobians, track_det)
+
+
+def _blown_up(xs) -> bool:
+    # written so that a NaN state norm counts as blow-up
+    return not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= NORM_CAP
+
+
+def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
+                keep_states=False, keep_jacobians=False, track_det=False):
+    """The four-stage RK4 loop, for any polynomial field."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
     two = WORK_DTYPE(2.0)
-    with_j = js is not None
+    m, dim = xs.shape
+    js = np.broadcast_to(np.eye(dim, dtype=WORK_DTYPE), (m, dim, dim)) if with_j else None
     states_path = [xs.copy()] if keep_states else None
     jac_path = [js.copy()] if (keep_jacobians and with_j) else None
     max_det = WORK_DTYPE(0.0)
@@ -207,9 +230,121 @@ def _rk4_run(compiled: CompiledField, xs, js, cfg: FlowConfig,
             jac_path.append(js.copy())
         if track_det and with_j:
             max_det = max(max_det, np.max(np.abs(batch_det(js) - 1)))
-        if np.sqrt(np.max(np.sum(xs * xs, axis=1))) > NORM_CAP:
+        if _blown_up(xs):
             blow_step = step + 1
             break
+    if keep_states:
+        states_path = np.array(states_path, dtype=WORK_DTYPE)
+    if keep_jacobians and with_j:
+        jac_path = np.array(jac_path, dtype=WORK_DTYPE)
+    return xs, js, states_path, jac_path, float(max_det), blow_step
+
+
+# ---------------------------------------------------------------------------
+# exact one-step propagator of an affine field
+# ---------------------------------------------------------------------------
+
+def _is_affine(x: PolyVectorField) -> bool:
+    return all(comp.total_degree() <= 1 for comp in x.components)
+
+
+def _affine_propagator(x: PolyVectorField, h: Fraction):
+    """Exact one-step RK4 map x -> R x + c of the affine field X(x) = A x + b.
+
+    With the augmented M = [[A, b], [0, 0]], one RK4 step is the truncated
+    exponential R~ = sum_{k<=4} h^k M^k / k! (the RK4 stability function);
+    R is its top-left block and c the rest of its last column.  The powers
+    are taken of the integer matrix N = D M, D the common denominator, and
+    (h/D)^k / k! enters as one scalar per power.  Returns (R, c) as lists of
+    Fractions.
+    """
+    dim = x.frame.dim
+    size = dim + 1
+    aug = [
+        [comp.diff(j).constant_term() for j in range(dim)] + [comp.constant_term()]
+        for comp in x.components
+    ]
+    aug.append([Fraction(0)] * size)
+    den = math.lcm(*(v.denominator for row in aug for v in row))
+    ints = [[int(v * den) for v in row] for row in aug]
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    total = [[Fraction(v) for v in row] for row in power]
+    scale = Fraction(1)
+    for k in range(1, 5):
+        power = [
+            [sum(power[i][m] * ints[m][j] for m in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        scale = scale * h / (den * k)
+        total = [[t + scale * p for t, p in zip(rt, rp)] for rt, rp in zip(total, power)]
+    return [row[:dim] for row in total[:dim]], [row[dim] for row in total[:dim]]
+
+
+_MANT_BITS = np.finfo(WORK_DTYPE).nmant + 1
+
+
+def _round_work(q: Fraction):
+    """q rounded once, to nearest, into WORK_DTYPE."""
+    if not q:
+        return WORK_DTYPE(0)
+    shift = _MANT_BITS - (abs(q.numerator).bit_length() - q.denominator.bit_length())
+    if abs(q) * Fraction(2) ** shift >= 2 ** _MANT_BITS:
+        shift -= 1
+    # |q| 2^shift now lies in [2^(MANT_BITS-1), 2^MANT_BITS): an integer of
+    # MANT_BITS bits converts exactly, and ldexp is exact
+    return np.ldexp(WORK_DTYPE(round(q * Fraction(2) ** shift)), -shift)
+
+
+def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
+                keep_states=False, keep_jacobians=False, track_det=False):
+    """RK4 of an affine field as x -> R x + c and J -> R J, with R and c
+    rounded once from exact rationals.  J does not depend on x, so one
+    (dim, dim) matrix serves every node; the per-step det check batches
+    DET_BATCH samples per batch_det call."""
+    r_exact, c_exact = _affine_propagator(compiled.field, Fraction(cfg.effective_dt))
+    r = np.array([[_round_work(v) for v in row] for row in r_exact], dtype=WORK_DTYPE)
+    c = np.array([_round_work(v) for v in c_exact], dtype=WORK_DTYPE)
+    r_t = r.T.copy()
+    m, dim = xs.shape
+    j = np.eye(dim, dtype=WORK_DTYPE)
+    samples = cfg.steps + 1
+    states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE) if keep_states else None
+    keep_j = keep_jacobians and with_j
+    jac_path = np.empty((samples, 1, dim, dim), dtype=WORK_DTYPE) if keep_j else None
+    if keep_states:
+        states_path[0] = xs
+    if keep_j:
+        jac_path[0, 0] = j
+    check_det = track_det and with_j
+    batch = np.empty((DET_BATCH, dim, dim), dtype=WORK_DTYPE) if check_det else None
+    filled = 0
+    max_det = WORK_DTYPE(0.0)  # |det I - 1|
+    blow_step = None
+    for step in range(cfg.steps):
+        xs = xs @ r_t + c
+        if with_j:
+            j = r @ j
+        if keep_states:
+            states_path[step + 1] = xs
+        if keep_j:
+            jac_path[step + 1, 0] = j
+        if check_det:
+            batch[filled] = j
+            filled += 1
+            if filled == DET_BATCH:
+                max_det = max(max_det, np.max(np.abs(batch_det(batch) - 1)))
+                filled = 0
+        if _blown_up(xs):
+            blow_step = step + 1
+            samples = blow_step + 1
+            break
+    if filled:
+        max_det = max(max_det, np.max(np.abs(batch_det(batch[:filled]) - 1)))
+    js = np.broadcast_to(j, (m, dim, dim)) if with_j else None
+    if keep_states:
+        states_path = states_path[:samples]
+    if keep_j:
+        jac_path = jac_path[:samples]
     return xs, js, states_path, jac_path, float(max_det), blow_step
 
 
@@ -220,8 +355,8 @@ def integrate(x: PolyVectorField, x0, cfg: FlowConfig) -> Trajectory:
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, _, _, blow = _rk4_run(compiled, xs, None, cfg, keep_states=True)
-    states = np.array([p[0] for p in path], dtype=WORK_DTYPE)
+    _, _, path, _, _, blow = _rk4_run(compiled, xs, cfg, keep_states=True)
+    states = path[:, 0]
     times = np.arange(states.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
     return Trajectory(times, states, blow is not None, blow)
 
@@ -233,15 +368,13 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, dim):
         raise ValueError("x0 must have one coordinate per generator")
-    js = np.eye(dim, dtype=WORK_DTYPE)[None, :, :]
     _, _, path, jpath, _, blow = _rk4_run(
-        compiled, xs, js, cfg, keep_states=True, keep_jacobians=True
+        compiled, xs, cfg, with_j=True, keep_states=True, keep_jacobians=True
     )
-    states = np.array([p[0] for p in path], dtype=WORK_DTYPE)
+    states = path[:, 0]
     times = np.arange(states.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
     traj = Trajectory(times, states, blow is not None, blow)
-    jacobians = np.array([j[0] for j in jpath], dtype=WORK_DTYPE)
-    return TangentFlow(traj, jacobians)
+    return TangentFlow(traj, jpath[:, 0])
 
 
 def divergence(x: PolyVectorField) -> Poly:
@@ -262,7 +395,8 @@ class ChainPatch:
 
     ``maps`` lists one polynomial per phase-space coordinate, in 2l
     parameter variables; ``orders`` gives the Gauss-Legendre point count per
-    axis.
+    axis.  An order too small to integrate the omega^l pullback exactly
+    along its axis is refused (see ``pullback_degree_bound``).
     """
 
     l: int
@@ -281,6 +415,33 @@ class ChainPatch:
         for p in self.maps:
             if p.nvars != 2 * self.l:
                 raise ValueError("map component over wrong parameter count")
+        for axis, (order, degree) in enumerate(zip(self.orders, self.pullback_degree_bound())):
+            if 2 * order - 1 < degree:
+                raise ValueError(
+                    f"axis {axis}: {order} Gauss-Legendre points are exact up to degree "
+                    f"{2 * order - 1}, but the omega^{self.l} pullback may reach degree "
+                    f"{degree}; need an order of at least {degree // 2 + 1}"
+                )
+
+    def pullback_degree_bound(self) -> list[int]:
+        """Per-axis bound on the degree of the omega^l pullback.
+
+        The pullback is a sum of 2l x 2l minors of the map's Jacobian, each
+        term a product of entries from 2l distinct map rows.  So along axis
+        a its degree is at most the sum of the 2l largest, over map rows, of
+        the row's highest degree in u_a among its partials.
+        """
+        nvars = 2 * self.l
+        partials = [[p.diff(j) for j in range(nvars)] for p in self.maps]
+        bound = []
+        for axis in range(nvars):
+            per_row = sorted(
+                (max((e[axis] for part in row for e in part.terms), default=0)
+                 for row in partials),
+                reverse=True,
+            )
+            bound.append(sum(per_row[:nvars]))
+        return bound
 
     @property
     def ambient_dim(self) -> int:
@@ -437,10 +598,6 @@ class ConservationReport:
     hypothesis_note: str
     blew_up: bool = False
 
-    @property
-    def applicable(self) -> bool:
-        return self.hypothesis_ok
-
 
 def verify_area_preservation(
     x: PolyVectorField, chain, l: int, k: int, cfg: FlowConfig
@@ -491,11 +648,8 @@ def verify_area_preservation(
         nodes, weights = patch.nodes_and_weights()
         xs = patch.evaluate(nodes)
         frames0 = patch.jacobians(nodes)
-        js = np.broadcast_to(
-            np.eye(x.frame.dim, dtype=WORK_DTYPE), (xs.shape[0],) + (x.frame.dim,) * 2
-        ).copy()
         xs_t, js_t, _, _, det_drift, blow = _rk4_run(
-            compiled, xs, js, cfg, track_det=track_det
+            compiled, xs, cfg, with_j=True, track_det=track_det
         )
         if blow is not None:
             blew_up = True

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from symplab import cli
@@ -215,6 +216,72 @@ def test_chain_degenerate_flag(capsys, tmp_path):
     assert code == 0
     assert "degenerate: true" in out
     assert "value: 0.0" in out
+
+
+# q' = p, p' = -q
+OSC_N1 = {"n": 1, "components": [[["1", 0, 1]], [["-1", 1, 0]]]}
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("x0", ["nan,0", "inf,0"])
+def test_flow_rejects_non_finite_x0(capsys, tmp_path, x0):
+    path = _write(tmp_path, "osc.json", OSC_N1)
+    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", x0])
+    assert code == 2
+    assert "finite" in err
+    assert "max_det_drift" not in out
+
+
+def test_flow_rejects_non_finite_x0_entry(capsys, tmp_path):
+    path = _write(tmp_path, "osc.json", dict(OSC_N1, x0=["nan", 0]))
+    code, _, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1"])
+    assert code == 2
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("t, dt", [("inf", "0.1"), ("1", "nan")])
+def test_flow_rejects_non_finite_times(capsys, tmp_path, t, dt):
+    path = _write(tmp_path, "osc.json", OSC_N1)
+    code, _, err = run(capsys, ["flow", path, "--t", t, "--dt", dt, "--x0", "1,0"])
+    assert code == 2
+    assert "finite" in err
+
+
+def test_flow_nan_det_drift_fails(capsys, tmp_path):
+    # saddle q' = q, p' = -p from the origin: the state stays 0 while J
+    # overflows to diag(inf, 0), so det J is NaN; that must not exit 0
+    saddle = {"n": 1, "components": [[["1", 1, 0]], [["-1", 0, 1]]]}
+    path = _write(tmp_path, "saddle.json", saddle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(
+            capsys,
+            ["flow", path, "--t", "12000", "--dt", "1", "--x0", "0,0", "--format", "machine"],
+        )
+    assert "max_det_drift=nan" in out.splitlines()
+    assert code == 1
+
+
+def test_chain_rejects_inexact_quadrature(capsys, tmp_path):
+    # (u^400, v): 4 Gauss-Legendre points gave -2.4e-11 for the exact -1
+    high = {"n": 1, "l": 1, "orders": [4, 4], "maps": [[["1", 400, 0]], [["1", 0, 1]]]}
+    code, out, err = run(capsys, ["chain", _write(tmp_path, "u400.chain", high)])
+    assert code == 2
+    assert "degree 400" in err and "value" not in out
+    # within the degree limit, orders too small for the pullback are refused
+    low = dict(high, maps=[[["1", 12, 0]], [["1", 0, 1]]])
+    code, _, err = run(capsys, ["chain", _write(tmp_path, "u12.chain", low)])
+    assert code == 2
+    assert "Gauss-Legendre" in err
+    code, out, _ = run(
+        capsys, ["chain", _write(tmp_path, "u12ok.chain", dict(low, orders=[6, 1]))]
+    )
+    assert code == 0
+    assert abs(float(out.split("value: ")[1].split()[0]) + 1.0) < 1e-12
 
 
 def test_flow_chain_machine_format(capsys, oscillator_file, chain_file):

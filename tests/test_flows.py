@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
+from symplab import flows
 from symplab.exterior import Frame, omega
 from symplab.fields import (
     PolyVectorField,
@@ -11,8 +13,11 @@ from symplab.fields import (
     hamiltonian_field,
 )
 from symplab.flows import (
+    MAX_STEPS,
+    WORK_DTYPE,
     ChainMismatchError,
     ChainPatch,
+    CompiledField,
     FlowConfig,
     batch_det,
     chain_integral,
@@ -61,10 +66,27 @@ def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(t_final=-1.0, dt=0.1)
     with pytest.raises(ValueError):
-        FlowConfig(t_final=1.0, dt=0.1, integrator="euler")
+        FlowConfig(t_final=math.inf, dt=0.1)
     cfg = FlowConfig(t_final=1.0, dt=0.1)
     assert cfg.steps == 10 and cfg.effective_dt == 0.1
     assert FlowConfig(t_final=0.0, dt=0.1).steps == 0
+
+
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.1)],
+)
+def test_flow_config_rejects_non_finite(t_final, dt):
+    with pytest.raises(ValueError, match="finite"):
+        FlowConfig(t_final=t_final, dt=dt)
+
+
+def test_flow_config_step_budget():
+    # only constructs configurations: a refused one must never start a run
+    assert FlowConfig(t_final=MAX_STEPS / 2, dt=0.5).steps == MAX_STEPS
+    for t_final, dt in ((MAX_STEPS + 1.0, 1.0), (1e9, 1e-9), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="budget"):
+            FlowConfig(t_final=t_final, dt=dt)
 
 
 def test_batch_det_against_exact_fractions():
@@ -230,6 +252,151 @@ def test_tangent_flow_symplecticity():
     assert float(np.max(np.abs(residual))) < 1e-7
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("degree", [1, 3])
+def test_non_finite_state_is_blow_up(bad, degree):
+    # a NaN state norm is not > NORM_CAP, so the test must be written as
+    # not (norm <= NORM_CAP); checked on the affine and the stage-loop path
+    frame = Frame.darboux(1)
+    x = hamiltonian_field(frame, standard_h(1) + (var(2, 0) ** 4 if degree == 3 else 0))
+    assert flows._is_affine(x) == (degree == 1)
+    with np.errstate(invalid="ignore"):
+        flow = tangent_flow(x, [bad, 0.0], FlowConfig(t_final=1.0, dt=0.1))
+    assert flow.trajectory.blew_up
+    assert flow.trajectory.blow_up_step == 1
+
+
+# ---------------------------------------------------------------------------
+# the affine-field propagator against the stage loop
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(WORK_DTYPE).eps)
+
+
+def _affine_cases():
+    frame2, frame1 = Frame.darboux(2), Frame.darboux(1)
+    _, coupled = build_linear_system(None, masses=(1, 2, 1))  # criterion 7
+    ham = hamiltonian_field(frame2, standard_h(2))
+    osc = PolyVectorField(frame1, (var(2, 1), -var(2, 0)))
+    shifted = PolyVectorField(
+        frame1, (var(2, 1) + Fraction(1, 3), -var(2, 0) + 2 + Fraction(1, 7) * var(2, 1))
+    )
+    return {
+        "criterion-7": (coupled, [[1.0, 0.5, 0.25, -0.3]]),
+        "ham": (ham, [[1.0, 0.0, 0.0, 1.0], [0.2, 0.3, -0.1, 0.5]]),
+        "osc": (osc, [[1.0, 0.0]]),
+        "inhomogeneous": (shifted, [[1.0, 0.0], [0.5, -0.5], [0.0, 2.0]]),
+    }
+
+
+def _both_paths(x, x0s, cfg):
+    compiled = CompiledField(x)
+    xs = np.array(x0s, dtype=WORK_DTYPE)
+    kw = dict(keep_states=True, keep_jacobians=True, track_det=True)
+    ref = flows._rk4_stages(compiled, xs, cfg, True, **kw)
+    got = flows._rk4_run(compiled, xs, cfg, with_j=True, **kw)
+    return ref, got
+
+
+@pytest.mark.parametrize("case", ["criterion-7", "ham", "osc", "inhomogeneous"])
+def test_affine_propagator_matches_stage_loop(case):
+    # states and J agree within steps * eps times their largest entry (one
+    # rounding per step); the det drift within 4 * steps * eps * max cond(J),
+    # since a relative change delta in J moves det J by up to cond(J) delta
+    x, x0s = _affine_cases()[case]
+    assert flows._is_affine(x)
+    cfg = FlowConfig(t_final=10.0, dt=1e-2)
+    ref, got = _both_paths(x, x0s, cfg)
+    steps = cfg.steps
+    states_ref, states_got = np.array(ref[2]), np.array(got[2])
+    jac_ref, jac_got = np.array(ref[3]), np.array(got[3])
+    assert states_ref.shape == states_got.shape == (steps + 1,) + np.shape(x0s)
+    assert jac_got.shape[1] == 1 and jac_ref.shape[1] == len(x0s)
+    tol = steps * EPS
+    assert np.max(np.abs(states_got - states_ref)) <= tol * np.max(np.abs(states_ref))
+    assert np.max(np.abs(jac_got - jac_ref)) <= tol * np.max(np.abs(jac_ref))
+    assert np.array_equal(got[0], states_got[-1]) and np.array_equal(got[1][0], jac_got[-1, 0])
+    cond = float(np.max(np.linalg.cond(np.asarray(jac_ref[:, 0], dtype=float))))
+    assert abs(got[4] - ref[4]) <= 4 * tol * cond
+    assert ref[4] > 0 and got[4] > 0
+    assert ref[5] is None and got[5] is None
+
+
+def test_affine_propagator_blow_up_matches_stage_loop():
+    frame = Frame.darboux(1)
+    expanding = PolyVectorField(frame, (var(2, 0) + 1, Fraction(1, 2) * var(2, 1)))
+    ref, got = _both_paths(expanding, [[1.0, 1.0], [0.5, 0.0]], FlowConfig(25.0, 1e-2))
+    assert ref[5] is not None and got[5] == ref[5]
+    states_ref, states_got = np.array(ref[2]), np.array(got[2])
+    assert states_got.shape == states_ref.shape == (ref[5] + 1, 2, 2)
+    scale = np.max(np.abs(states_ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(states_got - states_ref), axis=(1, 2)) <= ref[5] * EPS * scale)
+    assert abs(got[4] - ref[4]) <= ref[5] * EPS * abs(ref[4])
+
+
+def test_affine_det_check_batches_samples(monkeypatch):
+    # the per-step det check, batched across a partial last batch, gives the
+    # same max drift as one batch_det call per step
+    _, x = build_linear_system(None, masses=(1, 2, 1))
+    cfg = FlowConfig(t_final=2.5, dt=1e-2)
+    compiled = CompiledField(x)
+    xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
+    _, _, _, path, whole, _ = flows._rk4_run(
+        compiled, xs, cfg, with_j=True, keep_jacobians=True, track_det=True
+    )
+    monkeypatch.setattr(flows, "DET_BATCH", 16)
+    _, _, _, _, batched, _ = flows._rk4_run(
+        compiled, xs, cfg, with_j=True, track_det=True
+    )
+    per_step = max(float(abs(batch_det(j)[0] - 1)) for j in path)
+    assert whole == batched == per_step
+
+
+@pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous"])
+@pytest.mark.parametrize("h", [Fraction(1, 10), Fraction(1e-3)])
+def test_affine_propagator_exact(case, h):
+    # det R equals the test-side stability oracle, and R x + c is one RK4
+    # step taken in exact rationals
+    x, _ = _affine_cases()[case]
+    r, c = flows._affine_propagator(x, h)
+    a = oracles.constant_jacobian(x)
+    det = oracles.sympy.Matrix(
+        [[oracles.sympy.Rational(v.numerator, v.denominator) for v in row] for row in r]
+    ).det()
+    assert Fraction(int(det.p), int(det.q)) == oracles.rk4_stability_det(a, h)
+
+    def field(p):
+        return [comp.eval(p) for comp in x.components]
+
+    def shift(p, k, w):
+        return [pi + w * ki for pi, ki in zip(p, k)]
+
+    p0 = [Fraction(i + 1, 3) * (-1) ** i for i in range(x.frame.dim)]
+    k1 = field(p0)
+    k2 = field(shift(p0, k1, h / 2))
+    k3 = field(shift(p0, k2, h / 2))
+    k4 = field(shift(p0, k3, h))
+    step = [
+        p + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        for p, a1, a2, a3, a4 in zip(p0, k1, k2, k3, k4)
+    ]
+    assert step == [sum(rv * pv for rv, pv in zip(row, p0)) + cv for row, cv in zip(r, c)]
+
+
+def test_round_work_is_nearest():
+    x, _ = _affine_cases()["inhomogeneous"]
+    r, c = flows._affine_propagator(x, Fraction(1e-3))
+    values = [v for row in r for v in row] + c
+    values += [Fraction(1, 3), Fraction(-2, 7), Fraction(10**30 + 1, 3), Fraction(1, 10**40)]
+    for q in values:
+        got = flows._round_work(q)
+        assert abs(Fraction(*got.as_integer_ratio()) - q) <= Fraction(
+            *np.spacing(abs(got)).as_integer_ratio()
+        ) / 2
+    assert flows._round_work(Fraction(0)) == 0
+    assert flows._round_work(Fraction(1e-3)) == WORK_DTYPE(1e-3)
+
+
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
@@ -313,6 +480,22 @@ def test_reparametrization_invariance():
     assert abs(chain_integral(patch).value - chain_integral(unit_square()).value) < 1e-8
 
 
+def test_quadrature_orders_against_pullback_degree():
+    # along u the pullback 12 u^11 needs 2m - 1 >= 11 Gauss-Legendre points
+    maps = (var(2, 0) ** 12, var(2, 1))
+    assert ChainPatch(1, maps, (6, 1)).pullback_degree_bound() == [11, 0]
+    assert abs(chain_integral(ChainPatch(1, maps, (6, 1))).value + 1.0) < 1e-12
+    with pytest.raises(ValueError, match="at least 6"):
+        ChainPatch(1, maps, (5, 1))
+    # the bound adds the 2l largest per-row degrees: rows u^2 and u^3 give
+    # 1 + 2 along u, though this pullback is only 2u
+    maps = (var(2, 0) ** 2, var(2, 0) ** 3, var(2, 1), Poly.zero(2))
+    assert ChainPatch(1, maps, (2, 1)).pullback_degree_bound() == [3, 0]
+    with pytest.raises(ValueError):
+        ChainPatch(1, maps, (1, 1))
+    assert unit_cube().pullback_degree_bound() == [0, 0, 0, 0]
+
+
 def test_chain_of_signed_patches():
     total = chain_integral([(1, unit_square()), (-1, unit_square())])
     assert total.value == 0.0
@@ -321,6 +504,8 @@ def test_chain_of_signed_patches():
 def test_chain_validation():
     with pytest.raises(ValueError):
         ChainPatch(1, (Poly.zero(2),) * 4, (0, 2))
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        ChainPatch(1, (var(2, 0) ** 12, var(2, 1)), (4, 4))
     with pytest.raises(ChainMismatchError):
         chain_integral(unit_cube(), n=3)
 
