@@ -72,7 +72,6 @@ from .fields import (
     linear_system_two_form,
     parse_field,
     parse_two_form,
-    poincare_potential,
     radial_potential,
     vector_from_two_form,
 )

@@ -566,7 +566,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(args, rep)
     except (InputError, DegreeLimitError, fw.ChainMismatchError, ValueError) as exc:
-        rep.flush()
+        # a refused input leaves stdout empty: no partial report
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -229,30 +229,24 @@ def betti(cx: CEComplex, m: int) -> int:
 
 
 def cohomology_space(cx: CEComplex, m: int) -> CohomologySpace:
-    """Representatives by column-pivot order on the canonical blade basis."""
+    """Representatives by column-pivot order on the canonical blade basis.
+
+    One rref of [d_{m-1} | closed]: a closed vector is kept exactly when its
+    column is a pivot, i.e. when its class is new given the boundaries and
+    the closed vectors before it in basis order.
+    """
     closed = (
         linalg.nullspace(cx.d[m], cols=len(cx.bases[m]))
         if m < cx.alg.dim
         else [linalg.unit_vector(len(cx.bases[m]), i) for i in range(len(cx.bases[m]))]
     )
-    boundary = _columns_matrix(cx.d[m - 1]) if m >= 1 else []
     reps = []
     if closed:
-        cols = linalg.column_stack(boundary, _vectors_as_columns(closed))
-        base_width = len(boundary[0]) if boundary and boundary[0] else 0
-        current = linalg.rank(boundary)
-        # keep each closed vector whose class is new, in basis order
-        for idx in range(len(closed)):
-            sub = [row[: base_width + idx + 1] for row in cols]
-            r = linalg.rank(sub)
-            if r > current:
-                reps.append(cx.to_form(closed[idx], m))
-                current = r
+        boundary = cx.d[m - 1] if m >= 1 else []
+        width = len(boundary[0]) if boundary else 0
+        _, pivots = linalg.rref(linalg.column_stack(boundary, _vectors_as_columns(closed)))
+        reps = [cx.to_form(closed[c - width], m) for c in pivots if c >= width]
     return CohomologySpace(m, betti(cx, m), tuple(reps))
-
-
-def _columns_matrix(mat: linalg.Matrix) -> linalg.Matrix:
-    return [row[:] for row in mat] if mat else []
 
 
 def _vectors_as_columns(vectors) -> linalg.Matrix:
@@ -270,9 +264,8 @@ def exactness_rank(cx: CEComplex, forms, degree: int) -> int:
     """
     boundary = cx.d[degree - 1] if degree >= 1 else []
     vecs = [cx.to_vector(f, degree) for f in forms]
-    base = _columns_matrix(boundary)
-    base_rank = linalg.rank(base)
-    full = linalg.column_stack(base, _vectors_as_columns(vecs))
+    base_rank = linalg.rank(boundary)
+    full = linalg.column_stack(boundary, _vectors_as_columns(vecs))
     return linalg.rank(full) - base_rank
 
 
@@ -318,7 +311,7 @@ def harmonic_dim(cx: CEComplex, m: int) -> int:
     dmat = cx.d[m] if m < cx.alg.dim else []
     delta = cx.delta_matrix(m)
     ncols = len(cx.bases[m])
-    stacked = _columns_matrix(dmat) + _columns_matrix(delta)
+    stacked = dmat + delta
     kernel_both = len(linalg.nullspace(stacked, cols=ncols))
     # im d_{m-1} intersect ker delta: restrict delta to the column space
     if m == 0:

@@ -203,11 +203,6 @@ def radial_potential(a: Form) -> Form:
     return Form(frame, terms)
 
 
-def poincare_potential(a: Form) -> Form:
-    """Alias naming the closed => exact witness on R^{2n}."""
-    return radial_potential(a)
-
-
 # ---------------------------------------------------------------------------
 # the 2-form <-> volume-preserving-field dictionary
 # ---------------------------------------------------------------------------

@@ -175,6 +175,40 @@ def form_to_tuple(form):
     return out
 
 
+# -- cohomology representatives by prefix ranks ------------------------------
+
+
+def prefix_rank_representatives(cx, m):
+    """Closed representatives of H^m, one rank per closed vector.
+
+    The canonical closed vectors of degree m are taken in basis order; each
+    is kept when appending it to the columns of d_{m-1} and the closed
+    vectors before it raises the rank.  The package picks the same vectors
+    from the pivots of one rref.
+    """
+    from symplab import linalg
+
+    size = len(cx.bases[m])
+    closed = (
+        linalg.nullspace(cx.d[m], cols=size)
+        if m < cx.alg.dim
+        else [linalg.unit_vector(size, i) for i in range(size)]
+    )
+    boundary = cx.d[m - 1] if m >= 1 else []
+    reps = []
+    current = linalg.rank(boundary)
+    for idx in range(len(closed)):
+        prefix = [
+            (boundary[r] if boundary else []) + [v[r] for v in closed[: idx + 1]]
+            for r in range(size)
+        ]
+        rank = linalg.rank(prefix)
+        if rank > current:
+            reps.append(cx.to_form(closed[idx], m))
+            current = rank
+    return tuple(reps)
+
+
 # -- exact RK4 determinant oracle for linear fields ---------------------------
 
 

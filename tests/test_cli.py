@@ -237,6 +237,15 @@ def test_flow_rejects_non_finite_x0(capsys, tmp_path, x0):
     assert "max_det_drift" not in out
 
 
+def test_input_error_writes_no_partial_report(capsys, tmp_path):
+    # the symbolic part of the report is built before x0 is refused
+    path = _write(tmp_path, "osc.json", OSC_N1)
+    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", "nan,0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_flow_rejects_non_finite_x0_entry(capsys, tmp_path):
     path = _write(tmp_path, "osc.json", dict(OSC_N1, x0=["nan", 0]))
     code, _, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1"])

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 
@@ -140,6 +141,35 @@ def test_cohomology_space_invariants(nilm, torus):
             for rep in space.representatives:
                 assert differential(cx, rep).is_zero
                 assert not is_exact(cx, rep, m)
+
+
+def nilm6_times_flat(extra):
+    """nilm6 + R^extra with omega + theta^7^theta^8 + ..., as a complex."""
+    data = json.loads(bundled_algebra_text("nilm6"))
+    data["dim"] = 6 + extra
+    data["omega"] += [[i, i + 1, "1"] for i in range(7, 7 + extra, 2)]
+    return build_complex(algebra_from_data(data))
+
+
+def test_cohomology_space_matches_prefix_ranks(nilm, torus):
+    # the pivots of one rref pick the closed vectors the per-vector prefix
+    # ranks pick, in every degree
+    cases = [(nilm[1], range(7)), (torus[1], range(7)), (nilm6_times_flat(2), range(4))]
+    for cx, degrees in cases:
+        for m in degrees:
+            assert cohomology_space(cx, m).representatives == (
+                oracles.prefix_rank_representatives(cx, m)
+            )
+
+
+def test_cohomology_space_dimension_ten():
+    # H^5 of nilm6 + R^4: Kunneth gives 3 + 4*4 + 6*4 + 4*4 + 3 = 62
+    cx = nilm6_times_flat(4)
+    space = cohomology_space(cx, 5)
+    assert space.dimension == betti(cx, 5) == 62
+    assert len(space.representatives) == 62
+    assert all(differential(cx, rep).is_zero for rep in space.representatives)
+    assert exactness_rank(cx, space.representatives, 5) == 62
 
 
 def test_nilmanifold_poincare_duality(nilm):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symplab import linalg
+from symplab import exterior, linalg
 from symplab.exterior import (
     CommutatorReport,
     Form,
@@ -286,6 +286,76 @@ def test_commutator_recursions_n4_k3_against_oracle():
         assert lhs2 == rhs2
     report = commutator_check(n, k)
     assert report.passed and report.blades_checked == 256
+
+
+# Faults injected into the operators commutator_check applies, each keeping
+# forms homogeneous.  The expected reports (first failing identity, blade
+# and count) were recorded from the direct operator-composition check.
+
+def _f_without_first_pair(a):
+    n = a.frame.n
+    out = Form.zero(a.frame)
+    for i in range(1, n):
+        out = out + interior(i, interior(n + i, a))
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (3, 3)])
+def test_commutator_check_reports_f_fault(monkeypatch, n, k):
+    monkeypatch.setattr(exterior, "op_f", _f_without_first_pair)
+    assert commutator_check(n, k) == CommutatorReport(n, k, False, 1, "[e,f] = h", 0)
+
+
+@pytest.mark.parametrize("n, k, identity", [
+    (1, 1, "[e^1,f] = 1 e^0(h+0)"),
+    (3, 2, "[e^2,f] = 2 e^1(h+1)"),
+    (4, 4, "[e^4,f] = 4 e^3(h+3)"),
+])
+def test_commutator_check_reports_omega_power_fault(monkeypatch, n, k, identity):
+    power = exterior.omega_power
+
+    def flipped(frame, p):
+        return -power(frame, p) if p == k else power(frame, p)
+
+    monkeypatch.setattr(exterior, "omega_power", flipped)
+    assert commutator_check(n, k) == CommutatorReport(n, k, False, 1, identity, 0)
+
+
+@pytest.mark.parametrize("n, k, blade", [(3, 1, 33), (3, 3, 33), (4, 2, 129)])
+def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
+    # e scaled by 3/2 on blades holding the first and the last generator:
+    # the first failure is a blade past 0, and images carry non-integral
+    # coefficients
+    e = exterior.op_e
+
+    def skewed(a):
+        top = 1 << (2 * a.frame.n - 1)
+        out = e(a)
+        for mask, c in a.terms.items():
+            if mask & top and mask & 1:
+                out = out + Fraction(1, 2) * c * e(Form(a.frame, {mask: Fraction(1)}))
+        return out
+
+    monkeypatch.setattr(exterior, "op_e", skewed)
+    assert commutator_check(n, k) == CommutatorReport(
+        n, k, False, blade + 1, "[e,f] = h", blade
+    )
+
+
+@pytest.mark.parametrize("n, k, blade", [(2, 1, 1), (3, 2, 3), (4, 3, 7)])
+def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
+    # h shifted by one on degree n + 1: [h,e] = 2e first fails on the first
+    # blade of degree n - 1
+    h = exterior.op_h
+
+    def shifted(a):
+        out = h(a)
+        return out + a if a.homogeneous_degree == a.frame.n + 1 else out
+
+    monkeypatch.setattr(exterior, "op_h", shifted)
+    assert commutator_check(n, k) == CommutatorReport(
+        n, k, False, blade + 1, "[h,e] = 2e", blade
+    )
 
 
 def test_commutator_check_validates_range():
