@@ -232,7 +232,6 @@ def _parse_x0(args, data: dict, dim: int) -> list[float]:
 
 def cmd_flow(args, rep: Reporter) -> int:
     field, data = _load_field(args.file)
-    n = field.frame.n
     cfg = fw.FlowConfig(t_final=args.t, dt=args.dt)
     div = fw.divergence(field)
     rep.both("divergence_zero", str(div.is_zero).lower())
@@ -257,10 +256,9 @@ def cmd_flow(args, rep: Reporter) -> int:
         return EXIT_OK
 
     l = args.l if args.l is not None else chain_data.l
-    k = args.k if args.k is not None else n
     if l != chain_data.l:
         raise InputError("--l disagrees with the chain file's half-degree")
-    report = fw.verify_area_preservation(field, chain_data, l, k, cfg)
+    report = fw.verify_area_preservation(field, chain_data, l, cfg)
     _emit_conservation(report, rep)
     if report.blew_up:
         return EXIT_FAIL
@@ -444,13 +442,13 @@ def _bundled_checks():
             orders=(2, 2, 2, 2),
         )
         cfg = fw.FlowConfig(t_final=10.0, dt=1e-3)
-        r1 = fw.verify_area_preservation(ham, square, 1, 1, cfg)
+        r1 = fw.verify_area_preservation(ham, square, 1, cfg)
         assert r1.hypothesis_ok and r1.rel_drift < DRIFT_TOL, r1
-        r2 = fw.verify_area_preservation(ham, cube, 2, 2, cfg)
+        r2 = fw.verify_area_preservation(ham, cube, 2, cfg)
         assert r2.hypothesis_ok and r2.rel_drift < DRIFT_TOL, r2
-        r3 = fw.verify_area_preservation(osc, square, 1, 1, cfg)
+        r3 = fw.verify_area_preservation(osc, square, 1, cfg)
         assert not r3.hypothesis_ok
-        r4 = fw.verify_area_preservation(osc, cube, 2, 2, cfg)
+        r4 = fw.verify_area_preservation(osc, cube, 2, cfg)
         assert r4.hypothesis_ok and r4.rel_drift < DRIFT_TOL, r4
         return {
             "ham_sq_drift": f"{r1.rel_drift:.3e}",
@@ -541,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--chain")
     p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--x0")
     p.add_argument("--tol", type=float, default=DRIFT_TOL)
     add_format(p)

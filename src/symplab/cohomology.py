@@ -233,8 +233,11 @@ def cohomology_space(cx: CEComplex, m: int) -> CohomologySpace:
 
     One rref of [d_{m-1} | closed]: a closed vector is kept exactly when its
     column is a pivot, i.e. when its class is new given the boundaries and
-    the closed vectors before it in basis order.
+    the closed vectors before it in basis order.  Their count is the
+    dimension: rank [d_{m-1} | closed] - rank d_{m-1}.
     """
+    if not 0 <= m <= cx.alg.dim:
+        raise ValueError("degree out of range")
     closed = (
         linalg.nullspace(cx.d[m], cols=len(cx.bases[m]))
         if m < cx.alg.dim
@@ -246,7 +249,7 @@ def cohomology_space(cx: CEComplex, m: int) -> CohomologySpace:
         width = len(boundary[0]) if boundary else 0
         _, pivots = linalg.rref(linalg.column_stack(boundary, _vectors_as_columns(closed)))
         reps = [cx.to_form(closed[c - width], m) for c in pivots if c >= width]
-    return CohomologySpace(m, betti(cx, m), tuple(reps))
+    return CohomologySpace(m, len(reps), tuple(reps))
 
 
 def _vectors_as_columns(vectors) -> linalg.Matrix:

@@ -3,11 +3,14 @@
 Everything here re-derives expected values through a *different* code path
 than the package: blades are ascending index tuples (not bitmasks), signs
 come from explicit insertion-sort parity, matrix ranks come from sympy, and
-RK4 determinants of linear fields are exact rationals.
+RK4 determinants of linear fields are exact rationals.  The dense
+polynomial evaluator and the one-step-at-a-time RK4 loop the package used
+before its kernels were batched are kept here as bitwise references.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 # -- tuple-based exterior algebra -------------------------------------------
@@ -265,3 +268,72 @@ def rk4_linear_det_drift(a, h, steps):
         power *= det
         drift = max(drift, abs(power - 1))
     return drift
+
+
+# -- the dense polynomial evaluator and the per-step RK4 loop -----------------
+
+
+def dense_evaluate(polys, xs):
+    """Values (m, k) and Jacobians (m, k, nvars) of a polynomial tuple by
+    the dense formula: every monomial x ** e over all term rows (the sorted
+    terms of each polynomial, then of each partial), multiplied out along
+    the variables, times a (rows, slots) scatter matrix."""
+    work = np.longdouble
+    k, nvars = len(polys), polys[0].nvars
+    rows = [(i, e, c) for i, p in enumerate(polys) for e, c in p.sorted_terms()]
+    rows += [
+        (k + i * nvars + j, e, c)
+        for i, p in enumerate(polys)
+        for j in range(nvars)
+        for e, c in p.diff(j).sorted_terms()
+    ]
+    m, out_dim = xs.shape[0], k + k * nvars
+    if not rows:
+        return np.zeros((m, k), dtype=work), np.zeros((m, k, nvars), dtype=work)
+    exps = np.array([e for _, e, _ in rows], dtype=np.int64)
+    scatter = np.zeros((len(rows), out_dim), dtype=work)
+    for row, (slot, _, c) in enumerate(rows):
+        scatter[row, slot] += work(c.numerator) / work(c.denominator)
+    stacked = (xs[:, None, :] ** exps[None, :, :]).prod(axis=2) @ scatter
+    return stacked[:, :k], stacked[:, k:].reshape(m, k, nvars)
+
+
+def _batch_det_drift(flows, js):
+    return np.max(np.abs(flows.batch_det(js) - 1))
+
+
+def rk4_stage_loop(flows, field, xs, cfg, track_det=False):
+    """Four-stage RK4 of a field and its tangent maps, one step at a time:
+    dense_evaluate, einsum stage products, one batch_det per step, a norm
+    test per step.  Returns what the package's _rk4_run returns, with every
+    path kept."""
+    polys = field.components
+    work = np.longdouble
+    dt = work(cfg.effective_dt)
+    half = work(0.5) * dt
+    sixth = dt / work(6.0)
+    two = work(2.0)
+    m, dim = xs.shape
+    js = np.broadcast_to(np.eye(dim, dtype=work), (m, dim, dim))
+    states, jacs = [xs.copy()], [js.copy()]
+    max_det = _batch_det_drift(flows, js) if track_det else work(0.0)
+    blow_step = None
+    for step in range(cfg.steps):
+        v1, j1 = dense_evaluate(polys, xs)
+        k1j = np.einsum("mij,mjk->mik", j1, js)
+        v2, j2 = dense_evaluate(polys, xs + half * v1)
+        k2j = np.einsum("mij,mjk->mik", j2, js + half * k1j)
+        v3, j3 = dense_evaluate(polys, xs + half * v2)
+        k3j = np.einsum("mij,mjk->mik", j3, js + half * k2j)
+        v4, j4 = dense_evaluate(polys, xs + dt * v3)
+        k4j = np.einsum("mij,mjk->mik", j4, js + dt * k3j)
+        xs = xs + sixth * (v1 + two * v2 + two * v3 + v4)
+        js = js + sixth * (k1j + two * k2j + two * k3j + k4j)
+        states.append(xs.copy())
+        jacs.append(js.copy())
+        if track_det:
+            max_det = max(max_det, _batch_det_drift(flows, js))
+        if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
+            blow_step = step + 1
+            break
+    return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step

@@ -258,12 +258,12 @@ def test_criterion_8_area_laws():
     ham = hamiltonian_field(frame, _standard_h(2))
     _, osc = build_linear_system(None, masses=(1, 2, 1))
     cfg = FlowConfig(10.0, 1e-3)
-    r_sq = verify_area_preservation(ham, _unit_square(), 1, 1, cfg)
-    r_cube = verify_area_preservation(ham, _unit_cube(), 2, 2, cfg)
+    r_sq = verify_area_preservation(ham, _unit_square(), 1, cfg)
+    r_cube = verify_area_preservation(ham, _unit_cube(), 2, cfg)
     ok = r_sq.hypothesis_ok and r_sq.rel_drift < 1e-6
     ok = ok and r_cube.hypothesis_ok and r_cube.rel_drift < 1e-6
-    r_bad = verify_area_preservation(osc, _unit_square(), 1, 1, cfg)
-    r_vol = verify_area_preservation(osc, _unit_cube(), 2, 2, cfg)
+    r_bad = verify_area_preservation(osc, _unit_square(), 1, cfg)
+    r_vol = verify_area_preservation(osc, _unit_cube(), 2, cfg)
     ok = ok and not r_bad.hypothesis_ok
     ok = ok and r_vol.hypothesis_ok and r_vol.rel_drift < 1e-6
     elapsed = time.monotonic() - start

@@ -180,6 +180,18 @@ def test_flow_chain_hypothesis_exit(capsys, oscillator_file, chain_file):
     assert "not applicable" in out
 
 
+def test_flow_has_no_k_option(capsys, oscillator_file, chain_file):
+    # the transported quantity depends on the chain's l only
+    argv = ["flow", oscillator_file, "--t", "1", "--dt", "0.1", "--chain", chain_file]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--k", "1"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    code, out, _ = run(capsys, argv)
+    assert code == 3  # the oscillator is not symplectic: theorem not applicable
+    assert "initial:" in out and "per_step_max_det_drift" not in out
+
+
 def test_flow_x0_override(capsys, tmp_path):
     data = dict(OSCILLATOR)
     data.pop("x0")

@@ -141,6 +141,9 @@ def test_cohomology_space_invariants(nilm, torus):
             for rep in space.representatives:
                 assert differential(cx, rep).is_zero
                 assert not is_exact(cx, rep, m)
+        for m in (-1, 7):
+            with pytest.raises(ValueError, match="degree out of range"):
+                cohomology_space(cx, m)
 
 
 def nilm6_times_flat(extra):

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +400,205 @@ def test_round_work_is_nearest():
 
 
 # ---------------------------------------------------------------------------
+# the compiled evaluator and the block stage loop against dense references
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _random_poly(rng, nvars, degree):
+    # non-dyadic coefficients: thirds, sevenths, ninths, ...
+    terms = {}
+    for d in [degree] + [rng.randint(0, degree) for _ in range(5)]:
+        e = [0] * nvars
+        for _ in range(d):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-7, -2, 1, 4, 5]), rng.choice([3, 7, 9, 11]))
+    return Poly(nvars, terms)
+
+
+def _evaluator_cases():
+    rng = random.Random(20)
+    cases = {}
+    for degree in range(1, 6):
+        frame = Frame.darboux(2 if degree % 2 else 1)
+        dim = frame.dim
+        cases[f"degree-{degree}"] = PolyVectorField(
+            frame, tuple(_random_poly(rng, dim, degree) for _ in range(dim))
+        )
+    frame = Frame.darboux(2)
+    x0, x3 = var(4, 0), var(4, 3)
+    # a constant row and rows that skip variables: all-zero Jacobian slots
+    cases["zero-slots"] = PolyVectorField(frame, (
+        Poly.constant(4, Fraction(2, 3)),
+        Fraction(1, 7) * x0 ** 3,
+        Poly.zero(4),
+        x0 * x3 ** 2 - Fraction(1, 3) * x3,
+    ))
+    cases["zero-field"] = PolyVectorField.zero(frame)
+    u, v = var(2, 0), var(2, 1)
+    # a chain parametrization: 2 variables into 4 coordinates
+    cases["chain-map"] = (
+        Fraction(1, 3) * u ** 3 + Fraction(5, 7) * v + Fraction(2, 9),
+        u * v - Fraction(1, 3) * v ** 2,
+        Poly.constant(2, Fraction(5, 9)),
+        v ** 2 - Fraction(1, 3) * u + u * u * v,
+    )
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_evaluator_cases()))
+def test_compiled_evaluator_matches_dense_formula(case):
+    x = _evaluator_cases()[case]
+    polys = x.components if isinstance(x, PolyVectorField) else x
+    nvars = polys[0].nvars
+    compiled = CompiledField(x)
+    rng = np.random.default_rng(5)
+    for m in (1, 7, 33):
+        xs = rng.standard_normal((m, nvars)).astype(WORK_DTYPE) / WORK_DTYPE(3)
+        xs[0, 0] = -0.0
+        values, jacobians = compiled(xs)
+        want_values, want_jacobians = oracles.dense_evaluate(polys, xs)
+        assert values.shape == (m, len(polys)) and jacobians.shape == (m, len(polys), nvars)
+        _same_bits(values, want_values)
+        _same_bits(jacobians, want_jacobians)
+
+
+def _stage_cases():
+    frame1, frame2 = Frame.darboux(1), Frame.darboux(2)
+    quartic = hamiltonian_field(frame2, standard_h(2) + Fraction(1, 4) * var(4, 0) ** 4
+                                + Fraction(2, 7) * var(4, 0) ** 2 * var(4, 1) ** 2)
+    dissipative = PolyVectorField(frame1, (var(2, 0) ** 2, var(2, 1)))
+    return {
+        "quartic": (quartic, [0.3, -0.2, 0.4, 0.1]),
+        "dissipative": (dissipative, [0.3, 1.0]),
+    }
+
+
+def _starts(x0, m):
+    # x0 and m - 1 nearby points
+    xs = np.array([x0] * m, dtype=WORK_DTYPE)
+    xs[1:] += np.random.default_rng(11).uniform(-0.05, 0.05, (m - 1, len(x0)))
+    return xs
+
+
+def _assert_same_run(got, want):
+    for g, w in zip(got[:4], want[:4]):
+        _same_bits(g, w)
+    assert got[4] == want[4]
+    assert got[5] == want[5]
+
+
+@pytest.mark.parametrize("case", ["quartic", "dissipative"])
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
+    # per-block det check and blow-up test, stacked paths: the same bits as
+    # one einsum step, one batch_det and one norm test at a time; 50 steps
+    # leave a partial last block for every DET_BATCH // m but 16 // 16
+    x, x0 = _stage_cases()[case]
+    assert not flows._is_affine(x)
+    xs = _starts(x0, m)
+    cfg = FlowConfig(t_final=0.5, dt=0.01)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    sizes = []
+
+    def counted(mats):
+        sizes.append(len(mats))
+        return batch_det(mats)
+
+    monkeypatch.setattr(flows, "batch_det", counted)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_states=True,
+                         keep_jacobians=True, track_det=True)
+    # one call per block of DET_BATCH // m steps, never more than DET_BATCH matrices
+    block = min(det_batch // m, cfg.steps)
+    full, rest = divmod(cfg.steps, block)
+    assert sizes == [block * m] * full + ([rest * m] if rest else [])
+    monkeypatch.setattr(flows, "batch_det", batch_det)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg, track_det=True)
+    _assert_same_run(got, want)
+    assert want[4] > 0 and want[5] is None
+    # the det check alone, without kept paths, gives the same max drift
+    alone = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, track_det=True)
+    assert alone[4] == want[4]
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
+    # q' = q^2 from q = 1 passes the norm cap near t = 1; the block length
+    # puts that step first, in the middle or last in its block.  The states
+    # stepped past it in the block overflow and must warn about nothing.
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1)))
+    xs = _starts([1.0, 0.5], m)
+    cfg = FlowConfig(t_final=2.0, dt=0.01)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg, track_det=True)
+    blow = want[5]
+    assert blow is not None and blow > 10
+    block = {"first": blow - 1, "middle": blow // 2 + 3, "last": blow}[position]
+    offset = (blow - 1) % block
+    assert position == ("first" if offset == 0 else "last" if offset == block - 1 else "middle")
+    monkeypatch.setattr(flows, "DET_BATCH", block * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_states=True,
+                             keep_jacobians=True, track_det=True)
+    _assert_same_run(got, want)
+    assert got[2].shape[0] == blow + 1
+    if m == 1:
+        traj = tangent_flow(x, [1.0, 0.5], cfg).trajectory
+        assert traj.blow_up_step == blow and len(traj.states) == blow + 1
+
+
+def _two_patch_chain(l):
+    # the region origin + span(axes) as two signed halves, the second with
+    # its first two axes swapped
+    origin = [Fraction(1, 10), Fraction(-1, 5), Fraction(3, 10), Fraction(0)]
+    axes = [[Fraction(1, 2), Fraction(1, 50), Fraction(0), Fraction(-1, 25)],
+            [Fraction(1, 100), Fraction(0), Fraction(3, 5), Fraction(1, 50)],
+            [Fraction(0), Fraction(2, 5), Fraction(-1, 50), Fraction(0)],
+            [Fraction(1, 25), Fraction(0), Fraction(0), Fraction(9, 20)]][: 2 * l]
+    half = [a / 2 for a in axes[0]]
+    mid = [o + h for o, h in zip(origin, half)]
+    orders = (3,) * (2 * l)
+    return [(1, ChainPatch.affine(l, origin, [half] + axes[1:], orders)),
+            (-1, ChainPatch.affine(l, mid, [axes[1], half] + axes[2:], orders))]
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_stacked_chain_run_matches_per_patch_runs(l):
+    x, _ = _stage_cases()["quartic"]
+    chain = _two_patch_chain(l)
+    cfg = FlowConfig(t_final=0.5, dt=0.01)
+    report = verify_area_preservation(x, chain, l, cfg)
+    # the transport as one RK4 run per patch
+    compiled = CompiledField(x)
+    blades = flows._omega_power_blades(2, l)
+    final, max_det = WORK_DTYPE(0.0), 0.0
+    for sign, patch in chain:
+        nodes, weights = patch.nodes_and_weights()
+        _, js, _, _, drift, blow = flows._rk4_run(
+            compiled, patch.evaluate(nodes), cfg, with_j=True, track_det=l == 2
+        )
+        assert blow is None
+        max_det = max(max_det, drift)
+        frames = np.einsum("mij,mjl->mil", js, patch.jacobians(nodes))
+        final += WORK_DTYPE(sign) * flows._pullback_integral(blades, frames, weights, l)
+    assert report.hypothesis_ok and not report.blew_up
+    assert report.initial == chain_integral(chain, 2).value
+    assert report.final == float(final)
+    assert report.abs_drift == abs(float(final) - report.initial)
+    if l == 2:
+        assert report.per_step_max_det_drift == max_det > 0
+    else:
+        assert report.per_step_max_det_drift is None
+
+
+# ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
 
@@ -496,6 +697,28 @@ def test_quadrature_orders_against_pullback_degree():
     assert unit_cube().pullback_degree_bound() == [0, 0, 0, 0]
 
 
+def test_gauss_legendre_rules_exact_in_longdouble():
+    # an order-n rule integrates u^d over [0, 1] for d < 2n: weights and
+    # moments within a few WORK_DTYPE eps (leggauss's double nodes miss by
+    # hundreds of them)
+    for order in range(1, 21):
+        t, w = flows._gauss_legendre(order)
+        assert t.dtype == w.dtype == WORK_DTYPE
+        assert abs(np.sum(w) - 1) <= 4 * EPS
+        for d in range(2 * order):
+            assert abs(np.sum(w * t ** d) - WORK_DTYPE(1) / (d + 1)) <= 4 * EPS
+    cube = ChainPatch.affine(2, [0, 0, 0, 0], np.eye(4).tolist(), orders=(3, 5, 7, 4))
+    nodes, weights = cube.nodes_and_weights()
+    assert nodes.shape == (3 * 5 * 7 * 4, 4) and nodes.dtype == weights.dtype == WORK_DTYPE
+    assert abs(np.sum(weights) - 1) <= 8 * EPS
+
+
+def test_exact_degree_rule_gives_exact_value():
+    # the degree-11 pullback of (u^12, v) is integrated exactly by 6 points
+    maps = (var(2, 0) ** 12, var(2, 1))
+    assert chain_integral(ChainPatch(1, maps, (6, 1))).value == -1.0
+
+
 def test_chain_of_signed_patches():
     total = chain_integral([(1, unit_square()), (-1, unit_square())])
     assert total.value == 0.0
@@ -517,7 +740,7 @@ def test_chain_validation():
 def test_hamiltonian_transport_preserves_area():
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2))
-    report = verify_area_preservation(x, unit_square(), 1, 1, FlowConfig(3.0, 1e-3))
+    report = verify_area_preservation(x, unit_square(), 1, FlowConfig(3.0, 1e-3))
     assert report.hypothesis_ok
     assert report.abs_drift < 1e-6
     assert report.per_step_max_det_drift is None
@@ -525,11 +748,11 @@ def test_hamiltonian_transport_preserves_area():
 
 def test_nonsymplectic_flagged_and_drifts():
     _, x = build_linear_system(None, masses=(1, 2, 1))
-    report = verify_area_preservation(x, unit_square(), 1, 1, FlowConfig(3.0, 1e-3))
+    report = verify_area_preservation(x, unit_square(), 1, FlowConfig(3.0, 1e-3))
     assert not report.hypothesis_ok
     assert "not applicable" in report.hypothesis_note
     assert report.rel_drift > 1e-3  # omega genuinely not preserved
-    volume = verify_area_preservation(x, unit_cube(), 2, 2, FlowConfig(3.0, 1e-3))
+    volume = verify_area_preservation(x, unit_cube(), 2, FlowConfig(3.0, 1e-3))
     assert volume.hypothesis_ok
     assert volume.rel_drift < 1e-6
     assert volume.per_step_max_det_drift is not None
@@ -539,7 +762,7 @@ def test_nonsymplectic_flagged_and_drifts():
 def test_zero_field_zero_drift():
     frame = Frame.darboux(2)
     report = verify_area_preservation(
-        PolyVectorField.zero(frame), unit_square(), 1, 1, FlowConfig(1.0, 1e-2)
+        PolyVectorField.zero(frame), unit_square(), 1, FlowConfig(1.0, 1e-2)
     )
     assert report.abs_drift == 0.0
     assert report.hypothesis_ok
@@ -548,10 +771,10 @@ def test_zero_field_zero_drift():
 def test_report_fields_consistent():
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2))
-    report = verify_area_preservation(x, unit_square(), 1, 1, FlowConfig(1.0, 1e-2))
+    report = verify_area_preservation(x, unit_square(), 1, FlowConfig(1.0, 1e-2))
     assert report.abs_drift == abs(report.final - report.initial)
     assert report.rel_drift == report.abs_drift / abs(report.initial)
-    assert report.l == 1 and report.k == 1
+    assert report.l == 1 and not hasattr(report, "k")
     assert report.t_final == 1.0 and report.dt == 1e-2
 
 
@@ -559,7 +782,7 @@ def test_transport_of_signed_patch_sum():
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2))
     chain = [(1, unit_square()), (-1, unit_square())]
-    report = verify_area_preservation(x, chain, 1, 1, FlowConfig(1.0, 1e-2))
+    report = verify_area_preservation(x, chain, 1, FlowConfig(1.0, 1e-2))
     assert report.initial == 0.0
     assert report.abs_drift < 1e-9
     assert math.isnan(report.rel_drift)
@@ -569,9 +792,10 @@ def test_transport_validates_patch():
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2))
     with pytest.raises(ChainMismatchError):
-        verify_area_preservation(x, unit_square(), 2, 2, FlowConfig(1.0, 1e-2))
-    with pytest.raises(ValueError):
-        verify_area_preservation(x, unit_square(), 1, 3, FlowConfig(1.0, 1e-2))
+        verify_area_preservation(x, unit_square(), 2, FlowConfig(1.0, 1e-2))
+    for l in (0, 3):
+        with pytest.raises(ValueError, match="1 <= l <= n"):
+            verify_area_preservation(x, unit_square(), l, FlowConfig(1.0, 1e-2))
 
 
 def test_nonlinear_symplectic_transport():
@@ -580,7 +804,7 @@ def test_nonlinear_symplectic_transport():
     h = standard_h(2) + Fraction(1, 4) * var(4, 0) ** 4
     x = hamiltonian_field(frame, h)
     report = verify_area_preservation(
-        x, unit_square(), 1, 1, FlowConfig(t_final=2.0, dt=1e-3)
+        x, unit_square(), 1, FlowConfig(t_final=2.0, dt=1e-3)
     )
     assert report.hypothesis_ok
     assert report.abs_drift < 1e-6
