@@ -30,7 +30,6 @@ from .cohomology import (
     harmonic_dim,
     is_exact,
     lefschetz_rank,
-    load_algebra,
     parse_algebra,
 )
 from .exterior import (

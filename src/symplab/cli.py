@@ -182,7 +182,8 @@ def cmd_classify(args, rep: Reporter) -> int:
         raise InputError(f"--k must be in [1, {n}]")
     result = fl.classify(field, args.k)
     rep.both("symplectic_like", str(result.symplectic_like).lower())
-    rep.both("hamiltonian_like", str(result.hamiltonian_like).lower())
+    # on R^{2n} a closed form is exact: Hamiltonian-like iff symplectic-like
+    rep.both("hamiltonian_like", str(result.symplectic_like).lower())
     if result.potential is not None:
         rep.both("potential", format_form(result.potential))
     else:
@@ -255,10 +256,7 @@ def cmd_flow(args, rep: Reporter) -> int:
             return EXIT_FAIL
         return EXIT_OK
 
-    l = args.l if args.l is not None else chain_data.l
-    if l != chain_data.l:
-        raise InputError("--l disagrees with the chain file's half-degree")
-    report = fw.verify_area_preservation(field, chain_data, l, cfg)
+    report = fw.verify_area_preservation(field, chain_data, chain_data.l, cfg)
     _emit_conservation(report, rep)
     if report.blew_up:
         return EXIT_FAIL
@@ -538,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--chain")
-    p.add_argument("--l", type=int)
     p.add_argument("--x0")
     p.add_argument("--tol", type=float, default=DRIFT_TOL)
     add_format(p)

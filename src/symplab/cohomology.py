@@ -75,13 +75,8 @@ def generator_differentials(alg: LieAlgebra) -> list[Form]:
     return [Form(frame, t) for t in dgen]
 
 
-def differential(alg_or_cx, form: Form) -> Form:
+def differential(cx: CEComplex, form: Form) -> Form:
     """The Chevalley-Eilenberg differential, extended as an anti-derivation."""
-    dgen = (
-        alg_or_cx._dgen
-        if isinstance(alg_or_cx, CEComplex)
-        else generator_differentials(alg_or_cx)
-    )
     frame = form.frame
     out = Form.zero(frame)
     for mask, coeff in form.terms.items():
@@ -89,7 +84,7 @@ def differential(alg_or_cx, form: Form) -> Form:
         for g in range(frame.dim):
             if mask >> g & 1:
                 rest = Form(frame, {mask ^ (1 << g): coeff})
-                term = wedge(dgen[g], rest)
+                term = wedge(cx._dgen[g], rest)
                 out = out + (term if pos % 2 == 0 else -term)
                 pos += 1
     return out
@@ -133,11 +128,6 @@ class CEComplex:
             self.frame,
             {m: c for m, c in zip(self.bases[degree], vector) if c},
         )
-
-    def d_matrix(self, m: int) -> linalg.Matrix:
-        if m < 0 or m > self.alg.dim:
-            return []
-        return self.d[m]
 
     # -- the bivector contraction dual to omega ----------------------------
 
@@ -370,11 +360,6 @@ def parse_algebra(text: str) -> LieAlgebra:
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     return algebra_from_data(data)
-
-
-def load_algebra(path) -> LieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
 
 
 def bundled_algebra_text(name: str) -> str:

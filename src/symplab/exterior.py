@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from . import linalg
 
@@ -483,10 +483,6 @@ def contraction_rank(n: int, k: int) -> int:
         for m, c in out.terms.items():
             mat[index[m]][j] = c
     return linalg.rank(mat)
-
-
-def two_form_space_dim(n: int) -> int:
-    return comb(2 * n, 2)
 
 
 # ---------------------------------------------------------------------------

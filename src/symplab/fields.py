@@ -143,14 +143,13 @@ def el_form(x: PolyVectorField, k: int) -> Form:
 class Classification:
     """Closedness/exactness verdict for -i_X(omega^k), with a potential.
 
-    On R^{2n} closed forms are exact, so ``hamiltonian_like`` always equals
-    ``symplectic_like`` and ``potential`` is a radial-homotopy witness with
+    On R^{2n} closed forms are exact, so a symplectic-like field is also
+    Hamiltonian-like: ``potential`` is a radial-homotopy witness with
     d(potential) = -i_X(omega^k); it is None for a non-closed contraction.
     """
 
     k: int
     symplectic_like: bool
-    hamiltonian_like: bool
     potential: Form | None
 
 
@@ -167,7 +166,7 @@ def classify(x: PolyVectorField, k: int) -> Classification:
                 "closedness of -i_X(omega^k) disagrees with L_X omega = 0"
             )
     potential = radial_potential(e) if closed else None
-    return Classification(k, closed, closed, potential)
+    return Classification(k, closed, potential)
 
 
 def radial_potential(a: Form) -> Form:

@@ -185,17 +185,19 @@ class TangentFlow:
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
-             keep_states=False, keep_jacobians=False, track_det=False):
+             keep_paths=False, track_det=False):
     """Joint RK4 on a batch of states and, with_j, their tangent maps
     from J(0) = I.  Fields of degree <= 1 step through the exact one-step
     propagator, all others through the stage loop.
 
-    Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); the
-    paths are arrays of shape (samples, m, dim) and (samples, m or 1, dim,
-    dim), with samples = steps + 1, or blow_step + 1 after a blow-up.
+    Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); with
+    keep_paths the paths are arrays of shape (samples, m, dim) and
+    (samples, m or 1, dim, dim) (None without tangent maps), with samples =
+    steps + 1, or blow_step + 1 after a blow-up.
     """
-    run = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
-    return run(compiled, xs, cfg, with_j, keep_states, keep_jacobians, track_det)
+    build = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
+    advance, j0 = build(compiled, xs, cfg, with_j)
+    return _run_blocks(advance, cfg, xs, j0, keep_paths, track_det)
 
 
 def _first_past_cap(states) -> int | None:
@@ -206,32 +208,31 @@ def _first_past_cap(states) -> int | None:
     return int(past[0]) if past.size else None
 
 
-def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_states, keep_jacobians, track_det):
+def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
     """Step x0 (m, dim) and j0 (m or 1, dim, dim; None without tangent
     maps) by advance(x_out, j_out), which writes the next state and tangent
     map into the rows it is given, in blocks of DET_BATCH // m steps.
 
     Kept paths are the block rows themselves; otherwise one block buffer is
     reused.  After each block: one blow-up test and one batch_det call over
-    its tangent maps.  A blow-up cuts the run at the first step past the
-    cap; the later steps of its block are discarded.  Returns what
+    its tangent maps, folded with np.maximum so that a NaN determinant
+    makes the max drift NaN.  A blow-up cuts the run at the first step past
+    the cap; the later steps of its block are discarded.  Returns what
     _rk4_run returns.
     """
     m, dim = x0.shape
     with_j = j0 is not None
-    keep_j = keep_jacobians and with_j
     block = max(1, min(cfg.steps, DET_BATCH // m))
     samples = cfg.steps + 1
-    if keep_states:
+    states_path = jac_path = None
+    if keep_paths:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
         states_path[0] = x0
+        if with_j:
+            jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
+            jac_path[0] = j0
     else:
-        states_path, xbuf = None, np.empty((block, m, dim), dtype=WORK_DTYPE)
-    if keep_j:
-        jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
-        jac_path[0] = j0
-    else:
-        jac_path = None
+        xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
         jbuf = np.empty((block,) + j0.shape, dtype=WORK_DTYPE) if with_j else None
     xs, js = x0, j0
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
@@ -241,15 +242,15 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_states, keep_jacobians, t
         for start in range(0, cfg.steps, block):
             count = min(block, cfg.steps - start)
             rows = slice(start + 1, start + 1 + count)
-            xb = states_path[rows] if keep_states else xbuf[:count]
-            jb = jac_path[rows] if keep_j else jbuf[:count] if with_j else None
+            xb = states_path[rows] if keep_paths else xbuf[:count]
+            jb = (jac_path[rows] if keep_paths else jbuf[:count]) if with_j else None
             for s in range(count):
                 advance(xb[s], jb[s] if with_j else None)
             past = _first_past_cap(xb)
             done = count if past is None else past + 1
             if track_det and with_j:
                 dets = batch_det(jb[:done].reshape(-1, dim, dim))
-                max_det = max(max_det, np.max(np.abs(dets - 1)))
+                max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
             xs = xb[done - 1].copy()
             js = jb[done - 1].copy() if with_j else None
             if past is not None:
@@ -258,16 +259,16 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_states, keep_jacobians, t
                 break
     if with_j:
         js = np.broadcast_to(js, (m, dim, dim))
-    if keep_states:
+    if keep_paths:
         states_path = states_path[:samples]
-    if keep_j:
-        jac_path = jac_path[:samples]
+        if with_j:
+            jac_path = jac_path[:samples]
     return xs, js, states_path, jac_path, float(max_det), blow_step
 
 
-def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
-                keep_states=False, keep_jacobians=False, track_det=False):
-    """The four-stage RK4 loop, for any polynomial field."""
+def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
+    """The four-stage RK4 loop, for any polynomial field: (advance, j0) for
+    _run_blocks."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
@@ -290,7 +291,7 @@ def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
             j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=j_out)
         x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=x_out)
 
-    return _run_blocks(advance, cfg, xs, j0, keep_states, keep_jacobians, track_det)
+    return advance, j0
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +349,10 @@ def _round_work(q: Fraction):
     return np.ldexp(WORK_DTYPE(round(q * Fraction(2) ** shift)), -shift)
 
 
-def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
-                keep_states=False, keep_jacobians=False, track_det=False):
+def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
     """RK4 of an affine field as x -> R x + c and J -> R J, with R and c
-    rounded once from exact rationals.  J does not depend on x, so one
-    (dim, dim) matrix serves every node."""
+    rounded once from exact rationals: (advance, j0) for _run_blocks.  J
+    does not depend on x, so one (dim, dim) matrix serves every node."""
     r_exact, c_exact = _affine_propagator(compiled.field, Fraction(cfg.effective_dt))
     r = np.array([[_round_work(v) for v in row] for row in r_exact], dtype=WORK_DTYPE)
     c = np.array([_round_work(v) for v in c_exact], dtype=WORK_DTYPE)
@@ -367,35 +367,29 @@ def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
         if with_j:
             j = np.matmul(r, j, out=j_out)
 
-    return _run_blocks(advance, cfg, xs, j0, keep_states, keep_jacobians, track_det)
+    return advance, j0
+
+
+def _single_run(x: PolyVectorField, x0, cfg: FlowConfig, with_j: bool):
+    """RK4 from one point with every sample kept: (Trajectory, jac_path)."""
+    compiled = CompiledField(x)
+    xs = np.array([x0], dtype=WORK_DTYPE)
+    if xs.shape != (1, x.frame.dim):
+        raise ValueError("x0 must have one coordinate per generator")
+    _, _, path, jpath, _, blow = _rk4_run(compiled, xs, cfg, with_j, keep_paths=True)
+    times = np.arange(path.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
+    return Trajectory(times, path[:, 0], blow is not None, blow), jpath
 
 
 def integrate(x: PolyVectorField, x0, cfg: FlowConfig) -> Trajectory:
     """RK4 trajectory with samples at every step; blow-up is flagged, not
     raised (state norm cap 1e9)."""
-    compiled = CompiledField(x)
-    xs = np.array([x0], dtype=WORK_DTYPE)
-    if xs.shape != (1, x.frame.dim):
-        raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, _, _, blow = _rk4_run(compiled, xs, cfg, keep_states=True)
-    states = path[:, 0]
-    times = np.arange(states.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
-    return Trajectory(times, states, blow is not None, blow)
+    return _single_run(x, x0, cfg, with_j=False)[0]
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     """Trajectory plus the variational flow J(t), J(0) = identity."""
-    compiled = CompiledField(x)
-    dim = x.frame.dim
-    xs = np.array([x0], dtype=WORK_DTYPE)
-    if xs.shape != (1, dim):
-        raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, jpath, _, blow = _rk4_run(
-        compiled, xs, cfg, with_j=True, keep_states=True, keep_jacobians=True
-    )
-    states = path[:, 0]
-    times = np.arange(states.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
-    traj = Trajectory(times, states, blow is not None, blow)
+    traj, jpath = _single_run(x, x0, cfg, with_j=True)
     return TangentFlow(traj, jpath[:, 0])
 
 
@@ -497,14 +491,6 @@ class ChainPatch:
         weights = functools.reduce(np.multiply.outer, (w for _, w in rules))
         return points, weights.reshape(-1)
 
-    def evaluate(self, nodes: np.ndarray) -> np.ndarray:
-        """Map parameter nodes (m, 2l) into phase space (m, dim)."""
-        return CompiledField(self.maps)(nodes)[0]
-
-    def jacobians(self, nodes: np.ndarray) -> np.ndarray:
-        """Tangent frames d(map)/du at the nodes: (m, dim, 2l)."""
-        return CompiledField(self.maps)(nodes)[1]
-
 
 def _legendre(n: int, x: np.ndarray):
     """P_n(x) and P_n'(x) by the three-term recurrence
@@ -559,21 +545,17 @@ class ChainIntegral:
     degenerate: bool
 
 
-def _patches(chain):
-    if isinstance(chain, ChainPatch):
-        return [(1, chain)]
-    return [(int(sign), patch) for sign, patch in chain]
+def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
+    """Validate a chain (against R^{2n} and half-degree l where given) and
+    build each patch's rule and chain map once.
 
-
-def chain_integral(chain, n: int | None = None) -> ChainIntegral:
-    """(1/l!) integral of omega^l over a patch or a signed list of patches.
-
-    A parametrization whose Jacobian vanishes at every quadrature node is
-    reported as degenerate with value 0 rather than an error.
+    Returns three per-patch lists in patch order: rules (sign, blades,
+    weights, l), mapped nodes (m, 2n) and tangent frames (m, 2n, 2l).
     """
-    total = WORK_DTYPE(0.0)
-    degenerate = True
-    for sign, patch in _patches(chain):
+    rules, points, frames = [], [], []
+    for sign, patch in [(1, chain)] if isinstance(chain, ChainPatch) else chain:
+        if l is not None and patch.l != l:
+            raise ChainMismatchError("patch half-degree differs from l")
         if patch.ambient_dim % 2:
             raise ChainMismatchError("ambient dimension must be even")
         amb_n = patch.ambient_dim // 2
@@ -582,14 +564,31 @@ def chain_integral(chain, n: int | None = None) -> ChainIntegral:
         if patch.l > amb_n:
             raise ChainMismatchError("need l <= n")
         nodes, weights = patch.nodes_and_weights()
-        frames = patch.jacobians(nodes)
-        if np.any(frames != 0):
-            degenerate = False
-        blades = _omega_power_blades(amb_n, patch.l)
-        total += WORK_DTYPE(sign) * _pullback_integral(
-            blades, frames, weights, patch.l
-        )
-    return ChainIntegral(float(total), degenerate)
+        mapped, tangents = CompiledField(patch.maps)(nodes)
+        rules.append((int(sign), _omega_power_blades(amb_n, patch.l), weights, patch.l))
+        points.append(mapped)
+        frames.append(tangents)
+    return rules, points, frames
+
+
+def _signed_sum(rules, frames):
+    """Sum of sign * (1/l!) int omega^l over the patches, in patch order,
+    from their tangent frames."""
+    total = WORK_DTYPE(0.0)
+    for (sign, blades, weights, l), patch_frames in zip(rules, frames):
+        total += WORK_DTYPE(sign) * _pullback_integral(blades, patch_frames, weights, l)
+    return total
+
+
+def chain_integral(chain, n: int | None = None) -> ChainIntegral:
+    """(1/l!) integral of omega^l over a patch or a signed list of patches.
+
+    A parametrization whose Jacobian vanishes at every quadrature node is
+    reported as degenerate with value 0 rather than an error.
+    """
+    rules, _, frames = _chain_quadrature(chain, n)
+    degenerate = not any(np.any(f != 0) for f in frames)
+    return ChainIntegral(float(_signed_sum(rules, frames)), degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -644,20 +643,11 @@ def verify_area_preservation(
             else "theorem not applicable: X has nonzero divergence"
         )
 
-    patches = _patches(chain)
-    for _, patch in patches:
-        if patch.l != l:
-            raise ChainMismatchError("patch half-degree differs from l")
-        if patch.ambient_dim != x.frame.dim:
-            raise ChainMismatchError("patch ambient dimension != 2n")
-
-    initial = chain_integral(chain, n).value
-    rules = [patch.nodes_and_weights() for _, patch in patches]
-    mapped = [CompiledField(patch.maps)(nodes) for (_, patch), (nodes, _) in zip(patches, rules)]
+    rules, points, frames = _chain_quadrature(chain, n, l)
+    initial = float(_signed_sum(rules, frames))
     track_det = l == n
     _, js_t, _, _, max_det, blow = _rk4_run(
-        CompiledField(x), np.concatenate([xs for xs, _ in mapped]), cfg,
-        with_j=True, track_det=track_det,
+        CompiledField(x), np.concatenate(points), cfg, with_j=True, track_det=track_det
     )
     blew_up = blow is not None
 
@@ -666,13 +656,9 @@ def verify_area_preservation(
         abs_drift = float("nan")
         rel_drift = float("nan")
     else:
-        frames_t = np.einsum("mij,mjl->mil", js_t, np.concatenate([f for _, f in mapped]))
-        per_patch = np.split(frames_t, np.cumsum([len(w) for _, w in rules])[:-1])
-        blades = _omega_power_blades(n, l)
-        final = WORK_DTYPE(0.0)
-        for (sign, _), (_, w), frames in zip(patches, rules, per_patch):
-            final += WORK_DTYPE(sign) * _pullback_integral(blades, frames, w, l)
-        final_f = float(final)
+        frames_t = np.einsum("mij,mjl->mil", js_t, np.concatenate(frames))
+        per_patch = np.split(frames_t, np.cumsum([len(f) for f in frames])[:-1])
+        final_f = float(_signed_sum(rules, per_patch))
         abs_drift = abs(final_f - initial)
         rel_drift = abs_drift / abs(initial) if initial else float("nan")
     return ConservationReport(

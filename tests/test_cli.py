@@ -183,10 +183,11 @@ def test_flow_chain_hypothesis_exit(capsys, oscillator_file, chain_file):
 def test_flow_has_no_k_option(capsys, oscillator_file, chain_file):
     # the transported quantity depends on the chain's l only
     argv = ["flow", oscillator_file, "--t", "1", "--dt", "0.1", "--chain", chain_file]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--k", "1"])
-    assert exc.value.code == 2
-    assert "--k" in capsys.readouterr().err
+    for option in ("--k", "--l"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [option, "1"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
     code, out, _ = run(capsys, argv)
     assert code == 3  # the oscillator is not symplectic: theorem not applicable
     assert "initial:" in out and "per_step_max_det_drift" not in out
@@ -348,12 +349,44 @@ def test_cohomology_rejects_bad_structure(capsys, tmp_path):
     assert "not closed" in err
 
 
+# every line of the suite's machine report, in order; new keys may come in
+# between, but none of these lines may change
+PAPER_VERIFY_MACHINE = [
+    "sl2-identities.status=pass",
+    "sl2-identities.n_max=4",
+    "sl2-identities.blade_checks=1252",
+    "injectivity-ranks.status=pass",
+    "injectivity-ranks.n_max=4",
+    "nilmanifold-m6.status=pass",
+    "nilmanifold-m6.betti_1=3",
+    "nilmanifold-m6.betti_2=4",
+    "nilmanifold-m6.el_dim_1=3",
+    "nilmanifold-m6.el_dim_2=2",
+    "torus-t6.status=pass",
+    "torus-t6.el_dim_2=6",
+    "torus-t6.betti_3=20",
+    "torus-t6.harmonic_3=20",
+    "canonical-recovery.status=pass",
+    "canonical-recovery.n_values=2,3",
+    "contraction-identity.status=pass",
+    "contraction-identity.cases=50",
+    "coupled-oscillators.status=pass",
+    "coupled-oscillators.k12=1",
+    "coupled-oscillators.k21=1/2",
+    "liouville-drift.status=pass",
+    "liouville-drift.max_det_drift=1.558e-08",
+    "area-laws.status=pass",
+    "area-laws.ham_sq_drift=4.441e-16",
+    "area-laws.ham_cube_drift=6.661e-16",
+    "area-laws.osc_sq_hypothesis=violated",
+    "area-laws.osc_cube_drift=1.238e-08",
+    "suite.status=pass",
+]
+
+
 def test_paper_verify(capsys):
     code, out, _ = run(capsys, ["paper-verify", "--format", "machine"])
     assert code == 0
-    lines = out.splitlines()
-    assert "suite.status=pass" in lines
-    assert "nilmanifold-m6.status=pass" in lines
-    assert "nilmanifold-m6.el_dim_2=2" in lines
-    assert "torus-t6.harmonic_3=20" in lines
-    assert "area-laws.status=pass" in lines
+    rest = iter(out.splitlines())
+    missing = [line for line in PAPER_VERIFY_MACHINE if line not in rest]
+    assert not missing

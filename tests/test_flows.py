@@ -294,9 +294,11 @@ def _affine_cases():
 def _both_paths(x, x0s, cfg):
     compiled = CompiledField(x)
     xs = np.array(x0s, dtype=WORK_DTYPE)
-    kw = dict(keep_states=True, keep_jacobians=True, track_det=True)
-    ref = flows._rk4_stages(compiled, xs, cfg, True, **kw)
-    got = flows._rk4_run(compiled, xs, cfg, with_j=True, **kw)
+    kw = dict(with_j=True, keep_paths=True, track_det=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_is_affine", lambda field: False)  # force the stage loop
+        ref = flows._rk4_run(compiled, xs, cfg, **kw)
+    got = flows._rk4_run(compiled, xs, cfg, **kw)
     return ref, got
 
 
@@ -344,7 +346,7 @@ def test_affine_det_check_batches_samples(monkeypatch):
     compiled = CompiledField(x)
     xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
     _, _, _, path, whole, _ = flows._rk4_run(
-        compiled, xs, cfg, with_j=True, keep_jacobians=True, track_det=True
+        compiled, xs, cfg, with_j=True, keep_paths=True, track_det=True
     )
     monkeypatch.setattr(flows, "DET_BATCH", 16)
     _, _, _, _, batched, _ = flows._rk4_run(
@@ -512,8 +514,7 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
         return batch_det(mats)
 
     monkeypatch.setattr(flows, "batch_det", counted)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_states=True,
-                         keep_jacobians=True, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_paths=True, track_det=True)
     # one call per block of DET_BATCH // m steps, never more than DET_BATCH matrices
     block = min(det_batch // m, cfg.steps)
     full, rest = divmod(cfg.steps, block)
@@ -545,8 +546,8 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     monkeypatch.setattr(flows, "DET_BATCH", block * m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_states=True,
-                             keep_jacobians=True, track_det=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_paths=True,
+                             track_det=True)
     _assert_same_run(got, want)
     assert got[2].shape[0] == blow + 1
     if m == 1:
@@ -581,12 +582,13 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     final, max_det = WORK_DTYPE(0.0), 0.0
     for sign, patch in chain:
         nodes, weights = patch.nodes_and_weights()
+        points, tangents = CompiledField(patch.maps)(nodes)
         _, js, _, _, drift, blow = flows._rk4_run(
-            compiled, patch.evaluate(nodes), cfg, with_j=True, track_det=l == 2
+            compiled, points, cfg, with_j=True, track_det=l == 2
         )
         assert blow is None
         max_det = max(max_det, drift)
-        frames = np.einsum("mij,mjl->mil", js, patch.jacobians(nodes))
+        frames = np.einsum("mij,mjl->mil", js, tangents)
         final += WORK_DTYPE(sign) * flows._pullback_integral(blades, frames, weights, l)
     assert report.hypothesis_ok and not report.blew_up
     assert report.initial == chain_integral(chain, 2).value
@@ -596,6 +598,46 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
         assert report.per_step_max_det_drift == max_det > 0
     else:
         assert report.per_step_max_det_drift is None
+
+
+@pytest.mark.parametrize("patches", [1, 2])
+@pytest.mark.parametrize("l", [1, 2])
+def test_transport_builds_each_rule_and_map_once(monkeypatch, patches, l):
+    # one transport of a P-patch chain compiles the field and each chain map
+    # once (P + 1 builds) and each patch axis's Gauss-Legendre rule once
+    builds, rules = [], []
+    gauss = flows._gauss_legendre
+
+    class Counted(CompiledField):
+        def __init__(self, x):
+            builds.append(x)
+            super().__init__(x)
+
+    def counted_rule(order):
+        rules.append(order)
+        return gauss(order)
+
+    monkeypatch.setattr(flows, "CompiledField", Counted)
+    monkeypatch.setattr(flows, "_gauss_legendre", counted_rule)
+    x, _ = _stage_cases()["quartic"]
+    verify_area_preservation(x, _two_patch_chain(l)[:patches], l, FlowConfig(0.05, 0.01))
+    assert len(builds) == patches + 1
+    assert len(rules) == patches * 2 * l
+
+
+@pytest.mark.parametrize("stage_loop", [False, True])
+def test_nan_determinant_makes_det_drift_nan(monkeypatch, stage_loop):
+    # the saddle q' = q, p' = -p keeps the origin fixed while J overflows:
+    # det J turns NaN (inf times 0) long before t = 12000, and the max drift
+    # must not keep the last finite block maximum
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
+    if stage_loop:
+        monkeypatch.setattr(flows, "_is_affine", lambda field: False)
+    chain = ChainPatch.affine(1, [0, 0], [[0, 0], [0, 0]], orders=(1, 1))
+    report = verify_area_preservation(x, chain, 1, FlowConfig(12000, 1))
+    assert report.hypothesis_ok and not report.blew_up
+    assert math.isnan(report.final)
+    assert math.isnan(report.per_step_max_det_drift)
 
 
 # ---------------------------------------------------------------------------
