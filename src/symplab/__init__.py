@@ -88,6 +88,6 @@ from .flows import (
     tangent_flow,
     verify_area_preservation,
 )
-from .polynomials import DegreeLimitError, Poly, format_poly
+from .polynomials import DegreeLimitError, InputError, Poly, format_poly
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Batch front-end: ingest spec files, run verifications, emit reports.
 
 Exit codes are scriptable: 0 all checks pass, 1 numerical or assertion
-failure, 2 input error, 3 theorem hypothesis not met.  Identical inputs
+failure (or an internal fault, with a traceback), 2 input error (exactly an
+``InputError``), 3 theorem hypothesis not met.  Identical inputs
 produce byte-identical reports; ``--format machine`` swaps the human tables
 for stable ``key=value`` lines.
 """
@@ -31,11 +32,14 @@ from .exterior import (
     wedge_power,
 )
 from .polynomials import (
-    DegreeLimitError,
+    InputError,
     Poly,
     check_input_degree,
+    check_input_n,
+    decode_json,
     format_poly,
     poly_from_monomials,
+    reading,
 )
 
 EXIT_OK = 0
@@ -44,10 +48,6 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
 DRIFT_TOL = 1e-6
-
-
-class InputError(Exception):
-    pass
 
 
 class Reporter:
@@ -75,54 +75,35 @@ class Reporter:
 # file loading
 # ---------------------------------------------------------------------------
 
-def _read(path: str) -> str:
+def _load(path: str, convert):
+    """Decode one JSON input file and ``convert`` its data.
+
+    The one place a refusal learns its file: an InputError raised while
+    decoding or converting is raised again with the path in front.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-
-
-def _load_algebra(path: str) -> coh.LieAlgebra:
-    if path in ("nilm6", "torus6", "nilm6.alg", "torus6.alg"):
-        return coh.bundled_algebra(path)
-    try:
-        return coh.parse_algebra(_read(path))
-    except coh.AlgebraFileError as exc:
+        return convert(decode_json(raw))
+    except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_field(path: str) -> tuple[fl.PolyVectorField, dict]:
-    data = _load_json(path)
-    try:
-        return fl.field_from_data(data), data
-    except (fl.FieldFileError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from None
-
-
-def _chain_from_data(data: dict, where: str) -> fw.ChainPatch:
-    try:
-        n = int(data["n"])
-        l = int(data["l"])
+def _chain_from_data(data: dict) -> fw.ChainPatch:
+    with reading():
+        n = check_input_n(int(data["n"]))
+        l = check_input_n(int(data["l"]), "l")
         maps = data["maps"]
         if not isinstance(maps, list) or len(maps) != 2 * n:
-            raise ValueError("'maps' must list 2n monomial lists")
+            raise InputError("'maps' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * l, m) for m in maps)
-        for poly in polys:
-            check_input_degree(poly, "chain map component")
         orders = tuple(int(o) for o in data.get("orders", [4] * (2 * l)))
-        return fw.ChainPatch(l, polys, orders)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+    for poly in polys:
+        check_input_degree(poly, "chain map component")
+    return fw.ChainPatch(l, polys, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +111,7 @@ def _chain_from_data(data: dict, where: str) -> fw.ChainPatch:
 # ---------------------------------------------------------------------------
 
 def cmd_sl2_check(args, rep: Reporter) -> int:
-    n = args.n
-    if n < 1:
-        raise InputError("need --n >= 1")
+    n = check_input_n(args.n, "--n")
     frame = Frame.darboux(n)
     ok = True
     for k in range(1, n + 1):
@@ -147,11 +126,11 @@ def cmd_sl2_check(args, rep: Reporter) -> int:
 
 
 def cmd_cohomology(args, rep: Reporter) -> int:
-    alg = _load_algebra(args.file)
-    try:
-        cx = coh.build_complex(alg)
-    except (coh.StructureError, coh.SymplecticError) as exc:
-        raise InputError(f"{args.file}: {exc}") from None
+    if args.file in ("nilm6", "torus6", "nilm6.alg", "torus6.alg"):
+        cx = coh.build_complex(coh.bundled_algebra(args.file))
+    else:
+        cx = _load(args.file, lambda data: coh.build_complex(coh.algebra_from_data(data)))
+    alg = cx.alg
     n = alg.dim // 2
     show_all = not (args.betti or args.el or args.harmonic)
     if args.betti or show_all:
@@ -176,7 +155,7 @@ def cmd_cohomology(args, rep: Reporter) -> int:
 
 
 def cmd_classify(args, rep: Reporter) -> int:
-    field, _ = _load_field(args.file)
+    field = _load(args.file, fl.field_from_data)
     n = field.frame.n
     if not 1 <= args.k <= n:
         raise InputError(f"--k must be in [1, {n}]")
@@ -192,12 +171,7 @@ def cmd_classify(args, rep: Reporter) -> int:
 
 
 def cmd_from_two_form(args, rep: Reporter) -> int:
-    data = _load_json(args.file)
-    try:
-        alpha = fl.two_form_from_data(data)
-    except (fl.FieldFileError, fl.AntisymmetryError, ValueError) as exc:
-        raise InputError(f"{args.file}: {exc}") from None
-    field = fl.vector_from_two_form(alpha)
+    field = fl.vector_from_two_form(_load(args.file, fl.two_form_from_data))
     names = [f"d{c}/dt" for c in _coord_names(field.frame)]
     coord = _coord_names(field.frame)
     for name, compo in zip(names, field.components):
@@ -214,16 +188,12 @@ def _coord_names(frame: Frame) -> list[str]:
     return [n[1:] for n in frame.names]
 
 
-def _parse_x0(args, data: dict, dim: int) -> list[float]:
-    if args.x0 is not None:
-        try:
-            values = [float(v) for v in args.x0.split(",")]
-        except ValueError:
-            raise InputError("--x0 must be a comma-separated number list") from None
-    elif "x0" in data:
-        values = [float(v) for v in data["x0"]]
-    else:
-        raise InputError("no initial point: give --x0 or an 'x0' file entry")
+def _point(values, dim: int) -> list[float]:
+    """An initial point of dim finite coordinates, from --x0 or a file."""
+    try:
+        values = [float(v) for v in values]
+    except (OverflowError, TypeError, ValueError):
+        raise InputError("x0 must be a list of numbers") from None
     if len(values) != dim:
         raise InputError(f"x0 needs {dim} coordinates")
     if not all(math.isfinite(v) for v in values):
@@ -231,20 +201,28 @@ def _parse_x0(args, data: dict, dim: int) -> list[float]:
     return values
 
 
+def _flow_file(data: dict):
+    """A flow file's field, embedded chain and initial point (None where
+    absent)."""
+    field = fl.field_from_data(data)
+    chain = _chain_from_data(data["chain"]) if "chain" in data else None
+    x0 = _point(data["x0"], field.frame.dim) if "x0" in data else None
+    return field, chain, x0
+
+
 def cmd_flow(args, rep: Reporter) -> int:
-    field, data = _load_field(args.file)
+    field, chain, x0 = _load(args.file, _flow_file)
     cfg = fw.FlowConfig(t_final=args.t, dt=args.dt)
+    if args.chain:
+        chain = _load(args.chain, _chain_from_data)
     div = fw.divergence(field)
     rep.both("divergence_zero", str(div.is_zero).lower())
 
-    chain_data = None
-    if args.chain:
-        chain_data = _chain_from_data(_load_json(args.chain), args.chain)
-    elif "chain" in data:
-        chain_data = _chain_from_data(data["chain"], args.file)
-
-    if chain_data is None:
-        x0 = _parse_x0(args, data, field.frame.dim)
+    if chain is None:
+        if args.x0 is not None:
+            x0 = _point(args.x0.split(","), field.frame.dim)
+        elif x0 is None:
+            raise InputError("no initial point: give --x0 or an 'x0' file entry")
         flow = fw.tangent_flow(field, x0, cfg)
         drift = flow.max_det_drift() if not flow.trajectory.blew_up else float("nan")
         rep.both("blow_up", str(flow.trajectory.blew_up).lower())
@@ -256,7 +234,7 @@ def cmd_flow(args, rep: Reporter) -> int:
             return EXIT_FAIL
         return EXIT_OK
 
-    report = fw.verify_area_preservation(field, chain_data, chain_data.l, cfg)
+    report = fw.verify_area_preservation(field, chain, chain.l, cfg)
     _emit_conservation(report, rep)
     if report.blew_up:
         return EXIT_FAIL
@@ -282,7 +260,7 @@ def _emit_conservation(report: fw.ConservationReport, rep: Reporter):
 
 
 def cmd_chain(args, rep: Reporter) -> int:
-    chain = _chain_from_data(_load_json(args.file), args.file)
+    chain = _load(args.file, _chain_from_data)
     result = fw.chain_integral(chain)
     rep.both("value", repr(result.value))
     rep.both("degenerate", str(result.degenerate).lower())
@@ -559,7 +537,7 @@ def main(argv=None) -> int:
     rep = Reporter(args.format)
     try:
         code = args.func(args, rep)
-    except (InputError, DegreeLimitError, fw.ChainMismatchError, ValueError) as exc:
+    except InputError as exc:
         # a refused input leaves stdout empty: no partial report
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

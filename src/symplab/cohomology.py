@@ -14,7 +14,6 @@ convention only flips delta's sign and changes none of the dimensions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -29,13 +28,14 @@ from .exterior import (
     wedge,
     wedge_power,
 )
+from .polynomials import InputError, _as_fraction, check_input_n, decode_json, reading
 
 
-class StructureError(ValueError):
+class StructureError(InputError):
     """The presented structure constants do not define a Lie algebra."""
 
 
-class SymplecticError(ValueError):
+class SymplecticError(InputError):
     """The distinguished 2-form is not closed or is degenerate."""
 
 
@@ -319,47 +319,37 @@ def harmonic_dim(cx: CEComplex, m: int) -> int:
 # presentations: files and bundled examples
 # ---------------------------------------------------------------------------
 
-class AlgebraFileError(ValueError):
+class AlgebraFileError(InputError):
     """Malformed Lie-algebra spec file."""
 
 
 def algebra_from_data(data: dict) -> LieAlgebra:
-    try:
+    with reading(AlgebraFileError):
         dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise AlgebraFileError("missing or invalid 'dim'") from None
-    frame = Frame.invariant(dim)
-    structure = []
-    for row in data.get("d", []):
-        if len(row) != 4:
-            raise AlgebraFileError(f"structure row {row!r} needs [i, j, k, c]")
-        i, j, k = (int(x) for x in row[:3])
-        structure.append((i - 1, j - 1, k - 1, Fraction(str(row[3]))))
-    omega_terms: dict[int, Fraction] = {}
-    for row in data.get("omega", []):
-        if len(row) != 3:
-            raise AlgebraFileError(f"omega row {row!r} needs [i, j, c]")
-        i, j = int(row[0]), int(row[1])
-        if not 1 <= i < j <= dim:
-            raise AlgebraFileError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
-        mask = (1 << (i - 1)) | (1 << (j - 1))
-        omega_terms[mask] = omega_terms.get(mask, Fraction(0)) + Fraction(str(row[2]))
-    if not omega_terms:
-        raise AlgebraFileError("missing 'omega'")
-    try:
+        check_input_n(dim // 2, "dim / 2")
+        frame = Frame.invariant(dim)
+        structure = []
+        for row in data.get("d", []):
+            if len(row) != 4:
+                raise AlgebraFileError(f"structure row {row!r} needs [i, j, k, c]")
+            i, j, k = (int(x) for x in row[:3])
+            structure.append((i - 1, j - 1, k - 1, _as_fraction(row[3])))
+        omega_terms: dict[int, Fraction] = {}
+        for row in data.get("omega", []):
+            if len(row) != 3:
+                raise AlgebraFileError(f"omega row {row!r} needs [i, j, c]")
+            i, j = int(row[0]), int(row[1])
+            if not 1 <= i < j <= dim:
+                raise AlgebraFileError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
+            mask = (1 << (i - 1)) | (1 << (j - 1))
+            omega_terms[mask] = omega_terms.get(mask, Fraction(0)) + _as_fraction(row[2])
+        if not omega_terms:
+            raise AlgebraFileError("missing 'omega'")
         return LieAlgebra(dim, tuple(structure), Form(frame, omega_terms))
-    except ValueError as exc:
-        raise AlgebraFileError(str(exc)) from None
 
 
 def parse_algebra(text: str) -> LieAlgebra:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return algebra_from_data(data)
+    return algebra_from_data(decode_json(text, AlgebraFileError))
 
 
 def bundled_algebra_text(name: str) -> str:

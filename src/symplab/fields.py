@@ -8,7 +8,6 @@ the radial homotopy, which also produces the potential that reports show.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,13 +23,17 @@ from .exterior import (
     wedge,
 )
 from .polynomials import (
+    InputError,
     Poly,
     check_input_degree,
+    check_input_n,
+    decode_json,
     poly_from_monomials,
+    reading,
 )
 
 
-class AntisymmetryError(ValueError):
+class AntisymmetryError(InputError):
     """Q or P data of a 2-form violates antisymmetry."""
 
 
@@ -38,7 +41,7 @@ class NotClosedError(ValueError):
     """Radial homotopy applied to a non-closed form."""
 
 
-class FieldFileError(ValueError):
+class FieldFileError(InputError):
     """Malformed vector-field or two-form spec file."""
 
 
@@ -417,33 +420,18 @@ def linear_system_two_form(spec: LinearSystemSpec) -> TwoFormData:
 # spec files
 # ---------------------------------------------------------------------------
 
-def _parse_json(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FieldFileError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-
-
 def field_from_data(data: dict) -> PolyVectorField:
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise FieldFileError("missing or invalid 'n'") from None
-    frame = Frame.darboux(n)
-    comps = data.get("components")
-    if not isinstance(comps, list) or len(comps) != 2 * n:
-        raise FieldFileError("'components' must list 2n monomial lists")
-    try:
+    with reading(FieldFileError):
+        n = check_input_n(int(data["n"]))
+        comps = data.get("components")
+        if not isinstance(comps, list) or len(comps) != 2 * n:
+            raise FieldFileError("'components' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * n, c) for c in comps)
-    except ValueError as exc:
-        raise FieldFileError(str(exc)) from None
-    return PolyVectorField(frame, polys)
+    return PolyVectorField(Frame.darboux(n), polys)
 
 
 def parse_field(text: str) -> PolyVectorField:
-    return field_from_data(_parse_json(text))
+    return field_from_data(decode_json(text, FieldFileError))
 
 
 def field_to_data(x: PolyVectorField) -> dict:
@@ -454,38 +442,29 @@ def field_to_data(x: PolyVectorField) -> dict:
 
 
 def two_form_from_data(data: dict) -> TwoFormData:
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise FieldFileError("missing or invalid 'n'") from None
-    frame = Frame.darboux(n)
-    nvars = 2 * n
-    zero = Poly.zero(nvars)
+    with reading(FieldFileError):
+        n = check_input_n(int(data["n"]))
+        nvars = 2 * n
+        zero = Poly.zero(nvars)
 
-    def read(name: str, antisym: bool):
-        mat = [[zero] * n for _ in range(n)]
-        for row in data.get(name, []):
-            if len(row) != 3:
-                raise FieldFileError(f"{name} entry {row!r} needs [i, j, monomials]")
-            i, j = int(row[0]) - 1, int(row[1]) - 1
-            if not (0 <= i < n and 0 <= j < n):
-                raise FieldFileError(f"{name} index ({i + 1},{j + 1}) out of range")
-            try:
+        def read(name: str, antisym: bool):
+            mat = [[zero] * n for _ in range(n)]
+            for row in data.get(name, []):
+                if len(row) != 3:
+                    raise FieldFileError(f"{name} entry {row!r} needs [i, j, monomials]")
+                i, j = int(row[0]) - 1, int(row[1]) - 1
+                if not (0 <= i < n and 0 <= j < n):
+                    raise FieldFileError(f"{name} index ({i + 1},{j + 1}) out of range")
                 poly = poly_from_monomials(nvars, row[2])
-            except ValueError as exc:
-                raise FieldFileError(str(exc)) from None
-            mat[i][j] = mat[i][j] + poly
-            if antisym:
-                if i == j and poly:
-                    raise FieldFileError(f"{name} diagonal entry must vanish")
-                mat[j][i] = mat[j][i] - poly
-        return tuple(tuple(row) for row in mat)
+                mat[i][j] = mat[i][j] + poly
+                if antisym:
+                    if i == j and poly:
+                        raise FieldFileError(f"{name} diagonal entry must vanish")
+                    mat[j][i] = mat[j][i] - poly
+            return tuple(tuple(row) for row in mat)
 
-    try:
-        return TwoFormData(frame, read("Q", True), read("A", False), read("P", True))
-    except ValueError as exc:
-        raise FieldFileError(str(exc)) from None
+        return TwoFormData(Frame.darboux(n), read("Q", True), read("A", False), read("P", True))
 
 
 def parse_two_form(text: str) -> TwoFormData:
-    return two_form_from_data(_parse_json(text))
+    return two_form_from_data(decode_json(text, FieldFileError))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exterior import Frame, blade_basis, omega_power
 from .fields import PolyVectorField, classify
-from .polynomials import Poly
+from .polynomials import InputError, Poly
 
 WORK_DTYPE = np.longdouble
 NORM_CAP = 1e9
@@ -36,7 +36,7 @@ MAX_STEPS = 10**6
 DET_BATCH = 1024
 
 
-class ChainMismatchError(ValueError):
+class ChainMismatchError(InputError):
     """Chain patch incompatible with the requested integral."""
 
 
@@ -55,13 +55,13 @@ class FlowConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and math.isfinite(self.dt)):
-            raise ValueError("t_final and dt must be finite")
+            raise InputError("t_final and dt must be finite")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise InputError("dt must be positive")
         if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+            raise InputError("t_final must be nonnegative")
         if not self.t_final / self.dt <= MAX_STEPS:
-            raise ValueError(f"t_final / dt exceeds the budget of {MAX_STEPS} steps")
+            raise InputError(f"t_final / dt exceeds the budget of {MAX_STEPS} steps")
 
     @property
     def steps(self) -> int:
@@ -421,19 +421,19 @@ class ChainPatch:
 
     def __post_init__(self):
         if self.l < 1:
-            raise ValueError("need l >= 1")
+            raise InputError("need l >= 1")
         if len(self.orders) != 2 * self.l:
-            raise ValueError("need one quadrature order per parameter axis")
+            raise InputError("need one quadrature order per parameter axis")
         if any(o < 1 for o in self.orders):
-            raise ValueError("quadrature orders must be >= 1")
+            raise InputError("quadrature orders must be >= 1")
         if len(self.maps) % 2 or len(self.maps) < 2 * self.l:
-            raise ValueError("need one map component per phase-space coordinate")
+            raise InputError("need one map component per phase-space coordinate")
         for p in self.maps:
             if p.nvars != 2 * self.l:
-                raise ValueError("map component over wrong parameter count")
+                raise InputError("map component over wrong parameter count")
         for axis, (order, degree) in enumerate(zip(self.orders, self.pullback_degree_bound())):
             if 2 * order - 1 < degree:
-                raise ValueError(
+                raise InputError(
                     f"axis {axis}: {order} Gauss-Legendre points are exact up to degree "
                     f"{2 * order - 1}, but the omega^{self.l} pullback may reach degree "
                     f"{degree}; need an order of at least {degree // 2 + 1}"
@@ -627,7 +627,7 @@ def verify_area_preservation(
     """
     n = x.frame.n
     if not 1 <= l <= n:
-        raise ValueError("need 1 <= l <= n")
+        raise InputError("need 1 <= l <= n")
     if l < n:
         ok = classify(x, 1).symplectic_like
         note = (

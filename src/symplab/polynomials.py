@@ -7,17 +7,66 @@ variable order is q^1..q^n, p_1..p_n, matching the frame's generator order.
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 
-class DegreeLimitError(ValueError):
+class InputError(ValueError):
+    """Refused outside input: a malformed, out-of-range or oversized file
+    entry, command-line value or validated parameter.  The command line
+    exits 2 on exactly this class and its subclasses."""
+
+
+class DegreeLimitError(InputError):
     """Input polynomial above the supported desk-scale total degree."""
 
 
 MAX_INPUT_DEGREE = 12
+# desk-scale bound on an input half-dimension n (an algebra's dim / 2, a
+# chain's l): the sl(2) check and the invariant complex grow like 4^n
+MAX_INPUT_N = 6
+
+
+def check_input_n(n: int, what: str = "n") -> int:
+    """Refuse a half-dimension outside [1, MAX_INPUT_N] before anything
+    sized by it is built."""
+    if not 1 <= n <= MAX_INPUT_N:
+        raise InputError(f"{what} = {n} is outside [1, {MAX_INPUT_N}]; desk-scale inputs only")
+    return n
+
+
+@contextmanager
+def reading(error: type[InputError] = InputError):
+    """Refuse, as one ``error``, what decoding or walking untrusted JSON
+    raises: a syntax error (with its line and column), nesting too deep to
+    decode, a missing key, a wrong type, an unreadable number or a zero
+    denominator.  A refusal already made, an InputError, passes unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except KeyError as exc:
+        raise error(f"missing key {exc}") from None
+    except ZeroDivisionError:
+        raise error("rational with a zero denominator") from None
+    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise error(str(exc)) from None
+
+
+def decode_json(text: str | bytes, error: type[InputError] = InputError):
+    """The one JSON decoder of every file format (UTF-8, -16 or -32)."""
+    with reading(error):
+        return json.loads(text)
 
 
 def _as_fraction(value) -> Fraction:
+    """The one reader of rationals, in code and in files: a Fraction, an
+    int or a string such as "-1/2".  A float is refused, being inexact."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -180,13 +229,13 @@ def poly_from_monomials(nvars: int, monomials) -> Poly:
     terms: dict[tuple[int, ...], Fraction] = {}
     for row in monomials:
         if len(row) != nvars + 1:
-            raise ValueError(
+            raise InputError(
                 f"monomial {row!r} needs 1 coefficient + {nvars} exponents"
             )
         coeff = _as_fraction(row[0])
         exps = tuple(int(e) for e in row[1:])
         if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
+            raise InputError("negative exponent")
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return Poly(nvars, terms)
 

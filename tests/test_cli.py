@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symplab
 from symplab import cli
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 def run(capsys, argv):
@@ -390,3 +400,143 @@ def test_paper_verify(capsys):
     rest = iter(out.splitlines())
     missing = [line for line in PAPER_VERIFY_MACHINE if line not in rest]
     assert not missing
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: exit 2 is exactly symplab.InputError
+# ---------------------------------------------------------------------------
+
+ALG4 = {"dim": 4, "d": [[1, 2, 4, "1"]], "omega": [[1, 3, "1"], [2, 4, "1"]]}
+CHAIN_N1 = {"n": 1, "l": 1, "orders": [2, 2], "maps": [[["1", 1, 0]], [["1", 0, 1]]]}
+CHAIN_L2 = {
+    "n": 2,
+    "l": 2,
+    "orders": [1, 1, 1, 1],
+    "maps": [[["1", 1, 0, 0, 0]], [["1", 0, 1, 0, 0]], [["1", 0, 0, 1, 0]], [["1", 0, 0, 0, 1]]],
+}
+
+# (command, input file content, the rest of argv, whether the refusal comes
+# from the input file and must name it); l2.chain holds CHAIN_L2
+MALFORMED = {
+    "float-field-coefficient": (
+        "classify", {"n": 1, "components": [[[1.5, 0, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True),
+    "float-two-form-coefficient": (
+        "from-two-form", {"n": 2, "Q": [[1, 2, [[0.5, 0, 0, 0, 0]]]]}, [], True),
+    "zero-denominator-field": (
+        "classify", {"n": 1, "components": [[["1/0", 0, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True),
+    "zero-denominator-alg-d": ("cohomology", dict(ALG4, d=[[1, 2, 4, "1/0"]]), [], True),
+    "zero-denominator-alg-omega": (
+        "cohomology", dict(ALG4, omega=[[1, 3, "1/0"], [2, 4, "1"]]), [], True),
+    "zero-denominator-chain": (
+        "chain", dict(CHAIN_N1, maps=[[["1/0", 1, 0]], [["1", 0, 1]]]), [], True),
+    "component-not-a-list": ("classify", {"n": 1, "components": [5, []]}, ["--k", "1"], True),
+    "x0-not-a-list": (
+        "flow", dict(OSC_N1, x0=3), ["--t", "1", "--dt", "0.1"], True),
+    "alg-d-row-not-a-list": ("cohomology", dict(ALG4, d=[5]), [], True),
+    "two-form-entry-not-a-list": ("from-two-form", {"n": 2, "Q": [[1, 2, 5]]}, [], True),
+    "two-form-block-not-a-list": ("from-two-form", {"n": 2, "Q": 7}, [], True),
+    "float-alg-omega": ("cohomology", {"dim": 2, "d": [], "omega": [[1, 2, 0.5]]}, [], True),
+    "field-n-zero": ("classify", {"n": 0, "components": []}, ["--k", "1"], True),
+    "alg-omega-not-a-number": (
+        "cohomology", dict(ALG4, omega=[[1, 3, "x"], [2, 4, "1"]]), [], True),
+    "x0-entry-not-a-number": (
+        "flow", dict(OSC_N1, x0=["a", 0]), ["--t", "1", "--dt", "0.1"], True),
+    "alg-not-utf8": ("cohomology", b'\xff\xfe\x00{"dim"', [], True),
+    "json-nested-too-deep": ("chain", b"[" * 100000 + b"]" * 100000, [], True),
+    "dt-zero": ("flow", OSC_N1, ["--t", "1", "--dt", "0", "--x0", "1,0"], False),
+    "over-step-budget": ("flow", OSC_N1, ["--t", "1e7", "--dt", "1", "--x0", "1,0"], False),
+    "chain-l-above-field-n": (
+        "flow", OSC_N1, ["--t", "1", "--dt", "0.1", "--chain", "l2.chain"], False),
+    "chain-maps-not-2n": ("chain", dict(CHAIN_N1, maps=[[], [], []]), [], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_input_error(capsys, tmp_path, monkeypatch, case):
+    command, content, rest, from_file = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "l2.chain", CHAIN_L2)
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    code, out, err = run(capsys, [command, "input.json", *rest])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("input error:")
+    if from_file:
+        assert err.startswith("input error: input.json: ")
+
+
+def test_internal_fault_is_not_an_input_error(capsys, monkeypatch):
+    def broken(cx, m):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.coh, "betti", broken)
+    with pytest.raises(ValueError, match="internal fault") as exc:
+        cli.main(["cohomology", "nilm6"])
+    assert not isinstance(exc.value, symplab.InputError)
+
+
+def test_refusal_classes_are_input_errors():
+    refusals = [
+        symplab.DegreeLimitError, symplab.FieldFileError, symplab.AntisymmetryError,
+        symplab.AlgebraFileError, symplab.StructureError, symplab.SymplecticError,
+        symplab.ChainMismatchError,
+    ]
+    assert all(issubclass(cls, symplab.InputError) for cls in refusals)
+    misuse = [
+        symplab.NotClosedError, symplab.FrameMismatchError, symplab.NonHomogeneousError,
+        symplab.linalg.SingularMatrixError,
+    ]
+    assert not any(issubclass(cls, symplab.InputError) for cls in misuse)
+    with pytest.raises(symplab.InputError):
+        symplab.FlowConfig(1.0, 0.0)
+    u, v = symplab.Poly.variable(2, 0), symplab.Poly.variable(2, 1)
+    with pytest.raises(symplab.InputError, match="Gauss-Legendre"):
+        symplab.ChainPatch(1, (u ** 12, v), (4, 4))
+
+
+def _limited_run(argv, tmp_path):
+    """Run the CLI in a child process with 1 GiB of address space."""
+    src = str(Path(symplab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "symplab.cli", *argv], capture_output=True, text=True,
+        env=env, cwd=tmp_path, timeout=60, preexec_fn=limit,
+    )
+
+
+OVERSIZED = {
+    # a 22-byte file once asked for three 300000 x 300000 matrices
+    "two-form-n": ("from-two-form", '{"n": 300000, "Q": []}'),
+    "field-n": ("classify", '{"n": 10000000, "components": []}'),
+    "alg-dim": ("cohomology", '{"dim": 60, "d": [], "omega": [[1, 2, "1"]]}'),
+    "chain-l": ("chain", '{"n": 1, "l": 1000000000, "maps": [[], []]}'),
+}
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource limits")
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_refused_before_allocating(tmp_path, case):
+    command, text = OVERSIZED[case]
+    (tmp_path / "big.json").write_text(text)
+    argv = [command, "big.json"] + (["--k", "1"] if command == "classify" else [])
+    result = _limited_run(argv, tmp_path)
+    assert result.returncode == 2, result.stderr[-500:]
+    assert result.stdout == ""
+    assert result.stderr.startswith("input error: big.json: ")
+    assert "desk-scale" in result.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource limits")
+def test_sl2_check_size_refused(tmp_path):
+    result = _limited_run(["sl2-check", "--n", "40"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error: --n = 40")
