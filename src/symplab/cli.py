@@ -34,6 +34,7 @@ from .exterior import (
 from .polynomials import (
     InputError,
     Poly,
+    _as_int,
     check_input_degree,
     check_input_n,
     decode_json,
@@ -94,13 +95,13 @@ def _load(path: str, convert):
 
 def _chain_from_data(data: dict) -> fw.ChainPatch:
     with reading():
-        n = check_input_n(int(data["n"]))
-        l = check_input_n(int(data["l"]), "l")
+        n = check_input_n(_as_int(data["n"]))
+        l = check_input_n(_as_int(data["l"]), "l")
         maps = data["maps"]
         if not isinstance(maps, list) or len(maps) != 2 * n:
             raise InputError("'maps' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * l, m) for m in maps)
-        orders = tuple(int(o) for o in data.get("orders", [4] * (2 * l)))
+        orders = tuple(_as_int(o) for o in data.get("orders", [4] * (2 * l)))
     for poly in polys:
         check_input_degree(poly, "chain map component")
     return fw.ChainPatch(l, polys, orders)

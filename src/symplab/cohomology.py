@@ -28,7 +28,7 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .polynomials import InputError, _as_fraction, check_input_n, decode_json, reading
+from .polynomials import InputError, _as_fraction, _as_int, check_input_n, decode_json, reading
 
 
 class StructureError(InputError):
@@ -325,20 +325,20 @@ class AlgebraFileError(InputError):
 
 def algebra_from_data(data: dict) -> LieAlgebra:
     with reading(AlgebraFileError):
-        dim = int(data["dim"])
+        dim = _as_int(data["dim"])
         check_input_n(dim // 2, "dim / 2")
         frame = Frame.invariant(dim)
         structure = []
         for row in data.get("d", []):
             if len(row) != 4:
                 raise AlgebraFileError(f"structure row {row!r} needs [i, j, k, c]")
-            i, j, k = (int(x) for x in row[:3])
+            i, j, k = (_as_int(x) for x in row[:3])
             structure.append((i - 1, j - 1, k - 1, _as_fraction(row[3])))
         omega_terms: dict[int, Fraction] = {}
         for row in data.get("omega", []):
             if len(row) != 3:
                 raise AlgebraFileError(f"omega row {row!r} needs [i, j, c]")
-            i, j = int(row[0]), int(row[1])
+            i, j = _as_int(row[0]), _as_int(row[1])
             if not 1 <= i < j <= dim:
                 raise AlgebraFileError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
             mask = (1 << (i - 1)) | (1 << (j - 1))

@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 from . import linalg
 
 
@@ -130,8 +132,9 @@ class Form:
         object.__setattr__(self, "frame", frame)
         clean = {}
         if terms:
+            dim = frame.dim
             for mask, coeff in terms.items():
-                if mask >> frame.dim:
+                if mask >> dim:
                     raise ValueError("blade uses generators outside the frame")
                 if coeff:
                     clean[mask] = coeff
@@ -290,18 +293,34 @@ def tau(frame: Frame) -> Form:
     return Fraction(1, factorial(frame.n)) * omega_power(frame, frame.n)
 
 
+def _toggle_pairs(a: Form, held: bool) -> Form:
+    """Sum over i of the map that removes (``held``) or adds the pair
+    dq^i, dp_i on every blade holding both or neither, in one pass over the
+    terms.  Either way the sign is -1 to the power 1 + (number of generators
+    strictly between dq^i and dp_i): for removal it is the sign of the two
+    contractions, for addition the sign of wedging with -dq^i ^ dp_i."""
+    n = a.frame.n
+    between = (1 << (n - 1)) - 1
+    terms: dict = {}
+    for mask, coeff in a.terms.items():
+        for i in range(n):
+            pair = (1 << i) | (1 << (n + i))
+            if mask & pair == (pair if held else 0):
+                c = coeff if ((mask >> (i + 1)) & between).bit_count() & 1 else -coeff
+                new = mask ^ pair
+                acc = terms.get(new)
+                terms[new] = c if acc is None else acc + c
+    return Form(a.frame, terms)
+
+
 def op_e(a: Form) -> Form:
     """e-hat: wedge with omega."""
-    return wedge(a, omega(a.frame))
+    return _toggle_pairs(a, held=False)
 
 
 def op_f(a: Form) -> Form:
     """f-hat: sum over i of i_{d/dq^i} i_{d/dp_i}."""
-    n = a.frame.n
-    out = Form.zero(a.frame)
-    for i in range(n):
-        out = out + interior(i, interior(n + i, a))
-    return out
+    return _toggle_pairs(a, held=True)
 
 
 def op_h(a: Form) -> Form:
@@ -337,53 +356,100 @@ class CommutatorReport:
         )
 
 
-def _exact(coeff):
-    """An exact coefficient, as an int when it is integral."""
-    return coeff.numerator if coeff.denominator == 1 else coeff
+def _coefficients(values) -> tuple[np.ndarray, int | Fraction]:
+    """Exact coefficients and their largest magnitude.  The array holds
+    them in the narrowest signed integer type when every value is an
+    integer of magnitude below 2^31 (arithmetic on them runs in int64),
+    else the values themselves as objects."""
+    if all(v.denominator == 1 for v in values):
+        ints = [v.numerator for v in values]
+        top = max(map(abs, ints), default=0)
+        if top < 1 << 31:
+            return np.array(ints, dtype=np.min_scalar_type(-1 - top)), top
+    return np.array(values, dtype=object), max(map(abs, values), default=0)
 
 
-def _add_scaled(out: dict, c, terms) -> None:
-    """out += c * terms, for (mask, coefficient) pairs; no stored zeros."""
-    for mask, x in terms:
-        acc = out.get(mask, 0) + c * x
-        if acc:
-            out[mask] = acc
-        else:
-            out.pop(mask, None)
+def _mask_type(frame: Frame) -> np.dtype:
+    return np.min_scalar_type((1 << frame.dim) - 1)
 
 
-def _combine(*pairs) -> dict:
-    """The sum of c * v over ``(c, v)`` pairs of scalars and sparse
-    mask -> coefficient dicts."""
-    out: dict = {}
-    for c, vec in pairs:
-        _add_scaled(out, c, vec.items())
-    return out
+# A blade table of a linear map is a (masks, coefficients, norm) triple: row
+# m of the two (2^dim, width) arrays lists the image of blade m, padded with
+# zero coefficients, and norm bounds the sum of the absolute coefficients of
+# any one image.
+
+def _table(frame: Frame, images):
+    """The blade table of a map from its images of the basis blades, given
+    in mask order as tuples of (mask, coefficient) pairs."""
+    width = max(map(len, images))
+    pad = ((0, 0),) * width
+    flat = [term for image in images for term in image + pad[len(image):]]
+    masks = np.array([m for m, _ in flat], dtype=_mask_type(frame)).reshape(len(images), width)
+    coeffs, top = _coefficients([c for _, c in flat])
+    return masks, coeffs.reshape(masks.shape), width * top
 
 
-def _tabulated(frame: Frame, op):
-    """The linear extension of ``op`` from its images of basis blades.
+def _op_images(frame: Frame, op) -> list[tuple]:
+    """``op`` applied once to every basis blade."""
+    one = Fraction(1)
+    return [tuple(op(Form(frame, {blade: one})).terms.items()) for blade in range(1 << frame.dim)]
 
-    Each blade's image is computed once, on first use, and kept as a flat
-    (mask, coefficient, ...) tuple with exact integer coefficients; the table
-    lives as long as the returned function.
-    """
-    table: dict[int, tuple] = {}
 
-    def apply(vec: dict) -> dict:
-        out: dict = {}
-        for mask, c in vec.items():
-            flat = table.get(mask)
-            if flat is None:
-                form = op(Form(frame, {mask: Fraction(1)}))
-                flat = table[mask] = tuple(
-                    x for m, y in form.terms.items() for x in (m, _exact(y))
-                )
-            it = iter(flat)
-            _add_scaled(out, c, zip(it, it))
-        return out
+def _wedge_images(frame: Frame, form: Form) -> list[tuple]:
+    """The images of every basis blade under a -> a ^ form.  Blade m and
+    term t merge with the sign of ``merge_sign(m, t)``: the parity of the
+    pairs (i in m, j in t) with i > j, which is the parity of the bits of m
+    in the XOR, over the generators j of t, of the masks above j."""
+    full = (1 << frame.dim) - 1
+    terms = []
+    for term, coeff in form.terms.items():
+        above = 0
+        for j in range(frame.dim):
+            if term >> j & 1:
+                above ^= full ^ ((2 << j) - 1)
+        terms.append((term, above, (coeff, -coeff)))
+    return [
+        tuple((m | t, signed[(m & above).bit_count() & 1]) for t, above, signed in terms if not m & t)
+        for m in range(1 << frame.dim)
+    ]
 
-    return apply
+
+# A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
+# length arrays: entry j adds coefficients[j] * blade masks[j] to form
+# rows[j].  Entries are not merged, so a sum of batches is a concatenation.
+
+def _apply(table, batch):
+    """The batch image of a linear map given by its blade table."""
+    masks, coeffs, _ = table
+    rows, cols, vals = batch
+    out = vals[:, None] * coeffs[cols]
+    keep = out != 0
+    return np.broadcast_to(rows[:, None], keep.shape)[keep], masks[cols][keep], out[keep]
+
+
+def _sum(*terms):
+    """The batch sum of c * batch over ``(c, batch)`` pairs."""
+    return (
+        np.concatenate([b[0] for _, b in terms]),
+        np.concatenate([b[1] for _, b in terms]),
+        np.concatenate([c * b[2] for c, b in terms]),
+    )
+
+
+def _first_nonzero_row(batch, size: int) -> int | None:
+    """The smallest row of a batch whose merged coefficients are not all
+    zero, or None; ``size`` bounds the masks."""
+    rows, cols, vals = batch
+    if not rows.size:
+        return None
+    key = rows * size + cols
+    # any order of equal keys would do; numpy's stable int64 sort touches
+    # less of its library than the default one, which shows in peak RSS
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    nonzero = starts[np.add.reduceat(vals[order], starts) != 0]
+    return int(key[nonzero[0]]) // size if nonzero.size else None
 
 
 def commutator_check(n: int, k: int) -> CommutatorReport:
@@ -391,46 +457,65 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
     [e^k,f] = k e^{k-1}(h+k-1), [e,f^k] = k f^{k-1}(h-k+1)
     on every basis blade of the 2n-dimensional Darboux frame.
 
-    Each operator is applied once per blade; composites are evaluated by
-    linearity from those images.  Blades are checked in ascending mask order
-    and the report names the first identity that fails.
+    ``op_e``, ``op_f`` and ``op_h`` are applied once per blade and e^k,
+    e^{k-1} are tabulated from ``omega_power``; every composite is then
+    evaluated from those tables for all blades of one degree at once.  The
+    arithmetic is exact: int64 when every coefficient is an integer and a
+    magnitude bound rules out overflow, else Python objects (Fractions).
+    The report names the smallest failing blade mask and the first identity
+    that fails on it.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     frame = Frame.darboux(n)
-    wk, wk1 = omega_power(frame, k), omega_power(frame, k - 1)
-    e, f, h = (_tabulated(frame, op) for op in (op_e, op_f, op_h))
-    ek = _tabulated(frame, lambda a: wedge(a, wk))
-    ek1 = _tabulated(frame, lambda a: wedge(a, wk1))
+    size = 1 << frame.dim
+    tables = [_table(frame, _op_images(frame, op)) for op in (op_e, op_f, op_h)] + [
+        _table(frame, _wedge_images(frame, omega_power(frame, p))) for p in (k, k - 1)
+    ]
+    # every entry the identities produce, partial sums included, is at most
+    # 4 * (norm of e, e^k or e^{k-1}) * (norm of f or h, or k)^(k+1)
+    up = max(1, *(tables[i][2] for i in (0, 3, 4)))
+    down = max(1, k, tables[1][2], tables[2][2])
+    exact_ints = all(t[1].dtype != object for t in tables) and 4 * up * down ** (k + 1) < 1 << 63
+    if not exact_ints:
+        tables = [(masks, coeffs.astype(object), norm) for masks, coeffs, norm in tables]
+    e, f, h, ek, ek1 = ((lambda x, t=t: _apply(t, x)) for t in tables)
 
-    def f_pow(p, vec):
+    def f_pow(p, x):
         for _ in range(p):
-            vec = f(vec)
-        return vec
+            x = f(x)
+        return x
 
-    def identities(b):
-        """(name, lhs, rhs) of each identity on the vector b, in order, each
-        evaluated only when the previous one has held."""
+    names = (
+        "[h,e] = 2e",
+        "[h,f] = -2f",
+        "[e,f] = h",
+        f"[e^{k},f] = {k} e^{k - 1}(h+{k - 1})",
+        f"[e,f^{k}] = {k} f^{k - 1}(h-{k - 1})",
+    )
+    failure = None  # (blade mask, identity name)
+    for degree in range(frame.dim + 1):
+        basis = np.array(blade_basis(frame.dim, degree), dtype=_mask_type(frame))
+        b = (np.arange(basis.size), basis, np.ones(basis.size, np.int64 if exact_ints else object))
         eb, fb, hb = e(b), f(b), h(b)
-        yield "[h,e] = 2e", _combine((1, h(eb)), (-1, e(hb))), _combine((2, eb))
-        yield "[h,f] = -2f", _combine((1, h(fb)), (-1, f(hb))), _combine((-2, fb))
-        yield "[e,f] = h", _combine((1, e(fb)), (-1, f(eb))), hb
-        yield (
-            f"[e^{k},f] = {k} e^{k - 1}(h+{k - 1})",
-            _combine((1, ek(fb)), (-1, f(ek(b)))),
-            _combine((k, ek1(_combine((1, hb), (k - 1, b))))),
+        differences = (
+            _sum((1, h(eb)), (-1, e(hb)), (-2, eb)),
+            _sum((1, h(fb)), (-1, f(hb)), (2, fb)),
+            _sum((1, e(fb)), (-1, f(eb)), (-1, hb)),
+            _sum((1, ek(fb)), (-1, f(ek(b))), (-k, ek1(_sum((1, hb), (k - 1, b))))),
+            _sum(
+                (1, e(f_pow(k - 1, fb))), (-1, f_pow(k, eb)),
+                (-k, f_pow(k - 1, _sum((1, hb), (1 - k, b)))),
+            ),
         )
-        yield (
-            f"[e,f^{k}] = {k} f^{k - 1}(h-{k - 1})",
-            _combine((1, e(f_pow(k - 1, fb))), (-1, f_pow(k, eb))),
-            _combine((k, f_pow(k - 1, _combine((1, hb), (1 - k, b))))),
-        )
-
-    for mask in range(1 << frame.dim):
-        for name, lhs, rhs in identities({mask: 1}):
-            if lhs != rhs:
-                return CommutatorReport(n, k, False, mask + 1, name, mask)
-    return CommutatorReport(n, k, True, 1 << frame.dim)
+        for name, diff in zip(names, differences):
+            row = _first_nonzero_row(diff, size)
+            if row is not None and (failure is None or basis[row] < failure[0]):
+                failure = (int(basis[row]), name)
+    if failure is None:
+        return CommutatorReport(n, k, True, size)
+    mask, name = failure
+    return CommutatorReport(n, k, False, mask + 1, name, mask)
 
 
 # ---------------------------------------------------------------------------

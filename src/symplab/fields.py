@@ -25,6 +25,7 @@ from .exterior import (
 from .polynomials import (
     InputError,
     Poly,
+    _as_int,
     check_input_degree,
     check_input_n,
     decode_json,
@@ -422,7 +423,7 @@ def linear_system_two_form(spec: LinearSystemSpec) -> TwoFormData:
 
 def field_from_data(data: dict) -> PolyVectorField:
     with reading(FieldFileError):
-        n = check_input_n(int(data["n"]))
+        n = check_input_n(_as_int(data["n"]))
         comps = data.get("components")
         if not isinstance(comps, list) or len(comps) != 2 * n:
             raise FieldFileError("'components' must list 2n monomial lists")
@@ -443,7 +444,7 @@ def field_to_data(x: PolyVectorField) -> dict:
 
 def two_form_from_data(data: dict) -> TwoFormData:
     with reading(FieldFileError):
-        n = check_input_n(int(data["n"]))
+        n = check_input_n(_as_int(data["n"]))
         nvars = 2 * n
         zero = Poly.zero(nvars)
 
@@ -452,7 +453,7 @@ def two_form_from_data(data: dict) -> TwoFormData:
             for row in data.get(name, []):
                 if len(row) != 3:
                     raise FieldFileError(f"{name} entry {row!r} needs [i, j, monomials]")
-                i, j = int(row[0]) - 1, int(row[1]) - 1
+                i, j = _as_int(row[0]) - 1, _as_int(row[1]) - 1
                 if not (0 <= i < n and 0 <= j < n):
                     raise FieldFileError(f"{name} index ({i + 1},{j + 1}) out of range")
                 poly = poly_from_monomials(nvars, row[2])

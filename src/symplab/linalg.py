@@ -4,7 +4,8 @@ Matrices are plain lists of lists of ``fractions.Fraction``.  Their sizes
 are binomial coefficients C(dim, m) of exterior degrees: a few hundred rows
 and columns at most for the 10-dimensional algebras served (C(10, 5) = 252),
 so Gaussian elimination with exact pivots is fast enough and free of any
-tolerance questions.
+tolerance questions.  The differentials and wedge maps behind them are
+sparse, so ``rref`` works over each pivot row's nonzero columns only.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form (on a copy) and the pivot column list.
 
     Pivots are chosen scanning columns left to right, which makes every
-    derived basis (rank, nullspace, representatives) deterministic.
+    derived basis (rank, nullspace, representatives) deterministic.  Each
+    step normalises the pivot row and eliminates the other rows only over
+    the pivot row's nonzero columns; the other entries would be left
+    unchanged anyway, so entries and pivots are those of whole-row updates.
     """
     a = [row[:] for row in m]
     rows = len(a)
@@ -64,12 +68,17 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        pivot = a[r]
+        inv = 1 / pivot[c]
+        support = [j for j in range(c, cols) if pivot[j]]
+        for j in support:
+            pivot[j] *= inv
         for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * pivot[j]
         pivots.append(c)
         r += 1
         if r == rows:

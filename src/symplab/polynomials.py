@@ -76,6 +76,15 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _as_int(value) -> int:
+    """The one reader of integers in files (exponents, indices, sizes and
+    orders): an int.  A float or a bool is refused, even an integral one,
+    as is any other type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"not an integer: {value!r}")
+    return value
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial."""
 
@@ -233,7 +242,7 @@ def poly_from_monomials(nvars: int, monomials) -> Poly:
                 f"monomial {row!r} needs 1 coefficient + {nvars} exponents"
             )
         coeff = _as_fraction(row[0])
-        exps = tuple(int(e) for e in row[1:])
+        exps = tuple(_as_int(e) for e in row[1:])
         if any(e < 0 for e in exps):
             raise InputError("negative exponent")
         terms[exps] = terms.get(exps, Fraction(0)) + coeff

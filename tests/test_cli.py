@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -540,3 +542,62 @@ def test_sl2_check_size_refused(tmp_path):
     result = _limited_run(["sl2-check", "--n", "40"], tmp_path)
     assert result.returncode == 2
     assert result.stderr.startswith("input error: --n = 40")
+
+
+# integers in files are read exactly: a float or a bool is refused, never
+# truncated (a 1.5 exponent once became 1 and the file exited 0)
+NOT_AN_INTEGER = {
+    "float-exponent": ("classify", {"n": 1, "components": [[["1", 0, 1.5]], [["-1", 1, 0]]]}),
+    "bool-exponent": ("classify", {"n": 1, "components": [[["1", 0, True]], [["-1", 1, 0]]]}),
+    "float-field-n": ("classify", {"n": 1.0, "components": [[["1", 0, 1]], [["-1", 1, 0]]]}),
+    "float-two-form-index": (
+        "from-two-form", {"n": 2, "Q": [[1.0, 2, [["1", 0, 0, 0, 0]]]]}),
+    "float-alg-dim": ("cohomology", {"dim": 2.0, "d": [], "omega": [[1, 2, "1"]]}),
+    "float-alg-d-index": (
+        "cohomology", {"dim": 4, "d": [[1, 2, 3.5, "1"]], "omega": [[1, 3, "1"], [2, 4, "1"]]}),
+    "bool-alg-omega-index": ("cohomology", {"dim": 2, "d": [], "omega": [[True, 2, "1"]]}),
+    "float-chain-n": ("chain", dict(CHAIN_N1, n=1.0)),
+    "float-chain-l": ("chain", dict(CHAIN_N1, l=1.5)),
+    "float-chain-order": ("chain", dict(CHAIN_N1, orders=[2.5, 2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_AN_INTEGER))
+def test_non_integer_file_integers_are_refused(capsys, tmp_path, case):
+    command, content = NOT_AN_INTEGER[case]
+    path = _write(tmp_path, "input.json", content)
+    argv = [command, path] + (["--k", "1"] if command == "classify" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"input error: {path}: not an integer: ")
+
+
+def test_float_exponent_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "f15.json"
+    path.write_text('{"n":1,"components":[[["1",0,1.5]],[["-1",1,0]]]}')
+    code, out, err = run(capsys, ["classify", str(path), "--k", "1", "--format", "machine"])
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: not an integer: 1.5\n"
+
+
+def test_chain_node_budget_refused_quickly(capsys, tmp_path):
+    # 10^10 Gauss-Legendre nodes once reached numpy as a 74.5 GiB request
+    path = _write(tmp_path, "huge.chain", dict(CHAIN_N1, orders=[100000, 100000]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["chain", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {path}: orders [100000, 100000] give 10000000000")
+    assert "desk-scale" in err
+
+
+def test_chain_node_budget_boundary():
+    u, v = symplab.Poly.variable(2, 0), symplab.Poly.variable(2, 1)
+    side = math.isqrt(symplab.flows.MAX_CHAIN_NODES)
+    assert side * side == symplab.flows.MAX_CHAIN_NODES
+    symplab.ChainPatch(1, (u, v), (side, side))
+    with pytest.raises(symplab.InputError, match="quadrature nodes"):
+        symplab.ChainPatch(1, (u, v), (side + 1, side))

@@ -358,6 +358,44 @@ def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
     )
 
 
+@pytest.mark.parametrize("n, k, blade", [(2, 1, 5), (3, 2, 11), (4, 4, 23), (5, 3, 47)])
+def test_commutator_check_reports_third_e_fault(monkeypatch, n, k, blade):
+    # e scaled by 1/3 on blades of degree n or more holding dp1: every image
+    # coefficient of those blades is a non-integral rational, so the check
+    # runs on exact rationals; recorded from the blade-by-blade check
+    e = exterior.op_e
+
+    def thirded(a):
+        out = e(a)
+        for mask, c in a.terms.items():
+            if mask >> a.frame.n & 1 and mask.bit_count() >= a.frame.n:
+                out = out - Fraction(2, 3) * c * e(Form(a.frame, {mask: Fraction(1)}))
+        return out
+
+    monkeypatch.setattr(exterior, "op_e", thirded)
+    assert commutator_check(n, k) == CommutatorReport(
+        n, k, False, blade + 1, "[e,f] = h", blade
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_commutators_n5_all_blades(k):
+    assert commutator_check(5, k) == CommutatorReport(5, k, True, 1024)
+
+
+def test_single_pass_operators_match_interior_composition():
+    # op_e and op_f against wedge and the two contractions, on sums of blades
+    # with distinct coefficients, up to n = 5
+    for n in range(1, 6):
+        frame = Frame.darboux(n)
+        a = Form(frame, {m: Fraction(m + 1, 3) for m in range(0, 1 << (2 * n), 7)})
+        f = Form.zero(frame)
+        for i in range(n):
+            f = f + interior(i, interior(n + i, a))
+        assert op_f(a) == f
+        assert op_e(a) == wedge(a, omega(frame))
+
+
 def test_commutator_check_validates_range():
     with pytest.raises(ValueError):
         commutator_check(2, 3)

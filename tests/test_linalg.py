@@ -73,3 +73,31 @@ def test_nullspace_dimension_matches_rank(ncols, data):
     for v in ns:
         for row in m:
             assert sum(c * x for c, x in zip(row, v)) == 0
+
+
+# sparse entries: two draws in three are zero, and whole rows and columns
+# are zeroed on top of that
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), fractions)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_rref_matches_sympy(rows, cols, data):
+    import sympy
+
+    zero_rows = data.draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = data.draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    m = [
+        [Fraction(0) if i in zero_rows or j in zero_cols else data.draw(sparse_entries)
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+    before = [row[:] for row in m]
+    reduced, pivots = linalg.rref(m)
+    want, want_pivots = sympy.Matrix(rows, cols, [x for row in m for x in row]).rref()
+    assert m == before  # rref works on a copy
+    assert pivots == list(want_pivots)
+    assert reduced == [
+        [Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(rows)
+    ]
+    assert linalg.rank(m) == len(want_pivots)
