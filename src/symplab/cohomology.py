@@ -23,7 +23,7 @@ from .exterior import (
     Form,
     Frame,
     blade_basis,
-    contraction_sign,
+    image_matrix,
     interior,
     wedge,
     wedge_power,
@@ -103,19 +103,16 @@ class CEComplex:
             {mask: i for i, mask in enumerate(basis)} for basis in self.bases
         ]
         # d[m]: matrix of d restricted to degree m (rows: degree m+1 basis)
-        self.d = []
-        for m in range(dim + 1):
-            rows = len(self.bases[m + 1]) if m < dim else 0
-            mat = linalg.zeros(rows, len(self.bases[m]))
-            if m < dim:
-                for col, mask in enumerate(self.bases[m]):
-                    image = differential(self, Form(self.frame, {mask: Fraction(1)}))
-                    for bm, c in image.terms.items():
-                        mat[self._index[m + 1][bm]][col] = c
-            self.d.append(mat)
+        self.d = [
+            image_matrix(self.frame, [differential(self, b) for b in self._blades(m)], m + 1)
+            for m in range(dim + 1)
+        ]
         self._poisson = None
 
     # -- vector/form conversions ------------------------------------------
+
+    def _blades(self, degree: int) -> list[Form]:
+        return [Form(self.frame, {mask: Fraction(1)}) for mask in self.bases[degree]]
 
     def to_vector(self, form: Form, degree: int) -> list[Fraction]:
         v = [Fraction(0)] * len(self.bases[degree])
@@ -161,18 +158,11 @@ class CEComplex:
 
     def delta_matrix(self, m: int) -> linalg.Matrix:
         """delta = f.d - d.f restricted to degree m (maps to degree m-1)."""
-        rows = len(self.bases[m - 1]) if m >= 1 else 0
-        mat = linalg.zeros(rows, len(self.bases[m]))
         if m < 1:
-            return mat
-        for col, mask in enumerate(self.bases[m]):
-            b = Form(self.frame, {mask: Fraction(1)})
-            image = self.bivector_contraction(differential(self, b))
-            if m >= 2:
-                image = image - differential(self, self.bivector_contraction(b))
-            for bm, c in image.terms.items():
-                mat[self._index[m - 1][bm]][col] = c
-        return mat
+            return []
+        f = self.bivector_contraction
+        images = [f(differential(self, b)) - differential(self, f(b)) for b in self._blades(m)]
+        return image_matrix(self.frame, images, m - 1)
 
 
 def build_complex(alg: LieAlgebra) -> CEComplex:

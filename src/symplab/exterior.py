@@ -65,10 +65,10 @@ class Frame:
         return cls(n, names)
 
     @classmethod
-    def invariant(cls, dim: int, prefix: str = "th") -> "Frame":
+    def invariant(cls, dim: int) -> "Frame":
         if dim < 2 or dim % 2:
             raise ValueError("invariant frame needs even dimension >= 2")
-        return cls(dim // 2, tuple(f"{prefix}{i + 1}" for i in range(dim)))
+        return cls(dim // 2, tuple(f"th{i + 1}" for i in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -172,9 +172,6 @@ class Form:
     def homogeneous_degree(self) -> int | None:
         degs = self.degrees()
         return degs.pop() if len(degs) == 1 else None
-
-    def coefficient(self, mask: int):
-        return self.terms.get(mask, Fraction(0))
 
     # -- ring operations ---------------------------------------------------
 
@@ -356,27 +353,14 @@ class CommutatorReport:
         )
 
 
-def _coefficients(values) -> tuple[np.ndarray, int | Fraction]:
-    """Exact coefficients and their largest magnitude.  The array holds
-    them in the narrowest signed integer type when every value is an
-    integer of magnitude below 2^31 (arithmetic on them runs in int64),
-    else the values themselves as objects."""
-    if all(v.denominator == 1 for v in values):
-        ints = [v.numerator for v in values]
-        top = max(map(abs, ints), default=0)
-        if top < 1 << 31:
-            return np.array(ints, dtype=np.min_scalar_type(-1 - top)), top
-    return np.array(values, dtype=object), max(map(abs, values), default=0)
-
-
 def _mask_type(frame: Frame) -> np.dtype:
     return np.min_scalar_type((1 << frame.dim) - 1)
 
 
-# A blade table of a linear map is a (masks, coefficients, norm) triple: row
-# m of the two (2^dim, width) arrays lists the image of blade m, padded with
-# zero coefficients, and norm bounds the sum of the absolute coefficients of
-# any one image.
+# A blade table of a linear map is a (masks, coefficients) pair: row m of
+# the two (2^dim, width) arrays lists the image of blade m, padded with zero
+# coefficients.  Coefficients are exact Python numbers in object arrays:
+# ints, or Fractions where a value is not an integer.
 
 def _table(frame: Frame, images):
     """The blade table of a map from its images of the basis blades, given
@@ -385,8 +369,10 @@ def _table(frame: Frame, images):
     pad = ((0, 0),) * width
     flat = [term for image in images for term in image + pad[len(image):]]
     masks = np.array([m for m, _ in flat], dtype=_mask_type(frame)).reshape(len(images), width)
-    coeffs, top = _coefficients([c for _, c in flat])
-    return masks, coeffs.reshape(masks.shape), width * top
+    coeffs = np.array(
+        [c.numerator if c.denominator == 1 else c for _, c in flat], dtype=object
+    )
+    return masks, coeffs.reshape(masks.shape)
 
 
 def _op_images(frame: Frame, op) -> list[tuple]:
@@ -420,7 +406,7 @@ def _wedge_images(frame: Frame, form: Form) -> list[tuple]:
 
 def _apply(table, batch):
     """The batch image of a linear map given by its blade table."""
-    masks, coeffs, _ = table
+    masks, coeffs = table
     rows, cols, vals = batch
     out = vals[:, None] * coeffs[cols]
     keep = out != 0
@@ -443,7 +429,7 @@ def _first_nonzero_row(batch, size: int) -> int | None:
     if not rows.size:
         return None
     key = rows * size + cols
-    # any order of equal keys would do; numpy's stable int64 sort touches
+    # any order of equal keys would do; numpy's stable integer sort touches
     # less of its library than the default one, which shows in peak RSS
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -459,10 +445,9 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
 
     ``op_e``, ``op_f`` and ``op_h`` are applied once per blade and e^k,
     e^{k-1} are tabulated from ``omega_power``; every composite is then
-    evaluated from those tables for all blades of one degree at once.  The
-    arithmetic is exact: int64 when every coefficient is an integer and a
-    magnitude bound rules out overflow, else Python objects (Fractions).
-    The report names the smallest failing blade mask and the first identity
+    evaluated from those tables for all blades of one degree at once, on
+    exact Python ints and Fractions, so no coefficient can overflow.  The
+    report names the smallest failing blade mask and the first identity
     that fails on it.
     """
     if not 1 <= k <= n:
@@ -472,13 +457,6 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
     tables = [_table(frame, _op_images(frame, op)) for op in (op_e, op_f, op_h)] + [
         _table(frame, _wedge_images(frame, omega_power(frame, p))) for p in (k, k - 1)
     ]
-    # every entry the identities produce, partial sums included, is at most
-    # 4 * (norm of e, e^k or e^{k-1}) * (norm of f or h, or k)^(k+1)
-    up = max(1, *(tables[i][2] for i in (0, 3, 4)))
-    down = max(1, k, tables[1][2], tables[2][2])
-    exact_ints = all(t[1].dtype != object for t in tables) and 4 * up * down ** (k + 1) < 1 << 63
-    if not exact_ints:
-        tables = [(masks, coeffs.astype(object), norm) for masks, coeffs, norm in tables]
     e, f, h, ek, ek1 = ((lambda x, t=t: _apply(t, x)) for t in tables)
 
     def f_pow(p, x):
@@ -496,7 +474,7 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
     failure = None  # (blade mask, identity name)
     for degree in range(frame.dim + 1):
         basis = np.array(blade_basis(frame.dim, degree), dtype=_mask_type(frame))
-        b = (np.arange(basis.size), basis, np.ones(basis.size, np.int64 if exact_ints else object))
+        b = (np.arange(basis.size), basis, np.ones(basis.size, object))
         eb, fb, hb = e(b), f(b), h(b)
         differences = (
             _sum((1, h(eb)), (-1, e(hb)), (-2, eb)),
@@ -522,15 +500,14 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
 # rank certificates
 # ---------------------------------------------------------------------------
 
-def _map_matrix(frame: Frame, domain_masks, image, image_degree):
-    """Matrix (rows: image blade basis, cols: domain blades) of a map
-    sending each domain blade to ``image(blade_form)``."""
-    basis = blade_basis(frame.dim, image_degree)
-    index = {m: i for i, m in enumerate(basis)}
-    mat = linalg.zeros(len(basis), len(domain_masks))
-    for col, mask in enumerate(domain_masks):
-        out = image(Form(frame, {mask: Fraction(1)}))
-        for m, c in out.terms.items():
+def image_matrix(frame: Frame, images, degree: int) -> linalg.Matrix:
+    """The exact matrix whose column j holds the coefficients of the form
+    ``images[j]`` on the degree-``degree`` blade basis (rows, ascending
+    masks); a degree above the frame's has no rows."""
+    index = {m: i for i, m in enumerate(blade_basis(frame.dim, degree))}
+    mat = linalg.zeros(len(index), len(images))
+    for col, image in enumerate(images):
+        for m, c in image.terms.items():
             mat[index[m]][col] = c
     return mat
 
@@ -545,10 +522,8 @@ def iota_rank(n: int, k: int) -> int:
         raise ValueError("need 0 <= k <= n-2")
     frame = Frame.darboux(n)
     wk = omega_power(frame, k)
-    mat = _map_matrix(
-        frame, blade_basis(frame.dim, 2), lambda b: wedge(b, wk), 2 * k + 2
-    )
-    return linalg.rank(mat)
+    images = [wedge(Form(frame, {m: Fraction(1)}), wk) for m in blade_basis(frame.dim, 2)]
+    return linalg.rank(image_matrix(frame, images, 2 * k + 2))
 
 
 def contraction_rank(n: int, k: int) -> int:
@@ -560,14 +535,8 @@ def contraction_rank(n: int, k: int) -> int:
         raise ValueError("need 1 <= k <= n")
     frame = Frame.darboux(n)
     wk = omega_power(frame, k)
-    basis = blade_basis(frame.dim, 2 * k - 1)
-    index = {m: i for i, m in enumerate(basis)}
-    mat = linalg.zeros(len(basis), frame.dim)
-    for j in range(frame.dim):
-        out = interior(j, wk)
-        for m, c in out.terms.items():
-            mat[index[m]][j] = c
-    return linalg.rank(mat)
+    images = [interior(j, wk) for j in range(frame.dim)]
+    return linalg.rank(image_matrix(frame, images, 2 * k - 1))
 
 
 # ---------------------------------------------------------------------------

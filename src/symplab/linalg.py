@@ -57,6 +57,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     step normalises the pivot row and eliminates the other rows only over
     the pivot row's nonzero columns; the other entries would be left
     unchanged anyway, so entries and pivots are those of whole-row updates.
+    The pivot reciprocal is a Fraction, so int input stays exact.
     """
     a = [row[:] for row in m]
     rows = len(a)
@@ -69,7 +70,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             continue
         a[r], a[pr] = a[pr], a[r]
         pivot = a[r]
-        inv = 1 / pivot[c]
+        inv = Fraction(1) / pivot[c]
         support = [j for j in range(c, cols) if pivot[j]]
         for j in support:
             pivot[j] *= inv

@@ -304,6 +304,27 @@ def test_delta_squares_to_zero(nilm):
         assert all(not entry for row in product for entry in row)
 
 
+def test_matrices_match_form_level_maps(nilm, torus):
+    # every column of d_m and delta_m is the Form-level image of its blade
+    for cx in (nilm[1], torus[1], nilm6_times_flat(2)):
+        dim = cx.alg.dim
+        f = cx.bivector_contraction
+        for m in range(dim + 1):
+            for col, mask in enumerate(cx.bases[m]):
+                b = Form(cx.frame, {mask: Fraction(1)})
+                d_col = [row[col] for row in cx.d[m]]
+                if m < dim:
+                    assert d_col == cx.to_vector(differential(cx, b), m + 1)
+                else:
+                    assert d_col == [] and differential(cx, b).is_zero
+                delta_col = [row[col] for row in cx.delta_matrix(m)]
+                image = f(differential(cx, b)) - differential(cx, f(b))
+                if m >= 1:
+                    assert delta_col == cx.to_vector(image, m - 1)
+                else:
+                    assert delta_col == [] and image.is_zero
+
+
 def test_nilmanifold_harmonic_bounded_by_betti(nilm):
     _, cx = nilm
     for m in range(7):

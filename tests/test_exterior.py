@@ -342,6 +342,27 @@ def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
     )
 
 
+@pytest.mark.parametrize("scale", [3, 2 ** 31 + 1, 2 ** 62 + 1, 2 ** 70 + 1])
+@pytest.mark.parametrize("n, k, blade", [(3, 1, 33), (4, 2, 129), (5, 5, 513)])
+def test_commutator_check_reports_big_integer_e_fault(monkeypatch, scale, n, k, blade):
+    # the late-e fault with integer scales: coefficients reach and pass
+    # 2^31, 2^63 and beyond, and every scale gives the same report
+    e = exterior.op_e
+
+    def scaled(a):
+        top = 1 << (2 * a.frame.n - 1)
+        out = e(a)
+        for mask, c in a.terms.items():
+            if mask & top and mask & 1:
+                out = out + (scale - 1) * c * e(Form(a.frame, {mask: Fraction(1)}))
+        return out
+
+    monkeypatch.setattr(exterior, "op_e", scaled)
+    assert commutator_check(n, k) == CommutatorReport(
+        n, k, False, blade + 1, "[e,f] = h", blade
+    )
+
+
 @pytest.mark.parametrize("n, k, blade", [(2, 1, 1), (3, 2, 3), (4, 3, 7)])
 def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
     # h shifted by one on degree n + 1: [h,e] = 2e first fails on the first

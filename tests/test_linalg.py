@@ -40,6 +40,20 @@ def test_inverse_roundtrip():
         linalg.inverse(mat([[1, 2], [2, 4]]))
 
 
+def test_int_input_stays_exact():
+    # the pivot reciprocal is a Fraction, so int entries never turn into
+    # floats
+    def exact(rows):
+        return all(type(x) is Fraction for row in rows for x in row)
+
+    red, pivots = linalg.rref([[3, 1]])
+    assert (red, pivots) == ([[1, Fraction(1, 3)]], [0]) and exact(red)
+    ns = linalg.nullspace([[3, 1]])
+    assert ns == [[Fraction(-1, 3), 1]] and exact(ns)
+    inv = linalg.inverse([[2, 0], [0, 1]])
+    assert inv == [[Fraction(1, 2), 0], [0, 1]] and exact(inv)
+
+
 def test_column_stack():
     a = mat([[1], [2]])
     b = mat([[3], [4]])
