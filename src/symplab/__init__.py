@@ -29,7 +29,7 @@ from .cohomology import (
     el_dim,
     harmonic_dim,
     is_exact,
-    lefschetz_rank,
+    lefschetz_map_rank,
     parse_algebra,
 )
 from .exterior import (
@@ -84,7 +84,6 @@ from .flows import (
     Trajectory,
     chain_integral,
     divergence,
-    integrate,
     tangent_flow,
     verify_area_preservation,
 )

@@ -64,9 +64,9 @@ class Reporter:
         if self.fmt == "machine":
             self.lines.append(f"{key}={value}")
 
-    def both(self, key: str, value, label: str | None = None):
+    def both(self, key: str, value):
         self.kv(key, value)
-        self.text(f"{label or key}: {value}")
+        self.text(f"{key}: {value}")
 
     def flush(self):
         sys.stdout.write("\n".join(self.lines) + ("\n" if self.lines else ""))
@@ -204,10 +204,16 @@ def _point(values, dim: int) -> list[float]:
 
 def _flow_file(data: dict):
     """A flow file's field, embedded chain and initial point (None where
-    absent)."""
+    absent).  The file's x0 is a JSON list of numbers: no strings, no
+    booleans."""
     field = fl.field_from_data(data)
     chain = _chain_from_data(data["chain"]) if "chain" in data else None
-    x0 = _point(data["x0"], field.frame.dim) if "x0" in data else None
+    x0 = None
+    if "x0" in data:
+        values = data["x0"]
+        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+            raise InputError("x0 must be a list of numbers")
+        x0 = _point(values, field.frame.dim)
     return field, chain, x0
 
 

@@ -76,17 +76,12 @@ def generator_differentials(alg: LieAlgebra) -> list[Form]:
 
 
 def differential(cx: CEComplex, form: Form) -> Form:
-    """The Chevalley-Eilenberg differential, extended as an anti-derivation."""
-    frame = form.frame
-    out = Form.zero(frame)
-    for mask, coeff in form.terms.items():
-        pos = 0
-        for g in range(frame.dim):
-            if mask >> g & 1:
-                rest = Form(frame, {mask ^ (1 << g): coeff})
-                term = wedge(cx._dgen[g], rest)
-                out = out + (term if pos % 2 == 0 else -term)
-                pos += 1
+    """The Chevalley-Eilenberg differential as the anti-derivation
+    d a = sum_g d theta^g ^ i_g a; generators with d theta^g = 0 add nothing."""
+    out = Form.zero(form.frame)
+    for g, dg in enumerate(cx._dgen):
+        if not dg.is_zero:
+            out = out + wedge(dg, interior(g, form))
     return out
 
 
@@ -99,9 +94,6 @@ class CEComplex:
         self._dgen = generator_differentials(alg)
         dim = alg.dim
         self.bases = [blade_basis(dim, m) for m in range(dim + 1)]
-        self._index = [
-            {mask: i for i, mask in enumerate(basis)} for basis in self.bases
-        ]
         # d[m]: matrix of d restricted to degree m (rows: degree m+1 basis)
         self.d = [
             image_matrix(self.frame, [differential(self, b) for b in self._blades(m)], m + 1)
@@ -113,12 +105,6 @@ class CEComplex:
 
     def _blades(self, degree: int) -> list[Form]:
         return [Form(self.frame, {mask: Fraction(1)}) for mask in self.bases[degree]]
-
-    def to_vector(self, form: Form, degree: int) -> list[Fraction]:
-        v = [Fraction(0)] * len(self.bases[degree])
-        for mask, coeff in form.terms.items():
-            v[self._index[degree][mask]] = coeff
-        return v
 
     def to_form(self, vector, degree: int) -> Form:
         return Form(
@@ -199,72 +185,51 @@ class CohomologySpace:
 
 
 def betti(cx: CEComplex, m: int) -> int:
-    """dim ker d_m - rank d_{m-1}, by exact ranks."""
+    """dim ker d_m - rank d_{m-1}, by exact ranks (d_dim has no rows)."""
     if not 0 <= m <= cx.alg.dim:
         raise ValueError("degree out of range")
-    dim_m = len(cx.bases[m])
-    rank_dm = linalg.rank(cx.d[m]) if m < cx.alg.dim else 0
     rank_prev = linalg.rank(cx.d[m - 1]) if m >= 1 else 0
-    return dim_m - rank_dm - rank_prev
+    return len(cx.bases[m]) - linalg.rank(cx.d[m]) - rank_prev
+
+
+def _new_classes(cx: CEComplex, forms, degree: int) -> list[int]:
+    """Indices of the closed ``forms`` whose class in H^degree is new given
+    the boundaries and the forms before them: the pivot columns of one rref
+    of [d_{degree-1} | forms]; exact, no tolerance."""
+    boundary = cx.d[degree - 1] if degree >= 1 else []
+    width = len(boundary[0]) if boundary else 0
+    columns = image_matrix(cx.frame, forms, degree)
+    _, pivots = linalg.rref(linalg.column_stack(boundary, columns))
+    return [c - width for c in pivots if c >= width]
 
 
 def cohomology_space(cx: CEComplex, m: int) -> CohomologySpace:
-    """Representatives by column-pivot order on the canonical blade basis.
-
-    One rref of [d_{m-1} | closed]: a closed vector is kept exactly when its
-    column is a pivot, i.e. when its class is new given the boundaries and
-    the closed vectors before it in basis order.  Their count is the
-    dimension: rank [d_{m-1} | closed] - rank d_{m-1}.
-    """
+    """Representatives by column-pivot order on the canonical blade basis:
+    the canonical closed vectors (the nullspace basis of d_m) whose classes
+    are new given the boundaries and the closed vectors before them."""
     if not 0 <= m <= cx.alg.dim:
         raise ValueError("degree out of range")
-    closed = (
-        linalg.nullspace(cx.d[m], cols=len(cx.bases[m]))
-        if m < cx.alg.dim
-        else [linalg.unit_vector(len(cx.bases[m]), i) for i in range(len(cx.bases[m]))]
-    )
-    reps = []
-    if closed:
-        boundary = cx.d[m - 1] if m >= 1 else []
-        width = len(boundary[0]) if boundary else 0
-        _, pivots = linalg.rref(linalg.column_stack(boundary, _vectors_as_columns(closed)))
-        reps = [cx.to_form(closed[c - width], m) for c in pivots if c >= width]
-    return CohomologySpace(m, len(reps), tuple(reps))
-
-
-def _vectors_as_columns(vectors) -> linalg.Matrix:
-    if not vectors:
-        return []
-    rows = len(vectors[0])
-    return [[v[r] for v in vectors] for r in range(rows)]
+    closed = [cx.to_form(v, m) for v in linalg.nullspace(cx.d[m], cols=len(cx.bases[m]))]
+    reps = tuple(closed[i] for i in _new_classes(cx, closed, m))
+    return CohomologySpace(m, len(reps), reps)
 
 
 def exactness_rank(cx: CEComplex, forms, degree: int) -> int:
-    """Dimension of the span of the classes of closed ``forms`` in H^degree.
-
-    Decided by augmenting the column space of d_{degree-1} and comparing
-    ranks; exact, no tolerance.
-    """
-    boundary = cx.d[degree - 1] if degree >= 1 else []
-    vecs = [cx.to_vector(f, degree) for f in forms]
-    base_rank = linalg.rank(boundary)
-    full = linalg.column_stack(boundary, _vectors_as_columns(vecs))
-    return linalg.rank(full) - base_rank
+    """Dimension of the span of the classes of closed ``forms`` in H^degree."""
+    return len(_new_classes(cx, forms, degree))
 
 
 def is_exact(cx: CEComplex, form: Form, degree: int) -> bool:
     return exactness_rank(cx, [form], degree) == 0
 
 
-def lefschetz_rank(cx: CEComplex, k: int) -> int:
-    """Rank of the cup product map [a] -> [a ^ omega^{k-1}], H^1 -> H^{2k-1}."""
-    n = cx.alg.dim // 2
-    if not 1 <= k <= n - 1:
-        raise ValueError("need 1 <= k <= n-1")
-    h1 = [cx.to_form(v, 1) for v in linalg.nullspace(cx.d[1], cols=cx.alg.dim)]
-    wk = wedge_power(cx.alg.omega, k - 1)
-    wedged = [wedge(a, wk) for a in h1]
-    return exactness_rank(cx, wedged, 2 * k - 1)
+def lefschetz_map_rank(cx: CEComplex, k: int, j: int) -> int:
+    """Rank of the Lefschetz map [a] -> [a ^ omega^j], H^k -> H^{k+2j}."""
+    if not (0 <= k and 0 <= j and k + 2 * j <= cx.alg.dim):
+        raise ValueError("need 0 <= k, 0 <= j and k + 2j <= dim")
+    wj = wedge_power(cx.alg.omega, j)
+    images = [wedge(a, wj) for a in cohomology_space(cx, k).representatives]
+    return exactness_rank(cx, images, k + 2 * j)
 
 
 def el_dim(cx: CEComplex, k: int) -> int:
@@ -280,7 +245,7 @@ def el_dim(cx: CEComplex, k: int) -> int:
         raise ValueError("need 1 <= k <= n")
     if k == n:
         return betti(cx, 2 * n - 1)
-    return lefschetz_rank(cx, k)
+    return lefschetz_map_rank(cx, 1, k - 1)
 
 
 def harmonic_dim(cx: CEComplex, m: int) -> int:
@@ -291,11 +256,8 @@ def harmonic_dim(cx: CEComplex, m: int) -> int:
     """
     if not 0 <= m <= cx.alg.dim:
         raise ValueError("degree out of range")
-    dmat = cx.d[m] if m < cx.alg.dim else []
     delta = cx.delta_matrix(m)
-    ncols = len(cx.bases[m])
-    stacked = dmat + delta
-    kernel_both = len(linalg.nullspace(stacked, cols=ncols))
+    kernel_both = len(cx.bases[m]) - linalg.rank(cx.d[m] + delta)
     # im d_{m-1} intersect ker delta: restrict delta to the column space
     if m == 0:
         exact_harmonic = 0

@@ -189,19 +189,19 @@ class TangentFlow:
         return float(np.max(np.abs(self.det_path() - 1)))
 
 
-def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, with_j=False,
-             keep_paths=False, track_det=False):
-    """Joint RK4 on a batch of states and, with_j, their tangent maps
-    from J(0) = I.  Fields of degree <= 1 step through the exact one-step
-    propagator, all others through the stage loop.
+def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
+             track_det=False):
+    """Joint RK4 on a batch of states and their tangent maps from J(0) = I.
+    Fields of degree <= 1 step through the exact one-step propagator, all
+    others through the stage loop.
 
     Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); with
     keep_paths the paths are arrays of shape (samples, m, dim) and
-    (samples, m or 1, dim, dim) (None without tangent maps), with samples =
-    steps + 1, or blow_step + 1 after a blow-up.
+    (samples, m or 1, dim, dim), with samples = steps + 1, or
+    blow_step + 1 after a blow-up.
     """
     build = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
-    advance, j0 = build(compiled, xs, cfg, with_j)
+    advance, j0 = build(compiled, xs, cfg)
     return _run_blocks(advance, cfg, xs, j0, keep_paths, track_det)
 
 
@@ -214,9 +214,9 @@ def _first_past_cap(states) -> int | None:
 
 
 def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
-    """Step x0 (m, dim) and j0 (m or 1, dim, dim; None without tangent
-    maps) by advance(x_out, j_out), which writes the next state and tangent
-    map into the rows it is given, in blocks of DET_BATCH // m steps.
+    """Step x0 (m, dim) and j0 (m or 1, dim, dim) by advance(x_out, j_out),
+    which writes the next state and tangent map into the rows it is given,
+    in blocks of DET_BATCH // m steps.
 
     Kept paths are the block rows themselves; otherwise one block buffer is
     reused.  After each block: one blow-up test and one batch_det call over
@@ -226,19 +226,17 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
     _rk4_run returns.
     """
     m, dim = x0.shape
-    with_j = j0 is not None
     block = max(1, min(cfg.steps, DET_BATCH // m))
     samples = cfg.steps + 1
     states_path = jac_path = None
     if keep_paths:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
         states_path[0] = x0
-        if with_j:
-            jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
-            jac_path[0] = j0
+        jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
+        jac_path[0] = j0
     else:
         xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
-        jbuf = np.empty((block,) + j0.shape, dtype=WORK_DTYPE) if with_j else None
+        jbuf = np.empty((block,) + j0.shape, dtype=WORK_DTYPE)
     xs, js = x0, j0
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
     blow_step = None
@@ -248,30 +246,28 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
             count = min(block, cfg.steps - start)
             rows = slice(start + 1, start + 1 + count)
             xb = states_path[rows] if keep_paths else xbuf[:count]
-            jb = (jac_path[rows] if keep_paths else jbuf[:count]) if with_j else None
+            jb = jac_path[rows] if keep_paths else jbuf[:count]
             for s in range(count):
-                advance(xb[s], jb[s] if with_j else None)
+                advance(xb[s], jb[s])
             past = _first_past_cap(xb)
             done = count if past is None else past + 1
-            if track_det and with_j:
+            if track_det:
                 dets = batch_det(jb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
             xs = xb[done - 1].copy()
-            js = jb[done - 1].copy() if with_j else None
+            js = jb[done - 1].copy()
             if past is not None:
                 blow_step = start + done
                 samples = blow_step + 1
                 break
-    if with_j:
-        js = np.broadcast_to(js, (m, dim, dim))
+    js = np.broadcast_to(js, (m, dim, dim))
     if keep_paths:
         states_path = states_path[:samples]
-        if with_j:
-            jac_path = jac_path[:samples]
+        jac_path = jac_path[:samples]
     return xs, js, states_path, jac_path, float(max_det), blow_step
 
 
-def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
+def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig):
     """The four-stage RK4 loop, for any polynomial field: (advance, j0) for
     _run_blocks."""
     dt = WORK_DTYPE(cfg.effective_dt)
@@ -279,7 +275,7 @@ def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
     sixth = dt / WORK_DTYPE(6.0)
     two = WORK_DTYPE(2.0)
     m, dim = xs.shape
-    j0 = np.broadcast_to(np.eye(dim, dtype=WORK_DTYPE), (m, dim, dim)) if with_j else None
+    j0 = np.broadcast_to(np.eye(dim, dtype=WORK_DTYPE), (m, dim, dim))
     x, j = xs, j0
 
     def advance(x_out, j_out):
@@ -288,12 +284,11 @@ def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
         v2, a2 = compiled(x + half * v1)
         v3, a3 = compiled(x + half * v2)
         v4, a4 = compiled(x + dt * v3)
-        if with_j:
-            k1 = a1 @ j
-            k2 = a2 @ (j + half * k1)
-            k3 = a3 @ (j + half * k2)
-            k4 = a4 @ (j + dt * k3)
-            j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=j_out)
+        k1 = a1 @ j
+        k2 = a2 @ (j + half * k1)
+        k3 = a3 @ (j + half * k2)
+        k4 = a4 @ (j + dt * k3)
+        j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=j_out)
         x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=x_out)
 
     return advance, j0
@@ -354,7 +349,7 @@ def _round_work(q: Fraction):
     return np.ldexp(WORK_DTYPE(round(q * Fraction(2) ** shift)), -shift)
 
 
-def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
+def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig):
     """RK4 of an affine field as x -> R x + c and J -> R J, with R and c
     rounded once from exact rationals: (advance, j0) for _run_blocks.  J
     does not depend on x, so one (dim, dim) matrix serves every node."""
@@ -363,39 +358,27 @@ def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, with_j):
     c = np.array([_round_work(v) for v in c_exact], dtype=WORK_DTYPE)
     r_t = r.T.copy()
     m, dim = xs.shape
-    j0 = np.eye(dim, dtype=WORK_DTYPE)[None] if with_j else None
+    j0 = np.eye(dim, dtype=WORK_DTYPE)[None]
     x, j = xs, j0
 
     def advance(x_out, j_out):
         nonlocal x, j
         x = np.add(x @ r_t, c, out=x_out)
-        if with_j:
-            j = np.matmul(r, j, out=j_out)
+        j = np.matmul(r, j, out=j_out)
 
     return advance, j0
 
 
-def _single_run(x: PolyVectorField, x0, cfg: FlowConfig, with_j: bool):
-    """RK4 from one point with every sample kept: (Trajectory, jac_path)."""
-    compiled = CompiledField(x)
+def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
+    """RK4 from one point with a sample at every step: the trajectory plus
+    the variational flow J(t), J(0) = identity.  Blow-up is flagged, not
+    raised (state norm cap NORM_CAP)."""
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, jpath, _, blow = _rk4_run(compiled, xs, cfg, with_j, keep_paths=True)
+    _, _, path, jpath, _, blow = _rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     times = np.arange(path.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
-    return Trajectory(times, path[:, 0], blow is not None, blow), jpath
-
-
-def integrate(x: PolyVectorField, x0, cfg: FlowConfig) -> Trajectory:
-    """RK4 trajectory with samples at every step; blow-up is flagged, not
-    raised (state norm cap 1e9)."""
-    return _single_run(x, x0, cfg, with_j=False)[0]
-
-
-def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
-    """Trajectory plus the variational flow J(t), J(0) = identity."""
-    traj, jpath = _single_run(x, x0, cfg, with_j=True)
-    return TangentFlow(traj, jpath[:, 0])
+    return TangentFlow(Trajectory(times, path[:, 0], blow is not None, blow), jpath[:, 0])
 
 
 def divergence(x: PolyVectorField) -> Poly:
@@ -658,7 +641,7 @@ def verify_area_preservation(
     initial = float(_signed_sum(rules, frames))
     track_det = l == n
     _, js_t, _, _, max_det, blow = _rk4_run(
-        CompiledField(x), np.concatenate(points), cfg, with_j=True, track_det=track_det
+        CompiledField(x), np.concatenate(points), cfg, track_det=track_det
     )
     blew_up = blow is not None
 

@@ -23,13 +23,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matmul: inner dimensions differ")

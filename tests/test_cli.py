@@ -88,6 +88,33 @@ def test_cohomology_machine_format(capsys):
     assert "el_dim.2=2" in lines
 
 
+def _table(prefix, values, start=0):
+    return [f"{prefix}.{i}={v}" for i, v in enumerate(values, start)]
+
+
+# every line of `cohomology NAME --betti --el --harmonic --format machine`
+COHOMOLOGY_TABLES = {
+    "nilm6": (
+        _table("betti", [1, 3, 4, 4, 4, 3, 1])
+        + _table("el_dim", [3, 2, 3], 1)
+        + _table("harmonic", [1, 3, 4, 2, 2, 0, 1])
+    ),
+    "torus6": (
+        _table("betti", [1, 6, 15, 20, 15, 6, 1])
+        + _table("el_dim", [6, 6, 6], 1)
+        + _table("harmonic", [1, 6, 15, 20, 15, 6, 1])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_TABLES))
+def test_cohomology_machine_tables_pinned(capsys, name):
+    argv = ["cohomology", name, "--betti", "--el", "--harmonic", "--format", "machine"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == COHOMOLOGY_TABLES[name]
+
+
 def test_reports_are_byte_identical(capsys):
     argv = ["cohomology", "nilm6", "--betti", "--el", "--harmonic"]
     _, out1, _ = run(capsys, argv)
@@ -272,10 +299,21 @@ def test_input_error_writes_no_partial_report(capsys, tmp_path):
 
 
 def test_flow_rejects_non_finite_x0_entry(capsys, tmp_path):
-    path = _write(tmp_path, "osc.json", dict(OSC_N1, x0=["nan", 0]))
+    # json writes the float as the literal NaN, which the decoder reads back
+    path = _write(tmp_path, "osc.json", dict(OSC_N1, x0=[float("nan"), 0]))
     code, _, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1"])
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("x0", ["12", [True, False]])
+def test_flow_file_x0_must_be_a_list_of_numbers(capsys, tmp_path, x0):
+    # a string is not read as its characters, nor a boolean as 0 or 1
+    path = _write(tmp_path, "osc.json", dict(OSC_N1, x0=x0))
+    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: {path}: x0 must be a list of numbers\n"
 
 
 @pytest.mark.parametrize("t, dt", [("inf", "0.1"), ("1", "nan")])

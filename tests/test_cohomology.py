@@ -22,10 +22,10 @@ from symplab.cohomology import (
     exactness_rank,
     harmonic_dim,
     is_exact,
-    lefschetz_rank,
+    lefschetz_map_rank,
     parse_algebra,
 )
-from symplab.exterior import Form, Frame, wedge, wedge_power
+from symplab.exterior import Form, Frame, image_matrix, wedge, wedge_power
 
 import oracles
 
@@ -157,10 +157,22 @@ def nilm6_times_flat(extra):
     return build_complex(algebra_from_data(data))
 
 
-def test_cohomology_space_matches_prefix_ranks(nilm, torus):
+@pytest.fixture(scope="module")
+def nilm_flat():
+    return nilm6_times_flat(2)
+
+
+def test_nilm6_times_flat_tables_pinned(nilm_flat):
+    cx = nilm_flat
+    assert [betti(cx, m) for m in range(9)] == [1, 5, 11, 15, 16, 15, 11, 5, 1]
+    assert [el_dim(cx, k) for k in range(1, 5)] == [5, 5, 4, 5]
+    assert [harmonic_dim(cx, m) for m in range(9)] == [1, 5, 11, 13, 10, 6, 3, 2, 1]
+
+
+def test_cohomology_space_matches_prefix_ranks(nilm, torus, nilm_flat):
     # the pivots of one rref pick the closed vectors the per-vector prefix
     # ranks pick, in every degree
-    cases = [(nilm[1], range(7)), (torus[1], range(7)), (nilm6_times_flat(2), range(4))]
+    cases = [(nilm[1], range(7)), (torus[1], range(7)), (nilm_flat, range(4))]
     for cx, degrees in cases:
         for m in degrees:
             assert cohomology_space(cx, m).representatives == (
@@ -191,7 +203,7 @@ def test_nilmanifold_poincare_duality(nilm):
 
 def test_lefschetz_k1_is_identity(nilm, torus):
     for _, cx in (nilm, torus):
-        assert lefschetz_rank(cx, 1) == betti(cx, 1)
+        assert lefschetz_map_rank(cx, 1, 0) == betti(cx, 1)
 
 
 def test_torus_lefschetz_rank_oracle(torus):
@@ -207,7 +219,7 @@ def test_torus_lefschetz_rank_oracle(torus):
         for b, c in out.items():
             mat[index[b]][col] = c
     assert oracles.sympy_rank(mat) == 6
-    assert lefschetz_rank(cx, 2) == 6
+    assert lefschetz_map_rank(cx, 1, 1) == 6
 
 
 def test_nilmanifold_omega_wedge_theta1_exact(nilm):
@@ -225,7 +237,7 @@ def test_nilmanifold_lefschetz_rank_pinned(nilm):
     # th1^F is exact; th2^F and th3^F have independent nonzero classes,
     # so the rank oracle pins el_dim(2) = 2 (and it is <= 2 by exactness
     # of the first image)
-    assert lefschetz_rank(cx, 2) == 2
+    assert lefschetz_map_rank(cx, 1, 1) == 2
     w2 = wedge(theta(f, 2), alg.omega)
     w3 = wedge(theta(f, 3), alg.omega)
     assert not is_exact(cx, w2, 3)
@@ -262,6 +274,68 @@ def test_el_dim_range(nilm):
         el_dim(cx, 0)
     with pytest.raises(ValueError):
         el_dim(cx, 4)
+
+
+@pytest.fixture(scope="module")
+def torus8():
+    omega = [[i, i + 4, "1"] for i in range(1, 5)]
+    return build_complex(algebra_from_data({"dim": 8, "d": [], "omega": omega}))
+
+
+@pytest.fixture(scope="module")
+def benchmark_algebras(nilm, torus, nilm_flat, torus8):
+    """The four algebras the benchmark builds, by name."""
+    return {"nilm6": nilm[1], "torus6": torus[1], "nilm6xR2": nilm_flat, "torus8": torus8}
+
+
+def top_lefschetz_ranks(cx):
+    """Ranks of L^{n-k}: H^k -> H^{2n-k} for k = 0..n."""
+    n = cx.alg.dim // 2
+    return [lefschetz_map_rank(cx, k, n - k) for k in range(n + 1)]
+
+
+def test_yan_harmonic_dims_from_lefschetz_ranks(benchmark_algebras):
+    # Yan (1996): a symplectically harmonic class exists in every class of
+    # degree <= 2, and in degree 2n - k the harmonic classes are the image
+    # of L^{n-k} on H^k
+    for cx in benchmark_algebras.values():
+        n = cx.alg.dim // 2
+        for k in range(3):
+            assert harmonic_dim(cx, k) == betti(cx, k)
+            assert harmonic_dim(cx, 2 * n - k) == lefschetz_map_rank(cx, k, n - k)
+
+
+def test_hard_lefschetz_on_tori(benchmark_algebras):
+    for name in ("torus6", "torus8"):
+        cx = benchmark_algebras[name]
+        n = cx.alg.dim // 2
+        assert top_lefschetz_ranks(cx) == [comb(2 * n, k) for k in range(n + 1)]
+
+
+def test_benson_gordon_nilmanifolds_fail_hard_lefschetz(benchmark_algebras):
+    # Benson-Gordon (1988): a non-toral nilmanifold is not hard Lefschetz
+    for name in ("nilm6", "nilm6xR2"):
+        cx = benchmark_algebras[name]
+        ranks = top_lefschetz_ranks(cx)
+        assert any(r < betti(cx, k) for k, r in enumerate(ranks))
+    nilm6 = benchmark_algebras["nilm6"]
+    assert top_lefschetz_ranks(nilm6)[1:3] == [0, 2]
+    assert [betti(nilm6, k) for k in (1, 2)] == [3, 4]
+
+
+def test_poincare_duality_on_benchmark_algebras(benchmark_algebras):
+    for cx in benchmark_algebras.values():
+        b = [betti(cx, m) for m in range(cx.alg.dim + 1)]
+        assert b == b[::-1]
+
+
+def test_lefschetz_map_rank_range(nilm):
+    _, cx = nilm
+    for k, j in ((-1, 0), (0, -1), (1, 3), (7, 0)):
+        with pytest.raises(ValueError, match="k \\+ 2j <= dim"):
+            lefschetz_map_rank(cx, k, j)
+    assert lefschetz_map_rank(cx, 0, 3) == 1
+    assert lefschetz_map_rank(cx, 6, 0) == 1
 
 
 def test_representative_independence(nilm):
@@ -304,23 +378,29 @@ def test_delta_squares_to_zero(nilm):
         assert all(not entry for row in product for entry in row)
 
 
-def test_matrices_match_form_level_maps(nilm, torus):
+def column(cx, form, degree):
+    """The coefficients of ``form`` on the degree's blade basis."""
+    return [row[0] for row in image_matrix(cx.frame, [form], degree)]
+
+
+def test_matrices_match_form_level_maps(nilm, torus, nilm_flat):
     # every column of d_m and delta_m is the Form-level image of its blade
-    for cx in (nilm[1], torus[1], nilm6_times_flat(2)):
+    for cx in (nilm[1], torus[1], nilm_flat):
         dim = cx.alg.dim
         f = cx.bivector_contraction
         for m in range(dim + 1):
+            delta = cx.delta_matrix(m)
             for col, mask in enumerate(cx.bases[m]):
                 b = Form(cx.frame, {mask: Fraction(1)})
                 d_col = [row[col] for row in cx.d[m]]
                 if m < dim:
-                    assert d_col == cx.to_vector(differential(cx, b), m + 1)
+                    assert d_col == column(cx, differential(cx, b), m + 1)
                 else:
                     assert d_col == [] and differential(cx, b).is_zero
-                delta_col = [row[col] for row in cx.delta_matrix(m)]
+                delta_col = [row[col] for row in delta]
                 image = f(differential(cx, b)) - differential(cx, f(b))
                 if m >= 1:
-                    assert delta_col == cx.to_vector(image, m - 1)
+                    assert delta_col == column(cx, image, m - 1)
                 else:
                     assert delta_col == [] and image.is_zero
 
@@ -371,7 +451,25 @@ def test_four_dimensional_nilpotent_algebra():
         assert 0 <= harmonic_dim(cx, m) <= betti(cx, m)
 
 
-def test_differential_is_an_antiderivation(nilm):
+def structure_differential(alg, k):
+    """d theta^k read off the structure rows by wedges of generators."""
+    f = alg.frame
+    out = Form.zero(f)
+    for i, j, target, c in alg.structure:
+        if target == k:
+            out = out + c * wedge(Form.generator(f, i), Form.generator(f, j))
+    return out
+
+
+def leibniz_holds(cx, a, b):
+    """d(a ^ b) = da ^ b + (-1)^deg(a) a ^ db for a homogeneous a."""
+    rhs = wedge(differential(cx, a), b) + Fraction(-1) ** a.homogeneous_degree * wedge(
+        a, differential(cx, b)
+    )
+    return differential(cx, wedge(a, b)) == rhs
+
+
+def test_differential_is_an_antiderivation(nilm, nilm_flat):
     alg, cx = nilm
     f = alg.frame
     samples = [
@@ -380,13 +478,15 @@ def test_differential_is_an_antiderivation(nilm):
         (alg.omega, theta(f, 6)),
         (wedge(theta(f, 4), theta(f, 6)), wedge(theta(f, 3), theta(f, 5))),
     ]
-    for a, b in samples:
-        da = a.homogeneous_degree
-        lhs = differential(cx, wedge(a, b))
-        rhs = wedge(differential(cx, a), b) + Fraction(-1) ** da * wedge(
-            a, differential(cx, b)
-        )
-        assert lhs == rhs
+    assert all(leibniz_holds(cx, a, b) for a, b in samples)
+    # d is fixed by its values on the generators and the Leibniz rule;
+    # check both, the rule on every pair of blades of degree <= 2
+    for c in (cx, nilm_flat):
+        assert differential(c, Form.scalar(c.frame, Fraction(1))).is_zero
+        for k in range(c.alg.dim):
+            assert differential(c, Form.generator(c.frame, k)) == structure_differential(c.alg, k)
+        blades = [Form(c.frame, {mask: Fraction(1)}) for m in range(3) for mask in c.bases[m]]
+        assert all(leibniz_holds(c, a, b) for a in blades for b in blades)
 
 
 def test_bundled_files_byte_stable():

@@ -24,7 +24,6 @@ from symplab.flows import (
     batch_det,
     chain_integral,
     divergence,
-    integrate,
     tangent_flow,
     verify_area_preservation,
 )
@@ -117,10 +116,11 @@ def test_batch_det_against_exact_fractions():
 # trajectories
 # ---------------------------------------------------------------------------
 
+
 def test_circular_orbit_returns():
     frame = Frame.darboux(1)
     x = hamiltonian_field(frame, standard_h(1))
-    traj = integrate(x, [1.0, 0.0], FlowConfig(t_final=2 * math.pi, dt=1e-3))
+    traj = tangent_flow(x, [1.0, 0.0], FlowConfig(t_final=2 * math.pi, dt=1e-3)).trajectory
     assert not traj.blew_up
     err = float(np.max(np.abs(traj.states[-1] - np.array([1.0, 0.0]))))
     assert err < 1e-8
@@ -128,9 +128,9 @@ def test_circular_orbit_returns():
 
 def test_zero_field_constant_trajectory():
     frame = Frame.darboux(2)
-    traj = integrate(
+    traj = tangent_flow(
         PolyVectorField.zero(frame), [1.0, 2.0, 3.0, 4.0], FlowConfig(2.0, 0.01)
-    )
+    ).trajectory
     assert not traj.blew_up
     assert np.all(traj.states == traj.states[0])
 
@@ -144,7 +144,7 @@ def test_bounded_trajectory_for_positive_definite_coupling():
     lam_min = float(np.min(np.linalg.eigvalsh(kmat)))
     x0 = np.array([0.7, -0.4, 0.2, 0.5])
     energy = 0.5 * float(x0[2:] @ x0[2:]) + 0.5 * float(x0[:2] @ kmat @ x0[:2])
-    traj = integrate(x, list(x0), FlowConfig(t_final=20.0, dt=1e-2))
+    traj = tangent_flow(x, list(x0), FlowConfig(t_final=20.0, dt=1e-2)).trajectory
     assert not traj.blew_up
     q_norms = np.sqrt(np.sum(np.asarray(traj.states, float)[:, :2] ** 2, axis=1))
     p_norms = np.sqrt(np.sum(np.asarray(traj.states, float)[:, 2:] ** 2, axis=1))
@@ -155,7 +155,7 @@ def test_bounded_trajectory_for_positive_definite_coupling():
 def test_blow_up_flagged_not_raised():
     frame = Frame.darboux(1)
     dilation = PolyVectorField(frame, (var(2, 0), Poly.zero(2)))
-    traj = integrate(dilation, [1.0, 0.0], FlowConfig(t_final=25.0, dt=0.01))
+    traj = tangent_flow(dilation, [1.0, 0.0], FlowConfig(t_final=25.0, dt=0.01)).trajectory
     assert traj.blew_up
     assert traj.blow_up_step is not None
     assert len(traj.states) == traj.blow_up_step + 1
@@ -166,8 +166,8 @@ def test_blow_up_flagged_not_raised():
 def test_integrate_deterministic():
     _, x = build_linear_system(None, masses=(1, 2, 1))
     cfg = FlowConfig(t_final=1.0, dt=1e-2)
-    t1 = integrate(x, [1.0, 0.5, 0.25, -0.3], cfg)
-    t2 = integrate(x, [1.0, 0.5, 0.25, -0.3], cfg)
+    t1 = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], cfg).trajectory
+    t2 = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], cfg).trajectory
     assert np.array_equal(t1.states, t2.states)
 
 
@@ -294,7 +294,7 @@ def _affine_cases():
 def _both_paths(x, x0s, cfg):
     compiled = CompiledField(x)
     xs = np.array(x0s, dtype=WORK_DTYPE)
-    kw = dict(with_j=True, keep_paths=True, track_det=True)
+    kw = dict(keep_paths=True, track_det=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_is_affine", lambda field: False)  # force the stage loop
         ref = flows._rk4_run(compiled, xs, cfg, **kw)
@@ -345,13 +345,9 @@ def test_affine_det_check_batches_samples(monkeypatch):
     cfg = FlowConfig(t_final=2.5, dt=1e-2)
     compiled = CompiledField(x)
     xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
-    _, _, _, path, whole, _ = flows._rk4_run(
-        compiled, xs, cfg, with_j=True, keep_paths=True, track_det=True
-    )
+    _, _, _, path, whole, _ = flows._rk4_run(compiled, xs, cfg, keep_paths=True, track_det=True)
     monkeypatch.setattr(flows, "DET_BATCH", 16)
-    _, _, _, _, batched, _ = flows._rk4_run(
-        compiled, xs, cfg, with_j=True, track_det=True
-    )
+    _, _, _, _, batched, _ = flows._rk4_run(compiled, xs, cfg, track_det=True)
     per_step = max(float(abs(batch_det(j)[0] - 1)) for j in path)
     assert whole == batched == per_step
 
@@ -514,7 +510,7 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
         return batch_det(mats)
 
     monkeypatch.setattr(flows, "batch_det", counted)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_paths=True, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
     # one call per block of DET_BATCH // m steps, never more than DET_BATCH matrices
     block = min(det_batch // m, cfg.steps)
     full, rest = divmod(cfg.steps, block)
@@ -524,7 +520,7 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
     _assert_same_run(got, want)
     assert want[4] > 0 and want[5] is None
     # the det check alone, without kept paths, gives the same max drift
-    alone = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, track_det=True)
+    alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
     assert alone[4] == want[4]
 
 
@@ -546,8 +542,7 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     monkeypatch.setattr(flows, "DET_BATCH", block * m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, with_j=True, keep_paths=True,
-                             track_det=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
     _assert_same_run(got, want)
     assert got[2].shape[0] == blow + 1
     if m == 1:
@@ -583,9 +578,7 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     for sign, patch in chain:
         nodes, weights = patch.nodes_and_weights()
         points, tangents = CompiledField(patch.maps)(nodes)
-        _, js, _, _, drift, blow = flows._rk4_run(
-            compiled, points, cfg, with_j=True, track_det=l == 2
-        )
+        _, js, _, _, drift, blow = flows._rk4_run(compiled, points, cfg, track_det=l == 2)
         assert blow is None
         max_det = max(max_det, drift)
         frames = np.einsum("mij,mjl->mil", js, tangents)
