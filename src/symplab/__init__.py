@@ -15,12 +15,9 @@ Four layers:
 """
 
 from .cohomology import (
-    AlgebraFileError,
     CEComplex,
     CohomologySpace,
     LieAlgebra,
-    StructureError,
-    SymplecticError,
     betti,
     build_complex,
     bundled_algebra,
@@ -36,8 +33,6 @@ from .exterior import (
     CommutatorReport,
     Form,
     Frame,
-    FrameMismatchError,
-    NonHomogeneousError,
     blade_basis,
     commutator_check,
     contraction_rank,
@@ -54,11 +49,8 @@ from .exterior import (
     wedge_power,
 )
 from .fields import (
-    AntisymmetryError,
     Classification,
-    FieldFileError,
     LinearSystemSpec,
-    NotClosedError,
     PolyVectorField,
     TwoFormData,
     build_linear_system,
@@ -76,7 +68,6 @@ from .fields import (
 )
 from .flows import (
     ChainIntegral,
-    ChainMismatchError,
     ChainPatch,
     ConservationReport,
     FlowConfig,
@@ -87,6 +78,6 @@ from .flows import (
     tangent_flow,
     verify_area_preservation,
 )
-from .polynomials import DegreeLimitError, InputError, Poly, format_poly
+from .polynomials import InputError, Poly, format_poly
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -127,7 +128,8 @@ def cmd_sl2_check(args, rep: Reporter) -> int:
 
 
 def cmd_cohomology(args, rep: Reporter) -> int:
-    if args.file in ("nilm6", "torus6", "nilm6.alg", "torus6.alg"):
+    bundled = args.file in ("nilm6", "torus6", "nilm6.alg", "torus6.alg")
+    if bundled and not os.path.exists(args.file):  # a file on disk comes first
         cx = coh.build_complex(coh.bundled_algebra(args.file))
     else:
         cx = _load(args.file, lambda data: coh.build_complex(coh.algebra_from_data(data)))
@@ -190,7 +192,10 @@ def _coord_names(frame: Frame) -> list[str]:
 
 
 def _point(values, dim: int) -> list[float]:
-    """An initial point of dim finite coordinates, from --x0 or a file."""
+    """An initial point of dim finite coordinates, from --x0 or a file.
+    Digit-group underscores, which float() would read, are refused."""
+    if any("_" in str(v) for v in values):
+        raise InputError("x0 must be a list of numbers")
     try:
         values = [float(v) for v in values]
     except (OverflowError, TypeError, ValueError):

@@ -31,14 +31,6 @@ from .exterior import (
 from .polynomials import InputError, _as_fraction, _as_int, check_input_n, decode_json, reading
 
 
-class StructureError(InputError):
-    """The presented structure constants do not define a Lie algebra."""
-
-
-class SymplecticError(InputError):
-    """The distinguished 2-form is not closed or is degenerate."""
-
-
 @dataclass(frozen=True)
 class LieAlgebra:
     """A Lie algebra given by structure constants plus a symplectic 2-form.
@@ -128,7 +120,7 @@ class CEComplex:
             try:
                 self._poisson = linalg.inverse(gram)
             except linalg.SingularMatrixError:
-                raise SymplecticError("symplectic form is degenerate") from None
+                raise InputError("symplectic form is degenerate") from None
         return self._poisson
 
     def bivector_contraction(self, form: Form) -> Form:
@@ -161,13 +153,13 @@ def build_complex(alg: LieAlgebra) -> CEComplex:
     for m in range(alg.dim - 1):
         prod = linalg.matmul(cx.d[m + 1], cx.d[m])
         if any(any(row) for row in prod):
-            raise StructureError(
+            raise InputError(
                 f"d.d != 0 from degree {m}: structure constants violate Jacobi"
             )
     if not differential(cx, alg.omega).is_zero:
-        raise SymplecticError("distinguished 2-form is not closed")
+        raise InputError("distinguished 2-form is not closed")
     if wedge_power(alg.omega, alg.dim // 2).is_zero:
-        raise SymplecticError("distinguished 2-form is degenerate: omega^n = 0")
+        raise InputError("distinguished 2-form is degenerate: omega^n = 0")
     return cx
 
 
@@ -271,37 +263,33 @@ def harmonic_dim(cx: CEComplex, m: int) -> int:
 # presentations: files and bundled examples
 # ---------------------------------------------------------------------------
 
-class AlgebraFileError(InputError):
-    """Malformed Lie-algebra spec file."""
-
-
 def algebra_from_data(data: dict) -> LieAlgebra:
-    with reading(AlgebraFileError):
+    with reading():
         dim = _as_int(data["dim"])
         check_input_n(dim // 2, "dim / 2")
         frame = Frame.invariant(dim)
         structure = []
         for row in data.get("d", []):
             if len(row) != 4:
-                raise AlgebraFileError(f"structure row {row!r} needs [i, j, k, c]")
+                raise InputError(f"structure row {row!r} needs [i, j, k, c]")
             i, j, k = (_as_int(x) for x in row[:3])
             structure.append((i - 1, j - 1, k - 1, _as_fraction(row[3])))
         omega_terms: dict[int, Fraction] = {}
         for row in data.get("omega", []):
             if len(row) != 3:
-                raise AlgebraFileError(f"omega row {row!r} needs [i, j, c]")
+                raise InputError(f"omega row {row!r} needs [i, j, c]")
             i, j = _as_int(row[0]), _as_int(row[1])
             if not 1 <= i < j <= dim:
-                raise AlgebraFileError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
+                raise InputError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
             mask = (1 << (i - 1)) | (1 << (j - 1))
             omega_terms[mask] = omega_terms.get(mask, Fraction(0)) + _as_fraction(row[2])
         if not omega_terms:
-            raise AlgebraFileError("missing 'omega'")
+            raise InputError("missing 'omega'")
         return LieAlgebra(dim, tuple(structure), Form(frame, omega_terms))
 
 
 def parse_algebra(text: str) -> LieAlgebra:
-    return algebra_from_data(decode_json(text, AlgebraFileError))
+    return algebra_from_data(decode_json(text))
 
 
 def bundled_algebra_text(name: str) -> str:

@@ -31,14 +31,6 @@ import numpy as np
 from . import linalg
 
 
-class FrameMismatchError(ValueError):
-    """Operands live over different frames."""
-
-
-class NonHomogeneousError(ValueError):
-    """Operation defined degreewise only was given a mixed-degree form."""
-
-
 @dataclass(frozen=True)
 class Frame:
     """An ordered basis of 2n covector generators.
@@ -177,7 +169,7 @@ class Form:
 
     def _check(self, other: "Form"):
         if self.frame != other.frame:
-            raise FrameMismatchError("forms live over different frames")
+            raise ValueError("forms live over different frames")
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
@@ -259,7 +251,7 @@ def interior(direction, a: Form) -> Form:
         return Form(a.frame, terms)
 
     if direction.frame != a.frame:
-        raise FrameMismatchError("vector field and form frames differ")
+        raise ValueError("vector field and form frames differ")
     out = Form.zero(a.frame)
     for j, comp in enumerate(direction.components):
         if comp:
@@ -326,7 +318,7 @@ def op_h(a: Form) -> Form:
         return a
     deg = a.homogeneous_degree
     if deg is None:
-        raise NonHomogeneousError("h-hat is defined degreewise only")
+        raise ValueError("h-hat is defined degreewise only")
     return Fraction(deg - a.frame.n) * a
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .exterior import (
     Form,
     Frame,
-    FrameMismatchError,
     blade_degree,
+    contraction_sign,
     interior,
     merge_sign,
     omega,
@@ -32,18 +32,6 @@ from .polynomials import (
     poly_from_monomials,
     reading,
 )
-
-
-class AntisymmetryError(InputError):
-    """Q or P data of a 2-form violates antisymmetry."""
-
-
-class NotClosedError(ValueError):
-    """Radial homotopy applied to a non-closed form."""
-
-
-class FieldFileError(InputError):
-    """Malformed vector-field or two-form spec file."""
 
 
 def _as_poly(value, nvars: int) -> Poly:
@@ -74,7 +62,7 @@ class PolyVectorField:
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         if self.frame != other.frame:
-            raise FrameMismatchError("vector fields over different frames")
+            raise ValueError("vector fields over different frames")
         return PolyVectorField(
             self.frame,
             tuple(a + b for a, b in zip(self.components, other.components)),
@@ -178,29 +166,29 @@ def radial_potential(a: Form) -> Form:
 
     Radial homotopy: on a monomial term c x^b dx_I of degree k = |I| the
     primitive is sum_j (+/-) c x^b x_j dx_{I minus j} / (|b| + k); applying d
-    returns the input exactly.  Raises NotClosedError otherwise.
+    returns the input exactly.  Raises ValueError otherwise.
     """
     frame = a.frame
     if a.is_zero:
         return Form.zero(frame)
     if 0 in a.degrees():
-        raise NotClosedError("0-form component has no primitive")
+        raise ValueError("0-form component has no primitive")
     if not exterior_derivative(a).is_zero:
-        raise NotClosedError("radial homotopy needs a closed form")
+        raise ValueError("radial homotopy needs a closed form")
     nvars = frame.dim
     terms: dict = {}
     for mask, coeff in a.terms.items():
         k = blade_degree(mask)
         coeff = _as_poly(coeff, nvars)
+        removals = [
+            (j, contraction_sign(mask, j), mask ^ (1 << j))
+            for j in range(nvars) if mask >> j & 1
+        ]
         for exps, c in coeff.terms.items():
             weight = Fraction(1, sum(exps) + k)
-            for j in range(nvars):
-                if not mask >> j & 1:
-                    continue
-                sign = 1 if (mask & ((1 << j) - 1)).bit_count() % 2 == 0 else -1
+            for j, sign, new_mask in removals:
                 new_exps = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
                 mono = Poly(nvars, {new_exps: c * weight * sign})
-                new_mask = mask ^ (1 << j)
                 acc = terms.get(new_mask)
                 terms[new_mask] = mono if acc is None else acc + mono
     return Form(frame, terms)
@@ -236,7 +224,7 @@ class TwoFormData:
             for i in range(n):
                 for j in range(n):
                     if mat[i][j] != -mat[j][i]:
-                        raise AntisymmetryError(
+                        raise InputError(
                             f"{name}[{i + 1}][{j + 1}] != -{name}[{j + 1}][{i + 1}]"
                         )
 
@@ -422,17 +410,17 @@ def linear_system_two_form(spec: LinearSystemSpec) -> TwoFormData:
 # ---------------------------------------------------------------------------
 
 def field_from_data(data: dict) -> PolyVectorField:
-    with reading(FieldFileError):
+    with reading():
         n = check_input_n(_as_int(data["n"]))
         comps = data.get("components")
         if not isinstance(comps, list) or len(comps) != 2 * n:
-            raise FieldFileError("'components' must list 2n monomial lists")
+            raise InputError("'components' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * n, c) for c in comps)
     return PolyVectorField(Frame.darboux(n), polys)
 
 
 def parse_field(text: str) -> PolyVectorField:
-    return field_from_data(decode_json(text, FieldFileError))
+    return field_from_data(decode_json(text))
 
 
 def field_to_data(x: PolyVectorField) -> dict:
@@ -443,7 +431,7 @@ def field_to_data(x: PolyVectorField) -> dict:
 
 
 def two_form_from_data(data: dict) -> TwoFormData:
-    with reading(FieldFileError):
+    with reading():
         n = check_input_n(_as_int(data["n"]))
         nvars = 2 * n
         zero = Poly.zero(nvars)
@@ -452,15 +440,15 @@ def two_form_from_data(data: dict) -> TwoFormData:
             mat = [[zero] * n for _ in range(n)]
             for row in data.get(name, []):
                 if len(row) != 3:
-                    raise FieldFileError(f"{name} entry {row!r} needs [i, j, monomials]")
+                    raise InputError(f"{name} entry {row!r} needs [i, j, monomials]")
                 i, j = _as_int(row[0]) - 1, _as_int(row[1]) - 1
                 if not (0 <= i < n and 0 <= j < n):
-                    raise FieldFileError(f"{name} index ({i + 1},{j + 1}) out of range")
+                    raise InputError(f"{name} index ({i + 1},{j + 1}) out of range")
                 poly = poly_from_monomials(nvars, row[2])
                 mat[i][j] = mat[i][j] + poly
                 if antisym:
                     if i == j and poly:
-                        raise FieldFileError(f"{name} diagonal entry must vanish")
+                        raise InputError(f"{name} diagonal entry must vanish")
                     mat[j][i] = mat[j][i] - poly
             return tuple(tuple(row) for row in mat)
 
@@ -468,4 +456,4 @@ def two_form_from_data(data: dict) -> TwoFormData:
 
 
 def parse_two_form(text: str) -> TwoFormData:
-    return two_form_from_data(decode_json(text, FieldFileError))
+    return two_form_from_data(decode_json(text))

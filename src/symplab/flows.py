@@ -41,10 +41,6 @@ MAX_CHAIN_NODES = 4096
 DET_BATCH = 1024
 
 
-class ChainMismatchError(InputError):
-    """Chain patch incompatible with the requested integral."""
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Fixed-step classical RK4 run to t_final.
@@ -549,14 +545,10 @@ def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
     rules, points, frames = [], [], []
     for sign, patch in [(1, chain)] if isinstance(chain, ChainPatch) else chain:
         if l is not None and patch.l != l:
-            raise ChainMismatchError("patch half-degree differs from l")
-        if patch.ambient_dim % 2:
-            raise ChainMismatchError("ambient dimension must be even")
+            raise InputError("patch half-degree differs from l")
         amb_n = patch.ambient_dim // 2
         if n is not None and amb_n != n:
-            raise ChainMismatchError("patch ambient dimension != 2n")
-        if patch.l > amb_n:
-            raise ChainMismatchError("need l <= n")
+            raise InputError("patch ambient dimension != 2n")
         nodes, weights = patch.nodes_and_weights()
         mapped, tangents = CompiledField(patch.maps)(nodes)
         rules.append((int(sign), _omega_power_blades(amb_n, patch.l), weights, patch.l))

@@ -15,11 +15,7 @@ from fractions import Fraction
 class InputError(ValueError):
     """Refused outside input: a malformed, out-of-range or oversized file
     entry, command-line value or validated parameter.  The command line
-    exits 2 on exactly this class and its subclasses."""
-
-
-class DegreeLimitError(InputError):
-    """Input polynomial above the supported desk-scale total degree."""
+    exits 2 on exactly this class."""
 
 
 MAX_INPUT_DEGREE = 12
@@ -37,8 +33,8 @@ def check_input_n(n: int, what: str = "n") -> int:
 
 
 @contextmanager
-def reading(error: type[InputError] = InputError):
-    """Refuse, as one ``error``, what decoding or walking untrusted JSON
+def reading():
+    """Refuse, as one InputError, what decoding or walking untrusted JSON
     raises: a syntax error (with its line and column), nesting too deep to
     decode, a missing key, a wrong type, an unreadable number or a zero
     denominator.  A refusal already made, an InputError, passes unchanged."""
@@ -47,20 +43,20 @@ def reading(error: type[InputError] = InputError):
     except InputError:
         raise
     except json.JSONDecodeError as exc:
-        raise error(
+        raise InputError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except KeyError as exc:
-        raise error(f"missing key {exc}") from None
+        raise InputError(f"missing key {exc}") from None
     except ZeroDivisionError:
-        raise error("rational with a zero denominator") from None
+        raise InputError("rational with a zero denominator") from None
     except (OverflowError, RecursionError, TypeError, ValueError) as exc:
-        raise error(str(exc)) from None
+        raise InputError(str(exc)) from None
 
 
-def decode_json(text: str | bytes, error: type[InputError] = InputError):
+def decode_json(text: str | bytes):
     """The one JSON decoder of every file format (UTF-8, -16 or -32)."""
-    with reading(error):
+    with reading():
         return json.loads(text)
 
 
@@ -251,7 +247,7 @@ def poly_from_monomials(nvars: int, monomials) -> Poly:
 
 def check_input_degree(poly: Poly, what: str = "polynomial"):
     if poly.total_degree() > MAX_INPUT_DEGREE:
-        raise DegreeLimitError(
+        raise InputError(
             f"{what} has total degree {poly.total_degree()} > "
             f"{MAX_INPUT_DEGREE}; desk-scale inputs only"
         )

@@ -11,6 +11,7 @@ import pytest
 
 import symplab
 from symplab import cli
+from symplab.polynomials import check_input_degree
 
 try:
     import resource
@@ -289,6 +290,15 @@ def test_flow_rejects_non_finite_x0(capsys, tmp_path, x0):
     assert "max_det_drift" not in out
 
 
+def test_flow_rejects_underscore_x0(capsys, tmp_path):
+    # float() reads "1_0" as 10.0; a coordinate is plain number text
+    path = _write(tmp_path, "osc.json", OSC_N1)
+    code, out, err = run(capsys, ["flow", path, "--t", "0.1", "--dt", "0.1", "--x0", "1_0,0"])
+    assert code == 2
+    assert out == ""
+    assert err == "input error: x0 must be a list of numbers\n"
+
+
 def test_input_error_writes_no_partial_report(capsys, tmp_path):
     # the symbolic part of the report is built before x0 is refused
     path = _write(tmp_path, "osc.json", OSC_N1)
@@ -384,6 +394,19 @@ def test_cohomology_custom_file(capsys, tmp_path):
     assert code == 0
     assert "betti: 1 3 4 3 1" in out
     assert "k=1:3 k=2:3" in out
+
+
+def test_cohomology_file_on_disk_shadows_bundled_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    torus4 = {"dim": 4, "d": [], "omega": [[1, 3, "1"], [2, 4, "1"]]}
+    (tmp_path / "nilm6.alg").write_text(json.dumps(torus4))
+    code, out, _ = run(capsys, ["cohomology", "nilm6.alg", "--betti"])
+    assert code == 0
+    assert out == "betti: 1 4 6 4 1\n"
+    # no file named "nilm6" here: the name resolves to the bundled algebra
+    code, out, _ = run(capsys, ["cohomology", "nilm6", "--betti"])
+    assert code == 0
+    assert out == "betti: 1 3 4 4 4 3 1\n"
 
 
 def test_cohomology_rejects_bad_structure(capsys, tmp_path):
@@ -519,23 +542,123 @@ def test_internal_fault_is_not_an_input_error(capsys, monkeypatch):
     assert not isinstance(exc.value, symplab.InputError)
 
 
-def test_refusal_classes_are_input_errors():
-    refusals = [
-        symplab.DegreeLimitError, symplab.FieldFileError, symplab.AntisymmetryError,
-        symplab.AlgebraFileError, symplab.StructureError, symplab.SymplecticError,
-        symplab.ChainMismatchError,
-    ]
-    assert all(issubclass(cls, symplab.InputError) for cls in refusals)
-    misuse = [
-        symplab.NotClosedError, symplab.FrameMismatchError, symplab.NonHomogeneousError,
-        symplab.linalg.SingularMatrixError,
-    ]
-    assert not any(issubclass(cls, symplab.InputError) for cls in misuse)
-    with pytest.raises(symplab.InputError):
-        symplab.FlowConfig(1.0, 0.0)
-    u, v = symplab.Poly.variable(2, 0), symplab.Poly.variable(2, 1)
-    with pytest.raises(symplab.InputError, match="Gauss-Legendre"):
-        symplab.ChainPatch(1, (u ** 12, v), (4, 4))
+def _theta_wedge(*pairs):
+    """Sum of theta^i ^ theta^j over 0-based (i, j) pairs on a 6-dim algebra."""
+    frame = symplab.Frame.invariant(6)
+    out = symplab.Form.zero(frame)
+    for i, j in pairs:
+        out = out + symplab.wedge(symplab.Form.generator(frame, i), symplab.Form.generator(frame, j))
+    return out
+
+
+def _nilm_with(structure=(), omega=None):
+    alg = symplab.bundled_algebra("nilm6")
+    return symplab.LieAlgebra(alg.dim, alg.structure + structure, omega or alg.omega)
+
+
+def _unit_cube():
+    return symplab.ChainPatch.affine(
+        2, [0, 0, 0, 0], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        orders=(2, 2, 2, 2),
+    )
+
+
+REFUSALS = {
+    "parse_field": (
+        lambda: symplab.parse_field('{"n": 2, "components": [[]]}'),
+        "'components' must list 2n monomial lists",
+    ),
+    "parse_two_form": (
+        lambda: symplab.parse_two_form('{"n": 2, "Q": [[1, 1, [["1", 0, 0, 0, 0]]]]}'),
+        "Q diagonal entry must vanish",
+    ),
+    "parse_algebra": (
+        lambda: symplab.parse_algebra('{"dim": 6,,}'),
+        "parse error at line 1, column 11: Expecting property name enclosed in double quotes",
+    ),
+    "build_complex-jacobi": (
+        lambda: symplab.build_complex(_nilm_with(structure=((1, 4, 5, 1),))),
+        "d.d != 0 from degree 1: structure constants violate Jacobi",
+    ),
+    "build_complex-not-closed": (
+        lambda: symplab.build_complex(_nilm_with(omega=_theta_wedge((0, 3), (1, 4), (2, 5)))),
+        "distinguished 2-form is not closed",
+    ),
+    "build_complex-degenerate": (
+        lambda: symplab.build_complex(symplab.LieAlgebra(6, (), _theta_wedge((0, 1)))),
+        "distinguished 2-form is degenerate: omega^n = 0",
+    ),
+    "TwoFormData-antisymmetry": (
+        lambda: symplab.TwoFormData.build(symplab.Frame.darboux(2), q=[[0, 1], [1, 0]]),
+        "Q[1][2] != -Q[2][1]",
+    ),
+    "check_input_degree": (
+        lambda: check_input_degree(symplab.Poly.variable(1, 0) ** 13),
+        "polynomial has total degree 13 > 12; desk-scale inputs only",
+    ),
+    "ChainPatch": (
+        lambda: symplab.ChainPatch(
+            1, (symplab.Poly.variable(2, 0) ** 12, symplab.Poly.variable(2, 1)), (4, 4)
+        ),
+        "axis 0: 4 Gauss-Legendre points are exact up to degree 7, but the omega^1 "
+        "pullback may reach degree 11; need an order of at least 6",
+    ),
+    "FlowConfig": (lambda: symplab.FlowConfig(1.0, 0.0), "dt must be positive"),
+    "chain_integral-n3": (
+        lambda: symplab.chain_integral(_unit_cube(), n=3),
+        "patch ambient dimension != 2n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_exactly_input_error(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(symplab.InputError) as exc:
+        call()
+    assert type(exc.value) is symplab.InputError
+    assert str(exc.value) == message
+
+
+def _mixed_degree_form():
+    frame = symplab.Frame.darboux(1)
+    return symplab.Form.scalar(frame, 1) + symplab.Form.generator(frame, 0)
+
+
+MISUSES = {
+    "frame-mismatch": (
+        lambda: symplab.wedge(
+            symplab.Form.generator(symplab.Frame.darboux(1), 0),
+            symplab.Form.generator(symplab.Frame.darboux(2), 0),
+        ),
+        "forms live over different frames",
+    ),
+    "op_h-mixed-degree": (
+        lambda: symplab.op_h(_mixed_degree_form()),
+        "h-hat is defined degreewise only",
+    ),
+    "radial_potential-not-closed": (
+        lambda: symplab.radial_potential(
+            symplab.Form(symplab.Frame.darboux(1), {1: symplab.Poly.variable(2, 1)})
+        ),
+        "radial homotopy needs a closed form",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSES))
+def test_misuse_raises_exactly_value_error(case):
+    call, message = MISUSES[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+def test_singular_matrix_is_not_an_input_error():
+    with pytest.raises(symplab.linalg.SingularMatrixError) as exc:
+        symplab.linalg.inverse([[0, 0], [0, 0]])
+    assert not isinstance(exc.value, symplab.InputError)
 
 
 def _limited_run(argv, tmp_path):

@@ -13,9 +13,6 @@ from symplab.exterior import (
     wedge,
 )
 from symplab.fields import (
-    AntisymmetryError,
-    FieldFileError,
-    NotClosedError,
     PolyVectorField,
     TwoFormData,
     build_linear_system,
@@ -34,7 +31,7 @@ from symplab.fields import (
     two_form_from_data,
     vector_from_two_form,
 )
-from symplab.polynomials import DegreeLimitError, Poly
+from symplab.polynomials import InputError, Poly
 
 import oracles
 
@@ -260,9 +257,9 @@ def test_radial_potential_of_dh_recovers_h():
 def test_radial_potential_rejects_nonclosed():
     frame = Frame.darboux(1)
     not_closed = Form(frame, {1 << 0: var(2, 1)})  # p dq, d != 0
-    with pytest.raises(NotClosedError):
+    with pytest.raises(ValueError, match="needs a closed form"):
         radial_potential(not_closed)
-    with pytest.raises(NotClosedError):
+    with pytest.raises(ValueError, match="0-form component has no primitive"):
         radial_potential(Form.scalar(frame, Poly.constant(2, 5)))
 
 
@@ -306,7 +303,7 @@ def test_linear_system_alpha_reproduces_field():
 
 def test_antisymmetry_enforced():
     frame = Frame.darboux(2)
-    with pytest.raises(AntisymmetryError):
+    with pytest.raises(InputError, match=r"Q\[1\]\[2\] != -Q\[2\]\[1\]"):
         TwoFormData.build(frame, q=[[0, 1], [1, 0]])
 
 
@@ -476,11 +473,11 @@ def test_field_file_roundtrip():
 
 
 def test_field_parse_errors():
-    with pytest.raises(FieldFileError, match="line"):
+    with pytest.raises(InputError, match="line"):
         parse_field("{bad json")
-    with pytest.raises(FieldFileError):
+    with pytest.raises(InputError, match="'components' must list 2n monomial lists"):
         parse_field('{"n": 2, "components": [[]]}')
-    with pytest.raises(FieldFileError):
+    with pytest.raises(InputError, match="missing key 'n'"):
         parse_field('{"components": []}')
 
 
@@ -490,14 +487,14 @@ def test_two_form_parse():
     )
     assert alpha.q[0][1] == Poly.constant(4, 1)
     assert alpha.q[1][0] == Poly.constant(4, -1)
-    with pytest.raises(FieldFileError):
+    with pytest.raises(InputError, match="Q diagonal entry must vanish"):
         parse_two_form('{"n": 2, "Q": [[1, 1, [["1", 0, 0, 0, 0]]]]}')
-    with pytest.raises(FieldFileError):
+    with pytest.raises(InputError, match=r"Q index \(1,3\) out of range"):
         parse_two_form('{"n": 2, "Q": [[1, 3, [["1", 0, 0, 0, 0]]]]}')
 
 
 def test_degree_cap_enforced():
     frame = Frame.darboux(1)
     big = var(2, 0) ** 13
-    with pytest.raises(DegreeLimitError):
+    with pytest.raises(InputError, match="total degree 13 > 12"):
         PolyVectorField(frame, (big, Poly.zero(2)))
