@@ -36,9 +36,19 @@ MAX_STEPS = 10**6
 # 100-step RK4 transport of a degree-3 field at n = 3 about 8 s with a
 # 65 MB peak (2-core machine); 100000 x 100000 nodes would need 75 GiB
 MAX_CHAIN_NODES = 4096
-# RK4 runs go in blocks of DET_BATCH // m steps (m nodes): one blow-up test
-# and at most DET_BATCH matrices per batch_det call per block
+# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
+# blow-up test and one batch_det call per block.  A call gets at most
+# DET_BATCH matrices while m <= DET_BATCH; above that a block is one step,
+# and the stage loop's call gets all m tangent maps (the affine path shares
+# one map among the nodes, so it sends one per step)
 DET_BATCH = 1024
+# one budget on a flow run, in longdouble values: both the values its RK4
+# steps compute, steps x nodes x (field term rows + dim^2), and the values
+# its kept paths hold are refused above it.  At 5e7 the stage loop runs
+# 10 to 20 s (200 to 430 ns per value, 2-core x86-64) and kept paths take
+# at most 800 MB; the largest bundled run (area-laws, 16 nodes for 10^4
+# steps at dim 4) needs 4.48e6
+MAX_FLOW_WORK = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -187,18 +197,33 @@ class TangentFlow:
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
              track_det=False):
-    """Joint RK4 on a batch of states and their tangent maps from J(0) = I.
-    Fields of degree <= 1 step through the exact one-step propagator, all
-    others through the stage loop.
+    """Joint RK4 on a batch of m states and their tangent maps from J(0) = I,
+    in blocks of max(1, DET_BATCH // m) steps.  Fields of degree <= 1 step as one
+    matrix product per step (the exact one-step propagator applied to
+    [J~ | x~^T]), all others through the stage loop.
+
+    A run whose work or kept paths exceed MAX_FLOW_WORK values is refused
+    before anything is allocated.
 
     Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); with
     keep_paths the paths are arrays of shape (samples, m, dim) and
     (samples, m or 1, dim, dim), with samples = steps + 1, or
     blow_step + 1 after a blow-up.
     """
+    m, dim = xs.shape
+    per_step = len(compiled.slots) + dim * dim
+    work = cfg.steps * m * per_step
+    kept = (cfg.steps + 1) * m * (dim + dim * dim) if keep_paths else 0
+    if max(work, kept) > MAX_FLOW_WORK:
+        raise InputError(
+            f"{cfg.steps} steps x {m} nodes x {per_step} values per node step = {work} "
+            f"values of RK4 work, and {kept} values of kept paths; the budget is "
+            f"{MAX_FLOW_WORK} of each"
+        )
+    block = max(1, min(cfg.steps, DET_BATCH // m))
     build = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
-    advance, j0 = build(compiled, xs, cfg)
-    return _run_blocks(advance, cfg, xs, j0, keep_paths, track_det)
+    advance, j0 = build(compiled, xs, cfg, block)
+    return _run_blocks(advance, block, cfg, xs, j0, keep_paths, track_det)
 
 
 def _first_past_cap(states) -> int | None:
@@ -209,20 +234,19 @@ def _first_past_cap(states) -> int | None:
     return int(past[0]) if past.size else None
 
 
-def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
-    """Step x0 (m, dim) and j0 (m or 1, dim, dim) by advance(x_out, j_out),
-    which writes the next state and tangent map into the rows it is given,
-    in blocks of DET_BATCH // m steps.
+def _run_blocks(advance, block, cfg: FlowConfig, x0, j0, keep_paths, track_det):
+    """Step x0 (m, dim) and j0 (m or 1, dim, dim) in blocks of `block`
+    steps.  advance(count) takes the next count steps and returns their
+    states (count, m, dim) and tangent maps (count, m or 1, dim, dim), which
+    the next call may overwrite.
 
-    Kept paths are the block rows themselves; otherwise one block buffer is
-    reused.  After each block: one blow-up test and one batch_det call over
-    its tangent maps, folded with np.maximum so that a NaN determinant
-    makes the max drift NaN.  A blow-up cuts the run at the first step past
-    the cap; the later steps of its block are discarded.  Returns what
-    _rk4_run returns.
+    After each block: one blow-up test, and one batch_det call over its
+    count * (m or 1) tangent maps, folded with np.maximum so that a NaN
+    determinant makes the max drift NaN.  A blow-up cuts the run at the
+    first step past the cap; the later steps of its block are discarded.
+    Kept paths are filled block by block.  Returns what _rk4_run returns.
     """
     m, dim = x0.shape
-    block = max(1, min(cfg.steps, DET_BATCH // m))
     samples = cfg.steps + 1
     states_path = jac_path = None
     if keep_paths:
@@ -230,23 +254,18 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
         states_path[0] = x0
         jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
         jac_path[0] = j0
-    else:
-        xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
-        jbuf = np.empty((block,) + j0.shape, dtype=WORK_DTYPE)
     xs, js = x0, j0
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
     blow_step = None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cfg.steps, block):
-            count = min(block, cfg.steps - start)
-            rows = slice(start + 1, start + 1 + count)
-            xb = states_path[rows] if keep_paths else xbuf[:count]
-            jb = jac_path[rows] if keep_paths else jbuf[:count]
-            for s in range(count):
-                advance(xb[s], jb[s])
+            xb, jb = advance(min(block, cfg.steps - start))
             past = _first_past_cap(xb)
-            done = count if past is None else past + 1
+            done = len(xb) if past is None else past + 1
+            if keep_paths:
+                states_path[start + 1:start + 1 + done] = xb[:done]
+                jac_path[start + 1:start + 1 + done] = jb[:done]
             if track_det:
                 dets = batch_det(jb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
@@ -263,7 +282,7 @@ def _run_blocks(advance, cfg: FlowConfig, x0, j0, keep_paths, track_det):
     return xs, js, states_path, jac_path, float(max_det), blow_step
 
 
-def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig):
+def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, block):
     """The four-stage RK4 loop, for any polynomial field: (advance, j0) for
     _run_blocks."""
     dt = WORK_DTYPE(cfg.effective_dt)
@@ -272,20 +291,24 @@ def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig):
     two = WORK_DTYPE(2.0)
     m, dim = xs.shape
     j0 = np.broadcast_to(np.eye(dim, dtype=WORK_DTYPE), (m, dim, dim))
+    xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
+    jbuf = np.empty((block, m, dim, dim), dtype=WORK_DTYPE)
     x, j = xs, j0
 
-    def advance(x_out, j_out):
+    def advance(count):
         nonlocal x, j
-        v1, a1 = compiled(x)
-        v2, a2 = compiled(x + half * v1)
-        v3, a3 = compiled(x + half * v2)
-        v4, a4 = compiled(x + dt * v3)
-        k1 = a1 @ j
-        k2 = a2 @ (j + half * k1)
-        k3 = a3 @ (j + half * k2)
-        k4 = a4 @ (j + dt * k3)
-        j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=j_out)
-        x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=x_out)
+        for s in range(count):
+            v1, a1 = compiled(x)
+            v2, a2 = compiled(x + half * v1)
+            v3, a3 = compiled(x + half * v2)
+            v4, a4 = compiled(x + dt * v3)
+            k1 = a1 @ j
+            k2 = a2 @ (j + half * k1)
+            k3 = a3 @ (j + half * k2)
+            k4 = a4 @ (j + dt * k3)
+            j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=jbuf[s])
+            x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=xbuf[s])
+        return xbuf[:count], jbuf[:count]
 
     return advance, j0
 
@@ -299,14 +322,14 @@ def _is_affine(x: PolyVectorField) -> bool:
 
 
 def _affine_propagator(x: PolyVectorField, h: Fraction):
-    """Exact one-step RK4 map x -> R x + c of the affine field X(x) = A x + b.
+    """Exact one-step RK4 map of the affine field X(x) = A x + b, as the
+    augmented R~ = [[R, c], [0, 1]] with x -> R x + c.
 
     With the augmented M = [[A, b], [0, 0]], one RK4 step is the truncated
-    exponential R~ = sum_{k<=4} h^k M^k / k! (the RK4 stability function);
-    R is its top-left block and c the rest of its last column.  The powers
-    are taken of the integer matrix N = D M, D the common denominator, and
-    (h/D)^k / k! enters as one scalar per power.  Returns (R, c) as lists of
-    Fractions.
+    exponential R~ = sum_{k<=4} h^k M^k / k! (the RK4 stability function).
+    The powers are taken of the integer matrix N = D M, D the common
+    denominator, and (h/D)^k / k! enters as one scalar per power.  Returns
+    R~ as rows of Fractions.
     """
     dim = x.frame.dim
     size = dim + 1
@@ -327,7 +350,7 @@ def _affine_propagator(x: PolyVectorField, h: Fraction):
         ]
         scale = scale * h / (den * k)
         total = [[t + scale * p for t, p in zip(rt, rp)] for rt, rp in zip(total, power)]
-    return [row[:dim] for row in total[:dim]], [row[dim] for row in total[:dim]]
+    return total
 
 
 _MANT_BITS = np.finfo(WORK_DTYPE).nmant + 1
@@ -345,22 +368,36 @@ def _round_work(q: Fraction):
     return np.ldexp(WORK_DTYPE(round(q * Fraction(2) ** shift)), -shift)
 
 
-def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig):
-    """RK4 of an affine field as x -> R x + c and J -> R J, with R and c
-    rounded once from exact rationals: (advance, j0) for _run_blocks.  J
-    does not depend on x, so one (dim, dim) matrix serves every node."""
-    r_exact, c_exact = _affine_propagator(compiled.field, Fraction(cfg.effective_dt))
-    r = np.array([[_round_work(v) for v in row] for row in r_exact], dtype=WORK_DTYPE)
-    c = np.array([_round_work(v) for v in c_exact], dtype=WORK_DTYPE)
-    r_t = r.T.copy()
-    m, dim = xs.shape
-    j0 = np.eye(dim, dtype=WORK_DTYPE)[None]
-    x, j = xs, j0
+def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, block):
+    """RK4 of an affine field as one product Z -> R~ Z per step, with R~
+    rounded once from exact rationals: (advance, j0) for _run_blocks.
 
-    def advance(x_out, j_out):
-        nonlocal x, j
-        x = np.add(x @ r_t, c, out=x_out)
-        j = np.matmul(r, j, out=j_out)
+    Z = [J~ | x~^T] is (dim + 1, dim + 1 + m): J~ the augmented tangent map
+    from the identity, then one column x~ = (x, 1) per node.  J does not
+    depend on x, so one (dim, dim) map serves every node.  numpy sums a
+    longdouble matmul in index order, so each state is fl(fl(R x) + c * 1)
+    and each J entry gains c * 0: the bits of x -> R x + c and J -> R J
+    taken apart.
+    """
+    aug = np.array(
+        [[_round_work(v) for v in row]
+         for row in _affine_propagator(compiled.field, Fraction(cfg.effective_dt))],
+        dtype=WORK_DTYPE,
+    )
+    m, dim = xs.shape
+    z = np.eye(dim + 1, dim + 1 + m, dtype=WORK_DTYPE)
+    z[:dim, dim + 1:] = xs.T
+    z[dim, dim + 1:] = 1
+    zb = np.empty((block,) + z.shape, dtype=WORK_DTYPE)
+    j0 = np.eye(dim, dtype=WORK_DTYPE)[None]
+
+    def advance(count):
+        nonlocal z
+        for s in range(count):
+            z = np.matmul(aug, z, out=zb[s])
+        # C-ordered states, so the norm test sums each one in index order
+        states = zb[:count, :dim, dim + 1:].transpose(0, 2, 1).copy()
+        return states, zb[:count, None, :dim, :dim]
 
     return advance, j0
 

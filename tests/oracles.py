@@ -4,7 +4,7 @@ Everything here re-derives expected values through a *different* code path
 than the package: blades are ascending index tuples (not bitmasks), signs
 come from explicit insertion-sort parity, matrix ranks come from sympy, and
 RK4 determinants of linear fields are exact rationals.  The dense
-polynomial evaluator and the one-step-at-a-time RK4 loop the package used
+polynomial evaluator and the one-step-at-a-time RK4 loops the package used
 before its kernels were batched are kept here as bitwise references.
 """
 
@@ -336,4 +336,35 @@ def rk4_stage_loop(flows, field, xs, cfg, track_det=False):
         if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
             blow_step = step + 1
             break
+    return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step
+
+
+def rk4_affine_step_loop(flows, field, xs, cfg, track_det=False):
+    """RK4 of an affine field through the package's rounded one-step
+    propagator R~ = [[R, c], [0, 1]], one step at a time: x -> fl(fl(x R^T)
+    + c) and J -> fl(R J) as two products, one batch_det per step folded
+    with np.maximum, a norm test per step.  Returns what the package's
+    _rk4_run returns, with every path kept."""
+    work = np.longdouble
+    aug = flows._affine_propagator(field, Fraction(cfg.effective_dt))
+    r = np.array([[flows._round_work(v) for v in row[:-1]] for row in aug[:-1]], dtype=work)
+    c = np.array([flows._round_work(row[-1]) for row in aug[:-1]], dtype=work)
+    r_t = r.T.copy()
+    m, dim = xs.shape
+    js = np.eye(dim, dtype=work)[None]
+    states, jacs = [xs.copy()], [js.copy()]
+    max_det = _batch_det_drift(flows, js) if track_det else work(0.0)
+    blow_step = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            xs = xs @ r_t + c
+            js = r @ js
+            states.append(xs.copy())
+            jacs.append(js.copy())
+            if track_det:
+                max_det = np.maximum(max_det, _batch_det_drift(flows, js))
+            if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
+                blow_step = step + 1
+                break
+    js = np.broadcast_to(js, (m, dim, dim))
     return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step

@@ -755,6 +755,22 @@ def test_chain_node_budget_refused_quickly(capsys, tmp_path):
     assert "desk-scale" in err
 
 
+def test_flow_work_budget_refused_quickly(capsys, tmp_path):
+    # 4096 nodes for 10^6 steps: about 22 h of RK4 before the work budget
+    field = _write(tmp_path, "osc.json", OSC_N1)
+    chain = _write(tmp_path, "big.chain", dict(CHAIN_N1, orders=[64, 64]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["flow", field, "--chain", chain, "--t", "1000000", "--dt", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "input error: 1000000 steps x 4096 nodes x 8 values per node step = 32768000000 "
+        f"values of RK4 work, and 0 values of kept paths; the budget is "
+        f"{symplab.flows.MAX_FLOW_WORK} of each\n"
+    )
+
+
 def test_chain_node_budget_boundary():
     u, v = symplab.Poly.variable(2, 0), symplab.Poly.variable(2, 1)
     side = math.isqrt(symplab.flows.MAX_CHAIN_NODES)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -79,6 +80,45 @@ def test_flow_config_validation():
 def test_flow_config_rejects_non_finite(t_final, dt):
     with pytest.raises(ValueError, match="finite"):
         FlowConfig(t_final=t_final, dt=dt)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_flow_work_budget_boundary(monkeypatch, keep):
+    # q' = q^2, p' = p has 4 term rows (2 values, 2 Jacobian entries), so a
+    # step of 3 nodes computes 3 x (4 + 2^2) values and keeps 3 x (2 + 2^2)
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, var(2, 1)))
+    compiled = CompiledField(x)
+    assert len(compiled.slots) == 4
+    xs = np.full((3, 2), 0.1, dtype=WORK_DTYPE)
+    cfg = FlowConfig(t_final=1.0, dt=0.1)
+    work, kept = 10 * 3 * 8, 11 * 3 * 6
+    assert kept < work
+    monkeypatch.setattr(flows, "MAX_FLOW_WORK", work)
+    flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
+    monkeypatch.setattr(flows, "MAX_FLOW_WORK", work - 1)
+    want = f"10 steps x 3 nodes x 8 values per node step = {work} values of RK4 work, " \
+           f"and {kept if keep else 0} values of kept paths; the budget is {work - 1} of each"
+    with pytest.raises(InputError) as err:
+        flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
+    assert str(err.value) == want
+    # kept paths alone can pass the budget: the zero field has no term rows
+    zero = CompiledField(PolyVectorField.zero(Frame.darboux(1)))
+    monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept)
+    flows._rk4_run(zero, xs, cfg, keep_paths=True)
+    monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept - 1)
+    with pytest.raises(InputError, match=f"= 120 values of RK4 work, and {kept} values of kept"):
+        flows._rk4_run(zero, xs, cfg, keep_paths=True)
+
+
+def test_flow_work_budget_refuses_before_allocating():
+    # a linear field at n = 6 over MAX_STEPS would keep (10^6 + 1) x 156
+    # longdoubles of paths, 2.5 GB; the refusal comes before any of it
+    x = hamiltonian_field(Frame.darboux(6), standard_h(6))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=r"^1000000 steps x 1 nodes x 168 values per node step "
+                       r"= 168000000 values of RK4 work, and 156000156 values of kept paths"):
+        tangent_flow(x, [0.5] * 12, FlowConfig(t_final=MAX_STEPS, dt=1.0))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_flow_config_step_budget():
@@ -357,7 +397,9 @@ def test_affine_propagator_exact(case, h):
     # det R equals the test-side stability oracle, and R x + c is one RK4
     # step taken in exact rationals
     x, _ = _affine_cases()[case]
-    r, c = flows._affine_propagator(x, h)
+    aug = flows._affine_propagator(x, h)
+    assert aug[-1] == [0] * x.frame.dim + [1]
+    r, c = [row[:-1] for row in aug[:-1]], [row[-1] for row in aug[:-1]]
     a = oracles.constant_jacobian(x)
     det = oracles.sympy.Matrix(
         [[oracles.sympy.Rational(v.numerator, v.denominator) for v in row] for row in r]
@@ -384,8 +426,7 @@ def test_affine_propagator_exact(case, h):
 
 def test_round_work_is_nearest():
     x, _ = _affine_cases()["inhomogeneous"]
-    r, c = flows._affine_propagator(x, Fraction(1e-3))
-    values = [v for row in r for v in row] + c
+    values = [v for row in flows._affine_propagator(x, Fraction(1e-3)) for v in row]
     values += [Fraction(1, 3), Fraction(-2, 7), Fraction(10**30 + 1, 3), Fraction(1, 10**40)]
     for q in values:
         got = flows._round_work(q)
@@ -403,7 +444,7 @@ def test_round_work_is_nearest():
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -484,9 +525,8 @@ def _starts(x0, m):
 
 
 def _assert_same_run(got, want):
-    for g, w in zip(got[:4], want[:4]):
+    for g, w in zip(got[:5], want[:5]):
         _same_bits(g, w)
-    assert got[4] == want[4]
     assert got[5] == want[5]
 
 
@@ -521,6 +561,64 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
     # the det check alone, without kept paths, gives the same max drift
     alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
     assert alone[4] == want[4]
+
+
+def _affine_oracle_cases():
+    cases = {name: (x, x0s[0], FlowConfig(2.5, 0.01))
+             for name, (x, x0s) in _affine_cases().items() if name != "osc"}
+    frame = Frame.darboux(1)
+    expanding = PolyVectorField(frame, (var(2, 0) + 1, Fraction(1, 2) * var(2, 1)))
+    cases["expanding"] = (expanding, [1.0, 1.0], FlowConfig(25.0, 1e-2))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous", "expanding"])
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
+    # one joint product per step on [J~ | x~^T], per-block det check and
+    # blow-up test: the same bits as x R^T + c and R J one step at a time
+    x, x0, cfg = _affine_oracle_cases()[case]
+    assert flows._is_affine(x)
+    xs = _starts(x0, m)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    sizes = []
+
+    def counted(mats):
+        sizes.append(len(mats))
+        return batch_det(mats)
+
+    monkeypatch.setattr(flows, "batch_det", counted)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+    monkeypatch.setattr(flows, "batch_det", batch_det)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    _assert_same_run(got, want)
+    assert want[4] > 0
+    assert (want[5] is not None) == (case == "expanding")
+    # J is shared by the nodes: one matrix per step, one call per block,
+    # the last one cut at the blow-up step
+    block = min(det_batch // m, cfg.steps)
+    steps = want[5] or cfg.steps
+    full, rest = divmod(steps, block)
+    assert sizes == [block] * full + ([rest] if rest else [])
+    # the det check alone, without kept paths, gives the same run
+    alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
+    _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
+
+
+def test_affine_step_saddle_overflow_matches_per_step_loop():
+    # q' = q, p' = -p at dt = 1: R = diag(65/24, 3/8), so J overflows to inf
+    # at step 11399 (NaN from 11400 on) and underflows to 0 at step 11623,
+    # while the states stay exactly 0; det J turns NaN, and no false blow-up
+    # may be flagged
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
+    xs = np.zeros((1, 2), dtype=WORK_DTYPE)
+    cfg = FlowConfig(12000, 1)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    _assert_same_run(got, want)
+    assert math.isnan(got[4]) and got[5] is None
+    assert np.isinf(got[3]).any() and np.isnan(got[3][-1]).any() and not np.any(got[2])
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
