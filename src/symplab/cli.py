@@ -242,7 +242,7 @@ def cmd_flow(args, rep: Reporter) -> int:
         if flow.trajectory.blew_up:
             rep.text("trajectory exceeded the norm cap: blow-up")
             return EXIT_FAIL
-        if div.is_zero and not drift <= args.tol:
+        if not math.isfinite(drift) or div.is_zero and not drift <= args.tol:
             return EXIT_FAIL
         return EXIT_OK
 
@@ -263,7 +263,8 @@ def _emit_conservation(report: fw.ConservationReport, rep: Reporter):
     rep.both("initial", repr(report.initial))
     rep.both("final", repr(report.final))
     rep.both("abs_drift", repr(report.abs_drift))
-    rep.both("rel_drift", repr(report.rel_drift))
+    if report.rel_drift is not None:
+        rep.both("rel_drift", repr(report.rel_drift))
     if report.per_step_max_det_drift is not None:
         rep.both("per_step_max_det_drift", repr(report.per_step_max_det_drift))
     rep.both("hypothesis_ok", str(report.hypothesis_ok).lower())
@@ -276,7 +277,7 @@ def cmd_chain(args, rep: Reporter) -> int:
     result = fw.chain_integral(chain)
     rep.both("value", repr(result.value))
     rep.both("degenerate", str(result.degenerate).lower())
-    return EXIT_OK
+    return EXIT_OK if math.isfinite(result.value) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Frame, blade_basis, omega_power
+from . import linalg
+from .exterior import Frame, omega_power
 from .fields import PolyVectorField, classify
 from .polynomials import InputError, Poly
 
@@ -32,9 +33,9 @@ NORM_CAP = 1e9
 # refusal bound on round(t_final / dt); tangent flows keep every sample
 MAX_STEPS = 10**6
 # bound on the Gauss-Legendre nodes of one chain patch (the product of its
-# orders): at 4096 nodes the chain integral takes about 0.02 s, and a
-# 100-step RK4 transport of a degree-3 field at n = 3 about 8 s with a
-# 65 MB peak (2-core machine); 100000 x 100000 nodes would need 75 GiB
+# orders), which the chain quadrature evaluates at once: at 4096 nodes a
+# chain integral takes about 0.02 s; 100000 x 100000 nodes would need
+# 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
 # blow-up test and one batch_det call per block.  A call gets at most
@@ -42,13 +43,16 @@ MAX_CHAIN_NODES = 4096
 # and the stage loop's call gets all m tangent maps (the affine path shares
 # one map among the nodes, so it sends one per step)
 DET_BATCH = 1024
-# one budget on a flow run, in longdouble values: both the values its RK4
-# steps compute, steps x nodes x (field term rows + dim^2), and the values
-# its kept paths hold are refused above it.  At 5e7 the stage loop runs
-# 10 to 20 s (200 to 430 ns per value, 2-core x86-64) and kept paths take
-# at most 800 MB; the largest bundled run (area-laws, 16 nodes for 10^4
-# steps at dim 4) needs 4.48e6
+# one budget on a flow run, in longdouble values: both its RK4 work,
+# steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
+# its kept paths hold are refused above it.  STEP_VALUES is a step's fixed
+# cost in values: the stage loop takes about 46 + 0.19 x values us per step
+# for the Duffing field and 77 + 0.25 x values for a quartic at n = 2
+# (2-core x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and
+# kept paths take at most 800 MB; the largest bundled run (area-laws, 16
+# nodes for 10^4 steps at dim 4) needs 7.0e6
 MAX_FLOW_WORK = 5 * 10**7
+STEP_VALUES = 250
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,7 @@ class CompiledField:
             np.array([row_of[f[col]] for f in padded], dtype=np.intp) for col in range(width)
         ]
         self.coeffs = np.array(
-            [WORK_DTYPE(c.numerator) / WORK_DTYPE(c.denominator) for _, _, c in rows],
-            dtype=WORK_DTYPE,
+            [_round_coefficient(c) for _, _, c in rows], dtype=WORK_DTYPE
         ).reshape(len(rows), 1)
         self.slots = np.array([s for s, _, _ in rows], dtype=np.intp)
 
@@ -185,24 +188,33 @@ class Trajectory:
 
 @dataclass
 class TangentFlow:
+    """A tangent flow; det_drift is max |det J - 1| over the kept samples,
+    folded by the RK4 run that made them."""
+
     trajectory: Trajectory
     jacobians: np.ndarray
-
-    def det_path(self) -> np.ndarray:
-        return batch_det(self.jacobians)
+    det_drift: float
 
     def max_det_drift(self) -> float:
-        return float(np.max(np.abs(self.det_path() - 1)))
+        return self.det_drift
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
              track_det=False):
-    """Joint RK4 on a batch of m states and their tangent maps from J(0) = I,
-    in blocks of max(1, DET_BATCH // m) steps.  Fields of degree <= 1 step as one
-    matrix product per step (the exact one-step propagator applied to
-    [J~ | x~^T]), all others through the stage loop.
+    """The one RK4 loop: a batch of m states and their tangent maps from one
+    J(0) = I, in blocks of at most max(1, DET_BATCH // m) steps.  A block
+    generator takes the steps: _affine_blocks for fields of degree <= 1 (the
+    exact one-step propagator applied to [J~ | x~^T]), _stage_blocks for all
+    others.
 
-    A run whose work or kept paths exceed MAX_FLOW_WORK values is refused
+    After each block: one blow-up test, and with track_det one batch_det
+    call over its tangent maps, folded with np.maximum so that a NaN
+    determinant makes the max drift NaN.  A blow-up cuts the run at the
+    first step past the cap; the later steps of its block are discarded.
+    Kept paths are filled block by block.
+
+    A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
+    values, or whose kept paths exceed MAX_FLOW_WORK values is refused
     before anything is allocated.
 
     Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); with
@@ -211,92 +223,65 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     blow_step + 1 after a blow-up.
     """
     m, dim = xs.shape
-    per_step = len(compiled.slots) + dim * dim
-    work = cfg.steps * m * per_step
+    per_node = len(compiled.slots) + dim * dim
+    work = cfg.steps * (STEP_VALUES + m * per_node)
     kept = (cfg.steps + 1) * m * (dim + dim * dim) if keep_paths else 0
     if max(work, kept) > MAX_FLOW_WORK:
         raise InputError(
-            f"{cfg.steps} steps x {m} nodes x {per_step} values per node step = {work} "
-            f"values of RK4 work, and {kept} values of kept paths; the budget is "
-            f"{MAX_FLOW_WORK} of each"
+            f"{cfg.steps} steps x ({STEP_VALUES} + {m} nodes x {per_node} values per node) "
+            f"= {work} values of RK4 work, and {kept} values of kept paths; the budget "
+            f"is {MAX_FLOW_WORK} of each"
         )
     block = max(1, min(cfg.steps, DET_BATCH // m))
-    build = _rk4_affine if _is_affine(compiled.field) else _rk4_stages
-    advance, j0 = build(compiled, xs, cfg, block)
-    return _run_blocks(advance, block, cfg, xs, j0, keep_paths, track_det)
-
-
-def _first_past_cap(states) -> int | None:
-    """Index of the first step in a block of states (steps, m, dim) whose
-    largest node norm exceeds NORM_CAP; a NaN norm counts as exceeding."""
-    norms = np.sqrt(np.max(np.sum(states * states, axis=2), axis=1))
-    past = np.flatnonzero(~(norms <= NORM_CAP))
-    return int(past[0]) if past.size else None
-
-
-def _run_blocks(advance, block, cfg: FlowConfig, x0, j0, keep_paths, track_det):
-    """Step x0 (m, dim) and j0 (m or 1, dim, dim) in blocks of `block`
-    steps.  advance(count) takes the next count steps and returns their
-    states (count, m, dim) and tangent maps (count, m or 1, dim, dim), which
-    the next call may overwrite.
-
-    After each block: one blow-up test, and one batch_det call over its
-    count * (m or 1) tangent maps, folded with np.maximum so that a NaN
-    determinant makes the max drift NaN.  A blow-up cuts the run at the
-    first step past the cap; the later steps of its block are discarded.
-    Kept paths are filled block by block.  Returns what _rk4_run returns.
-    """
-    m, dim = x0.shape
+    affine = _is_affine(compiled.field)
+    blocks = (_affine_blocks if affine else _stage_blocks)(compiled, xs, cfg, block)
+    js = np.eye(dim, dtype=WORK_DTYPE)[None]
     samples = cfg.steps + 1
-    states_path = jac_path = None
     if keep_paths:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        states_path[0] = x0
-        jac_path = np.empty((samples,) + j0.shape, dtype=WORK_DTYPE)
-        jac_path[0] = j0
-    xs, js = x0, j0
+        jac_path = np.empty((samples, 1 if affine else m, dim, dim), dtype=WORK_DTYPE)
+        states_path[0], jac_path[0] = xs, js
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
-    blow_step = None
+    taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, cfg.steps, block):
-            xb, jb = advance(min(block, cfg.steps - start))
-            past = _first_past_cap(xb)
-            done = len(xb) if past is None else past + 1
+        for xb, jb in blocks:
+            # steps whose largest node norm passes the cap, a NaN norm included
+            norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
+            past = np.flatnonzero(~(norms <= NORM_CAP))
+            done = int(past[0]) + 1 if past.size else len(xb)
             if keep_paths:
-                states_path[start + 1:start + 1 + done] = xb[:done]
-                jac_path[start + 1:start + 1 + done] = jb[:done]
+                states_path[taken + 1:taken + 1 + done] = xb[:done]
+                jac_path[taken + 1:taken + 1 + done] = jb[:done]
             if track_det:
                 dets = batch_det(jb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
-            xs = xb[done - 1].copy()
-            js = jb[done - 1].copy()
-            if past is not None:
-                blow_step = start + done
-                samples = blow_step + 1
+            xs, js = xb[done - 1].copy(), jb[done - 1].copy()
+            taken += done
+            if past.size:
+                blow_step, samples = taken, taken + 1
                 break
     js = np.broadcast_to(js, (m, dim, dim))
-    if keep_paths:
-        states_path = states_path[:samples]
-        jac_path = jac_path[:samples]
-    return xs, js, states_path, jac_path, float(max_det), blow_step
+    if not keep_paths:
+        return xs, js, None, None, float(max_det), blow_step
+    return xs, js, states_path[:samples], jac_path[:samples], float(max_det), blow_step
 
 
-def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, block):
-    """The four-stage RK4 loop, for any polynomial field: (advance, j0) for
-    _run_blocks."""
+def _stage_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
+    """The four-stage RK4 loop, for any polynomial field.  Yields each
+    block's states (count, m, dim) and tangent maps (count, m, dim, dim),
+    in buffers the next block overwrites."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
     two = WORK_DTYPE(2.0)
     m, dim = xs.shape
-    j0 = np.broadcast_to(np.eye(dim, dtype=WORK_DTYPE), (m, dim, dim))
     xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
     jbuf = np.empty((block, m, dim, dim), dtype=WORK_DTYPE)
-    x, j = xs, j0
-
-    def advance(count):
-        nonlocal x, j
+    # the first step's products broadcast the one identity over the nodes
+    x, j = xs, np.eye(dim, dtype=WORK_DTYPE)[None]
+    for start in range(0, cfg.steps, block):
+        count = min(block, cfg.steps - start)
         for s in range(count):
             v1, a1 = compiled(x)
             v2, a2 = compiled(x + half * v1)
@@ -308,9 +293,7 @@ def _rk4_stages(compiled: CompiledField, xs, cfg: FlowConfig, block):
             k4 = a4 @ (j + dt * k3)
             j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=jbuf[s])
             x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=xbuf[s])
-        return xbuf[:count], jbuf[:count]
-
-    return advance, j0
+        yield xbuf[:count], jbuf[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +309,18 @@ def _affine_propagator(x: PolyVectorField, h: Fraction):
     augmented R~ = [[R, c], [0, 1]] with x -> R x + c.
 
     With the augmented M = [[A, b], [0, 0]], one RK4 step is the truncated
-    exponential R~ = sum_{k<=4} h^k M^k / k! (the RK4 stability function).
-    The powers are taken of the integer matrix N = D M, D the common
-    denominator, and (h/D)^k / k! enters as one scalar per power.  Returns
-    R~ as rows of Fractions.
+    exponential R~ = sum_{k<=4} (hM)^k / k! (the RK4 stability function),
+    summed here in Fractions.  Returns R~ as rows of Fractions.
     """
-    dim = x.frame.dim
-    size = dim + 1
-    aug = [
-        [comp.diff(j).constant_term() for j in range(dim)] + [comp.constant_term()]
+    hm = [
+        [h * comp.diff(j).constant_term() for j in range(x.frame.dim)] + [h * comp.constant_term()]
         for comp in x.components
     ]
-    aug.append([Fraction(0)] * size)
-    den = math.lcm(*(v.denominator for row in aug for v in row))
-    ints = [[int(v * den) for v in row] for row in aug]
-    power = [[int(i == j) for j in range(size)] for i in range(size)]
-    total = [[Fraction(v) for v in row] for row in power]
-    scale = Fraction(1)
+    hm.append([Fraction(0)] * len(hm[0]))
+    total = term = [linalg.unit_vector(len(hm), i) for i in range(len(hm))]
     for k in range(1, 5):
-        power = [
-            [sum(power[i][m] * ints[m][j] for m in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-        scale = scale * h / (den * k)
-        total = [[t + scale * p for t, p in zip(rt, rp)] for rt, rp in zip(total, power)]
+        term = [[v / k for v in row] for row in linalg.matmul(term, hm)]
+        total = [[t + v for t, v in zip(rt, rv)] for rt, rv in zip(total, term)]
     return total
 
 
@@ -357,20 +328,41 @@ _MANT_BITS = np.finfo(WORK_DTYPE).nmant + 1
 
 
 def _round_work(q: Fraction):
-    """q rounded once, to nearest, into WORK_DTYPE."""
-    if not q:
+    """q rounded once, to nearest with ties to even, into WORK_DTYPE (to
+    +-inf past its range)."""
+    num, den = abs(q.numerator), q.denominator
+    if not num:
         return WORK_DTYPE(0)
-    shift = _MANT_BITS - (abs(q.numerator).bit_length() - q.denominator.bit_length())
-    if abs(q) * Fraction(2) ** shift >= 2 ** _MANT_BITS:
-        shift -= 1
-    # |q| 2^shift now lies in [2^(MANT_BITS-1), 2^MANT_BITS): an integer of
-    # MANT_BITS bits converts exactly, and ldexp is exact
-    return np.ldexp(WORK_DTYPE(round(q * Fraction(2) ** shift)), -shift)
+    shift = _MANT_BITS - (num.bit_length() - den.bit_length())
+    a, b = (num << shift, den) if shift >= 0 else (num, den << -shift)
+    if a >= b << _MANT_BITS:
+        shift, b = shift - 1, b << 1
+    # a / b = |q| 2^shift now lies in [2^(MANT_BITS-1), 2^MANT_BITS): its
+    # nearest integer is at most 2^MANT_BITS and converts exactly, and ldexp
+    # is exact inside the normal range
+    whole, rest = divmod(a, b)
+    whole += 2 * rest > b or (2 * rest == b and whole & 1)
+    with np.errstate(over="ignore"):
+        return np.ldexp(WORK_DTYPE(whole if q > 0 else -whole), -shift)
 
 
-def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, block):
+def _round_coefficient(c: Fraction):
+    """An input coefficient rounded into WORK_DTYPE; a nonzero one that
+    rounds to +-inf or to 0 is refused."""
+    value = _round_work(c)
+    if c and not (np.isfinite(value) and value):
+        size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+        raise InputError(
+            f"coefficient ~{'-' if c < 0 else ''}1e{size:.0f} rounds to "
+            f"{'inf' if value else '0'} in {WORK_DTYPE.__name__}"
+        )
+    return value
+
+
+def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     """RK4 of an affine field as one product Z -> R~ Z per step, with R~
-    rounded once from exact rationals: (advance, j0) for _run_blocks.
+    rounded once from exact rationals.  Yields each block's states
+    (count, m, dim) and tangent maps (count, 1, dim, dim).
 
     Z = [J~ | x~^T] is (dim + 1, dim + 1 + m): J~ the augmented tangent map
     from the identity, then one column x~ = (x, 1) per node.  J does not
@@ -389,29 +381,27 @@ def _rk4_affine(compiled: CompiledField, xs, cfg: FlowConfig, block):
     z[:dim, dim + 1:] = xs.T
     z[dim, dim + 1:] = 1
     zb = np.empty((block,) + z.shape, dtype=WORK_DTYPE)
-    j0 = np.eye(dim, dtype=WORK_DTYPE)[None]
-
-    def advance(count):
-        nonlocal z
+    for start in range(0, cfg.steps, block):
+        count = min(block, cfg.steps - start)
         for s in range(count):
             z = np.matmul(aug, z, out=zb[s])
         # C-ordered states, so the norm test sums each one in index order
-        states = zb[:count, :dim, dim + 1:].transpose(0, 2, 1).copy()
-        return states, zb[:count, None, :dim, :dim]
-
-    return advance, j0
+        yield zb[:count, :dim, dim + 1:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     """RK4 from one point with a sample at every step: the trajectory plus
-    the variational flow J(t), J(0) = identity.  Blow-up is flagged, not
-    raised (state norm cap NORM_CAP)."""
+    the variational flow J(t), J(0) = identity, and the run's max
+    |det J - 1|.  Blow-up is flagged, not raised (state norm cap
+    NORM_CAP)."""
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, jpath, _, blow = _rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    _, _, path, jpath, drift, blow = _rk4_run(
+        CompiledField(x), xs, cfg, keep_paths=True, track_det=True
+    )
     times = np.arange(path.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
-    return TangentFlow(Trajectory(times, path[:, 0], blow is not None, blow), jpath[:, 0])
+    return TangentFlow(Trajectory(times, path[:, 0], blow is not None, blow), jpath[:, 0], drift)
 
 
 def divergence(x: PolyVectorField) -> Poly:
@@ -551,7 +541,7 @@ def _omega_power_blades(n: int, l: int):
     blades = []
     for mask, coeff in sorted(wl.terms.items()):
         rows = tuple(i for i in range(frame.dim) if mask >> i & 1)
-        blades.append((WORK_DTYPE(coeff.numerator) / WORK_DTYPE(coeff.denominator), rows))
+        blades.append((_round_coefficient(coeff), rows))
     return blades
 
 
@@ -629,7 +619,7 @@ class ConservationReport:
     initial: float
     final: float
     abs_drift: float
-    rel_drift: float
+    rel_drift: float | None  # None when the initial integral is 0
     per_step_max_det_drift: float | None
     hypothesis_ok: bool
     hypothesis_note: str
@@ -675,15 +665,13 @@ def verify_area_preservation(
     blew_up = blow is not None
 
     if blew_up:
-        final_f = float("nan")
-        abs_drift = float("nan")
-        rel_drift = float("nan")
+        final_f = abs_drift = float("nan")
     else:
         frames_t = np.einsum("mij,mjl->mil", js_t, np.concatenate(frames))
         per_patch = np.split(frames_t, np.cumsum([len(f) for f in frames])[:-1])
         final_f = float(_signed_sum(rules, per_patch))
         abs_drift = abs(final_f - initial)
-        rel_drift = abs_drift / abs(initial) if initial else float("nan")
+    rel_drift = abs_drift / abs(initial) if initial else None
     return ConservationReport(
         quantity=f"(1/{l}!) int omega^{l}",
         l=l,

@@ -335,17 +335,69 @@ def test_flow_rejects_non_finite_times(capsys, tmp_path, t, dt):
 
 
 def test_flow_nan_det_drift_fails(capsys, tmp_path):
-    # saddle q' = q, p' = -p from the origin: the state stays 0 while J
-    # overflows to diag(inf, 0), so det J is NaN; that must not exit 0
-    saddle = {"n": 1, "components": [[["1", 1, 0]], [["-1", 0, 1]]]}
-    path = _write(tmp_path, "saddle.json", saddle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run(
-            capsys,
-            ["flow", path, "--t", "12000", "--dt", "1", "--x0", "0,0", "--format", "machine"],
-        )
-    assert "max_det_drift=nan" in out.splitlines()
+    # from the origin the state stays 0 while J overflows, so det J turns
+    # NaN.  That must not exit 0, whether the divergence is zero (the saddle
+    # q' = q, p' = -p) or not (q' = q, p' = p, where no tolerance applies),
+    # and the run's determinants warn about nothing
+    for name, p_coeff, div in (("saddle", "-1", "true"), ("expanding", "1", "false")):
+        field = {"n": 1, "components": [[["1", 1, 0]], [[p_coeff, 0, 1]]]}
+        path = _write(tmp_path, f"{name}.json", field)
+        for fmt, sep in (("text", ": "), ("machine", "=")):
+            code, out, err = run(capsys, [
+                "flow", path, "--t", "12000", "--dt", "1", "--x0", "0,0", "--format", fmt,
+            ])
+            assert code == 1
+            assert out.splitlines() == [
+                f"divergence_zero{sep}{div}", f"blow_up{sep}false", f"max_det_drift{sep}nan",
+            ]
+            assert err == ""
+
+
+def test_chain_non_finite_value_fails(capsys, tmp_path):
+    # each coefficient fits a longdouble, but their product overflows
+    big = {"n": 1, "l": 1, "orders": [2, 2], "maps": [[["1e3000", 1, 0]], [["1e3000", 0, 1]]]}
+    path = _write(tmp_path, "big.chain", big)
+    with np.errstate(over="ignore"):
+        code, out, _ = run(capsys, ["chain", path, "--format", "machine"])
     assert code == 1
+    assert out.splitlines() == ["value=-inf", "degenerate=false"]
+
+
+@pytest.mark.parametrize("coeff, rounds_to", [("1e5000", "inf"), ("-1e-5000", "0")])
+def test_out_of_range_coefficient_is_an_input_error(capsys, tmp_path, coeff, rounds_to):
+    # once a traceback: the exact coefficient does not convert to a longdouble
+    want = f"input error: coefficient ~{coeff} rounds to {rounds_to} in longdouble\n"
+    chain = dict(CHAIN_N1, maps=[[[coeff, 1, 0]], [["1", 0, 1]]])
+    code, out, err = run(capsys, ["chain", _write(tmp_path, "c.chain", chain)])
+    assert (code, out, err) == (2, "", want)
+    field = {"n": 1, "components": [[[coeff, 0, 1]], [["-1", 1, 0]]]}
+    path = _write(tmp_path, "f.json", field)
+    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", "1,0"])
+    assert (code, out, err) == (2, "", want)
+
+
+def test_flow_chain_zero_initial_integral_omits_rel_drift(capsys, tmp_path):
+    # the Lagrangian square on dq1, dq2 has integral 0 and stays Lagrangian
+    # under the Hamiltonian oscillator; no relative drift is printed, and
+    # abs_drift decides the exit code
+    ham = {"n": 2, "components": [[["1", 0, 0, 1, 0]], [["1", 0, 0, 0, 1]],
+                                  [["-1", 1, 0, 0, 0]], [["-1", 0, 1, 0, 0]]]}
+    square = {"n": 2, "l": 1, "orders": [1, 1], "maps": [[["1", 1, 0]], [["1", 0, 1]], [], []]}
+    argv = ["flow", _write(tmp_path, "ham.json", ham), "--chain",
+            _write(tmp_path, "sq.chain", square), "--t", "1", "--dt", "0.01"]
+    code, out, _ = run(capsys, argv + ["--format", "machine"])
+    assert code == 0
+    assert out.splitlines() == [
+        "divergence_zero=true", "quantity=(1/1!)_int_omega^1", "initial=0.0", "final=0.0",
+        "abs_drift=0.0", "hypothesis_ok=true", "blow_up=false",
+    ]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "divergence_zero: true", "(1/1!) int omega^1 over t in [0, 1.0] at dt=0.01:",
+        "initial: 0.0", "final: 0.0", "abs_drift: 0.0", "hypothesis_ok: true",
+        "blow_up: false", "symplectic field: omega^l conserved for every l",
+    ]
 
 
 def test_chain_rejects_inexact_quadrature(capsys, tmp_path):
@@ -765,7 +817,7 @@ def test_flow_work_budget_refused_quickly(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == (
-        "input error: 1000000 steps x 4096 nodes x 8 values per node step = 32768000000 "
+        "input error: 1000000 steps x (250 + 4096 nodes x 8 values per node) = 33018000000 "
         f"values of RK4 work, and 0 values of kept paths; the budget is "
         f"{symplab.flows.MAX_FLOW_WORK} of each\n"
     )

@@ -85,40 +85,56 @@ def test_flow_config_rejects_non_finite(t_final, dt):
 @pytest.mark.parametrize("keep", [False, True])
 def test_flow_work_budget_boundary(monkeypatch, keep):
     # q' = q^2, p' = p has 4 term rows (2 values, 2 Jacobian entries), so a
-    # step of 3 nodes computes 3 x (4 + 2^2) values and keeps 3 x (2 + 2^2)
+    # step of 3 nodes computes STEP_VALUES + 3 x (4 + 2^2) values and keeps
+    # 3 x (2 + 2^2)
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, var(2, 1)))
     compiled = CompiledField(x)
     assert len(compiled.slots) == 4
     xs = np.full((3, 2), 0.1, dtype=WORK_DTYPE)
     cfg = FlowConfig(t_final=1.0, dt=0.1)
-    work, kept = 10 * 3 * 8, 11 * 3 * 6
+    step = flows.STEP_VALUES
+    work, kept = 10 * (step + 3 * 8), 11 * 3 * 6
     assert kept < work
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work)
     flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work - 1)
-    want = f"10 steps x 3 nodes x 8 values per node step = {work} values of RK4 work, " \
-           f"and {kept if keep else 0} values of kept paths; the budget is {work - 1} of each"
+    want = f"10 steps x ({step} + 3 nodes x 8 values per node) = {work} values of RK4 " \
+           f"work, and {kept if keep else 0} values of kept paths; the budget is {work - 1} of each"
     with pytest.raises(InputError) as err:
         flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
     assert str(err.value) == want
-    # kept paths alone can pass the budget: the zero field has no term rows
+    # kept paths alone can pass the budget: the zero field has no term rows,
+    # and STEP_VALUES nodes keep 6 values each per sample but compute 4
     zero = CompiledField(PolyVectorField.zero(Frame.darboux(1)))
+    many = np.full((step, 2), 0.1, dtype=WORK_DTYPE)
+    zero_work, kept = 10 * (step + step * 4), 11 * step * 6
+    assert zero_work < kept
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept)
-    flows._rk4_run(zero, xs, cfg, keep_paths=True)
+    flows._rk4_run(zero, many, cfg, keep_paths=True)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept - 1)
-    with pytest.raises(InputError, match=f"= 120 values of RK4 work, and {kept} values of kept"):
-        flows._rk4_run(zero, xs, cfg, keep_paths=True)
+    with pytest.raises(InputError, match=f"= {zero_work} values of RK4 work, and {kept} values "):
+        flows._rk4_run(zero, many, cfg, keep_paths=True)
 
 
 def test_flow_work_budget_refuses_before_allocating():
     # a linear field at n = 6 over MAX_STEPS would keep (10^6 + 1) x 156
-    # longdoubles of paths, 2.5 GB; the refusal comes before any of it
-    x = hamiltonian_field(Frame.darboux(6), standard_h(6))
-    start = time.perf_counter()
-    with pytest.raises(InputError, match=r"^1000000 steps x 1 nodes x 168 values per node step "
-                       r"= 168000000 values of RK4 work, and 156000156 values of kept paths"):
-        tangent_flow(x, [0.5] * 12, FlowConfig(t_final=MAX_STEPS, dt=1.0))
-    assert time.perf_counter() - start < 1.0
+    # longdoubles of paths, 2.5 GB.  The Duffing field q' = p, p' = -q - q^3
+    # computes only 10 values a step, but a stage-loop step on one node
+    # takes about 50 us, a minute at MAX_STEPS.  Both are refused before
+    # the first step
+    linear = hamiltonian_field(Frame.darboux(6), standard_h(6))
+    duffing = PolyVectorField(Frame.darboux(1), (var(2, 1), -var(2, 0) - var(2, 0) ** 3))
+    cases = [
+        (linear, [0.5] * 12, r"^1000000 steps x \(250 \+ 1 nodes x 168 values per node\) "
+                             r"= 418000000 values of RK4 work, and 156000156 values of kept"),
+        (duffing, [0.5, 0.0], r"^1000000 steps x \(250 \+ 1 nodes x 10 values per node\) "
+                              r"= 260000000 values of RK4 work"),
+    ]
+    for x, x0, message in cases:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=message):
+            tangent_flow(x, x0, FlowConfig(t_final=MAX_STEPS, dt=1.0))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_flow_config_step_budget():
@@ -218,7 +234,7 @@ def test_dilation_det_is_exp_t():
     frame = Frame.darboux(1)
     dilation = PolyVectorField(frame, (var(2, 0), Poly.zero(2)))
     flow = tangent_flow(dilation, [1.0, 0.0], FlowConfig(t_final=1.0, dt=1e-3))
-    assert abs(float(flow.det_path()[-1]) - math.e) < 1e-6
+    assert abs(float(batch_det(flow.jacobians[-1:])[0]) - math.e) < 1e-6
 
 
 def test_hamiltonian_det_one():
@@ -242,7 +258,7 @@ def test_variational_consistency_bound():
     _, x = build_linear_system(None, masses=(1, 2, 1))
     for dt in (0.1, 0.05):
         flow = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], FlowConfig(10.0, dt))
-        assert abs(float(flow.det_path()[-1]) - 1.0) <= dt ** 4
+        assert abs(float(batch_det(flow.jacobians[-1:])[0]) - 1.0) <= dt ** 4
 
 
 def test_hamiltonian_det_drift_at_least_fourth_order():
@@ -273,9 +289,28 @@ def test_fourth_order_det_convergence_generic_system():
     errors = []
     for dt in (0.02, 0.01, 0.005):
         flow = tangent_flow(x, [q0, 1.0], FlowConfig(t_final, dt))
-        errors.append(abs(float(flow.det_path()[-1]) - exact))
+        errors.append(abs(float(batch_det(flow.jacobians[-1:])[0]) - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 12 <= coarse / fine <= 20
+
+
+@pytest.mark.parametrize("case", ["criterion-7", "quartic", "blow-up"])
+@pytest.mark.parametrize("det_batch", [16, 1024])
+def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_batch):
+    # the drift the run folds block by block is, bit for bit, the max of
+    # |det J - 1| over every kept sample in one batch_det call
+    _, coupled = build_linear_system(None, masses=(1, 2, 1))
+    x, x0, cfg = {
+        "criterion-7": (coupled, [1.0, 0.5, 0.25, -0.3], FlowConfig(10.0, 0.05)),
+        "quartic": (*_stage_cases()["quartic"], FlowConfig(2.0, 0.01)),
+        "blow-up": (PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1))),
+                    [1.0, 0.5], FlowConfig(2.0, 0.01)),
+    }[case]
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    flow = tangent_flow(x, x0, cfg)
+    assert flow.trajectory.blew_up == (case == "blow-up")
+    whole = float(np.max(np.abs(batch_det(flow.jacobians) - 1)))
+    assert flow.max_det_drift() == whole > 0
 
 
 def test_tangent_flow_symplecticity():
@@ -917,7 +952,7 @@ def test_transport_of_signed_patch_sum():
     report = verify_area_preservation(x, chain, 1, FlowConfig(1.0, 1e-2))
     assert report.initial == 0.0
     assert report.abs_drift < 1e-9
-    assert math.isnan(report.rel_drift)
+    assert report.rel_drift is None
 
 
 def test_transport_validates_patch():
