@@ -105,6 +105,7 @@ def _chain_from_data(data: dict) -> fw.ChainPatch:
         orders = tuple(_as_int(o) for o in data.get("orders", [4] * (2 * l)))
     for poly in polys:
         check_input_degree(poly, "chain map component")
+    fw.check_coefficients(polys)
     return fw.ChainPatch(l, polys, orders)
 
 
@@ -212,6 +213,7 @@ def _flow_file(data: dict):
     absent).  The file's x0 is a JSON list of numbers: no strings, no
     booleans."""
     field = fl.field_from_data(data)
+    fw.check_coefficients(field.components)
     chain = _chain_from_data(data["chain"]) if "chain" in data else None
     x0 = None
     if "x0" in data:

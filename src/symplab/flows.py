@@ -41,7 +41,8 @@ MAX_CHAIN_NODES = 4096
 # blow-up test and one batch_det call per block.  A call gets at most
 # DET_BATCH matrices while m <= DET_BATCH; above that a block is one step,
 # and the stage loop's call gets all m tangent maps (the affine path shares
-# one map among the nodes, so it sends one per step)
+# one map among the nodes, so it sends one per step, and its one-step
+# buffer is both the input and the output of each step's np.dot)
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -114,13 +115,7 @@ class CompiledField:
         polys = tuple(x.components if isinstance(x, PolyVectorField) else x)
         k, nvars = len(polys), polys[0].nvars
         self.k, self.nvars = k, nvars
-        rows = [(i, e, c) for i, p in enumerate(polys) for e, c in p.sorted_terms()]
-        rows += [
-            (k + i * nvars + j, e, c)
-            for i, p in enumerate(polys)
-            for j in range(nvars)
-            for e, c in p.diff(j).sorted_terms()
-        ]
+        rows = _term_rows(polys)
         self.out_dim = k + k * nvars
         # factors (i, p) of x_i^p; x_0^0 = 1 pads rows with fewer factors
         factors = [[(i, p) for i, p in enumerate(e) if p] for _, e, _ in rows]
@@ -151,27 +146,64 @@ class CompiledField:
         return stacked[:, : self.k], stacked[:, self.k:].reshape(m, self.k, self.nvars)
 
 
+def _term_rows(polys):
+    """(output slot, exponents, coefficient) of every value and Jacobian
+    term of a polynomial tuple: the values' sorted terms, then those of each
+    partial derivative."""
+    k, nvars = len(polys), polys[0].nvars
+    rows = [(i, e, c) for i, p in enumerate(polys) for e, c in p.sorted_terms()]
+    rows += [
+        (k + i * nvars + j, e, c)
+        for i, p in enumerate(polys)
+        for j in range(nvars)
+        for e, c in p.diff(j).sorted_terms()
+    ]
+    return rows
+
+
+def check_coefficients(polys) -> None:
+    """Refuse the value or Jacobian coefficient of a polynomial tuple that
+    CompiledField would refuse: one that rounds to +-inf or 0 in
+    WORK_DTYPE.  The CLI calls this while it reads a file, so that the
+    refusal names the file."""
+    for _, _, c in _term_rows(polys):
+        _round_coefficient(c)
+
+
 def batch_det(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a (m, d, d) batch via pivoted LU, in the input dtype."""
-    a = np.array(mats, dtype=WORK_DTYPE, copy=True)
-    m, d, _ = a.shape
+    """Determinants of a (m, d, d) batch via partially pivoted LU, in
+    WORK_DTYPE.
+
+    Bit for bit a full-row LU: the same pivots (the first largest |entry|
+    of the column, a NaN before any number) and the same operations on
+    every entry that reaches the determinant.  Rows are swapped from column
+    c on and only the trailing columns are eliminated; the entries left out
+    are never read again.  A zero pivot divides by 1 (its column below is
+    all zeros, so they stay as they are), and singular, NaN and inf inputs
+    give the same bits too.  The batch runs along the last axis, so every
+    array operation loops over the m matrices innermost.
+    """
+    a = np.asarray(mats, dtype=WORK_DTYPE).transpose(1, 2, 0).copy()
+    d, _, m = a.shape
     det = np.ones(m, dtype=WORK_DTYPE)
-    rows = np.arange(m)
-    for c in range(d):
-        piv = c + np.argmax(np.abs(a[:, c:, c]), axis=1)
+    every = np.arange(m)
+    for c in range(d - 1):
+        piv = c + np.argmax(np.abs(a[c:, c]), axis=0)
         swapped = piv != c
         if swapped.any():
-            tmp = a[rows, piv, :].copy()
-            a[rows, piv, :] = a[:, c, :]
-            a[:, c, :] = tmp
-            det[swapped] = -det[swapped]
-        pivval = a[:, c, c].copy()
+            # rows piv and c of every matrix; an unmoved one swaps c with c
+            pivot_rows = a[piv, c:, every]
+            a[piv, c:, every] = a[c, c:].T
+            a[c, c:] = pivot_rows.T
+            np.negative(det, out=det, where=swapped)
+        pivval = a[c, c]
         det *= pivval
-        if c + 1 < d:
-            safe = np.where(pivval == 0, WORK_DTYPE(1), pivval)
-            factors = a[:, c + 1:, c] / safe[:, None]
-            a[:, c + 1:, c:] -= factors[:, :, None] * a[:, None, c, c:]
-    return det
+        # the multipliers overwrite column c below the pivot, read no more
+        factors = a[c + 1:, c]
+        np.divide(factors, pivval, out=factors, where=pivval != 0)
+        a[c + 1:, c + 1:] -= factors[:, None] * a[None, c, c + 1:]
+    # the last column has one candidate row: no pivot search
+    return det * a[d - 1, d - 1] if d else det
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +392,18 @@ def _round_coefficient(c: Fraction):
 
 
 def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
-    """RK4 of an affine field as one product Z -> R~ Z per step, with R~
+    """RK4 of an affine field as one 2-D np.dot Z -> R~ Z per step, with R~
     rounded once from exact rationals.  Yields each block's states
     (count, m, dim) and tangent maps (count, 1, dim, dim).
 
     Z = [J~ | x~^T] is (dim + 1, dim + 1 + m): J~ the augmented tangent map
     from the identity, then one column x~ = (x, 1) per node.  J does not
-    depend on x, so one (dim, dim) map serves every node.  numpy sums a
-    longdouble matmul in index order, so each state is fl(fl(R x) + c * 1)
-    and each J entry gains c * 0: the bits of x -> R x + c and J -> R J
-    taken apart.
+    depend on x, so one (dim, dim) map serves every node.  numpy has no
+    longdouble BLAS and sums each entry of a longdouble product in index
+    order from +0, so each state is fl(fl(R x) + c * 1) and each J entry
+    gains c * 0: the bits of x -> R x + c and J -> R J taken apart.  np.dot
+    takes an out that aliases its input, as it does when a block is one
+    step.
     """
     aug = np.array(
         [[_round_work(v) for v in row]
@@ -384,7 +418,7 @@ def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     for start in range(0, cfg.steps, block):
         count = min(block, cfg.steps - start)
         for s in range(count):
-            z = np.matmul(aug, z, out=zb[s])
+            z = np.dot(aug, z, out=zb[s])
         # C-ordered states, so the norm test sums each one in index order
         yield zb[:count, :dim, dim + 1:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
 
@@ -546,13 +580,16 @@ def _omega_power_blades(n: int, l: int):
 
 
 def _pullback_integral(blades, frames: np.ndarray, weights: np.ndarray, l: int):
-    """Quadrature of the omega^l pullback given tangent frames (m, 2n, 2l)."""
+    """Quadrature of the omega^l pullback given tangent frames (m, 2n, 2l).
+
+    A pullback past the longdouble range gives an inf or NaN value, which
+    the callers report; it warns about nothing."""
     m = frames.shape[0]
     total = np.zeros(m, dtype=WORK_DTYPE)
-    for coeff, rows in blades:
-        minors = frames[:, rows, :]
-        total += coeff * batch_det(minors)
-    value = np.sum(total * weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, rows in blades:
+            total += coeff * batch_det(frames[:, rows, :])
+        value = np.sum(total * weights)
     return value / WORK_DTYPE(math.factorial(l))
 
 

@@ -270,6 +270,36 @@ def rk4_linear_det_drift(a, h, steps):
     return drift
 
 
+# -- the full-row LU determinant ----------------------------------------------
+
+
+def full_row_batch_det(mats):
+    """Determinants of a (m, d, d) batch by partially pivoted LU on whole
+    rows: every pivot step swaps whole rows of every matrix and eliminates
+    every column from c on, and a zero pivot divides by 1.  The package's
+    batch_det must give the same bits."""
+    work = np.longdouble
+    a = np.array(mats, dtype=work, copy=True)
+    m, d, _ = a.shape
+    det = np.ones(m, dtype=work)
+    rows = np.arange(m)
+    for c in range(d):
+        piv = c + np.argmax(np.abs(a[:, c:, c]), axis=1)
+        swapped = piv != c
+        if swapped.any():
+            tmp = a[rows, piv, :].copy()
+            a[rows, piv, :] = a[:, c, :]
+            a[:, c, :] = tmp
+            det[swapped] = -det[swapped]
+        pivval = a[:, c, c].copy()
+        det *= pivval
+        if c + 1 < d:
+            safe = np.where(pivval == 0, work(1), pivval)
+            factors = a[:, c + 1:, c] / safe[:, None]
+            a[:, c + 1:, c:] -= factors[:, :, None] * a[:, None, c, c:]
+    return det
+
+
 # -- the dense polynomial evaluator and the per-step RK4 loop -----------------
 
 

@@ -354,26 +354,33 @@ def test_flow_nan_det_drift_fails(capsys, tmp_path):
 
 
 def test_chain_non_finite_value_fails(capsys, tmp_path):
-    # each coefficient fits a longdouble, but their product overflows
+    # each coefficient fits a longdouble, but their product overflows in
+    # the determinants; the value says so, and no warning reaches stderr
     big = {"n": 1, "l": 1, "orders": [2, 2], "maps": [[["1e3000", 1, 0]], [["1e3000", 0, 1]]]}
     path = _write(tmp_path, "big.chain", big)
-    with np.errstate(over="ignore"):
-        code, out, _ = run(capsys, ["chain", path, "--format", "machine"])
-    assert code == 1
-    assert out.splitlines() == ["value=-inf", "degenerate=false"]
+    code, out, err = run(capsys, ["chain", path, "--format", "machine"])
+    assert (code, out.splitlines(), err) == (1, ["value=-inf", "degenerate=false"], "")
 
 
 @pytest.mark.parametrize("coeff, rounds_to", [("1e5000", "inf"), ("-1e-5000", "0")])
 def test_out_of_range_coefficient_is_an_input_error(capsys, tmp_path, coeff, rounds_to):
-    # once a traceback: the exact coefficient does not convert to a longdouble
-    want = f"input error: coefficient ~{coeff} rounds to {rounds_to} in longdouble\n"
+    # once a traceback: the exact coefficient does not convert to a
+    # longdouble.  The refusal names the file: a chain file, a field file,
+    # a chain inside a field file and a --chain file
+    reason = f"coefficient ~{coeff} rounds to {rounds_to} in longdouble"
     chain = dict(CHAIN_N1, maps=[[[coeff, 1, 0]], [["1", 0, 1]]])
-    code, out, err = run(capsys, ["chain", _write(tmp_path, "c.chain", chain)])
-    assert (code, out, err) == (2, "", want)
-    field = {"n": 1, "components": [[[coeff, 0, 1]], [["-1", 1, 0]]]}
-    path = _write(tmp_path, "f.json", field)
-    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", "1,0"])
-    assert (code, out, err) == (2, "", want)
+    chain_path = _write(tmp_path, "c.chain", chain)
+    code, out, err = run(capsys, ["chain", chain_path])
+    assert (code, out, err) == (2, "", f"input error: {chain_path}: {reason}\n")
+    steps = ["--t", "1", "--dt", "0.1"]
+    for field, argv, named in (
+        ({"n": 1, "components": [[[coeff, 0, 1]], [["-1", 1, 0]]]}, ["--x0", "1,0"], None),
+        (dict(OSC_N1, chain=chain), [], None),
+        (OSC_N1, ["--chain", chain_path], chain_path),
+    ):
+        path = _write(tmp_path, "f.json", field)
+        code, out, err = run(capsys, ["flow", path, *steps, *argv])
+        assert (code, out, err) == (2, "", f"input error: {named or path}: {reason}\n")
 
 
 def test_flow_chain_zero_initial_integral_omits_rel_drift(capsys, tmp_path):

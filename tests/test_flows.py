@@ -167,6 +167,48 @@ def test_batch_det_against_exact_fractions():
         assert abs(float(got[i]) - float(exact_det(mats[i]))) < 1e-12
 
 
+def _det_cases(rng, d, count):
+    # small integers give exact pivot ties and zeros, thirds do not; a
+    # quarter of the batch gets NaN or +-inf, and zero rows, duplicate rows
+    # and -0 entries are spread over the rest
+    mats = rng.integers(-3, 4, (count, d, d)).astype(WORK_DTYPE)
+    smooth = rng.random(count) < 0.5
+    mats[smooth] = rng.standard_normal((int(smooth.sum()), d, d)) / WORK_DTYPE(3)
+    for k in range(count):
+        kind = rng.integers(8)
+        i, j = rng.integers(d, size=2)
+        if kind == 0:
+            mats[k, i, j] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 1:
+            mats[k][rng.random((d, d)) < 0.3] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == 2:
+            mats[k, i] = rng.choice([0.0, -0.0])
+        elif kind == 3:
+            mats[k, i] = mats[k, j]
+        elif kind == 4:
+            mats[k, :, j] = -mats[k, :, i]
+    mats[mats == 0] = np.where(rng.random(int((mats == 0).sum())) < 0.5, -0.0, 0.0)
+    if d >= 4:
+        # inf x 0 makes det NaN at column 1; column 2 then swaps, and the
+        # NaN's sign bit shows whether the swap negated it
+        mats[0] = 0
+        mats[0, 0, 0], mats[0, 3, 2] = np.inf, 1
+    return mats
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("m", [1, 64, 1024])
+def test_batch_det_matches_full_row_lu(d, m):
+    # the same pivots and the same operations on every entry that reaches
+    # the determinant: bit for bit the full-row LU, sign bits and NaNs
+    # included, one call per m matrices
+    mats = _det_cases(np.random.default_rng(100 * d + m), d, max(m, 64))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(mats), m):
+            batch = mats[start:start + m]
+            _same_bits(batch_det(batch), oracles.full_row_batch_det(batch))
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -608,11 +650,13 @@ def _affine_oracle_cases():
 
 
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous", "expanding"])
-@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("m", [1, 3, 16, 17])
 @pytest.mark.parametrize("det_batch", [16, 40, 1024])
 def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     # one joint product per step on [J~ | x~^T], per-block det check and
-    # blow-up test: the same bits as x R^T + c and R J one step at a time
+    # blow-up test: the same bits as x R^T + c and R J one step at a time.
+    # At m = 17 > DET_BATCH = 16 a block is one step, so the block buffer
+    # holds one Z and each step's np.dot writes into the Z it reads
     x, x0, cfg = _affine_oracle_cases()[case]
     assert flows._is_affine(x)
     xs = _starts(x0, m)
@@ -632,7 +676,7 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     assert (want[5] is not None) == (case == "expanding")
     # J is shared by the nodes: one matrix per step, one call per block,
     # the last one cut at the blow-up step
-    block = min(det_batch // m, cfg.steps)
+    block = max(1, min(det_batch // m, cfg.steps))
     steps = want[5] or cfg.steps
     full, rest = divmod(steps, block)
     assert sizes == [block] * full + ([rest] if rest else [])
