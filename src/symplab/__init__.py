@@ -35,6 +35,7 @@ from .exterior import (
     Frame,
     blade_basis,
     commutator_check,
+    commutator_checks,
     contraction_rank,
     format_form,
     interior,

@@ -23,7 +23,7 @@ from . import flows as fw
 from .exterior import (
     Form,
     Frame,
-    commutator_check,
+    commutator_checks,
     contraction_rank,
     format_form,
     iota_rank,
@@ -117,9 +117,8 @@ def cmd_sl2_check(args, rep: Reporter) -> int:
     n = check_input_n(args.n, "--n")
     frame = Frame.darboux(n)
     ok = True
-    for k in range(1, n + 1):
-        result = commutator_check(n, k)
-        rep.kv(f"sl2.n{n}.k{k}", "pass" if result.passed else "fail")
+    for result in commutator_checks(n):
+        rep.kv(f"sl2.n{n}.k{result.k}", "pass" if result.passed else "fail")
         rep.text(str(result))
         ok = ok and result.passed
     fw_ok = op_f(omega(frame)) == Form.scalar(frame, Fraction(n))
@@ -339,8 +338,7 @@ def _bundled_checks():
     def sl2():
         blades = 0
         for n in range(1, 5):
-            for k in range(1, n + 1):
-                result = commutator_check(n, k)
+            for result in commutator_checks(n):
                 assert result.passed, str(result)
                 blades += result.blades_checked
             frame = Frame.darboux(n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
@@ -435,57 +435,83 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
     [e^k,f] = k e^{k-1}(h+k-1), [e,f^k] = k f^{k-1}(h-k+1)
     on every basis blade of the 2n-dimensional Darboux frame.
 
-    ``op_e``, ``op_f`` and ``op_h`` are applied once per blade and e^k,
-    e^{k-1} are tabulated from ``omega_power``; every composite is then
-    evaluated from those tables for all blades of one degree at once, on
-    exact Python ints and Fractions, so no coefficient can overflow.  The
-    report names the smallest failing blade mask and the first identity
-    that fails on it.
+    The same pass as ``commutator_checks``, for one k.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    return _sl2_reports(n, (k,))[0]
+
+
+def commutator_checks(n: int) -> list[CommutatorReport]:
+    """``commutator_check(n, k)`` for every k = 1..n, from one pass."""
+    return _sl2_reports(n, range(1, n + 1))
+
+
+def _sl2_reports(n: int, ks) -> list[CommutatorReport]:
+    """One report per k in ``ks`` (ascending), from one pass over the blades.
+
+    ``op_e``, ``op_f`` and ``op_h`` are applied once per blade, and each
+    e^p = omega^p ^ is tabulated once from ``omega_power``; every composite
+    is then evaluated from those tables for all blades of one degree at
+    once, on exact Python ints and Fractions, so no coefficient can
+    overflow.  The three k-free identities are evaluated once per degree;
+    for the recursions the pass walks k upward, carrying f^k b, f^{k-1} b,
+    f^k(e b) and f^{k-1}(h b), and it expands each right-hand side by
+    linearity.  A report names the smallest failing blade mask and the
+    first identity that fails on it.
+    """
     frame = Frame.darboux(n)
     size = 1 << frame.dim
-    tables = [_table(frame, _op_images(frame, op)) for op in (op_e, op_f, op_h)] + [
-        _table(frame, _wedge_images(frame, omega_power(frame, p))) for p in (k, k - 1)
-    ]
-    e, f, h, ek, ek1 = ((lambda x, t=t: _apply(t, x)) for t in tables)
+    e, f, h = (partial(_apply, _table(frame, _op_images(frame, op))) for op in (op_e, op_f, op_h))
+    powers = {
+        p: partial(_apply, _table(frame, _wedge_images(frame, omega_power(frame, p))))
+        for p in {p for k in ks for p in (k - 1, k)}
+    }
+    found = {k: [] for k in ks}  # per k: (blade mask, identity) of each failure
 
-    def f_pow(p, x):
-        for _ in range(p):
-            x = f(x)
-        return x
+    def failure(basis, diff, identity):
+        row = _first_nonzero_row(diff, size)
+        return [] if row is None else [(int(basis[row]), identity)]
 
-    names = (
-        "[h,e] = 2e",
-        "[h,f] = -2f",
-        "[e,f] = h",
-        f"[e^{k},f] = {k} e^{k - 1}(h+{k - 1})",
-        f"[e,f^{k}] = {k} f^{k - 1}(h-{k - 1})",
-    )
-    failure = None  # (blade mask, identity name)
     for degree in range(frame.dim + 1):
         basis = np.array(blade_basis(frame.dim, degree), dtype=_mask_type(frame))
         b = (np.arange(basis.size), basis, np.ones(basis.size, object))
         eb, fb, hb = e(b), f(b), h(b)
-        differences = (
-            _sum((1, h(eb)), (-1, e(hb)), (-2, eb)),
-            _sum((1, h(fb)), (-1, f(hb)), (2, fb)),
-            _sum((1, e(fb)), (-1, f(eb)), (-1, hb)),
-            _sum((1, ek(fb)), (-1, f(ek(b))), (-k, ek1(_sum((1, hb), (k - 1, b))))),
-            _sum(
-                (1, e(f_pow(k - 1, fb))), (-1, f_pow(k, eb)),
-                (-k, f_pow(k - 1, _sum((1, hb), (1 - k, b)))),
-            ),
-        )
-        for name, diff in zip(names, differences):
-            row = _first_nonzero_row(diff, size)
-            if row is not None and (failure is None or basis[row] < failure[0]):
-                failure = (int(basis[row]), name)
-    if failure is None:
-        return CommutatorReport(n, k, True, size)
-    mask, name = failure
-    return CommutatorReport(n, k, False, mask + 1, name, mask)
+        feb = f(eb)
+        common = failure(basis, _sum((1, h(eb)), (-1, e(hb)), (-2, eb)), 0)
+        common += failure(basis, _sum((1, h(fb)), (-1, f(hb)), (2, fb)), 1)
+        common += failure(basis, _sum((1, e(fb)), (-1, feb), (-1, hb)), 2)
+        wb = {p: w(b) for p, w in powers.items()}
+        # f^k b, f^{k-1} b, f^k(e b) and f^{k-1}(h b) at k = 1
+        fkb, fk1b, fkeb, fk1hb = fb, b, feb, hb
+        for k in range(1, ks[-1] + 1):
+            if k > 1:
+                fk1b, fkb, fkeb, fk1hb = fkb, f(fkb), f(fkeb), f(fk1hb)
+            if k not in found:
+                continue
+            ek, ek1 = powers[k], powers[k - 1]
+            found[k] += common
+            found[k] += failure(basis, _sum(
+                (1, ek(fb)), (-1, f(wb[k])), (-k, ek1(hb)), (-k * (k - 1), wb[k - 1]),
+            ), 3)
+            found[k] += failure(basis, _sum(
+                (1, e(fkb)), (-1, fkeb), (-k, fk1hb), (k * (k - 1), fk1b),
+            ), 4)
+    reports = []
+    for k, fails in found.items():
+        if not fails:
+            reports.append(CommutatorReport(n, k, True, size))
+            continue
+        mask, identity = min(fails)
+        name = (
+            "[h,e] = 2e",
+            "[h,f] = -2f",
+            "[e,f] = h",
+            f"[e^{k},f] = {k} e^{k - 1}(h+{k - 1})",
+            f"[e,f^{k}] = {k} f^{k - 1}(h-{k - 1})",
+        )[identity]
+        reports.append(CommutatorReport(n, k, False, mask + 1, name, mask))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ MAX_CHAIN_NODES = 4096
 # blow-up test and one batch_det call per block.  A call gets at most
 # DET_BATCH matrices while m <= DET_BATCH; above that a block is one step,
 # and the stage loop's call gets all m tangent maps (the affine path shares
-# one map among the nodes, so it sends one per step, and its one-step
-# buffer is both the input and the output of each step's np.dot)
+# one map among the nodes, so it sends one per step, and with a one-step
+# buffer each step's np.dot reads the whole buffer and writes its first dim
+# rows)
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -164,10 +165,14 @@ def _term_rows(polys):
 def check_coefficients(polys) -> None:
     """Refuse the value or Jacobian coefficient of a polynomial tuple that
     CompiledField would refuse: one that rounds to +-inf or 0 in
-    WORK_DTYPE.  The CLI calls this while it reads a file, so that the
-    refusal names the file."""
-    for _, _, c in _term_rows(polys):
-        _round_coefficient(c)
+    WORK_DTYPE.  A refused Jacobian coefficient is named by its term, the
+    partial derivative of component i in x_j.  The CLI calls this while it
+    reads a file, so that the refusal names the file."""
+    k, nvars = len(polys), polys[0].nvars
+    for slot, _, c in _term_rows(polys):
+        i, j = divmod(slot - k, nvars)
+        term = f" of the partial derivative of component {i + 1} in x{j + 1}"
+        _round_coefficient(c, "" if slot < k else term)
 
 
 def batch_det(mats: np.ndarray) -> np.ndarray:
@@ -378,49 +383,55 @@ def _round_work(q: Fraction):
         return np.ldexp(WORK_DTYPE(whole if q > 0 else -whole), -shift)
 
 
-def _round_coefficient(c: Fraction):
+def _round_coefficient(c: Fraction, term: str = ""):
     """An input coefficient rounded into WORK_DTYPE; a nonzero one that
-    rounds to +-inf or to 0 is refused."""
+    rounds to +-inf or to 0 is refused, with ``term`` after the number."""
     value = _round_work(c)
     if c and not (np.isfinite(value) and value):
         size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
         raise InputError(
-            f"coefficient ~{'-' if c < 0 else ''}1e{size:.0f} rounds to "
+            f"coefficient ~{'-' if c < 0 else ''}1e{size:.0f}{term} rounds to "
             f"{'inf' if value else '0'} in {WORK_DTYPE.__name__}"
         )
     return value
 
 
 def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
-    """RK4 of an affine field as one 2-D np.dot Z -> R~ Z per step, with R~
-    rounded once from exact rationals.  Yields each block's states
-    (count, m, dim) and tangent maps (count, 1, dim, dim).
+    """RK4 of an affine field as one 2-D np.dot per step, with R~ rounded
+    once from exact rationals.  Yields each block's states (count, m, dim)
+    and tangent maps (count, 1, dim, dim).
 
-    Z = [J~ | x~^T] is (dim + 1, dim + 1 + m): J~ the augmented tangent map
-    from the identity, then one column x~ = (x, 1) per node.  J does not
-    depend on x, so one (dim, dim) map serves every node.  numpy has no
-    longdouble BLAS and sums each entry of a longdouble product in index
-    order from +0, so each state is fl(fl(R x) + c * 1) and each J entry
-    gains c * 0: the bits of x -> R x + c and J -> R J taken apart.  np.dot
-    takes an out that aliases its input, as it does when a block is one
+    Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
+    over a zero row, then one column x~ = (x, 1) per node.  J does not
+    depend on x, so one (dim, dim) map serves every node.  A step computes
+    only the first dim rows, R~[:dim] Z; the last row stays the constant
+    [0...0 | 1...1] of the buffer.  numpy has no longdouble BLAS and sums
+    each entry of a longdouble product in index order from +0, so each
+    state is fl(fl(R x) + c * 1) and each J entry gains c * 0: the bits of
+    x -> R x + c and J -> R J taken apart, an overflowed J included.  np.dot
+    takes an out that overlaps its input, as it does when a block is one
     step.
     """
     aug = np.array(
         [[_round_work(v) for v in row]
-         for row in _affine_propagator(compiled.field, Fraction(cfg.effective_dt))],
+         for row in _affine_propagator(compiled.field, Fraction(cfg.effective_dt))[:-1]],
         dtype=WORK_DTYPE,
     )
     m, dim = xs.shape
-    z = np.eye(dim + 1, dim + 1 + m, dtype=WORK_DTYPE)
-    z[:dim, dim + 1:] = xs.T
-    z[dim, dim + 1:] = 1
+    z = np.eye(dim + 1, dim + m, dtype=WORK_DTYPE)
+    z[:dim, dim:] = xs.T
+    z[dim, dim:] = 1
     zb = np.empty((block,) + z.shape, dtype=WORK_DTYPE)
+    zb[:, dim] = z[dim]
+    # (the rows a step writes, the Z it leaves) for each step of a block
+    steps = [(zs[:dim], zs) for zs in zb]
     for start in range(0, cfg.steps, block):
         count = min(block, cfg.steps - start)
-        for s in range(count):
-            z = np.dot(aug, z, out=zb[s])
+        for rows, zs in steps[:count]:
+            np.dot(aug, z, out=rows)
+            z = zs
         # C-ordered states, so the norm test sums each one in index order
-        yield zb[:count, :dim, dim + 1:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
+        yield zb[:count, :dim, dim:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:

@@ -383,6 +383,26 @@ def test_out_of_range_coefficient_is_an_input_error(capsys, tmp_path, coeff, rou
         assert (code, out, err) == (2, "", f"input error: {named or path}: {reason}\n")
 
 
+def test_out_of_range_derivative_coefficient_names_its_term(capsys, tmp_path):
+    # 1e4931 fits a longdouble, but 12 * 1e4931, the coefficient of the
+    # partial derivative of component 1 in x1, does not; the refusal names
+    # that term, in a field file and in a chain file
+    field = {"n": 1, "components": [[["1e4931", 12, 0]], [["-1", 1, 0]]]}
+    path = _write(tmp_path, "d.json", field)
+    code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", "0,0"])
+    assert (code, out, err) == (2, "", (
+        f"input error: {path}: coefficient ~1e4932 of the partial derivative of "
+        "component 1 in x1 rounds to inf in longdouble\n"
+    ))
+    chain = dict(CHAIN_N1, maps=[[["1", 1, 0]], [["1e4931", 0, 12]]])
+    path = _write(tmp_path, "d.chain", chain)
+    code, out, err = run(capsys, ["chain", path])
+    assert (code, out, err) == (2, "", (
+        f"input error: {path}: coefficient ~1e4932 of the partial derivative of "
+        "component 2 in x2 rounds to inf in longdouble\n"
+    ))
+
+
 def test_flow_chain_zero_initial_integral_omits_rel_drift(capsys, tmp_path):
     # the Lagrangian square on dq1, dq2 has integral 0 and stays Lagrangian
     # under the Hamiltonian oscillator; no relative drift is printed, and

@@ -11,6 +11,7 @@ from symplab.exterior import (
     Frame,
     blade_basis,
     commutator_check,
+    commutator_checks,
     contraction_rank,
     format_form,
     interior,
@@ -298,6 +299,56 @@ def _f_without_first_pair(a):
     return out
 
 
+def _flipped_omega_power(k):
+    # omega^k with its sign flipped
+    power = exterior.omega_power
+
+    def flipped(frame, p):
+        return -power(frame, p) if p == k else power(frame, p)
+
+    return flipped
+
+
+def _scaled_e(scale):
+    # e scaled by ``scale`` on blades holding the first and the last generator
+    e = exterior.op_e
+
+    def scaled(a):
+        top = 1 << (2 * a.frame.n - 1)
+        out = e(a)
+        for mask, c in a.terms.items():
+            if mask & top and mask & 1:
+                out = out + (scale - 1) * c * e(Form(a.frame, {mask: Fraction(1)}))
+        return out
+
+    return scaled
+
+
+def _shifted_h():
+    # h shifted by one on degree n + 1
+    h = exterior.op_h
+
+    def shifted(a):
+        out = h(a)
+        return out + a if a.homogeneous_degree == a.frame.n + 1 else out
+
+    return shifted
+
+
+def _thirded_e():
+    # e scaled by 1/3 on blades of degree n or more holding dp1
+    e = exterior.op_e
+
+    def thirded(a):
+        out = e(a)
+        for mask, c in a.terms.items():
+            if mask >> a.frame.n & 1 and mask.bit_count() >= a.frame.n:
+                out = out - Fraction(2, 3) * c * e(Form(a.frame, {mask: Fraction(1)}))
+        return out
+
+    return thirded
+
+
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (3, 3)])
 def test_commutator_check_reports_f_fault(monkeypatch, n, k):
     monkeypatch.setattr(exterior, "op_f", _f_without_first_pair)
@@ -310,31 +361,15 @@ def test_commutator_check_reports_f_fault(monkeypatch, n, k):
     (4, 4, "[e^4,f] = 4 e^3(h+3)"),
 ])
 def test_commutator_check_reports_omega_power_fault(monkeypatch, n, k, identity):
-    power = exterior.omega_power
-
-    def flipped(frame, p):
-        return -power(frame, p) if p == k else power(frame, p)
-
-    monkeypatch.setattr(exterior, "omega_power", flipped)
+    monkeypatch.setattr(exterior, "omega_power", _flipped_omega_power(k))
     assert commutator_check(n, k) == CommutatorReport(n, k, False, 1, identity, 0)
 
 
 @pytest.mark.parametrize("n, k, blade", [(3, 1, 33), (3, 3, 33), (4, 2, 129)])
 def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
-    # e scaled by 3/2 on blades holding the first and the last generator:
-    # the first failure is a blade past 0, and images carry non-integral
-    # coefficients
-    e = exterior.op_e
-
-    def skewed(a):
-        top = 1 << (2 * a.frame.n - 1)
-        out = e(a)
-        for mask, c in a.terms.items():
-            if mask & top and mask & 1:
-                out = out + Fraction(1, 2) * c * e(Form(a.frame, {mask: Fraction(1)}))
-        return out
-
-    monkeypatch.setattr(exterior, "op_e", skewed)
+    # e scaled by 3/2: the first failure is a blade past 0, and images carry
+    # non-integral coefficients
+    monkeypatch.setattr(exterior, "op_e", _scaled_e(Fraction(3, 2)))
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
@@ -345,17 +380,7 @@ def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
 def test_commutator_check_reports_big_integer_e_fault(monkeypatch, scale, n, k, blade):
     # the late-e fault with integer scales: coefficients reach and pass
     # 2^31, 2^63 and beyond, and every scale gives the same report
-    e = exterior.op_e
-
-    def scaled(a):
-        top = 1 << (2 * a.frame.n - 1)
-        out = e(a)
-        for mask, c in a.terms.items():
-            if mask & top and mask & 1:
-                out = out + (scale - 1) * c * e(Form(a.frame, {mask: Fraction(1)}))
-        return out
-
-    monkeypatch.setattr(exterior, "op_e", scaled)
+    monkeypatch.setattr(exterior, "op_e", _scaled_e(scale))
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
@@ -363,15 +388,8 @@ def test_commutator_check_reports_big_integer_e_fault(monkeypatch, scale, n, k, 
 
 @pytest.mark.parametrize("n, k, blade", [(2, 1, 1), (3, 2, 3), (4, 3, 7)])
 def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
-    # h shifted by one on degree n + 1: [h,e] = 2e first fails on the first
-    # blade of degree n - 1
-    h = exterior.op_h
-
-    def shifted(a):
-        out = h(a)
-        return out + a if a.homogeneous_degree == a.frame.n + 1 else out
-
-    monkeypatch.setattr(exterior, "op_h", shifted)
+    # [h,e] = 2e first fails on the first blade of degree n - 1
+    monkeypatch.setattr(exterior, "op_h", _shifted_h())
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[h,e] = 2e", blade
     )
@@ -379,22 +397,34 @@ def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
 
 @pytest.mark.parametrize("n, k, blade", [(2, 1, 5), (3, 2, 11), (4, 4, 23), (5, 3, 47)])
 def test_commutator_check_reports_third_e_fault(monkeypatch, n, k, blade):
-    # e scaled by 1/3 on blades of degree n or more holding dp1: every image
-    # coefficient of those blades is a non-integral rational, so the check
-    # runs on exact rationals; recorded from the blade-by-blade check
-    e = exterior.op_e
-
-    def thirded(a):
-        out = e(a)
-        for mask, c in a.terms.items():
-            if mask >> a.frame.n & 1 and mask.bit_count() >= a.frame.n:
-                out = out - Fraction(2, 3) * c * e(Form(a.frame, {mask: Fraction(1)}))
-        return out
-
-    monkeypatch.setattr(exterior, "op_e", thirded)
+    # every image coefficient of the thirded blades is a non-integral
+    # rational, so the check runs on exact rationals; recorded from the
+    # blade-by-blade check
+    monkeypatch.setattr(exterior, "op_e", _thirded_e())
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
+
+
+FAULTS = {
+    "f": lambda k: ("op_f", _f_without_first_pair),
+    "omega-sign": lambda k: ("omega_power", _flipped_omega_power(k)),
+    "late-e": lambda k: ("op_e", _scaled_e(Fraction(3, 2))),
+    "big-integer-e": lambda k: ("op_e", _scaled_e(2 ** 70 + 1)),
+    "h": lambda k: ("op_h", _shifted_h()),
+    "third-e": lambda k: ("op_e", _thirded_e()),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_commutator_checks_match_per_k_checks(monkeypatch, n, fault):
+    # the one pass over every k gives each per-k report, with or without a
+    # fault; the omega sign fault flips omega^k for a middle k
+    if fault is not None:
+        monkeypatch.setattr(exterior, *FAULTS[fault]((n + 1) // 2))
+    reports = commutator_checks(n)
+    assert reports == [commutator_check(n, k) for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

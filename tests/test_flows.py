@@ -700,6 +700,20 @@ def test_affine_step_saddle_overflow_matches_per_step_loop():
     assert np.isinf(got[3]).any() and np.isnan(got[3][-1]).any() and not np.any(got[2])
 
 
+def test_affine_step_full_overflow_matches_per_step_loop():
+    # q' = q + p, p' = q + p at dt = 1: every entry of R is positive, so J
+    # overflows to inf at step 5837 and stays inf; no product term is
+    # 0 * inf, and no entry may turn NaN, while the states stay exactly 0
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0) + var(2, 1), var(2, 0) + var(2, 1)))
+    xs = np.zeros((1, 2), dtype=WORK_DTYPE)
+    cfg = FlowConfig(12000, 1)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    _assert_same_run(got, want)
+    assert got[5] is None and not np.any(got[2])
+    assert np.isinf(got[3][-1]).all() and not np.isnan(got[3]).any()
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("m", [1, 3])
 def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
