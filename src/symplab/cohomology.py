@@ -78,7 +78,9 @@ def differential(cx: CEComplex, form: Form) -> Form:
 
 
 class CEComplex:
-    """Blade bases and exact differential matrices for every degree."""
+    """Blade bases, exact differential matrices for every degree and the
+    Poisson bivector: the inverse of omega's Gram matrix, which exists iff
+    omega^n != 0, the one nondegeneracy decision."""
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
@@ -91,7 +93,15 @@ class CEComplex:
             image_matrix(self.frame, [differential(self, b) for b in self._blades(m)], m + 1)
             for m in range(dim + 1)
         ]
-        self._poisson = None
+        gram = linalg.zeros(dim, dim)
+        for mask, coeff in alg.omega.terms.items():
+            if mask.bit_count() == 2:
+                a, b = (i for i in range(dim) if mask >> i & 1)
+                gram[a][b], gram[b][a] = coeff, -coeff
+        try:
+            self.poisson = linalg.inverse(gram)
+        except linalg.SingularMatrixError:
+            raise InputError("distinguished 2-form is degenerate: omega^n = 0") from None
 
     # -- vector/form conversions ------------------------------------------
 
@@ -105,23 +115,6 @@ class CEComplex:
         )
 
     # -- the bivector contraction dual to omega ----------------------------
-
-    @property
-    def poisson(self) -> linalg.Matrix:
-        """Inverse of the Gram matrix of omega (exists: omega nondegenerate)."""
-        if self._poisson is None:
-            dim = self.alg.dim
-            gram = linalg.zeros(dim, dim)
-            for mask, coeff in self.alg.omega.terms.items():
-                bits = [i for i in range(dim) if mask >> i & 1]
-                a, b = bits
-                gram[a][b] = coeff
-                gram[b][a] = -coeff
-            try:
-                self._poisson = linalg.inverse(gram)
-            except linalg.SingularMatrixError:
-                raise InputError("symplectic form is degenerate") from None
-        return self._poisson
 
     def bivector_contraction(self, form: Form) -> Form:
         """f-hat: contraction with the Poisson bivector inverse to omega."""
@@ -146,8 +139,8 @@ class CEComplex:
 def build_complex(alg: LieAlgebra) -> CEComplex:
     """Build the complex, rejecting inconsistent or non-symplectic input.
 
-    Validates d.d = 0 on every degree (Jacobi identity), d omega = 0 and
-    omega^{dim/2} != 0.
+    Validates omega^{dim/2} != 0 (CEComplex inverts omega), then d.d = 0 on
+    every degree (Jacobi identity) and d omega = 0.
     """
     cx = CEComplex(alg)
     for m in range(alg.dim - 1):
@@ -158,8 +151,6 @@ def build_complex(alg: LieAlgebra) -> CEComplex:
             )
     if not differential(cx, alg.omega).is_zero:
         raise InputError("distinguished 2-form is not closed")
-    if wedge_power(alg.omega, alg.dim // 2).is_zero:
-        raise InputError("distinguished 2-form is degenerate: omega^n = 0")
     return cx
 
 

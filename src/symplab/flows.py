@@ -25,13 +25,11 @@ import numpy as np
 
 from . import linalg
 from .exterior import Frame, omega_power
-from .fields import PolyVectorField, classify
+from .fields import PolyVectorField, lie_derivative
 from .polynomials import InputError, Poly
 
 WORK_DTYPE = np.longdouble
 NORM_CAP = 1e9
-# refusal bound on round(t_final / dt); tangent flows keep every sample
-MAX_STEPS = 10**6
 # bound on the Gauss-Legendre nodes of one chain patch (the product of its
 # orders), which the chain quadrature evaluates at once: at 4096 nodes a
 # chain integral takes about 0.02 s; 100000 x 100000 nodes would need
@@ -63,8 +61,9 @@ class FlowConfig:
 
     The step count is round(t_final / dt) and the uniform step width is
     nudged to t_final / steps so the run lands exactly on t_final (when
-    t_final is a multiple of dt the width is dt itself).  Runs of more than
-    MAX_STEPS steps are refused.
+    t_final is a multiple of dt the width is dt itself).  MAX_FLOW_WORK
+    alone bounds a run: a step costs at least STEP_VALUES + 4 values, so
+    more than about 2e5 steps are refused before the first one.
     """
 
     t_final: float
@@ -77,8 +76,8 @@ class FlowConfig:
             raise InputError("dt must be positive")
         if self.t_final < 0:
             raise InputError("t_final must be nonnegative")
-        if not self.t_final / self.dt <= MAX_STEPS:
-            raise InputError(f"t_final / dt exceeds the budget of {MAX_STEPS} steps")
+        if not math.isfinite(self.t_final / self.dt):
+            raise InputError("t_final / dt must be finite")
 
     @property
     def steps(self) -> int:
@@ -108,7 +107,8 @@ class CompiledField:
     ``x ** p``, multiplies each row's nonzero-power factors in variable
     order (skipping x^0 = 1 is exact) and adds the rows into their output
     slots in row order, from zero: the sum a dense ``monomials @ scatter``
-    product forms, so the results agree to the bit.
+    product forms, so the results agree to the bit.  It is the one place an
+    input coefficient is rounded and refused (see _round_coefficient).
     """
 
     def __init__(self, x):
@@ -130,7 +130,8 @@ class CompiledField:
             np.array([row_of[f[col]] for f in padded], dtype=np.intp) for col in range(width)
         ]
         self.coeffs = np.array(
-            [_round_coefficient(c) for _, _, c in rows], dtype=WORK_DTYPE
+            [_round_coefficient(c, lambda: _term_name(s, k, nvars)) for s, _, c in rows],
+            dtype=WORK_DTYPE,
         ).reshape(len(rows), 1)
         self.slots = np.array([s for s, _, _ in rows], dtype=np.intp)
 
@@ -162,17 +163,11 @@ def _term_rows(polys):
     return rows
 
 
-def check_coefficients(polys) -> None:
-    """Refuse the value or Jacobian coefficient of a polynomial tuple that
-    CompiledField would refuse: one that rounds to +-inf or 0 in
-    WORK_DTYPE.  A refused Jacobian coefficient is named by its term, the
-    partial derivative of component i in x_j.  The CLI calls this while it
-    reads a file, so that the refusal names the file."""
-    k, nvars = len(polys), polys[0].nvars
-    for slot, _, c in _term_rows(polys):
-        i, j = divmod(slot - k, nvars)
-        term = f" of the partial derivative of component {i + 1} in x{j + 1}"
-        _round_coefficient(c, "" if slot < k else term)
+def _term_name(slot, k, nvars):
+    """How a refusal names a term row's coefficient: a Jacobian one by its
+    partial derivative, a value one by nothing."""
+    i, j = divmod(slot - k, nvars)
+    return f" of the partial derivative of component {i + 1} in x{j + 1}" if i >= 0 else ""
 
 
 def batch_det(mats: np.ndarray) -> np.ndarray:
@@ -383,14 +378,15 @@ def _round_work(q: Fraction):
         return np.ldexp(WORK_DTYPE(whole if q > 0 else -whole), -shift)
 
 
-def _round_coefficient(c: Fraction, term: str = ""):
+def _round_coefficient(c: Fraction, term=str):
     """An input coefficient rounded into WORK_DTYPE; a nonzero one that
-    rounds to +-inf or to 0 is refused, with ``term`` after the number."""
+    rounds to +-inf or to 0 is refused, with the text ``term()`` after the
+    number (called only then)."""
     value = _round_work(c)
     if c and not (np.isfinite(value) and value):
         size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
         raise InputError(
-            f"coefficient ~{'-' if c < 0 else ''}1e{size:.0f}{term} rounds to "
+            f"coefficient ~{'-' if c < 0 else ''}1e{size:.0f}{term()} rounds to "
             f"{'inf' if value else '0'} in {WORK_DTYPE.__name__}"
         )
     return value
@@ -611,15 +607,16 @@ class ChainIntegral:
 
 
 def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
-    """Validate a chain (against R^{2n} and half-degree l where given) and
-    build each patch's rule and chain map once.
+    """Validate a chain (against R^{2n} where given, and against half-degree
+    l, or else the first patch's) and build each patch's rule and chain map once.
 
     Returns three per-patch lists in patch order: rules (sign, blades,
     weights, l), mapped nodes (m, 2n) and tangent frames (m, 2n, 2l).
     """
     rules, points, frames = [], [], []
     for sign, patch in [(1, chain)] if isinstance(chain, ChainPatch) else chain:
-        if l is not None and patch.l != l:
+        l = patch.l if l is None else l
+        if patch.l != l:
             raise InputError("patch half-degree differs from l")
         amb_n = patch.ambient_dim // 2
         if n is not None and amb_n != n:
@@ -682,27 +679,21 @@ def verify_area_preservation(
     Quadrature nodes ride the RK4 flow; their tangent frames ride the
     variational flow (pushforward J . dsigma/du), so quadrature error and
     integration error stay separate.  The nodes of all patches ride one RK4
-    run.  The theorem hypothesis (symplectic for l < n, divergence-free for
-    l = n) is checked first and reported; a violation flags the report as
-    not applicable instead of failing.
+    run.  The theorem hypothesis L_X omega^l = 0 (div X = 0 for l = n; for
+    l < n, L_X omega = 0, as the wedge with omega^(l-1) is injective on
+    2-forms) is decided exactly first and reported; a violation flags the
+    report as not applicable instead of failing.
     """
     n = x.frame.n
     if not 1 <= l <= n:
         raise InputError("need 1 <= l <= n")
-    if l < n:
-        ok = classify(x, 1).symplectic_like
-        note = (
-            "symplectic field: omega^l conserved for every l"
-            if ok
-            else "theorem not applicable: X is not symplectic and l < n"
-        )
-    else:
-        ok = divergence(x).is_zero
-        note = (
-            "divergence-free field: phase volume conserved"
-            if ok
-            else "theorem not applicable: X has nonzero divergence"
-        )
+    ok = lie_derivative(x, omega_power(x.frame, l)).is_zero
+    note = {
+        (True, True): "symplectic field: omega^l conserved for every l",
+        (False, True): "theorem not applicable: X is not symplectic and l < n",
+        (True, False): "divergence-free field: phase volume conserved",
+        (False, False): "theorem not applicable: X has nonzero divergence",
+    }[ok, l < n]
 
     rules, points, frames = _chain_quadrature(chain, n, l)
     initial = float(_signed_sum(rules, frames))

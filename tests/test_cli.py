@@ -299,6 +299,34 @@ def test_flow_rejects_underscore_x0(capsys, tmp_path):
     assert err == "input error: x0 must be a list of numbers\n"
 
 
+NUMBER_FLAGS = {
+    # float() and int() read digit-group underscores: "1_0" once ran to
+    # t = 10 and "1_0e-1" stepped at dt = 1.0
+    "t-underscore": ("flow", ["--t", "1_0", "--dt", "0.1"], "--t must be a number"),
+    "dt-underscore": ("flow", ["--t", "1", "--dt", "1_0e-1"], "--dt must be a number"),
+    "t-not-a-number": ("flow", ["--t", "ten", "--dt", "0.1"], "--t must be a number"),
+    # a NaN or negative tolerance once made a passing run exit 1
+    "tol-nan": ("flow", ["--t", "1", "--dt", "0.1", "--tol", "nan"],
+                "--tol must be finite and nonnegative"),
+    "tol-negative": ("flow", ["--t", "1", "--dt", "0.1", "--tol", "-1"],
+                     "--tol must be finite and nonnegative"),
+    "tol-underscore": ("flow", ["--t", "1", "--dt", "0.1", "--tol", "1_0"],
+                       "--tol must be a number"),
+    "n-underscore": ("sl2-check", ["--n", "1_0"], "--n must be an integer"),
+    "k-underscore": ("classify", ["--k", "1_0"], "--k must be an integer"),
+    "k-not-an-integer": ("classify", ["--k", "1.0"], "--k must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_FLAGS))
+def test_number_flags_are_refused(capsys, tmp_path, case):
+    command, flags, message = NUMBER_FLAGS[case]
+    path = _write(tmp_path, "osc.json", OSC_N1)
+    argv = [command, *flags] if command == "sl2-check" else [command, path, *flags]
+    code, out, err = run(capsys, argv + (["--x0", "1,0"] if command == "flow" else []))
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_input_error_writes_no_partial_report(capsys, tmp_path):
     # the symbolic part of the report is built before x0 is refused
     path = _write(tmp_path, "osc.json", OSC_N1)

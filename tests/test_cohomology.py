@@ -82,7 +82,7 @@ def test_jacobi_violation_rejected(nilm):
     with pytest.raises(InputError, match="structure constants violate Jacobi"):
         build_complex(bad)
     # oracle for the same fact: expand d(d theta^6) directly (the CEComplex
-    # constructor does not validate)
+    # constructor checks only that omega is nondegenerate)
     bad_cx = CEComplex(bad)
     dd = differential(bad_cx, differential(bad_cx, theta(alg.frame, 6)))
     assert not dd.is_zero
@@ -103,6 +103,14 @@ def test_degenerate_omega_rejected():
     degenerate = wedge(theta(frame, 1), theta(frame, 2))
     with pytest.raises(InputError, match="distinguished 2-form is degenerate"):
         build_complex(LieAlgebra(6, (), degenerate))
+    # the one decision is the Poisson bivector's, made when the complex is
+    # built; a nondegenerate omega gets the inverse of its Gram matrix
+    with pytest.raises(InputError, match=r"^distinguished 2-form is degenerate: omega\^n = 0$"):
+        CEComplex(LieAlgebra(6, (), degenerate))
+    f4 = Frame.invariant(4)
+    darboux = wedge(theta(f4, 1), theta(f4, 2)) + wedge(theta(f4, 3), theta(f4, 4))
+    poisson = CEComplex(LieAlgebra(4, (), darboux)).poisson
+    assert poisson == [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 def test_dd_zero_everywhere(nilm):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -16,7 +17,6 @@ from symplab.fields import (
     hamiltonian_field,
 )
 from symplab.flows import (
-    MAX_STEPS,
     WORK_DTYPE,
     ChainPatch,
     CompiledField,
@@ -117,10 +117,10 @@ def test_flow_work_budget_boundary(monkeypatch, keep):
 
 
 def test_flow_work_budget_refuses_before_allocating():
-    # a linear field at n = 6 over MAX_STEPS would keep (10^6 + 1) x 156
+    # a linear field at n = 6 over 10^6 steps would keep (10^6 + 1) x 156
     # longdoubles of paths, 2.5 GB.  The Duffing field q' = p, p' = -q - q^3
     # computes only 10 values a step, but a stage-loop step on one node
-    # takes about 50 us, a minute at MAX_STEPS.  Both are refused before
+    # takes about 50 us, a minute at 10^6 steps.  Both are refused before
     # the first step
     linear = hamiltonian_field(Frame.darboux(6), standard_h(6))
     duffing = PolyVectorField(Frame.darboux(1), (var(2, 1), -var(2, 0) - var(2, 0) ** 3))
@@ -133,16 +133,31 @@ def test_flow_work_budget_refuses_before_allocating():
     for x, x0, message in cases:
         start = time.perf_counter()
         with pytest.raises(InputError, match=message):
-            tangent_flow(x, x0, FlowConfig(t_final=MAX_STEPS, dt=1.0))
+            tangent_flow(x, x0, FlowConfig(t_final=10**6, dt=1.0))
         assert time.perf_counter() - start < 1.0
 
 
 def test_flow_config_step_budget():
-    # only constructs configurations: a refused one must never start a run
-    assert FlowConfig(t_final=MAX_STEPS / 2, dt=0.5).steps == MAX_STEPS
-    for t_final, dt in ((MAX_STEPS + 1.0, 1.0), (1e9, 1e-9), (1e300, 1e-300)):
-        with pytest.raises(ValueError, match="budget"):
+    # a ratio that overflows to inf is refused by the config itself, before
+    # int(round(...)) could raise OverflowError
+    for t_final, dt in ((1e300, 1e-300), (1.0, 5e-324)):
+        with pytest.raises(InputError, match=r"^t_final / dt must be finite$"):
             FlowConfig(t_final=t_final, dt=dt)
+    # above 10^6 steps the run budget alone refuses, before the first step:
+    # the cheapest step, the zero field on one node at n = 1, costs
+    # STEP_VALUES + 4 values
+    zero = PolyVectorField.zero(Frame.darboux(1))
+    for t_final, dt in ((10**6 + 1.0, 1.0), (1e9, 1e-9), (1e200, 1e-100)):
+        cfg = FlowConfig(t_final=t_final, dt=dt)
+        assert cfg.steps > 10**6
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=r"values of RK4 work.*the budget is"):
+            tangent_flow(zero, [0.5, 0.0], cfg)
+        assert time.perf_counter() - start < 1.0
+    largest = flows.MAX_FLOW_WORK // (flows.STEP_VALUES + 4)
+    with pytest.raises(InputError, match=f"^{largest + 1} steps x "):
+        flows._rk4_run(CompiledField(zero), np.zeros((1, 2), dtype=WORK_DTYPE),
+                          FlowConfig(largest + 1.0, 1.0))
 
 
 def test_batch_det_against_exact_fractions():
@@ -852,6 +867,86 @@ def test_divergence_agrees_with_top_degree_classification():
         assert divergence(x).is_zero == classify(x, 2).symplectic_like
 
 
+@functools.lru_cache(maxsize=None)
+def _hypothesis_fields():
+    """The vector fields of the test suite and of the bundled paper-verify
+    suite, by name."""
+    from symplab import cli
+    from symplab.fields import field_from_data, vector_from_two_form
+
+    frame1, frame2 = Frame.darboux(1), Frame.darboux(2)
+    q, p = var(2, 0), var(2, 1)
+    fields = {f"affine-{k}": x for k, (x, _) in _affine_cases().items()}
+    fields.update({f"stage-{k}": x for k, (x, _) in _stage_cases().items()})
+    fields.update({
+        f"evaluator-{k}": x for k, x in _evaluator_cases().items()
+        if isinstance(x, PolyVectorField)
+    })
+    fields.update({
+        "duffing": PolyVectorField(frame1, (p, -q - q ** 3)),
+        "q-squared": PolyVectorField(frame1, (q ** 2, p)),
+        "saddle-blow-up": PolyVectorField(frame1, (q ** 2, -p)),
+        "saddle": PolyVectorField(frame1, (q, -p)),
+        "expanding-saddle": PolyVectorField(frame1, (q, p)),
+        "shear": PolyVectorField(frame1, (q + p, q + p)),
+        "dilation-n1": PolyVectorField(frame1, (q, Poly.zero(2))),
+        "dilation-n2": PolyVectorField(frame2, (var(4, 0),) + (Poly.zero(4),) * 3),
+        "squares-n2": PolyVectorField(
+            frame2, (var(4, 3) ** 2, Poly.zero(4), Poly.zero(4), var(4, 0) ** 2)),
+        "d/dq1": PolyVectorField(frame2, (Poly.constant(4, 1),) + (Poly.zero(4),) * 3),
+        "expanding": PolyVectorField(frame1, (q + 1, Fraction(1, 2) * p)),
+        "ham-cubic": hamiltonian_field(frame2, standard_h(2) + var(4, 0) ** 2 * var(4, 1)),
+        "ham-quartic-n1": hamiltonian_field(frame1, standard_h(1) + q ** 4),
+        "ham-n6": hamiltonian_field(Frame.darboux(6), standard_h(6)),
+        "linear-2112": build_linear_system([[2, 1], [1, 2]])[1],
+        "linear-nonsymmetric": build_linear_system([[1, 2], [5, Fraction(-1, 3)]])[1],
+        "masses-225": build_linear_system(None, masses=(2, 2, 5))[1],
+        "cli-osc-n1": field_from_data({"n": 1, "components": [[["1", 0, 1]], [["-1", 1, 0]]]}),
+        "cli-oscillator": field_from_data({"n": 2, "components": [
+            [["1", 0, 0, 1, 0]], [["1", 0, 0, 0, 1]],
+            [["1", 1, 0, 0, 0], ["-1", 0, 1, 0, 0]],
+            [["-1/2", 1, 0, 0, 0], ["1/2", 0, 1, 0, 0]],
+        ]}),
+    })
+    for n in (1, 2, 3):
+        fields[f"ham-n{n}"] = hamiltonian_field(Frame.darboux(n), standard_h(n))
+    # the bundled suite: coupled oscillators, liouville-drift and area-laws,
+    # and the 50 seeded contraction-identity fields
+    fields["suite-coupled-oscillators"] = build_linear_system(None, masses=(1, 2, 1))[1]
+    rng = random.Random(20040812)
+    for n in (2, 3):
+        for i in range(25):
+            fields[f"suite-contraction-n{n}-{i}"] = vector_from_two_form(
+                cli._random_two_form(rng, n))
+    return fields
+
+
+@pytest.mark.parametrize("name", sorted(_hypothesis_fields()))
+def test_lie_derivative_hypothesis_equals_classify_and_divergence(name):
+    # the one exact test L_X omega^l = 0 decides what classify(x, 1) decided
+    # for l < n and the divergence for l = n, on every field of the suite,
+    # and a transport report (zero steps) carries it with its note
+    from symplab.exterior import omega_power
+    from symplab.fields import classify, lie_derivative
+
+    x = _hypothesis_fields()[name]
+    n = x.frame.n
+    for l in range(1, n + 1):
+        new = lie_derivative(x, omega_power(x.frame, l)).is_zero
+        old = classify(x, 1).symplectic_like if l < n else divergence(x).is_zero
+        assert new == old, (name, l)
+        axes = np.eye(x.frame.dim)[: 2 * l].tolist()
+        cube = ChainPatch.affine(l, [0] * x.frame.dim, axes, orders=(1,) * (2 * l))
+        report = verify_area_preservation(x, cube, l, FlowConfig(0.0, 0.1))
+        assert report.hypothesis_ok == old
+        assert report.hypothesis_note == {
+            (True, True): "symplectic field: omega^l conserved for every l",
+            (False, True): "theorem not applicable: X is not symplectic and l < n",
+            (True, False): "divergence-free field: phase volume conserved",
+            (False, False): "theorem not applicable: X has nonzero divergence",
+        }[old, l < n]
+
+
 # ---------------------------------------------------------------------------
 # chain integrals
 # ---------------------------------------------------------------------------
@@ -947,6 +1042,34 @@ def test_exact_degree_rule_gives_exact_value():
 def test_chain_of_signed_patches():
     total = chain_integral([(1, unit_square()), (-1, unit_square())])
     assert total.value == 0.0
+
+
+def test_chain_of_mixed_degree_is_refused():
+    # a square (l = 1) and a 4-cube (l = 2) integrate forms of different
+    # degree; their sum once read 2.0.  l comes from the first patch
+    for chain in ([(1, unit_square()), (1, unit_cube())], [(1, unit_cube()), (1, unit_square())]):
+        with pytest.raises(InputError, match="^patch half-degree differs from l$"):
+            chain_integral(chain)
+    assert chain_integral([(1, unit_cube()), (1, unit_cube())]).value == 2.0
+
+
+def test_compiled_field_names_a_refused_coefficient():
+    # 10^4931 fits a longdouble, but 12 x 10^4931, the coefficient of the
+    # partial derivative of the first component in x1, does not
+    big = Fraction(10) ** 4931
+    q, p = var(2, 0), var(2, 1)
+    cases = [
+        (PolyVectorField(Frame.darboux(1), (big * q ** 12, -q)),
+         "coefficient ~1e4932 of the partial derivative of component 1 in x1 rounds to inf"),
+        ((q, big * p ** 12, q, p),
+         "coefficient ~1e4932 of the partial derivative of component 2 in x2 rounds to inf"),
+        ((q, Fraction(1, 10 ** 5000) * p), "coefficient ~1e-5000 rounds to 0"),
+        ((q, -(Fraction(10) ** 5000) * p), "coefficient ~-1e5000 rounds to inf"),
+    ]
+    for polys, message in cases:
+        with pytest.raises(InputError) as err:
+            CompiledField(polys)
+        assert str(err.value) == f"{message} in {WORK_DTYPE.__name__}"
 
 
 def test_chain_validation():
