@@ -51,6 +51,8 @@ class LieAlgebra:
                 raise ValueError(f"structure triple ({i},{j},{k}) out of range")
         if self.omega.frame.dim != self.dim:
             raise ValueError("symplectic form frame does not match dimension")
+        if self.omega.degrees() - {2}:
+            raise ValueError("symplectic form must be a 2-form")
 
     @property
     def frame(self) -> Frame:

@@ -18,7 +18,6 @@ from .exterior import (
     contraction_sign,
     interior,
     merge_sign,
-    omega,
     omega_power,
     wedge,
 )
@@ -147,18 +146,9 @@ class Classification:
 
 def classify(x: PolyVectorField, k: int) -> Classification:
     """Decide whether X is symplectic(-like)/Hamiltonian(-like) at degree 2k-1."""
-    n = x.frame.n
     e = el_form(x, k)
     closed = exterior_derivative(e).is_zero
-    if k < n:
-        # the degree-(2k-1) condition collapses to preserving omega itself
-        preserves_omega = lie_derivative(x, omega(x.frame)).is_zero
-        if preserves_omega != closed:
-            raise AssertionError(
-                "closedness of -i_X(omega^k) disagrees with L_X omega = 0"
-            )
-    potential = radial_potential(e) if closed else None
-    return Classification(k, closed, potential)
+    return Classification(k, closed, _radial_primitive(e) if closed else None)
 
 
 def radial_potential(a: Form) -> Form:
@@ -168,13 +158,17 @@ def radial_potential(a: Form) -> Form:
     primitive is sum_j (+/-) c x^b x_j dx_{I minus j} / (|b| + k); applying d
     returns the input exactly.  Raises ValueError otherwise.
     """
-    frame = a.frame
-    if a.is_zero:
-        return Form.zero(frame)
     if 0 in a.degrees():
         raise ValueError("0-form component has no primitive")
     if not exterior_derivative(a).is_zero:
         raise ValueError("radial homotopy needs a closed form")
+    return _radial_primitive(a)
+
+
+def _radial_primitive(a: Form) -> Form:
+    """The radial-homotopy primitive of a form already known to be closed
+    and free of a 0-form component."""
+    frame = a.frame
     nvars = frame.dim
     terms: dict = {}
     for mask, coeff in a.terms.items():
@@ -390,8 +384,6 @@ def linear_system_two_form(spec: LinearSystemSpec) -> TwoFormData:
     """alpha = H omega/(n-1) - (p.q/2) a_ij dq^i^dq^j, mapping back to the
     linear-system field under ``vector_from_two_form``."""
     n = spec.n
-    if n < 2:
-        raise ValueError("two-form dictionary needs n >= 2")
     frame = Frame.darboux(n)
     nvars = frame.dim
     base = hamiltonian_two_form(frame, spec.hamiltonian_h)

@@ -378,7 +378,7 @@ def _round_work(q: Fraction):
         return np.ldexp(WORK_DTYPE(whole if q > 0 else -whole), -shift)
 
 
-def _round_coefficient(c: Fraction, term=str):
+def _round_coefficient(c: Fraction, term):
     """An input coefficient rounded into WORK_DTYPE; a nonzero one that
     rounds to +-inf or to 0 is refused, with the text ``term()`` after the
     number (called only then)."""
@@ -517,10 +517,6 @@ class ChainPatch:
             bound.append(sum(per_row[:nvars]))
         return bound
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.maps)
-
     @classmethod
     def affine(cls, l: int, origin, axes, orders=None) -> "ChainPatch":
         """Patch origin + sum_j u_j * axes[j] over the unit 2l-cube."""
@@ -575,31 +571,6 @@ def _gauss_legendre(order: int):
     return (x + 1) / 2, w / 2
 
 
-def _omega_power_blades(n: int, l: int):
-    """(coefficient, row-index tuple) pairs of omega^l over a Darboux frame."""
-    frame = Frame.darboux(n)
-    wl = omega_power(frame, l)
-    blades = []
-    for mask, coeff in sorted(wl.terms.items()):
-        rows = tuple(i for i in range(frame.dim) if mask >> i & 1)
-        blades.append((_round_coefficient(coeff), rows))
-    return blades
-
-
-def _pullback_integral(blades, frames: np.ndarray, weights: np.ndarray, l: int):
-    """Quadrature of the omega^l pullback given tangent frames (m, 2n, 2l).
-
-    A pullback past the longdouble range gives an inf or NaN value, which
-    the callers report; it warns about nothing."""
-    m = frames.shape[0]
-    total = np.zeros(m, dtype=WORK_DTYPE)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for coeff, rows in blades:
-            total += coeff * batch_det(frames[:, rows, :])
-        value = np.sum(total * weights)
-    return value / WORK_DTYPE(math.factorial(l))
-
-
 @dataclass(frozen=True)
 class ChainIntegral:
     value: float
@@ -607,46 +578,68 @@ class ChainIntegral:
 
 
 def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
-    """Validate a chain (against R^{2n} where given, and against half-degree
-    l, or else the first patch's) and build each patch's rule and chain map once.
+    """Validate a nonempty chain against one R^{2n} and one half-degree l
+    (where not given, the first patch's) and build each patch's rule and
+    chain map once and the omega^l blades once.
 
-    Returns three per-patch lists in patch order: rules (sign, blades,
-    weights, l), mapped nodes (m, 2n) and tangent frames (m, 2n, 2l).
+    Returns the rule (l, blades, [(sign, weights)] in patch order), with
+    blades as (coefficient, row indices) pairs of omega^l over a Darboux
+    frame, and the mapped nodes (M, 2n) and tangent frames (M, 2n, 2l) of
+    all patches stacked in patch order.
     """
-    rules, points, frames = [], [], []
-    for sign, patch in [(1, chain)] if isinstance(chain, ChainPatch) else chain:
+    patches = [(1, chain)] if isinstance(chain, ChainPatch) else list(chain)
+    if not patches:
+        raise InputError("empty chain")
+    parts, points, frames = [], [], []
+    for sign, patch in patches:
+        n = len(patch.maps) // 2 if n is None else n
         l = patch.l if l is None else l
         if patch.l != l:
             raise InputError("patch half-degree differs from l")
-        amb_n = patch.ambient_dim // 2
-        if n is not None and amb_n != n:
+        if len(patch.maps) != 2 * n:
             raise InputError("patch ambient dimension != 2n")
         nodes, weights = patch.nodes_and_weights()
         mapped, tangents = CompiledField(patch.maps)(nodes)
-        rules.append((int(sign), _omega_power_blades(amb_n, patch.l), weights, patch.l))
+        parts.append((int(sign), weights))
         points.append(mapped)
         frames.append(tangents)
-    return rules, points, frames
+    blades = [
+        (_round_work(coeff), [i for i in range(2 * n) if mask >> i & 1])
+        for mask, coeff in sorted(omega_power(Frame.darboux(n), l).terms.items())
+    ]
+    return (l, blades, parts), np.concatenate(points), np.concatenate(frames)
 
 
-def _signed_sum(rules, frames):
-    """Sum of sign * (1/l!) int omega^l over the patches, in patch order,
-    from their tangent frames."""
-    total = WORK_DTYPE(0.0)
-    for (sign, blades, weights, l), patch_frames in zip(rules, frames):
-        total += WORK_DTYPE(sign) * _pullback_integral(blades, patch_frames, weights, l)
+def _signed_integral(rule, frames: np.ndarray):
+    """Sum of sign * (1/l!) int omega^l over the patches, from the stacked
+    tangent frames: one batch_det per blade over all nodes, then a weighted
+    sum within each patch, /l!, and the signed sum in patch order.
+
+    A pullback past the longdouble range gives an inf or NaN value, which
+    the callers report; it warns about nothing."""
+    l, blades, parts = rule
+    pullback = np.zeros(len(frames), dtype=WORK_DTYPE)
+    total, start = WORK_DTYPE(0.0), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, rows in blades:
+            pullback += coeff * batch_det(frames[:, rows, :])
+        for sign, weights in parts:
+            value = np.sum(pullback[start:start + len(weights)] * weights)
+            total += WORK_DTYPE(sign) * (value / WORK_DTYPE(math.factorial(l)))
+            start += len(weights)
     return total
 
 
 def chain_integral(chain, n: int | None = None) -> ChainIntegral:
-    """(1/l!) integral of omega^l over a patch or a signed list of patches.
+    """(1/l!) integral of omega^l over a patch or a nonempty signed list of
+    patches, all in one R^{2n} (R^{2n} of the first patch when n is not
+    given) and of one half-degree l.
 
     A parametrization whose Jacobian vanishes at every quadrature node is
     reported as degenerate with value 0 rather than an error.
     """
-    rules, _, frames = _chain_quadrature(chain, n)
-    degenerate = not any(np.any(f != 0) for f in frames)
-    return ChainIntegral(float(_signed_sum(rules, frames)), degenerate)
+    rule, _, frames = _chain_quadrature(chain, n)
+    return ChainIntegral(float(_signed_integral(rule, frames)), not np.any(frames != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +671,14 @@ def verify_area_preservation(
 
     Quadrature nodes ride the RK4 flow; their tangent frames ride the
     variational flow (pushforward J . dsigma/du), so quadrature error and
-    integration error stay separate.  The nodes of all patches ride one RK4
-    run.  The theorem hypothesis L_X omega^l = 0 (div X = 0 for l = n; for
-    l < n, L_X omega = 0, as the wedge with omega^(l-1) is injective on
-    2-forms) is decided exactly first and reported; a violation flags the
-    report as not applicable instead of failing.
+    integration error stay separate.  The chain is a patch or a nonempty
+    signed list of patches, each of half-degree l in the R^{2n} of X; the
+    nodes of all patches ride one RK4 run, and the integral before and
+    after is one quadrature over the stacked frames.  The theorem
+    hypothesis L_X omega^l = 0 (div X = 0 for l = n; for l < n,
+    L_X omega = 0, as the wedge with omega^(l-1) is injective on 2-forms) is
+    decided exactly first and reported; a violation flags the report as not
+    applicable instead of failing.
     """
     n = x.frame.n
     if not 1 <= l <= n:
@@ -695,20 +691,16 @@ def verify_area_preservation(
         (False, False): "theorem not applicable: X has nonzero divergence",
     }[ok, l < n]
 
-    rules, points, frames = _chain_quadrature(chain, n, l)
-    initial = float(_signed_sum(rules, frames))
+    rule, points, frames = _chain_quadrature(chain, n, l)
+    initial = float(_signed_integral(rule, frames))
     track_det = l == n
-    _, js_t, _, _, max_det, blow = _rk4_run(
-        CompiledField(x), np.concatenate(points), cfg, track_det=track_det
-    )
+    _, js_t, _, _, max_det, blow = _rk4_run(CompiledField(x), points, cfg, track_det=track_det)
     blew_up = blow is not None
 
     if blew_up:
         final_f = abs_drift = float("nan")
     else:
-        frames_t = np.einsum("mij,mjl->mil", js_t, np.concatenate(frames))
-        per_patch = np.split(frames_t, np.cumsum([len(f) for f in frames])[:-1])
-        final_f = float(_signed_sum(rules, per_patch))
+        final_f = float(_signed_integral(rule, np.einsum("mij,mjl->mil", js_t, frames)))
         abs_drift = abs(final_f - initial)
     rel_drift = abs_drift / abs(initial) if initial else None
     return ConservationReport(

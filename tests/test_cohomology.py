@@ -113,6 +113,14 @@ def test_degenerate_omega_rejected():
     assert poisson == [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
+def test_omega_of_mixed_degree_rejected():
+    # harmonic_dim once read 1, 4, 6, 4, 1 off the 2-form part alone
+    f4 = Frame.invariant(4)
+    darboux = wedge(theta(f4, 1), theta(f4, 2)) + wedge(theta(f4, 3), theta(f4, 4))
+    with pytest.raises(ValueError, match="^symplectic form must be a 2-form$"):
+        LieAlgebra(4, (), darboux + wedge(wedge(theta(f4, 1), theta(f4, 2)), theta(f4, 3)))
+
+
 def test_dd_zero_everywhere(nilm):
     _, cx = nilm
     for m in range(5):

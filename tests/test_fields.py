@@ -301,6 +301,11 @@ def test_linear_system_alpha_reproduces_field():
     assert vector_from_two_form(linear_system_two_form(spec)).components == x.components
 
 
+def test_linear_system_alpha_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="^two-form dictionary needs n >= 2$"):
+        linear_system_two_form(build_linear_system([[1]])[0])
+
+
 def test_antisymmetry_enforced():
     frame = Frame.darboux(2)
     with pytest.raises(InputError, match=r"Q\[1\]\[2\] != -Q\[2\]\[1\]"):

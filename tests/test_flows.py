@@ -778,16 +778,13 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     report = verify_area_preservation(x, chain, l, cfg)
     # the transport as one RK4 run per patch
     compiled = CompiledField(x)
-    blades = flows._omega_power_blades(2, l)
     final, max_det = WORK_DTYPE(0.0), 0.0
-    for sign, patch in chain:
-        nodes, weights = patch.nodes_and_weights()
-        points, tangents = CompiledField(patch.maps)(nodes)
+    for part in chain:
+        rule, points, tangents = flows._chain_quadrature([part], 2, l)
         _, js, _, _, drift, blow = flows._rk4_run(compiled, points, cfg, track_det=l == 2)
         assert blow is None
         max_det = max(max_det, drift)
-        frames = np.einsum("mij,mjl->mil", js, tangents)
-        final += WORK_DTYPE(sign) * flows._pullback_integral(blades, frames, weights, l)
+        final += flows._signed_integral(rule, np.einsum("mij,mjl->mil", js, tangents))
     assert report.hypothesis_ok and not report.blew_up
     assert report.initial == chain_integral(chain, 2).value
     assert report.final == float(final)
@@ -935,6 +932,7 @@ def test_lie_derivative_hypothesis_equals_classify_and_divergence(name):
         new = lie_derivative(x, omega_power(x.frame, l)).is_zero
         old = classify(x, 1).symplectic_like if l < n else divergence(x).is_zero
         assert new == old, (name, l)
+        assert classify(x, l).symplectic_like == new, (name, l)
         axes = np.eye(x.frame.dim)[: 2 * l].tolist()
         cube = ChainPatch.affine(l, [0] * x.frame.dim, axes, orders=(1,) * (2 * l))
         report = verify_area_preservation(x, cube, l, FlowConfig(0.0, 0.1))
@@ -1051,6 +1049,29 @@ def test_chain_of_mixed_degree_is_refused():
         with pytest.raises(InputError, match="^patch half-degree differs from l$"):
             chain_integral(chain)
     assert chain_integral([(1, unit_cube()), (1, unit_cube())]).value == 2.0
+
+
+def test_chain_of_mixed_ambient_dimension_is_refused():
+    # a unit square in R^2 and one in R^4 once summed to 2.0; n comes from the
+    # first patch, or from the field in a transport
+    plane = ChainPatch.affine(1, [0, 0], [[0, 1], [1, 0]], orders=(4, 4))
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    for chain in ([(1, plane), (1, unit_square())], [(1, unit_square()), (1, plane)]):
+        with pytest.raises(InputError, match=r"^patch ambient dimension != 2n$"):
+            chain_integral(chain)
+        with pytest.raises(InputError, match=r"^patch ambient dimension != 2n$"):
+            verify_area_preservation(x, chain, 1, FlowConfig(1.0, 1e-2))
+    assert chain_integral([(1, plane), (1, plane)]).value == 2.0
+
+
+def test_empty_chain_is_refused():
+    # once a degenerate 0.0 from chain_integral and a numpy concatenate
+    # error from the transport
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    with pytest.raises(InputError, match="^empty chain$"):
+        chain_integral([])
+    with pytest.raises(InputError, match="^empty chain$"):
+        verify_area_preservation(x, [], 1, FlowConfig(1.0, 1e-2))
 
 
 def test_compiled_field_names_a_refused_coefficient():

@@ -1,5 +1,6 @@
-"""Every module-level import of a symplab module is used in that module.
-``__init__.py`` re-exports names and is exempt."""
+"""Every module-level import of a symplab module is used in that module,
+and every module-level private function is referenced somewhere in the
+package.  ``__init__.py`` re-exports names and is exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -22,12 +23,46 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def dead_private_functions(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions that no name or attribute in the
+    sources refers to."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in defined if name not in used]
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") == [
         "os", "b",
     ]
 
 
+def test_checker_finds_a_dead_private_function():
+    sources = [
+        "def _dead(): pass\ndef _called(): pass\ndef _named(): pass\ndef __dunder__(): pass\n",
+        "import a\na._called()\nf = _named\n",
+    ]
+    assert dead_private_functions(sources) == ["_dead"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_no_dead_private_functions():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert dead_private_functions(sources) == []
