@@ -243,6 +243,8 @@ def cmd_flow(args, rep: Reporter) -> int:
         raise InputError("--tol must be finite and nonnegative")
     if args.chain:
         chain = _load(args.chain, _chain_from_data)
+    if chain is not None and args.x0 is not None:
+        raise InputError("--x0 is for a tangent flow; a chain transport takes no initial point")
     div = fw.divergence(field)
     rep.both("divergence_zero", str(div.is_zero).lower())
 

@@ -36,21 +36,25 @@ NORM_CAP = 1e9
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
-# blow-up test and one batch_det call per block.  A call gets at most
-# DET_BATCH matrices while m <= DET_BATCH; above that a block is one step,
-# and the stage loop's call gets all m tangent maps (the affine path shares
-# one map among the nodes, so it sends one per step, and with a one-step
-# buffer each step's np.dot reads the whole buffer and writes its first dim
-# rows)
+# blow-up test per block and, where a det check runs, one batch_det call.  A
+# call gets at most DET_BATCH matrices while m <= DET_BATCH; above that a
+# block is one step, and the stage loop's call gets all m tangent maps (the
+# affine path shares one map among the nodes, so it sends one per step, and
+# with a one-step buffer each step's np.dot reads the whole buffer and writes
+# its first dim rows).  A run that steps chain frames has no det check, and
+# its blocks only batch the blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
-# its kept paths hold are refused above it.  STEP_VALUES is a step's fixed
-# cost in values: the stage loop takes about 46 + 0.19 x values us per step
-# for the Duffing field and 77 + 0.25 x values for a quartic at n = 2
-# (2-core x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and
-# kept paths take at most 800 MB; the largest bundled run (area-laws, 16
-# nodes for 10^4 steps at dim 4) needs 7.0e6
+# its kept paths hold are refused above it.  The dim^2 counts a full tangent
+# map per node, an upper bound for a run that steps only the 2l < dim
+# columns of chain frames, so which tangents a run steps moves no refusal.
+# STEP_VALUES is a step's fixed cost in values: the stage loop stepping full
+# tangent maps takes at most about 46 + 0.19 x values us per step for the
+# Duffing field and 77 + 0.25 x values for a quartic at n = 2 (2-core
+# x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and kept
+# paths take at most 800 MB; the largest bundled run (area-laws, 16 nodes
+# for 10^4 steps at dim 4) needs 7.0e6
 MAX_FLOW_WORK = 5 * 10**7
 STEP_VALUES = 250
 
@@ -106,9 +110,11 @@ class CompiledField:
     table of the powers x_i^p the rows use, with the same ``powl`` as
     ``x ** p``, multiplies each row's nonzero-power factors in variable
     order (skipping x^0 = 1 is exact) and adds the rows into their output
-    slots in row order, from zero: the sum a dense ``monomials @ scatter``
-    product forms, so the results agree to the bit.  It is the one place an
-    input coefficient is rounded and refused (see _round_coefficient).
+    slots in row order, from +0, with one flat ``np.add.at``: the sums a
+    dense evaluation forms (every monomial, each slot's rows added in row
+    order), so the results agree to the bit.  The flat index of a call is
+    built once per node count.  It is the one place an input coefficient is
+    rounded and refused (see _round_coefficient).
     """
 
     def __init__(self, x):
@@ -134,17 +140,27 @@ class CompiledField:
             dtype=WORK_DTYPE,
         ).reshape(len(rows), 1)
         self.slots = np.array([s for s, _, _ in rows], dtype=np.intp)
+        # node count m -> the flat index of a call's scatter into its sums
+        self._scatter = {}
 
     def __call__(self, xs: np.ndarray):
-        """xs (m, nvars) -> (values (m, k), jacobians (m, k, nvars))."""
+        """xs (m, nvars) -> (values (m, k), jacobians (m, k, nvars)).  xs
+        may be any strided (m, nvars) view."""
         m = xs.shape[0]
         table = xs.T.take(self.table_vars, axis=0) ** self.table_exps
         terms = table.take(self.factors[0], axis=0)
         for factor in self.factors[1:]:
             terms *= table.take(factor, axis=0)
         terms *= self.coeffs
-        stacked = np.zeros((m, self.out_dim), dtype=WORK_DTYPE)
-        np.add.at(stacked.T, self.slots, terms)
+        index = self._scatter.get(m)
+        if index is None:
+            # the row-major (rows, m) terms: entry (row, node) adds into
+            # (node, slot), and a flat np.add.at adds in that order, so every
+            # slot gains its rows in row order
+            index = self._scatter[m] = (np.arange(m) * self.out_dim + self.slots[:, None]).ravel()
+        sums = np.zeros(self.out_dim * m, dtype=WORK_DTYPE)
+        np.add.at(sums, index, terms.ravel())
+        stacked = sums.reshape(m, self.out_dim)
         return stacked[:, : self.k], stacked[:, self.k:].reshape(m, self.k, self.nvars)
 
 
@@ -232,12 +248,16 @@ class TangentFlow:
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
-             track_det=False):
-    """The one RK4 loop: a batch of m states and their tangent maps from one
-    J(0) = I, in blocks of at most max(1, DET_BATCH // m) steps.  A block
-    generator takes the steps: _affine_blocks for fields of degree <= 1 (the
-    exact one-step propagator applied to [J~ | x~^T]), _stage_blocks for all
-    others.
+             track_det=False, tangents=None):
+    """The one RK4 loop: a batch of m states and their tangents, in blocks
+    of at most max(1, DET_BATCH // m) steps.  A block generator takes the
+    steps: _affine_blocks for fields of degree <= 1 (the exact one-step
+    propagator applied to [J~ | x~^T]), _stage_blocks for all others.
+
+    ``tangents`` are the initial tangents V(0), (m, dim, c); None is the
+    identity.  The stage loop steps V' = DX V on those c columns alone,
+    unless track_det asks for det J; then, and on the affine path, the run
+    steps J from J(0) = I and the result is J V(0), one einsum at the end.
 
     After each block: one blow-up test, and with track_det one batch_det
     call over its tangent maps, folded with np.maximum so that a NaN
@@ -247,12 +267,14 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
 
     A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
     values, or whose kept paths exceed MAX_FLOW_WORK values is refused
-    before anything is allocated.
+    before anything is allocated; dim^2 tangent values per node bound a run
+    that steps fewer columns too.
 
-    Returns (xs, js, states_path, jac_path, max_det_drift, blow_step); with
-    keep_paths the paths are arrays of shape (samples, m, dim) and
-    (samples, m or 1, dim, dim), with samples = steps + 1, or
-    blow_step + 1 after a blow-up.
+    Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step),
+    vs (m, dim, c); with keep_paths the paths are arrays of shape
+    (samples, m, dim) and (samples, m or 1, dim, c or dim) of what was
+    stepped (the shared J on the affine path), with samples = steps + 1,
+    or blow_step + 1 after a blow-up.
     """
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
@@ -266,66 +288,81 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
         )
     block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
-    blocks = (_affine_blocks if affine else _stage_blocks)(compiled, xs, cfg, block)
-    js = np.eye(dim, dtype=WORK_DTYPE)[None]
+    # the tangents ride V' = DX V where neither a det nor a shared J needs J
+    ride = tangents is not None and not (affine or track_det)
+    vs = tangents if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
+    if affine:
+        blocks = _affine_blocks(compiled, xs, cfg, block)
+    else:
+        blocks = _stage_blocks(compiled, xs, vs, cfg, block)
     samples = cfg.steps + 1
     if keep_paths:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        jac_path = np.empty((samples, 1 if affine else m, dim, dim), dtype=WORK_DTYPE)
-        states_path[0], jac_path[0] = xs, js
+        tangent_path = np.empty((samples, 1 if affine else m) + vs.shape[1:], dtype=WORK_DTYPE)
+        states_path[0], tangent_path[0] = xs, vs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
     taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for xb, jb in blocks:
+        for xb, vb in blocks:
             # steps whose largest node norm passes the cap, a NaN norm included
             norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
             past = np.flatnonzero(~(norms <= NORM_CAP))
             done = int(past[0]) + 1 if past.size else len(xb)
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
-                jac_path[taken + 1:taken + 1 + done] = jb[:done]
+                tangent_path[taken + 1:taken + 1 + done] = vb[:done]
             if track_det:
-                dets = batch_det(jb[:done].reshape(-1, dim, dim))
+                dets = batch_det(vb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
-            xs, js = xb[done - 1].copy(), jb[done - 1].copy()
+            xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
             taken += done
             if past.size:
                 blow_step, samples = taken, taken + 1
                 break
-    js = np.broadcast_to(js, (m, dim, dim))
+    vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
+    if tangents is not None and not ride:
+        vs = np.einsum("mij,mjl->mil", vs, tangents)
     if not keep_paths:
-        return xs, js, None, None, float(max_det), blow_step
-    return xs, js, states_path[:samples], jac_path[:samples], float(max_det), blow_step
+        return xs, vs, None, None, float(max_det), blow_step
+    return xs, vs, states_path[:samples], tangent_path[:samples], float(max_det), blow_step
 
 
-def _stage_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
-    """The four-stage RK4 loop, for any polynomial field.  Yields each
-    block's states (count, m, dim) and tangent maps (count, m, dim, dim),
-    in buffers the next block overwrites."""
+def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block):
+    """The four-stage RK4 loop, for any polynomial field, from the states xs
+    (m, dim) and the tangents (m or 1, dim, c).  Both step as one array
+    Y = [x | V] of shape (m, dim, 1 + c), whose stage derivative is
+    [X(x) | DX(x) V], so each RK4 combination is one numpy call on both.
+    Yields each block's states (count, m, dim) and tangents
+    (count, m, dim, c), views of a buffer the next block overwrites."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
     two = WORK_DTYPE(2.0)
     m, dim = xs.shape
-    xbuf = np.empty((block, m, dim), dtype=WORK_DTYPE)
-    jbuf = np.empty((block, m, dim, dim), dtype=WORK_DTYPE)
-    # the first step's products broadcast the one identity over the nodes
-    x, j = xs, np.eye(dim, dtype=WORK_DTYPE)[None]
+    c = tangents.shape[2]
+    ybuf = np.empty((block, m, dim, 1 + c), dtype=WORK_DTYPE)
+    y = np.empty((m, dim, 1 + c), dtype=WORK_DTYPE)
+    y[:, :, 0], y[:, :, 1:] = xs, tangents
+    # a buffer for each stage derivative, with its two column views made once
+    k1p, k2p, k3p, k4p = [(k, k[:, :, 0], k[:, :, 1:]) for k in np.empty((4,) + y.shape, y.dtype)]
+
+    def derivative(y, buffer):
+        k, kx, kv = buffer
+        v, a = compiled(y[:, :, 0])
+        kx[...] = v
+        np.matmul(a, y[:, :, 1:], out=kv)
+        return k
+
     for start in range(0, cfg.steps, block):
         count = min(block, cfg.steps - start)
         for s in range(count):
-            v1, a1 = compiled(x)
-            v2, a2 = compiled(x + half * v1)
-            v3, a3 = compiled(x + half * v2)
-            v4, a4 = compiled(x + dt * v3)
-            k1 = a1 @ j
-            k2 = a2 @ (j + half * k1)
-            k3 = a3 @ (j + half * k2)
-            k4 = a4 @ (j + dt * k3)
-            j = np.add(j, sixth * (k1 + two * k2 + two * k3 + k4), out=jbuf[s])
-            x = np.add(x, sixth * (v1 + two * v2 + two * v3 + v4), out=xbuf[s])
-        yield xbuf[:count], jbuf[:count]
+            k1 = derivative(y, k1p)
+            k2 = derivative(y + half * k1, k2p)
+            k3 = derivative(y + half * k2, k3p)
+            k4 = derivative(y + dt * k3, k4p)
+            y = np.add(y, sixth * (k1 + two * k2 + two * k3 + k4), out=ybuf[s])
+        yield ybuf[:count, :, :, 0], ybuf[:count, :, :, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +706,12 @@ def verify_area_preservation(
 ) -> ConservationReport:
     """Transport a 2l-chain along the flow of X and recompute (1/l!) int omega^l.
 
-    Quadrature nodes ride the RK4 flow; their tangent frames ride the
-    variational flow (pushforward J . dsigma/du), so quadrature error and
-    integration error stay separate.  The chain is a patch or a nonempty
+    Quadrature nodes ride the RK4 flow; their tangent frames are pushed
+    forward to J . dsigma/du, so quadrature error and integration error stay
+    separate.  For l < n the 2l frame columns ride the variational equation
+    V' = DX V themselves; for l = n, whose per-step det check needs J, and
+    on the affine path, whose one J serves every node, the run steps J and
+    then forms J . dsigma/du.  The chain is a patch or a nonempty
     signed list of patches, each of half-degree l in the R^{2n} of X; the
     nodes of all patches ride one RK4 run, and the integral before and
     after is one quadrature over the stacked frames.  The theorem
@@ -694,13 +734,15 @@ def verify_area_preservation(
     rule, points, frames = _chain_quadrature(chain, n, l)
     initial = float(_signed_integral(rule, frames))
     track_det = l == n
-    _, js_t, _, _, max_det, blow = _rk4_run(CompiledField(x), points, cfg, track_det=track_det)
+    _, pushed, _, _, max_det, blow = _rk4_run(
+        CompiledField(x), points, cfg, track_det=track_det, tangents=frames
+    )
     blew_up = blow is not None
 
     if blew_up:
         final_f = abs_drift = float("nan")
     else:
-        final_f = float(_signed_integral(rule, np.einsum("mij,mjl->mil", js_t, frames)))
+        final_f = float(_signed_integral(rule, pushed))
         abs_drift = abs(final_f - initial)
     rel_drift = abs_drift / abs(initial) if initial else None
     return ConservationReport(

@@ -307,7 +307,10 @@ def dense_evaluate(polys, xs):
     """Values (m, k) and Jacobians (m, k, nvars) of a polynomial tuple by
     the dense formula: every monomial x ** e over all term rows (the sorted
     terms of each polynomial, then of each partial), multiplied out along
-    the variables, times a (rows, slots) scatter matrix."""
+    the variables and by its coefficient, then added into its output slot
+    one row at a time, from +0.  (A (rows, slots) scatter-matrix product
+    gives the same sums for finite monomials, but multiplies an inf or NaN
+    one by the zeros of every other slot.)"""
     work = np.longdouble
     k, nvars = len(polys), polys[0].nvars
     rows = [(i, e, c) for i, p in enumerate(polys) for e, c in p.sorted_terms()]
@@ -318,13 +321,12 @@ def dense_evaluate(polys, xs):
         for e, c in p.diff(j).sorted_terms()
     ]
     m, out_dim = xs.shape[0], k + k * nvars
-    if not rows:
-        return np.zeros((m, k), dtype=work), np.zeros((m, k, nvars), dtype=work)
-    exps = np.array([e for _, e, _ in rows], dtype=np.int64)
-    scatter = np.zeros((len(rows), out_dim), dtype=work)
-    for row, (slot, _, c) in enumerate(rows):
-        scatter[row, slot] += work(c.numerator) / work(c.denominator)
-    stacked = (xs[:, None, :] ** exps[None, :, :]).prod(axis=2) @ scatter
+    stacked = np.zeros((m, out_dim), dtype=work)
+    if rows:
+        exps = np.array([e for _, e, _ in rows], dtype=np.int64)
+        monomials = (xs[:, None, :] ** exps[None, :, :]).prod(axis=2)
+        for row, (slot, _, c) in enumerate(rows):
+            stacked[:, slot] += monomials[:, row] * (work(c.numerator) / work(c.denominator))
     return stacked[:, :k], stacked[:, k:].reshape(m, k, nvars)
 
 
@@ -332,11 +334,12 @@ def _batch_det_drift(flows, js):
     return np.max(np.abs(flows.batch_det(js) - 1))
 
 
-def rk4_stage_loop(flows, field, xs, cfg, track_det=False):
-    """Four-stage RK4 of a field and its tangent maps, one step at a time:
-    dense_evaluate, einsum stage products, one batch_det per step, a norm
-    test per step.  Returns what the package's _rk4_run returns, with every
-    path kept."""
+def rk4_stage_loop(flows, field, xs, cfg, track_det=False, tangents=None):
+    """Four-stage RK4 of a field and its tangents V' = DX V from V(0) =
+    tangents (m, dim, c), the identity by default, one step at a time:
+    dense_evaluate, einsum stage products, one batch_det per step (of a
+    square V), a norm test per step.  Returns what the package's _rk4_run
+    returns, with every path kept."""
     polys = field.components
     work = np.longdouble
     dt = work(cfg.effective_dt)
@@ -344,7 +347,7 @@ def rk4_stage_loop(flows, field, xs, cfg, track_det=False):
     sixth = dt / work(6.0)
     two = work(2.0)
     m, dim = xs.shape
-    js = np.broadcast_to(np.eye(dim, dtype=work), (m, dim, dim))
+    js = np.broadcast_to(np.eye(dim, dtype=work), (m, dim, dim)) if tangents is None else tangents
     states, jacs = [xs.copy()], [js.copy()]
     max_det = _batch_det_drift(flows, js) if track_det else work(0.0)
     blow_step = None

@@ -256,6 +256,20 @@ def test_flow_embedded_chain(capsys, tmp_path):
     assert "hypothesis_ok: false" in out
 
 
+@pytest.mark.parametrize("embedded", [False, True])
+def test_flow_refuses_x0_with_a_chain(capsys, tmp_path, chain_file, embedded):
+    # a chain transport has no initial point: --x0, even one of the wrong
+    # length, is refused rather than ignored, for a chain given by --chain
+    # or embedded in the field file
+    data = dict(OSCILLATOR, chain=SQUARE_CHAIN) if embedded else OSCILLATOR
+    path = _write(tmp_path, "osc.field", data)
+    argv = ["flow", path, "--t", "1", "--dt", "0.01", "--x0", "1,2"]
+    code, out, err = run(capsys, argv + ([] if embedded else ["--chain", chain_file]))
+    assert (code, out) == (2, "")
+    assert err == ("input error: --x0 is for a tangent flow; "
+                   "a chain transport takes no initial point\n")
+
+
 def test_chain_degenerate_flag(capsys, tmp_path):
     degenerate = {
         "n": 2,

@@ -598,6 +598,28 @@ def test_compiled_evaluator_matches_dense_formula(case):
         _same_bits(jacobians, want_jacobians)
 
 
+@pytest.mark.parametrize("case", sorted(_evaluator_cases()))
+def test_compiled_evaluator_serves_each_node_count(case):
+    # one evaluator called at 33, 1, 7 and 33 nodes in turn: the flat scatter
+    # index it keeps per node count must never serve another count.  The
+    # last node carries inf, -inf and NaN coordinates, the first a -0.0
+    x = _evaluator_cases()[case]
+    polys = x.components if isinstance(x, PolyVectorField) else x
+    nvars = polys[0].nvars
+    compiled = CompiledField(x)
+    rng = np.random.default_rng(6)
+    for m in (33, 1, 7, 33):
+        xs = rng.standard_normal((m, nvars)).astype(WORK_DTYPE) / WORK_DTYPE(3)
+        xs[0, -1] = -0.0
+        xs[-1, :3] = [np.inf, -np.inf, np.nan][:nvars]
+        # inf - inf and inf * 0 make NaN in both evaluations
+        with np.errstate(invalid="ignore"):
+            values, jacobians = compiled(xs)
+            want_values, want_jacobians = oracles.dense_evaluate(polys, xs)
+        _same_bits(values, want_values)
+        _same_bits(jacobians, want_jacobians)
+
+
 def _stage_cases():
     frame1, frame2 = Frame.darboux(1), Frame.darboux(2)
     quartic = hamiltonian_field(frame2, standard_h(2) + Fraction(1, 4) * var(4, 0) ** 4
@@ -653,6 +675,81 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
     # the det check alone, without kept paths, gives the same max drift
     alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
     assert alone[4] == want[4]
+
+
+def _frames(m, dim, c):
+    # c tangent columns per node, non-dyadic and no identity block
+    rng = np.random.default_rng(12)
+    return rng.uniform(-1, 1, (m, dim, c)).astype(WORK_DTYPE) / WORK_DTYPE(3)
+
+
+def _no_det(mats):
+    raise AssertionError("a run of given tangents takes no determinant")
+
+
+@pytest.mark.parametrize("case", ["quartic", "dissipative"])
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("det_batch", [16, 1024])
+def test_stage_loop_steps_given_tangents_like_per_step_loop(monkeypatch, case, m, det_batch):
+    # tangents (m, dim, dim / 2) ride V' = DX V on their own columns:
+    # states, pushed tangents, kept paths and blow-up step are the bits of
+    # the per-step loop started from the same tangents
+    x, x0 = _stage_cases()[case]
+    dim = len(x0)
+    xs, frames = _starts(x0, m), _frames(m, dim, dim // 2)
+    cfg = FlowConfig(t_final=0.5, dt=0.01)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    monkeypatch.setattr(flows, "batch_det", _no_det)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, tangents=frames)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg, tangents=frames)
+    _assert_same_run(got, want)
+    assert got[3].shape == (cfg.steps + 1, m, dim, dim // 2) and want[5] is None
+    alone = flows._rk4_run(CompiledField(x), xs, cfg, tangents=frames)
+    _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_stage_loop_given_tangents_blow_up_inside_block(monkeypatch, m):
+    # q' = q^2 from q = 1 passes the norm cap near t = 1, in the middle of a
+    # block; the tangent column stepped with it stops at the same step
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1)))
+    xs, frames = _starts([1.0, 0.5], m), _frames(m, 2, 1)
+    cfg = FlowConfig(t_final=2.0, dt=0.01)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg, tangents=frames)
+    blow = want[5]
+    assert blow is not None and blow > 10
+    monkeypatch.setattr(flows, "DET_BATCH", (blow // 2 + 3) * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, tangents=frames)
+    _assert_same_run(got, want)
+    assert got[2].shape[0] == blow + 1
+
+
+def test_pushed_frames_match_full_tangent_map_within_rounding():
+    # an l < n stage transport steps its 2l frame columns, which rounds
+    # otherwise than stepping J and forming J . dsigma; the states are the
+    # same bits, and the pushed frames differ by at most one rounding of
+    # each of the 4 stage products per step, relative to the largest entry
+    x, _ = _stage_cases()["quartic"]
+    _, points, frames = flows._chain_quadrature(_two_patch_chain(1), 2, 1)
+    compiled = CompiledField(x)
+    cfg = FlowConfig(t_final=2.0, dt=0.005)
+    xs, pushed, _, _, _, blow = flows._rk4_run(compiled, points, cfg, tangents=frames)
+    full_xs, js, _, _, _, _ = flows._rk4_run(compiled, points, cfg)
+    want = np.einsum("mij,mjl->mil", js, frames)
+    assert blow is None
+    _same_bits(xs, full_xs)
+    gap = np.max(np.abs(pushed - want))
+    assert 0 < gap <= 4 * cfg.steps * EPS * np.max(np.abs(want))
+    # with a det check the run steps J and forms the same product itself
+    _same_bits(flows._rk4_run(compiled, points, cfg, track_det=True, tangents=frames)[1], want)
+    # so does the affine path, whose one J serves every node
+    ham, _ = _affine_cases()["ham"]
+    affine = CompiledField(ham)
+    js = flows._rk4_run(affine, points, cfg)[1]
+    _same_bits(flows._rk4_run(affine, points, cfg, tangents=frames)[1],
+               np.einsum("mij,mjl->mil", js, frames))
 
 
 def _affine_oracle_cases():
@@ -776,15 +873,19 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     chain = _two_patch_chain(l)
     cfg = FlowConfig(t_final=0.5, dt=0.01)
     report = verify_area_preservation(x, chain, l, cfg)
-    # the transport as one RK4 run per patch
+    # the transport as one RK4 run per patch, each pushing its frames the
+    # way the stacked run does: riding V' = DX V for l = 1 < n, as J . dsigma
+    # after a J run with its det check for l = n = 2
     compiled = CompiledField(x)
     final, max_det = WORK_DTYPE(0.0), 0.0
     for part in chain:
         rule, points, tangents = flows._chain_quadrature([part], 2, l)
-        _, js, _, _, drift, blow = flows._rk4_run(compiled, points, cfg, track_det=l == 2)
+        _, pushed, _, _, drift, blow = flows._rk4_run(
+            compiled, points, cfg, track_det=l == 2, tangents=tangents
+        )
         assert blow is None
         max_det = max(max_det, drift)
-        final += flows._signed_integral(rule, np.einsum("mij,mjl->mil", js, tangents))
+        final += flows._signed_integral(rule, pushed)
     assert report.hypothesis_ok and not report.blew_up
     assert report.initial == chain_integral(chain, 2).value
     assert report.final == float(final)
