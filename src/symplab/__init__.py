@@ -25,7 +25,6 @@ from .cohomology import (
     differential,
     el_dim,
     harmonic_dim,
-    is_exact,
     lefschetz_map_rank,
     parse_algebra,
 )
@@ -45,7 +44,6 @@ from .exterior import (
     op_e,
     op_f,
     op_h,
-    tau,
     wedge,
     wedge_power,
 )
@@ -62,8 +60,6 @@ from .fields import (
     hamiltonian_two_form,
     lie_derivative,
     linear_system_two_form,
-    parse_field,
-    parse_two_form,
     radial_potential,
     vector_from_two_form,
 )

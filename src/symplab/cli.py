@@ -135,24 +135,19 @@ def cmd_cohomology(args, rep: Reporter) -> int:
     alg = cx.alg
     n = alg.dim // 2
     show_all = not (args.betti or args.el or args.harmonic)
-    if args.betti or show_all:
-        values = [coh.betti(cx, m) for m in range(alg.dim + 1)]
-        rep.text("betti: " + " ".join(str(v) for v in values))
-        for m, v in enumerate(values):
-            rep.kv(f"betti.{m}", v)
-    if args.el:
-        values = [coh.el_dim(cx, k) for k in range(1, n + 1)]
-        rep.text(
-            "el_dim: "
-            + " ".join(f"k={k}:{v}" for k, v in zip(range(1, n + 1), values))
-        )
-        for k, v in zip(range(1, n + 1), values):
-            rep.kv(f"el_dim.{k}", v)
-    if args.harmonic:
-        values = [coh.harmonic_dim(cx, m) for m in range(alg.dim + 1)]
-        rep.text("harmonic: " + " ".join(str(v) for v in values))
-        for m, v in enumerate(values):
-            rep.kv(f"harmonic.{m}", v)
+    # (name, wanted, dimension function, degrees, text of one entry)
+    tables = (
+        ("betti", args.betti or show_all, coh.betti, range(alg.dim + 1), "{v}"),
+        ("el_dim", args.el, coh.el_dim, range(1, n + 1), "k={d}:{v}"),
+        ("harmonic", args.harmonic, coh.harmonic_dim, range(alg.dim + 1), "{v}"),
+    )
+    for name, wanted, dim_of, degrees, entry in tables:
+        if not wanted:
+            continue
+        values = [(d, dim_of(cx, d)) for d in degrees]
+        rep.text(f"{name}: " + " ".join(entry.format(d=d, v=v) for d, v in values))
+        for d, v in values:
+            rep.kv(f"{name}.{d}", v)
     return EXIT_OK
 
 

@@ -204,10 +204,6 @@ def exactness_rank(cx: CEComplex, forms, degree: int) -> int:
     return len(_new_classes(cx, forms, degree))
 
 
-def is_exact(cx: CEComplex, form: Form, degree: int) -> bool:
-    return exactness_rank(cx, [form], degree) == 0
-
-
 def lefschetz_map_rank(cx: CEComplex, k: int, j: int) -> int:
     """Rank of the Lefschetz map [a] -> [a ^ omega^j], H^k -> H^{k+2j}."""
     if not (0 <= k and 0 <= j and k + 2 * j <= cx.alg.dim):

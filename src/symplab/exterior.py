@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
 
 import numpy as np
 
@@ -70,10 +69,6 @@ class Frame:
 # ---------------------------------------------------------------------------
 # blade (bitmask) primitives
 # ---------------------------------------------------------------------------
-
-def blade_degree(mask: int) -> int:
-    return mask.bit_count()
-
 
 def merge_sign(a: int, b: int) -> int:
     """Sign of sorting the concatenation of two disjoint ascending blades.
@@ -158,7 +153,7 @@ class Form:
         return not self.terms
 
     def degrees(self) -> set[int]:
-        return {blade_degree(m) for m in self.terms}
+        return {m.bit_count() for m in self.terms}
 
     @property
     def homogeneous_degree(self) -> int | None:
@@ -260,7 +255,7 @@ def interior(direction, a: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# the symplectic frame data: omega, tau and the sl(2) triple
+# the symplectic frame data: omega and the sl(2) triple
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -275,11 +270,6 @@ def omega(frame: Frame) -> Form:
 @lru_cache(maxsize=None)
 def omega_power(frame: Frame, k: int) -> Form:
     return wedge_power(omega(frame), k)
-
-
-def tau(frame: Frame) -> Form:
-    """The volume form tau = omega^n / n!."""
-    return Fraction(1, factorial(frame.n)) * omega_power(frame, frame.n)
 
 
 def _toggle_pairs(a: Form, held: bool) -> Form:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .exterior import (
     Form,
     Frame,
-    blade_degree,
     contraction_sign,
     interior,
     merge_sign,
@@ -27,7 +26,6 @@ from .polynomials import (
     _as_int,
     check_input_degree,
     check_input_n,
-    decode_json,
     poly_from_monomials,
     reading,
 )
@@ -172,7 +170,7 @@ def _radial_primitive(a: Form) -> Form:
     nvars = frame.dim
     terms: dict = {}
     for mask, coeff in a.terms.items():
-        k = blade_degree(mask)
+        k = mask.bit_count()
         coeff = _as_poly(coeff, nvars)
         removals = [
             (j, contraction_sign(mask, j), mask ^ (1 << j))
@@ -411,17 +409,6 @@ def field_from_data(data: dict) -> PolyVectorField:
     return PolyVectorField(Frame.darboux(n), polys)
 
 
-def parse_field(text: str) -> PolyVectorField:
-    return field_from_data(decode_json(text))
-
-
-def field_to_data(x: PolyVectorField) -> dict:
-    return {
-        "n": x.frame.n,
-        "components": [c.monomial_list() for c in x.components],
-    }
-
-
 def two_form_from_data(data: dict) -> TwoFormData:
     with reading():
         n = check_input_n(_as_int(data["n"]))
@@ -445,7 +432,3 @@ def two_form_from_data(data: dict) -> TwoFormData:
             return tuple(tuple(row) for row in mat)
 
         return TwoFormData(Frame.darboux(n), read("Q", True), read("A", False), read("P", True))
-
-
-def parse_two_form(text: str) -> TwoFormData:
-    return two_form_from_data(decode_json(text))

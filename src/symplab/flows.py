@@ -248,20 +248,21 @@ class TangentFlow:
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
-             track_det=False, tangents=None):
+             tangents=None):
     """The one RK4 loop: a batch of m states and their tangents, in blocks
     of at most max(1, DET_BATCH // m) steps.  A block generator takes the
     steps: _affine_blocks for fields of degree <= 1 (the exact one-step
     propagator applied to [J~ | x~^T]), _stage_blocks for all others.
 
     ``tangents`` are the initial tangents V(0), (m, dim, c); None is the
-    identity.  The stage loop steps V' = DX V on those c columns alone,
-    unless track_det asks for det J; then, and on the affine path, the run
-    steps J from J(0) = I and the result is J V(0), one einsum at the end.
+    identity.  A run of square tangents (None, or c = dim) checks det J:
+    it steps J from J(0) = I, as the affine path always does, and the
+    result is J V(0), one einsum at the end.  Otherwise the stage loop
+    steps V' = DX V on those c columns alone.
 
-    After each block: one blow-up test, and with track_det one batch_det
-    call over its tangent maps, folded with np.maximum so that a NaN
-    determinant makes the max drift NaN.  A blow-up cuts the run at the
+    After each block: one blow-up test, and for square tangents one
+    batch_det call over its tangent maps, folded with np.maximum so that a
+    NaN determinant makes the max drift NaN.  A blow-up cuts the run at the
     first step past the cap; the later steps of its block are discarded.
     Kept paths are filled block by block.
 
@@ -289,7 +290,8 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
     # the tangents ride V' = DX V where neither a det nor a shared J needs J
-    ride = tangents is not None and not (affine or track_det)
+    square = tangents is None or tangents.shape[2] == dim
+    ride = not (affine or square)
     vs = tangents if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
     if affine:
         blocks = _affine_blocks(compiled, xs, cfg, block)
@@ -312,7 +314,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
-            if track_det:
+            if square:
                 dets = batch_det(vb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
             xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
@@ -475,9 +477,7 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, jpath, drift, blow = _rk4_run(
-        CompiledField(x), xs, cfg, keep_paths=True, track_det=True
-    )
+    _, _, path, jpath, drift, blow = _rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     times = np.arange(path.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
     return TangentFlow(Trajectory(times, path[:, 0], blow is not None, blow), jpath[:, 0], drift)
 
@@ -555,7 +555,7 @@ class ChainPatch:
         return bound
 
     @classmethod
-    def affine(cls, l: int, origin, axes, orders=None) -> "ChainPatch":
+    def affine(cls, l: int, origin, axes, orders) -> "ChainPatch":
         """Patch origin + sum_j u_j * axes[j] over the unit 2l-cube."""
         dim = len(origin)
         nvars = 2 * l
@@ -569,8 +569,6 @@ class ChainPatch:
                 if c:
                     poly = poly + c * Poly.variable(nvars, j)
             maps.append(poly)
-        if orders is None:
-            orders = (4,) * nvars
         return cls(l, tuple(maps), tuple(orders))
 
     def nodes_and_weights(self):
@@ -733,10 +731,7 @@ def verify_area_preservation(
 
     rule, points, frames = _chain_quadrature(chain, n, l)
     initial = float(_signed_integral(rule, frames))
-    track_det = l == n
-    _, pushed, _, _, max_det, blow = _rk4_run(
-        CompiledField(x), points, cfg, track_det=track_det, tangents=frames
-    )
+    _, pushed, _, _, max_det, blow = _rk4_run(CompiledField(x), points, cfg, tangents=frames)
     blew_up = blow is not None
 
     if blew_up:
@@ -754,7 +749,7 @@ def verify_area_preservation(
         final=final_f,
         abs_drift=abs_drift,
         rel_drift=rel_drift,
-        per_step_max_det_drift=max_det if track_det and not blew_up else None,
+        per_step_max_det_drift=max_det if l == n and not blew_up else None,
         hypothesis_ok=ok,
         hypothesis_note=note,
         blew_up=blew_up,

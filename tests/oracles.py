@@ -334,12 +334,12 @@ def _batch_det_drift(flows, js):
     return np.max(np.abs(flows.batch_det(js) - 1))
 
 
-def rk4_stage_loop(flows, field, xs, cfg, track_det=False, tangents=None):
+def rk4_stage_loop(flows, field, xs, cfg, tangents=None):
     """Four-stage RK4 of a field and its tangents V' = DX V from V(0) =
     tangents (m, dim, c), the identity by default, one step at a time:
-    dense_evaluate, einsum stage products, one batch_det per step (of a
-    square V), a norm test per step.  Returns what the package's _rk4_run
-    returns, with every path kept."""
+    dense_evaluate, einsum stage products, one batch_det per step when V
+    starts at the identity, a norm test per step.  Returns what the
+    package's _rk4_run returns, with every path kept."""
     polys = field.components
     work = np.longdouble
     dt = work(cfg.effective_dt)
@@ -349,7 +349,8 @@ def rk4_stage_loop(flows, field, xs, cfg, track_det=False, tangents=None):
     m, dim = xs.shape
     js = np.broadcast_to(np.eye(dim, dtype=work), (m, dim, dim)) if tangents is None else tangents
     states, jacs = [xs.copy()], [js.copy()]
-    max_det = _batch_det_drift(flows, js) if track_det else work(0.0)
+    from_identity = tangents is None
+    max_det = _batch_det_drift(flows, js) if from_identity else work(0.0)
     blow_step = None
     for step in range(cfg.steps):
         v1, j1 = dense_evaluate(polys, xs)
@@ -364,7 +365,7 @@ def rk4_stage_loop(flows, field, xs, cfg, track_det=False, tangents=None):
         js = js + sixth * (k1j + two * k2j + two * k3j + k4j)
         states.append(xs.copy())
         jacs.append(js.copy())
-        if track_det:
+        if from_identity:
             max_det = max(max_det, _batch_det_drift(flows, js))
         if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
             blow_step = step + 1
@@ -372,7 +373,7 @@ def rk4_stage_loop(flows, field, xs, cfg, track_det=False, tangents=None):
     return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step
 
 
-def rk4_affine_step_loop(flows, field, xs, cfg, track_det=False):
+def rk4_affine_step_loop(flows, field, xs, cfg):
     """RK4 of an affine field through the package's rounded one-step
     propagator R~ = [[R, c], [0, 1]], one step at a time: x -> fl(fl(x R^T)
     + c) and J -> fl(R J) as two products, one batch_det per step folded
@@ -386,7 +387,7 @@ def rk4_affine_step_loop(flows, field, xs, cfg, track_det=False):
     m, dim = xs.shape
     js = np.eye(dim, dtype=work)[None]
     states, jacs = [xs.copy()], [js.copy()]
-    max_det = _batch_det_drift(flows, js) if track_det else work(0.0)
+    max_det = _batch_det_drift(flows, js)
     blow_step = None
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps):
@@ -394,8 +395,7 @@ def rk4_affine_step_loop(flows, field, xs, cfg, track_det=False):
             js = r @ js
             states.append(xs.copy())
             jacs.append(js.copy())
-            if track_det:
-                max_det = np.maximum(max_det, _batch_det_drift(flows, js))
+            max_det = np.maximum(max_det, _batch_det_drift(flows, js))
             if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
                 blow_step = step + 1
                 break

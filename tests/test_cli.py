@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import symplab
 from symplab import cli
-from symplab.polynomials import check_input_degree
+from symplab.polynomials import check_input_degree, decode_json
 
 try:
     import resource
@@ -445,14 +446,17 @@ def test_out_of_range_derivative_coefficient_names_its_term(capsys, tmp_path):
     ))
 
 
+# the Hamiltonian oscillator q' = p, p' = -q at n = 2
+HAM_N2 = {"n": 2, "components": [[["1", 0, 0, 1, 0]], [["1", 0, 0, 0, 1]],
+                                 [["-1", 1, 0, 0, 0]], [["-1", 0, 1, 0, 0]]]}
+
+
 def test_flow_chain_zero_initial_integral_omits_rel_drift(capsys, tmp_path):
     # the Lagrangian square on dq1, dq2 has integral 0 and stays Lagrangian
     # under the Hamiltonian oscillator; no relative drift is printed, and
     # abs_drift decides the exit code
-    ham = {"n": 2, "components": [[["1", 0, 0, 1, 0]], [["1", 0, 0, 0, 1]],
-                                  [["-1", 1, 0, 0, 0]], [["-1", 0, 1, 0, 0]]]}
     square = {"n": 2, "l": 1, "orders": [1, 1], "maps": [[["1", 1, 0]], [["1", 0, 1]], [], []]}
-    argv = ["flow", _write(tmp_path, "ham.json", ham), "--chain",
+    argv = ["flow", _write(tmp_path, "ham.json", HAM_N2), "--chain",
             _write(tmp_path, "sq.chain", square), "--t", "1", "--dt", "0.01"]
     code, out, _ = run(capsys, argv + ["--format", "machine"])
     assert code == 0
@@ -498,6 +502,75 @@ def test_flow_chain_machine_format(capsys, oscillator_file, chain_file):
     assert code == 3
     keys = {line.split("=")[0] for line in out.splitlines()}
     assert {"initial", "final", "abs_drift", "rel_drift", "hypothesis_ok"} <= keys
+
+
+def test_flow_chain_per_step_det_drift_only_for_l_equal_n(capsys, tmp_path, chain_file):
+    # the unit 4-cube (l = n = 2) under the oscillator prints the per-step
+    # det drift.  Each of its two rotation blocks has det R(hA) =
+    # 1 - h^6/72 + h^8/576 exactly, so after 100 steps of h = 1/100 the
+    # drift is 1 - (det R)^200 = 2.78e-12, within the rounding of 4 stage
+    # products a step; the square (l = 1 < n) prints none
+    ham = _write(tmp_path, "ham.json", HAM_N2)
+    argv = ["flow", ham, "--t", "1", "--dt", "0.01", "--format", "machine"]
+    code, out, _ = run(capsys, argv + ["--chain", _write(tmp_path, "l2.chain", CHAIN_L2)])
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    h = Fraction(1, 100)
+    exact = 1 - (1 - h**6 / 72 + h**8 / 576) ** 200
+    drift = float(lines["per_step_max_det_drift"])
+    assert f"{drift:.2e}" == "2.78e-12"
+    assert abs(drift - float(exact)) <= 4 * 100 * float(np.finfo(np.longdouble).eps)
+    assert lines["hypothesis_ok"] == "true" and lines["blow_up"] == "false"
+    code, out, _ = run(capsys, argv + ["--chain", chain_file])
+    assert code == 0
+    assert "hypothesis_ok=true" in out and "per_step_max_det_drift" not in out
+
+
+# q' = q^2, p' = -2qp: divergence-free, and past the norm cap near t = 1
+# from q = 1
+BLOW_UP_N1 = {"n": 1, "components": [[["1", 2, 0]], [["-2", 1, 1]]]}
+# the square [1, 2]^2
+SQUARE_12 = {"n": 1, "l": 1, "orders": [2, 2],
+             "maps": [[["1", 0, 0], ["1", 1, 0]], [["1", 0, 0], ["1", 0, 1]]]}
+
+
+@pytest.mark.parametrize("fmt, sep", [("text", ": "), ("machine", "=")])
+def test_flow_blow_up_exits_1(capsys, tmp_path, fmt, sep):
+    # a transport and a tangent flow that blow up both exit 1 with
+    # blow_up true and NaN values, no det drift for the transport, and no
+    # warning on stderr
+    field = _write(tmp_path, "blow.json", BLOW_UP_N1)
+    argv = ["flow", field, "--t", "2", "--dt", "0.01", "--format", fmt]
+    code, out, err = run(capsys, argv + ["--chain", _write(tmp_path, "sq.chain", SQUARE_12)])
+    assert (code, err) == (1, "")
+    values = [f"{key}{sep}{value}" for key, value in (
+        ("initial", "-1.0"), ("final", "nan"), ("abs_drift", "nan"), ("rel_drift", "nan"),
+        ("hypothesis_ok", "true"), ("blow_up", "true"),
+    )]
+    if fmt == "machine":
+        assert out.splitlines() == ["divergence_zero=true", "quantity=(1/1!)_int_omega^1", *values]
+    else:
+        assert out.splitlines() == [
+            "divergence_zero: true", "(1/1!) int omega^1 over t in [0, 2.0] at dt=0.01:",
+            *values, "divergence-free field: phase volume conserved",
+        ]
+    code, out, err = run(capsys, argv + ["--x0", "1,1"])
+    assert (code, err) == (1, "")
+    lines = [f"divergence_zero{sep}true", f"blow_up{sep}true", f"max_det_drift{sep}nan"]
+    if fmt == "text":
+        lines.append("trajectory exceeded the norm cap: blow-up")
+    assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize("x0, message", [
+    ("1,2,3", "x0 needs 4 coordinates"),
+    ("1,a,3,4", "x0 must be a list of numbers"),
+])
+def test_flow_refuses_malformed_x0_flag(capsys, oscillator_file, x0, message):
+    argv = ["flow", oscillator_file, "--t", "1", "--dt", "0.01", "--x0", x0]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
 
 
 def test_cohomology_custom_file(capsys, tmp_path):
@@ -584,6 +657,48 @@ def test_paper_verify(capsys):
     rest = iter(out.splitlines())
     missing = [line for line in PAPER_VERIFY_MACHINE if line not in rest]
     assert not missing
+
+
+def _failing_suite(name, message):
+    """The bundled suite with the check ``name`` failing with ``message``."""
+    checks = cli._bundled_checks()
+
+    def fail():
+        raise AssertionError(message)
+
+    return lambda: [(n, fail if n == name else check) for n, check in checks]
+
+
+def test_paper_verify_reports_a_failing_check(capsys, monkeypatch):
+    # one failing check fails the suite; the checks after it still run
+    # and report
+    monkeypatch.setattr(cli, "_bundled_checks", _failing_suite("torus-t6", "b3 = 19"))
+    code, out, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 1
+    lines = out.splitlines()
+    i = lines.index("torus-t6.status=fail")
+    assert lines[i + 1] == "torus-t6.error=b3 = 19"
+    assert lines[-1] == "suite.status=fail"
+    assert "nilmanifold-m6.status=pass" in lines[:i]
+    assert "area-laws.status=pass" in lines[i:]
+    code, out, _ = run(capsys, ["paper-verify"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "[FAIL] torus-t6  error=b3 = 19" in lines
+    assert "[  ok] area-laws" in [line[:16] for line in lines]
+    assert lines[-1] == "SOME CHECKS FAILED"
+
+
+def test_assertion_failure_exits_1_with_partial_report(capsys, monkeypatch, oscillator_file):
+    # an AssertionError out of a command prints the report so far and the
+    # failure on stderr, and exits 1
+    def failing(x, x0, cfg):
+        raise AssertionError("det J check failed")
+
+    monkeypatch.setattr(cli.fw, "tangent_flow", failing)
+    code, out, err = run(capsys, ["flow", oscillator_file, "--t", "1", "--dt", "0.1"])
+    assert (code, out) == (1, "divergence_zero: true\n")
+    assert err == "assertion failure: det J check failed\n"
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +800,14 @@ def _unit_cube():
 
 
 REFUSALS = {
-    "parse_field": (
-        lambda: symplab.parse_field('{"n": 2, "components": [[]]}'),
+    "field_from_data": (
+        lambda: symplab.fields.field_from_data(decode_json('{"n": 2, "components": [[]]}')),
         "'components' must list 2n monomial lists",
     ),
-    "parse_two_form": (
-        lambda: symplab.parse_two_form('{"n": 2, "Q": [[1, 1, [["1", 0, 0, 0, 0]]]]}'),
+    "two_form_from_data": (
+        lambda: symplab.fields.two_form_from_data(
+            decode_json('{"n": 2, "Q": [[1, 1, [["1", 0, 0, 0, 0]]]]}')
+        ),
         "Q diagonal entry must vanish",
     ),
     "parse_algebra": (

@@ -21,7 +21,6 @@ from symplab.exterior import (
     op_e,
     op_f,
     op_h,
-    tau,
     wedge,
     wedge_power,
 )
@@ -92,7 +91,6 @@ def test_top_degree_saturation(n):
     assert top == omega_power(f, n)
     assert not top.is_zero
     assert wedge_power(w, n + 1).is_zero
-    assert not tau(f).is_zero
 
 
 def test_nilmanifold_f_cubed_nonzero():

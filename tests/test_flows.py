@@ -425,11 +425,10 @@ def _affine_cases():
 def _both_paths(x, x0s, cfg):
     compiled = CompiledField(x)
     xs = np.array(x0s, dtype=WORK_DTYPE)
-    kw = dict(keep_paths=True, track_det=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_is_affine", lambda field: False)  # force the stage loop
-        ref = flows._rk4_run(compiled, xs, cfg, **kw)
-    got = flows._rk4_run(compiled, xs, cfg, **kw)
+        ref = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
+    got = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
     return ref, got
 
 
@@ -476,9 +475,9 @@ def test_affine_det_check_batches_samples(monkeypatch):
     cfg = FlowConfig(t_final=2.5, dt=1e-2)
     compiled = CompiledField(x)
     xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
-    _, _, _, path, whole, _ = flows._rk4_run(compiled, xs, cfg, keep_paths=True, track_det=True)
+    _, _, _, path, whole, _ = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
     monkeypatch.setattr(flows, "DET_BATCH", 16)
-    _, _, _, _, batched, _ = flows._rk4_run(compiled, xs, cfg, track_det=True)
+    _, _, _, _, batched, _ = flows._rk4_run(compiled, xs, cfg)
     per_step = max(float(abs(batch_det(j)[0] - 1)) for j in path)
     assert whole == batched == per_step
 
@@ -663,17 +662,17 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
         return batch_det(mats)
 
     monkeypatch.setattr(flows, "batch_det", counted)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     # one call per block of DET_BATCH // m steps, never more than DET_BATCH matrices
     block = min(det_batch // m, cfg.steps)
     full, rest = divmod(cfg.steps, block)
     assert sizes == [block * m] * full + ([rest * m] if rest else [])
     monkeypatch.setattr(flows, "batch_det", batch_det)
-    want = oracles.rk4_stage_loop(flows, x, xs, cfg, track_det=True)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert want[4] > 0 and want[5] is None
     # the det check alone, without kept paths, gives the same max drift
-    alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
+    alone = flows._rk4_run(CompiledField(x), xs, cfg)
     assert alone[4] == want[4]
 
 
@@ -742,9 +741,7 @@ def test_pushed_frames_match_full_tangent_map_within_rounding():
     _same_bits(xs, full_xs)
     gap = np.max(np.abs(pushed - want))
     assert 0 < gap <= 4 * cfg.steps * EPS * np.max(np.abs(want))
-    # with a det check the run steps J and forms the same product itself
-    _same_bits(flows._rk4_run(compiled, points, cfg, track_det=True, tangents=frames)[1], want)
-    # so does the affine path, whose one J serves every node
+    # the affine path, whose one J serves every node, forms J . dsigma itself
     ham, _ = _affine_cases()["ham"]
     affine = CompiledField(ham)
     js = flows._rk4_run(affine, points, cfg)[1]
@@ -780,9 +777,9 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
         return batch_det(mats)
 
     monkeypatch.setattr(flows, "batch_det", counted)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     monkeypatch.setattr(flows, "batch_det", batch_det)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert want[4] > 0
     assert (want[5] is not None) == (case == "expanding")
@@ -793,7 +790,7 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     full, rest = divmod(steps, block)
     assert sizes == [block] * full + ([rest] if rest else [])
     # the det check alone, without kept paths, gives the same run
-    alone = flows._rk4_run(CompiledField(x), xs, cfg, track_det=True)
+    alone = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
 
 
@@ -805,8 +802,8 @@ def test_affine_step_saddle_overflow_matches_per_step_loop():
     x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
     xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert math.isnan(got[4]) and got[5] is None
     assert np.isinf(got[3]).any() and np.isnan(got[3][-1]).any() and not np.any(got[2])
@@ -819,8 +816,8 @@ def test_affine_step_full_overflow_matches_per_step_loop():
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) + var(2, 1), var(2, 0) + var(2, 1)))
     xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg, track_det=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert got[5] is None and not np.any(got[2])
     assert np.isinf(got[3][-1]).all() and not np.isnan(got[3]).any()
@@ -835,7 +832,7 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1)))
     xs = _starts([1.0, 0.5], m)
     cfg = FlowConfig(t_final=2.0, dt=0.01)
-    want = oracles.rk4_stage_loop(flows, x, xs, cfg, track_det=True)
+    want = oracles.rk4_stage_loop(flows, x, xs, cfg)
     blow = want[5]
     assert blow is not None and blow > 10
     block = {"first": blow - 1, "middle": blow // 2 + 3, "last": blow}[position]
@@ -844,7 +841,7 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     monkeypatch.setattr(flows, "DET_BATCH", block * m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, track_det=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     _assert_same_run(got, want)
     assert got[2].shape[0] == blow + 1
     if m == 1:
@@ -880,9 +877,7 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     final, max_det = WORK_DTYPE(0.0), 0.0
     for part in chain:
         rule, points, tangents = flows._chain_quadrature([part], 2, l)
-        _, pushed, _, _, drift, blow = flows._rk4_run(
-            compiled, points, cfg, track_det=l == 2, tangents=tangents
-        )
+        _, pushed, _, _, drift, blow = flows._rk4_run(compiled, points, cfg, tangents=tangents)
         assert blow is None
         max_det = max(max_det, drift)
         final += flows._signed_integral(rule, pushed)
@@ -934,6 +929,21 @@ def test_nan_determinant_makes_det_drift_nan(monkeypatch, stage_loop):
     assert report.hypothesis_ok and not report.blew_up
     assert math.isnan(report.final)
     assert math.isnan(report.per_step_max_det_drift)
+
+
+def test_transport_blow_up_report():
+    # q' = q^2, p' = -2qp is divergence-free, and from q = 1 it passes the
+    # norm cap near t = 1: the square [1, 2]^2 blows up inside the run.
+    # The report says so, with NaN values and no det drift, and warns about
+    # nothing (warnings are errors in this suite)
+    x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -2 * var(2, 0) * var(2, 1)))
+    assert divergence(x).is_zero
+    square = ChainPatch.affine(1, [1, 1], [[1, 0], [0, 1]], orders=(2, 2))
+    report = verify_area_preservation(x, square, 1, FlowConfig(2.0, 0.01))
+    assert report.blew_up and report.hypothesis_ok
+    assert report.initial == chain_integral(square).value != 0
+    assert all(math.isnan(v) for v in (report.final, report.abs_drift, report.rel_drift))
+    assert report.per_step_max_det_drift is None
 
 
 # ---------------------------------------------------------------------------
