@@ -270,37 +270,25 @@ def hamiltonian_two_form(frame: Frame, h: Poly) -> TwoFormData:
 
 
 def vector_from_two_form(alpha: TwoFormData) -> PolyVectorField:
-    """The volume-preserving field determined by a 2-form.
-
-    Components (sum over j):
-        dq^i/dt = dP^{ij}/dq^j + d(tr A)/dp_i - dA^i_j/dp_j
-        dp_i/dt = dQ_{ij}/dp_j - d(tr A)/dq^i + dA^j_i/dq^j
-    The defining contraction identity
-        i_X(omega^n) + n(n-1) d(alpha) ^ omega^{n-2} = 0
-    is re-verified symbolically on every call.
+    """The volume-preserving field of a 2-form, read off its defining
+    identity i_X(omega^n) = beta = -n(n-1) d(alpha) ^ omega^{n-2}: as
+    i_{d_j}(omega^n) is +/- n! on the one blade without generator j, X^j is
+    beta's coefficient on that blade over that +/- n!.  The identity is
+    re-verified symbolically on every call.
     """
     frame = alpha.frame
     n = frame.n
-    tr_a = Poly.zero(frame.dim)
-    for j in range(n):
-        tr_a = tr_a + alpha.a[j][j]
-    comps = []
-    for i in range(n):
-        acc = tr_a.diff(n + i)
-        for j in range(n):
-            acc = acc + alpha.p[i][j].diff(j) - alpha.a[i][j].diff(n + j)
-        comps.append(acc)
-    for i in range(n):
-        acc = -tr_a.diff(i)
-        for j in range(n):
-            acc = acc + alpha.q[i][j].diff(n + j) + alpha.a[j][i].diff(j)
-        comps.append(acc)
-    x = PolyVectorField(frame, tuple(comps))
-
-    residual = interior(x, omega_power(frame, n)) + Fraction(n * (n - 1)) * wedge(
+    beta = Fraction(-n * (n - 1)) * wedge(
         exterior_derivative(alpha.to_form()), omega_power(frame, n - 2)
     )
-    if not residual.is_zero:
+    volume = omega_power(frame, n)
+    top = (1 << frame.dim) - 1
+    x = PolyVectorField(frame, tuple(
+        beta.terms.get(top ^ 1 << j, Poly.zero(frame.dim))
+        * (contraction_sign(top, j) / volume.terms[top])
+        for j in range(frame.dim)
+    ))
+    if not (interior(x, volume) - beta).is_zero:
         raise AssertionError("contraction identity violated; construction bug")
     return x
 
@@ -334,7 +322,10 @@ class LinearSystemSpec:
 def build_linear_system(
     kmat, masses=None
 ) -> tuple[LinearSystemSpec, PolyVectorField]:
-    """Build the phase-space field of q-double-dot = -k q.
+    """Build the phase-space field (q', p') = (p, -k q) of q-double-dot = -k q.
+
+    The spec's H is built from s alone, so X_H differs from the field by
+    the non-potential force -a q exactly when k is not symmetric.
 
     ``masses = (m1, m2, coupling)`` instead builds the two linearly coupled
     oscillators m_i q_i'' = -coupling (q_other - q_i); their k matrix is
@@ -364,18 +355,10 @@ def build_linear_system(
         for j in range(n):
             if s[i][j]:
                 h = h + half * s[i][j] * q[i] * q[j]
-    field = hamiltonian_field(frame, h)
-    extra = []
-    for i in range(n):
-        acc = Poly.zero(nvars)
-        for j in range(n):
-            if a[i][j]:
-                acc = acc - a[i][j] * q[j]
-        extra.append(acc)
-    comps = tuple(
-        c if i < n else c + extra[i - n] for i, c in enumerate(field.components)
+    force = (
+        -sum((k[i][j] * q[j] for j in range(n)), Poly.zero(nvars)) for i in range(n)
     )
-    return LinearSystemSpec(k, s, a, h), PolyVectorField(frame, comps)
+    return LinearSystemSpec(k, s, a, h), PolyVectorField(frame, (*p, *force))
 
 
 def linear_system_two_form(spec: LinearSystemSpec) -> TwoFormData:

@@ -228,10 +228,14 @@ def batch_det(mats: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
+    """The states at every step; a run that blew up stops at blow_up_step."""
+
     states: np.ndarray
-    blew_up: bool = False
     blow_up_step: int | None = None
+
+    @property
+    def blew_up(self) -> bool:
+        return self.blow_up_step is not None
 
 
 @dataclass
@@ -478,8 +482,7 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
     _, _, path, jpath, drift, blow = _rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
-    times = np.arange(path.shape[0], dtype=WORK_DTYPE) * WORK_DTYPE(cfg.effective_dt)
-    return TangentFlow(Trajectory(times, path[:, 0], blow is not None, blow), jpath[:, 0], drift)
+    return TangentFlow(Trajectory(path[:, 0], blow), jpath[:, 0], drift)
 
 
 def divergence(x: PolyVectorField) -> Poly:
@@ -521,8 +524,12 @@ class ChainPatch:
                 f"orders {list(self.orders)} give {nodes} quadrature nodes, "
                 f"above the budget of {MAX_CHAIN_NODES}; desk-scale inputs only"
             )
-        if len(self.maps) % 2 or len(self.maps) < 2 * self.l:
+        if not self.maps or len(self.maps) % 2:
             raise InputError("need one map component per phase-space coordinate")
+        if len(self.maps) < 2 * self.l:
+            raise InputError(
+                f"a 2l-chain needs l <= n, but l = {self.l} and n = {len(self.maps) // 2}"
+            )
         for p in self.maps:
             if p.nvars != 2 * self.l:
                 raise InputError("map component over wrong parameter count")

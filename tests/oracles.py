@@ -178,6 +178,38 @@ def form_to_tuple(form):
     return out
 
 
+# -- the 2-form dictionary in coordinates ------------------------------------
+
+
+def two_form_field_components(alpha):
+    """The field of alpha = Q_ij/2 dq^i^dq^j + A^i_j dp_i^dq^j + P^ij/2
+    dp_i^dp_j by its hand-derived coordinate formula (sum over j):
+
+        dq^i/dt = dP^{ij}/dq^j + d(tr A)/dp_i - dA^i_j/dp_j
+        dp_i/dt = dQ_{ij}/dp_j - d(tr A)/dq^i + dA^j_i/dq^j
+
+    The package reads the field off i_X(omega^n) = -n(n-1) d(alpha) ^
+    omega^{n-2} instead; this works on the Q, A, P matrices alone.
+    """
+    n = alpha.frame.n
+    tr_a = sum((alpha.a[j][j] for j in range(1, n)), alpha.a[0][0])
+    dq = [
+        sum(
+            (alpha.p[i][j].diff(j) - alpha.a[i][j].diff(n + j) for j in range(n)),
+            tr_a.diff(n + i),
+        )
+        for i in range(n)
+    ]
+    dp = [
+        sum(
+            (alpha.q[i][j].diff(n + j) + alpha.a[j][i].diff(j) for j in range(n)),
+            -tr_a.diff(i),
+        )
+        for i in range(n)
+    ]
+    return tuple(dq + dp)
+
+
 # -- cohomology representatives by prefix ranks ------------------------------
 
 

@@ -715,7 +715,8 @@ CHAIN_L2 = {
 }
 
 # (command, input file content, the rest of argv, whether the refusal comes
-# from the input file and must name it); l2.chain holds CHAIN_L2
+# from the input file and must name it, then any text the refusal must
+# contain); l2.chain holds CHAIN_L2
 MALFORMED = {
     "float-field-coefficient": (
         "classify", {"n": 1, "components": [[[1.5, 0, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True),
@@ -747,12 +748,19 @@ MALFORMED = {
     "chain-l-above-field-n": (
         "flow", OSC_N1, ["--t", "1", "--dt", "0.1", "--chain", "l2.chain"], False),
     "chain-maps-not-2n": ("chain", dict(CHAIN_N1, maps=[[], [], []]), [], True),
+    "chain-l-above-own-n": (
+        "chain", dict(CHAIN_N1, l=2, orders=[1, 1, 1, 1],
+                      maps=[[["1", 1, 0, 0, 0]], [["1", 0, 1, 0, 0]]]), [], True,
+        "needs l <= n, but l = 2 and n = 1"),
+    "chain-orders-not-2l": (
+        "chain", dict(CHAIN_N1, orders=[2, 2, 2]), [], True,
+        "need one quadrature order per parameter axis"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_an_input_error(capsys, tmp_path, monkeypatch, case):
-    command, content, rest, from_file = MALFORMED[case]
+    command, content, rest, from_file, *texts = MALFORMED[case]
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "l2.chain", CHAIN_L2)
     path = tmp_path / "input.json"
@@ -766,6 +774,8 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, monkeypatch, case):
     assert err.startswith("input error:")
     if from_file:
         assert err.startswith("input error: input.json: ")
+    for text in texts:
+        assert text in err
 
 
 def test_internal_fault_is_not_an_input_error(capsys, monkeypatch):
@@ -840,6 +850,10 @@ REFUSALS = {
         ),
         "axis 0: 4 Gauss-Legendre points are exact up to degree 7, but the omega^1 "
         "pullback may reach degree 11; need an order of at least 6",
+    ),
+    "ChainPatch-odd-maps": (
+        lambda: symplab.ChainPatch(1, (symplab.Poly.variable(2, 0),) * 3, (1, 1)),
+        "need one map component per phase-space coordinate",
     ),
     "FlowConfig": (lambda: symplab.FlowConfig(1.0, 0.0), "dt must be positive"),
     "chain_integral-n3": (

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symplab import cli
 from symplab.exterior import (
     Form,
     Frame,
@@ -293,6 +295,16 @@ def test_closed_two_form_maps_to_zero():
     assert vector_from_two_form(alpha).is_zero
 
 
+def test_field_matches_coordinate_formula_on_paper_verify_forms():
+    # the 50 seeded forms of paper-verify's contraction-identity check
+    rng = random.Random(20040812)
+    for n in (2, 3):
+        for _ in range(25):
+            alpha = cli._random_two_form(rng, n)
+            x = vector_from_two_form(alpha)
+            assert x.components == oracles.two_form_field_components(alpha)
+
+
 def test_linear_system_alpha_reproduces_field():
     spec, x = build_linear_system(None, masses=(1, 2, 1))
     assert vector_from_two_form(linear_system_two_form(spec)).components == x.components
@@ -456,6 +468,21 @@ def test_unequal_masses_non_hamiltonian():
     assert x.components[1] == var(nv, 3)
     assert x.components[2] == var(nv, 0) - var(nv, 1)
     assert x.components[3] == Fraction(-1, 2) * var(nv, 0) + Fraction(1, 2) * var(nv, 1)
+
+
+def test_nonsymmetric_3x3_field_is_p_and_minus_k_q():
+    kmat = [[1, 2, -3], [0, Fraction(5, 2), 4], [-7, Fraction(1, 3), 0]]
+    spec, x = build_linear_system(kmat)
+    assert not spec.is_hamiltonian
+    q1, q2, q3, p1, p2, p3 = (var(6, i) for i in range(6))
+    assert x.components == (
+        p1,
+        p2,
+        p3,
+        -q1 - 2 * q2 + 3 * q3,
+        Fraction(-5, 2) * q2 - 4 * q3,
+        7 * q1 - Fraction(1, 3) * q2,
+    )
 
 
 def test_nonsquare_rejected():
