@@ -170,20 +170,15 @@ def cmd_classify(args, rep: Reporter) -> int:
 
 def cmd_from_two_form(args, rep: Reporter) -> int:
     field = fl.vector_from_two_form(_load(args.file, fl.two_form_from_data))
-    names = [f"d{c}/dt" for c in _coord_names(field.frame)]
-    coord = _coord_names(field.frame)
-    for name, compo in zip(names, field.components):
-        rep.text(f"{name} = {format_poly(compo, coord)}")
+    coord = field.frame.coordinates
+    for c, compo in zip(coord, field.components):
+        rep.text(f"d{c}/dt = {format_poly(compo, coord)}")
     for i, compo in enumerate(field.components):
         rep.kv(f"component.{i}", json.dumps(compo.monomial_list()))
     rep.both("contraction_identity", "verified")
     div = fw.divergence(field)
     rep.both("divergence", format_poly(div, coord))
     return EXIT_OK
-
-
-def _coord_names(frame: Frame) -> list[str]:
-    return [n[1:] for n in frame.names]
 
 
 def _number(text: str, flag: str, convert=float):

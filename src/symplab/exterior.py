@@ -5,9 +5,12 @@ Conventions, fixed once and tested:
 * A frame has 2n ordered generators.  For a Darboux frame the order is
   dq^1 < ... < dq^n < dp_1 < ... < dp_n; generator index i < n is dq^{i+1}
   and index n+i is dp_{i+1}.
-* A blade is a bitmask over the generators; its canonical representative is
-  the ascending generator sequence, and every wedge/contraction sign is the
-  parity of the sort permutation.
+* ``Frame.coordinates`` are the generator names without their leading d;
+  polynomial coefficients print in them.
+* A blade is a bitmask over the generators, read in ascending order.  For
+  disjoint blades, a ^ b has sign (-1)^(pairs i in a, j in b with i > j),
+  counted as popcount(a & _above(b)); for dx_j ^ b it is
+  ``contraction_sign(b, j)``, which signs i_j and d as well.
 * The symplectic form is stored from the local formula omega = dp_i ^ dq^i,
   i.e. with coefficient -1 on each canonical blade dq^i ^ dp_i.
 * Coefficients are exact: ``fractions.Fraction`` for constant forms, or any
@@ -65,29 +68,29 @@ class Frame:
     def dim(self) -> int:
         return 2 * self.n
 
+    @property
+    def coordinates(self) -> tuple[str, ...]:
+        """The coordinate names: each generator name without its leading d."""
+        return tuple(n.removeprefix("d") for n in self.names)
+
 
 # ---------------------------------------------------------------------------
 # blade (bitmask) primitives
 # ---------------------------------------------------------------------------
 
-def merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending blades.
-
-    Counts the pairs (i in a, j in b) with i > j; the caller guarantees
-    a & b == 0.
-    """
-    total = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        j = low.bit_length() - 1
-        total += (a >> (j + 1)).bit_count()
-        bb ^= low
-    return -1 if total & 1 else 1
+def _above(mask: int) -> int:
+    """The XOR, over the generators j of a blade, of the (negative, so
+    unbounded) masks above j: the merge sign's parity mask."""
+    above = 0
+    while mask:
+        low = mask & -mask
+        above ^= -(low << 1)
+        mask ^= low
+    return above
 
 
 def contraction_sign(mask: int, j: int) -> int:
-    """Sign of removing generator j from a canonical blade containing it."""
+    """Sign of dx_j ^ blade, or of removing dx_j from a blade holding it."""
     return -1 if (mask & ((1 << j) - 1)).bit_count() & 1 else 1
 
 
@@ -201,12 +204,13 @@ def wedge(a: Form, b: Form) -> Form:
     """Graded-anticommutative associative product of two forms."""
     a._check(b)
     terms: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for mb, cb in b.terms.items():
+        above = _above(mb)
+        for ma, ca in a.terms.items():
             if ma & mb:
                 continue
             coeff = ca * cb
-            if merge_sign(ma, mb) < 0:
+            if (ma & above).bit_count() & 1:
                 coeff = -coeff
             mask = ma | mb
             acc = terms.get(mask)
@@ -364,18 +368,9 @@ def _op_images(frame: Frame, op) -> list[tuple]:
 
 
 def _wedge_images(frame: Frame, form: Form) -> list[tuple]:
-    """The images of every basis blade under a -> a ^ form.  Blade m and
-    term t merge with the sign of ``merge_sign(m, t)``: the parity of the
-    pairs (i in m, j in t) with i > j, which is the parity of the bits of m
-    in the XOR, over the generators j of t, of the masks above j."""
-    full = (1 << frame.dim) - 1
-    terms = []
-    for term, coeff in form.terms.items():
-        above = 0
-        for j in range(frame.dim):
-            if term >> j & 1:
-                above ^= full ^ ((2 << j) - 1)
-        terms.append((term, above, (coeff, -coeff)))
+    """The images of every basis blade under a -> a ^ form, signed as in
+    ``wedge``."""
+    terms = [(t, _above(t), (c, -c)) for t, c in form.terms.items()]
     return [
         tuple((m | t, signed[(m & above).bit_count() & 1]) for t, above, signed in terms if not m & t)
         for m in range(1 << frame.dim)
@@ -561,12 +556,11 @@ def format_form(form: Form) -> str:
 
     if form.is_zero:
         return "0"
-    coord_names = [n[1:] if n.startswith("d") else n for n in form.frame.names]
     parts = []
     for mask in sorted(form.terms):
         coeff = form.terms[mask]
         if isinstance(coeff, Poly):
-            text = format_poly(coeff, coord_names)
+            text = format_poly(coeff, form.frame.coordinates)
             if " " in text or text.lstrip("-").count("*"):
                 text = f"({text})"
         else:

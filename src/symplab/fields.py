@@ -16,7 +16,6 @@ from .exterior import (
     Frame,
     contraction_sign,
     interior,
-    merge_sign,
     omega_power,
     wedge,
 )
@@ -107,7 +106,7 @@ def exterior_derivative(a: Form) -> Form:
             dc = coeff.diff(v)
             if dc.is_zero:
                 continue
-            if merge_sign(1 << v, mask) < 0:
+            if contraction_sign(mask, v) < 0:
                 dc = -dc
             new = mask | (1 << v)
             acc = terms.get(new)

@@ -400,6 +400,8 @@ def _affine_propagator(x: PolyVectorField, h: Fraction):
 
 
 _MANT_BITS = np.finfo(WORK_DTYPE).nmant + 1
+# 2^-_QUANTUM_SHIFT is the subnormal quantum, WORK_DTYPE's finest spacing
+_QUANTUM_SHIFT = np.finfo(WORK_DTYPE).nmant - np.finfo(WORK_DTYPE).minexp
 
 
 def _round_work(q: Fraction):
@@ -408,13 +410,13 @@ def _round_work(q: Fraction):
     num, den = abs(q.numerator), q.denominator
     if not num:
         return WORK_DTYPE(0)
-    shift = _MANT_BITS - (num.bit_length() - den.bit_length())
+    shift = min(_MANT_BITS - (num.bit_length() - den.bit_length()), _QUANTUM_SHIFT)
     a, b = (num << shift, den) if shift >= 0 else (num, den << -shift)
     if a >= b << _MANT_BITS:
         shift, b = shift - 1, b << 1
-    # a / b = |q| 2^shift now lies in [2^(MANT_BITS-1), 2^MANT_BITS): its
-    # nearest integer is at most 2^MANT_BITS and converts exactly, and ldexp
-    # is exact inside the normal range
+    # a / b = |q| 2^shift now lies in [2^(MANT_BITS-1), 2^MANT_BITS), or
+    # below it where shift stops at the subnormal quantum: its nearest
+    # integer is at most 2^MANT_BITS and converts exactly, and ldexp is exact
     whole, rest = divmod(a, b)
     whole += 2 * rest > b or (2 * rest == b and whole & 1)
     with np.errstate(over="ignore"):

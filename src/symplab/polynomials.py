@@ -61,8 +61,10 @@ def decode_json(text: str | bytes):
 
 
 def _as_fraction(value) -> Fraction:
-    """The one reader of rationals, in code and in files: a Fraction, an
-    int or a string such as "-1/2".  A float is refused, being inexact."""
+    """The reader of file rationals and of exact values in code: a
+    Fraction, an int or a string such as "-1/2".  A float is refused, being
+    inexact.  ``ChainPatch.affine`` and ``build_linear_system`` read a float
+    through its decimal text instead."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -3,9 +3,10 @@
 Everything here re-derives expected values through a *different* code path
 than the package: blades are ascending index tuples (not bitmasks), signs
 come from explicit insertion-sort parity, matrix ranks come from sympy, and
-RK4 determinants of linear fields are exact rationals.  The dense
-polynomial evaluator and the one-step-at-a-time RK4 loops the package used
-before its kernels were batched are kept here as bitwise references.
+RK4 determinants of linear fields and RK4 runs of any polynomial field are
+exact rationals.  The dense polynomial evaluator and the one-step-at-a-time
+RK4 loops the package used before its kernels were batched are kept here as
+bitwise references.
 """
 
 from fractions import Fraction
@@ -300,6 +301,29 @@ def rk4_linear_det_drift(a, h, steps):
         power *= det
         drift = max(drift, abs(power - 1))
     return drift
+
+
+# -- exact RK4 of any polynomial field ----------------------------------------
+
+
+def rk4_exact(field, x0, h, steps):
+    """Classical RK4 in Fractions through Poly.eval: the state after
+    ``steps`` steps of width ``h`` from ``x0``."""
+
+    def rate(x):
+        return [comp.eval(x) for comp in field.components]
+
+    def shift(x, k, w):
+        return [xi + w * ki for xi, ki in zip(x, k)]
+
+    x = [Fraction(v) for v in x0]
+    for _ in range(steps):
+        k1 = rate(x)
+        k2 = rate(shift(x, k1, h / 2))
+        k3 = rate(shift(x, k2, h / 2))
+        k4 = rate(shift(x, k3, h))
+        x = [xi + h / 6 * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    return x
 
 
 # -- the full-row LU determinant ----------------------------------------------

@@ -1,7 +1,9 @@
 """The benchmark under perfbench/ drives symplab through its module
-attributes, by name.  These checks run its instrumentation and each
-workload's set-up and warm-up against the package as imported here, so a
-rename that would break a benchmark run fails the test suite instead."""
+attributes, by name.  These checks run its instrumentation, each
+workload's set-up and warm-up, and one round of each workload's operations
+through its output check, against the package as imported here, so a
+rename or a changed report that would break a benchmark run fails the
+test suite instead."""
 
 import contextlib
 import importlib
@@ -61,3 +63,16 @@ def test_instrumented_warm_ups_and_restore(monkeypatch):
                if m["name"] not in metrics and not m["name"].startswith("trace.")]
     assert missing == []
     assert {"flows.tangent_flow", "flows.verify_area_preservation", "cli.main"} <= set(tracer.names)
+
+
+def test_one_round_passes_each_output_check(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+
+    sl = _package(run)
+    problems = {}
+    for name, wl in run.WORKLOADS.items():
+        inputs = wl.setup(sl, 1, lambda _: contextlib.nullcontext())
+        results = {op: fn() for op, fn in wl.operations(sl, inputs)}
+        problems[name] = wl.check(sl, inputs, results)
+    assert problems == {name: [] for name in run.WORKLOADS}

@@ -24,6 +24,8 @@ from symplab.exterior import (
     wedge,
     wedge_power,
 )
+from symplab.fields import exterior_derivative
+from symplab.polynomials import Poly
 
 import oracles
 
@@ -139,6 +141,35 @@ def test_wedge_matches_tuple_oracle(data):
     a = data.draw(forms_over(frame))
     b = data.draw(forms_over(frame))
     assert to_tuple(wedge(a, b)) == oracles.twedge(to_tuple(a), to_tuple(b))
+
+
+def test_every_sign_is_the_sort_parity():
+    """wedge, the sl(2) wedge tables and d share one sign rule: check it on
+    every disjoint pair of blades, and every d(x_v blade), at n = 3."""
+    frame = Frame.darboux(3)
+    one = Fraction(1)
+
+    def indices(mask):
+        return tuple(i for i in range(frame.dim) if mask >> i & 1)
+
+    for mb in range(1 << frame.dim):
+        right = Form(frame, {mb: one})
+        table = exterior._wedge_images(frame, right)
+        for ma in range(1 << frame.dim):
+            if ma & mb:
+                continue
+            _, sign = oracles.sort_parity(indices(ma) + indices(mb))
+            assert wedge(Form(frame, {ma: one}), right).terms == {ma | mb: sign}
+            assert table[ma] == ((ma | mb, sign),)
+        for v in range(frame.dim):
+            d = exterior_derivative(Form(frame, {mb: Poly.variable(frame.dim, v)}))
+            _, sign = oracles.sort_parity((v,) + indices(mb))
+            assert d.terms == ({mb | 1 << v: Poly.constant(frame.dim, sign)} if sign else {})
+
+
+def test_frame_coordinates_drop_the_leading_d():
+    assert Frame.darboux(2).coordinates == ("q1", "q2", "p1", "p2")
+    assert Frame.invariant(2).coordinates == ("th1", "th2")
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,36 @@ def test_fourth_order_det_convergence_generic_system():
         assert 12 <= coarse / fine <= 20
 
 
+def test_stage_path_against_exact_rk4():
+    # X = (1, x1^2, x1 x2, x2^2 - x3) is strictly triangular: DX is strictly
+    # lower triangular, so J stays exactly unit lower triangular and det J
+    # is exactly 1.  RK4 in Fractions from the stepped longdouble x0, with
+    # the run's own h, pins the stage path's rounding.
+    frame = Frame.darboux(2)
+    x1, x2, x3 = (var(4, i) for i in range(3))
+    x = PolyVectorField(frame, (Poly.constant(4, 1), x1 ** 2, x1 * x2, x2 ** 2 - x3))
+    x0 = np.array([1, -1, 1, 1], dtype=WORK_DTYPE) / np.array([3, 2, 5, 7], dtype=WORK_DTYPE)
+    eps = float(np.finfo(WORK_DTYPE).eps)
+    finals = []
+    for steps in (16, 32, 64, 128, 256):
+        cfg = FlowConfig(1.0, 1 / steps)
+        flow = tangent_flow(x, x0, cfg)
+        start = [Fraction(*v.as_integer_ratio()) for v in flow.trajectory.states[0]]
+        exact = oracles.rk4_exact(x, start, Fraction(cfg.effective_dt), cfg.steps)
+        got = [Fraction(*v.as_integer_ratio()) for v in flow.trajectory.states[-1]]
+        assert max(abs(g - e) for g, e in zip(got, exact)) <= steps * eps
+        js = flow.jacobians
+        assert js.shape == (steps + 1, 4, 4)
+        assert np.all(np.triu(js, 1) == 0) and np.all(np.diagonal(js, axis1=1, axis2=2) == 1)
+        # det J is exactly 1: the drift is batch_det's own rounding
+        assert flow.max_det_drift() <= 4 * eps
+        finals.append(exact)
+    diffs = [float(max(abs(a - b) for a, b in zip(coarse, fine)))
+             for coarse, fine in zip(finals, finals[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert 3.9 <= math.log2(coarse / fine) <= 4.1
+
+
 @pytest.mark.parametrize("case", ["criterion-7", "quartic", "blow-up"])
 @pytest.mark.parametrize("det_batch", [16, 1024])
 def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_batch):
@@ -496,23 +526,10 @@ def test_affine_propagator_exact(case, h):
         [[oracles.sympy.Rational(v.numerator, v.denominator) for v in row] for row in r]
     ).det()
     assert Fraction(int(det.p), int(det.q)) == oracles.rk4_stability_det(a, h)
-
-    def field(p):
-        return [comp.eval(p) for comp in x.components]
-
-    def shift(p, k, w):
-        return [pi + w * ki for pi, ki in zip(p, k)]
-
     p0 = [Fraction(i + 1, 3) * (-1) ** i for i in range(x.frame.dim)]
-    k1 = field(p0)
-    k2 = field(shift(p0, k1, h / 2))
-    k3 = field(shift(p0, k2, h / 2))
-    k4 = field(shift(p0, k3, h))
-    step = [
-        p + h / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        for p, a1, a2, a3, a4 in zip(p0, k1, k2, k3, k4)
+    assert oracles.rk4_exact(x, p0, h, 1) == [
+        sum(rv * pv for rv, pv in zip(row, p0)) + cv for row, cv in zip(r, c)
     ]
-    assert step == [sum(rv * pv for rv, pv in zip(row, p0)) + cv for row, cv in zip(r, c)]
 
 
 def test_round_work_is_nearest():
@@ -526,6 +543,28 @@ def test_round_work_is_nearest():
         ) / 2
     assert flows._round_work(Fraction(0)) == 0
     assert flows._round_work(Fraction(1e-3)) == WORK_DTYPE(1e-3)
+
+
+def test_round_work_is_nearest_below_the_normal_range():
+    """Below 2^minexp the grid is the subnormal quantum 2^-(nmant - minexp);
+    the reference is Fraction's round, which ties to even."""
+    info = np.finfo(WORK_DTYPE)
+    quantum = Fraction(1, 2 ** (info.nmant - info.minexp))
+    rng = random.Random(5)
+    values = [Fraction(8, 10**4933), Fraction(-8, 10**4933), quantum / 2, quantum * 3 / 2,
+              quantum * 5 / 2, quantum * (2 ** info.nmant - Fraction(1, 3)),
+              quantum * (2 ** info.nmant - Fraction(1, 2)), quantum * Fraction(1, 2 ** 70)]
+    values += [
+        Fraction(rng.getrandbits(80) + 1, rng.getrandbits(80) + 1) * quantum * 2 ** rng.randrange(70)
+        * rng.choice((1, -1))
+        for _ in range(2000)
+    ]
+    for q in values:
+        whole = round(abs(q) / quantum)
+        if whole > 2 ** info.nmant:  # normal: test_round_work_is_nearest
+            continue
+        got = flows._round_work(q)
+        assert Fraction(*got.as_integer_ratio()) == (whole if q > 0 else -whole) * quantum, q
 
 
 # ---------------------------------------------------------------------------
