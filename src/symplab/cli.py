@@ -105,7 +105,7 @@ def _chain_from_data(data: dict) -> fw.ChainPatch:
     for poly in polys:
         check_input_degree(poly, "chain map component")
     fw.CompiledField(polys)  # refuses a coefficient while the file is named
-    return fw.ChainPatch(l, polys, orders)
+    return fw.ChainPatch(polys, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,9 @@ def _bundled_checks():
         for n in (2, 3):
             for _ in range(25):
                 alpha = _random_two_form(rng, n)
-                x = fl.vector_from_two_form(alpha)  # re-verifies the identity
+                # X meets i_X(omega^n) = beta by construction, blade by
+                # blade; what is checked is that it is divergence-free
+                x = fl.vector_from_two_form(alpha)
                 assert fw.divergence(x).is_zero
                 cases += 1
         return {"cases": cases}

@@ -36,27 +36,26 @@ class LieAlgebra:
     """A Lie algebra given by structure constants plus a symplectic 2-form.
 
     ``structure`` lists (i, j, k, c) with 0-based i < j, meaning
-    d theta^k += c * theta^i ^ theta^j.
+    d theta^k += c * theta^i ^ theta^j.  The dimension is omega's frame's.
     """
 
-    dim: int
     structure: tuple[tuple[int, int, int, Fraction], ...]
     omega: Form
 
     def __post_init__(self):
-        if self.dim < 2 or self.dim % 2:
-            raise ValueError("algebra dimension must be even and >= 2")
         for i, j, k, _ in self.structure:
             if not (0 <= i < j < self.dim and 0 <= k < self.dim):
                 raise ValueError(f"structure triple ({i},{j},{k}) out of range")
-        if self.omega.frame.dim != self.dim:
-            raise ValueError("symplectic form frame does not match dimension")
         if self.omega.degrees() - {2}:
             raise ValueError("symplectic form must be a 2-form")
 
     @property
     def frame(self) -> Frame:
         return self.omega.frame
+
+    @property
+    def dim(self) -> int:
+        return self.omega.frame.dim
 
 
 def generator_differentials(alg: LieAlgebra) -> list[Form]:
@@ -165,8 +164,11 @@ class CohomologySpace:
     """A cohomology space in one degree with chosen closed representatives."""
 
     degree: int
-    dimension: int
     representatives: tuple[Form, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.representatives)
 
 
 def betti(cx: CEComplex, m: int) -> int:
@@ -196,7 +198,7 @@ def cohomology_space(cx: CEComplex, m: int) -> CohomologySpace:
         raise ValueError("degree out of range")
     closed = [cx.to_form(v, m) for v in linalg.nullspace(cx.d[m], cols=len(cx.bases[m]))]
     reps = tuple(closed[i] for i in _new_classes(cx, closed, m))
-    return CohomologySpace(m, len(reps), reps)
+    return CohomologySpace(m, reps)
 
 
 def exactness_rank(cx: CEComplex, forms, degree: int) -> int:
@@ -274,7 +276,7 @@ def algebra_from_data(data: dict) -> LieAlgebra:
             omega_terms[mask] = omega_terms.get(mask, Fraction(0)) + _as_fraction(row[2])
         if not omega_terms:
             raise InputError("missing 'omega'")
-        return LieAlgebra(dim, tuple(structure), Form(frame, omega_terms))
+        return LieAlgebra(tuple(structure), Form(frame, omega_terms))
 
 
 def parse_algebra(text: str) -> LieAlgebra:

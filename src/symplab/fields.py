@@ -219,20 +219,6 @@ class TwoFormData:
                             f"{name}[{i + 1}][{j + 1}] != -{name}[{j + 1}][{i + 1}]"
                         )
 
-    @classmethod
-    def build(cls, frame: Frame, q=None, a=None, p=None) -> "TwoFormData":
-        n = frame.n
-        zero = Poly.zero(frame.dim)
-
-        def fill(mat):
-            if mat is None:
-                return tuple((zero,) * n for _ in range(n))
-            return tuple(
-                tuple(_as_poly(entry, frame.dim) for entry in row) for row in mat
-            )
-
-        return cls(frame, fill(q), fill(a), fill(p))
-
     def to_form(self) -> Form:
         n = self.frame.n
         terms: dict = {}
@@ -259,21 +245,20 @@ def hamiltonian_two_form(frame: Frame, h: Poly) -> TwoFormData:
     n = frame.n
     if n < 2:
         raise ValueError("two-form dictionary needs n >= 2")
-    h = _as_poly(h, frame.dim)
-    scale = Fraction(1, n - 1)
-    a = [
-        [scale * h if i == j else Poly.zero(frame.dim) for j in range(n)]
-        for i in range(n)
-    ]
-    return TwoFormData.build(frame, a=a)
+    diagonal = Fraction(1, n - 1) * _as_poly(h, frame.dim)
+    zero = Poly.zero(frame.dim)
+    zeros = ((zero,) * n,) * n
+    a = tuple(tuple(diagonal if i == j else zero for j in range(n)) for i in range(n))
+    return TwoFormData(frame, zeros, a, zeros)
 
 
 def vector_from_two_form(alpha: TwoFormData) -> PolyVectorField:
     """The volume-preserving field of a 2-form, read off its defining
     identity i_X(omega^n) = beta = -n(n-1) d(alpha) ^ omega^{n-2}: as
     i_{d_j}(omega^n) is +/- n! on the one blade without generator j, X^j is
-    beta's coefficient on that blade over that +/- n!.  The identity is
-    re-verified symbolically on every call.
+    beta's coefficient on that blade over that +/- n!.  So X satisfies the
+    identity by construction, blade by blade; the tests pin it against the
+    coordinate formula.
     """
     frame = alpha.frame
     n = frame.n
@@ -282,14 +267,11 @@ def vector_from_two_form(alpha: TwoFormData) -> PolyVectorField:
     )
     volume = omega_power(frame, n)
     top = (1 << frame.dim) - 1
-    x = PolyVectorField(frame, tuple(
+    return PolyVectorField(frame, tuple(
         beta.terms.get(top ^ 1 << j, Poly.zero(frame.dim))
         * (contraction_sign(top, j) / volume.terms[top])
         for j in range(frame.dim)
     ))
-    if not (interior(x, volume) - beta).is_zero:
-        raise AssertionError("contraction identity violated; construction bug")
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -503,19 +504,22 @@ def divergence(x: PolyVectorField) -> Poly:
 class ChainPatch:
     """A parametrized 2l-cube [0,1]^{2l} -> R^{2n} with quadrature orders.
 
-    ``maps`` lists one polynomial per phase-space coordinate, in 2l
-    parameter variables; ``orders`` gives the Gauss-Legendre point count per
-    axis.  An order too small to integrate the omega^l pullback exactly
-    along its axis is refused (see ``pullback_degree_bound``).
+    ``maps`` lists one polynomial per phase-space coordinate, all in the
+    same 2l parameter variables, so the maps fix both n and the half-degree
+    l; ``orders`` gives the Gauss-Legendre point count per axis.  An order
+    too small to integrate the omega^l pullback exactly along its axis is
+    refused (see ``pullback_degree_bound``).
     """
 
-    l: int
     maps: tuple[Poly, ...]
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        if self.l < 1:
-            raise InputError("need l >= 1")
+        if not self.maps or len(self.maps) % 2:
+            raise InputError("need one map component per phase-space coordinate")
+        nvars = self.maps[0].nvars
+        if nvars < 2 or nvars % 2 or any(p.nvars != nvars for p in self.maps):
+            raise InputError("map components must share one even, positive parameter count")
         if len(self.orders) != 2 * self.l:
             raise InputError("need one quadrature order per parameter axis")
         if any(o < 1 for o in self.orders):
@@ -526,15 +530,10 @@ class ChainPatch:
                 f"orders {list(self.orders)} give {nodes} quadrature nodes, "
                 f"above the budget of {MAX_CHAIN_NODES}; desk-scale inputs only"
             )
-        if not self.maps or len(self.maps) % 2:
-            raise InputError("need one map component per phase-space coordinate")
         if len(self.maps) < 2 * self.l:
             raise InputError(
                 f"a 2l-chain needs l <= n, but l = {self.l} and n = {len(self.maps) // 2}"
             )
-        for p in self.maps:
-            if p.nvars != 2 * self.l:
-                raise InputError("map component over wrong parameter count")
         for axis, (order, degree) in enumerate(zip(self.orders, self.pullback_degree_bound())):
             if 2 * order - 1 < degree:
                 raise InputError(
@@ -542,6 +541,11 @@ class ChainPatch:
                     f"{2 * order - 1}, but the omega^{self.l} pullback may reach degree "
                     f"{degree}; need an order of at least {degree // 2 + 1}"
                 )
+
+    @property
+    def l(self) -> int:
+        """The half-degree: half the maps' parameter count."""
+        return self.maps[0].nvars // 2
 
     def pullback_degree_bound(self) -> list[int]:
         """Per-axis bound on the degree of the omega^l pullback.
@@ -578,7 +582,7 @@ class ChainPatch:
                 if c:
                     poly = poly + c * Poly.variable(nvars, j)
             maps.append(poly)
-        return cls(l, tuple(maps), tuple(orders))
+        return cls(tuple(maps), tuple(orders))
 
     def nodes_and_weights(self):
         """Tensor Gauss-Legendre rule on [0,1]^{2l}, fixed axis order: the
@@ -622,9 +626,9 @@ class ChainIntegral:
 
 
 def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
-    """Validate a nonempty chain against one R^{2n} and one half-degree l
-    (where not given, the first patch's) and build each patch's rule and
-    chain map once and the omega^l blades once.
+    """Validate a nonempty chain of integer-signed patches against one
+    R^{2n} and one half-degree l (where not given, the first patch's) and
+    build each patch's rule and chain map once and the omega^l blades once.
 
     Returns the rule (l, blades, [(sign, weights)] in patch order), with
     blades as (coefficient, row indices) pairs of omega^l over a Darboux
@@ -636,6 +640,8 @@ def _chain_quadrature(chain, n: int | None = None, l: int | None = None):
         raise InputError("empty chain")
     parts, points, frames = [], [], []
     for sign, patch in patches:
+        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
+            raise InputError(f"chain coefficient {sign!r} is not an integer")
         n = len(patch.maps) // 2 if n is None else n
         l = patch.l if l is None else l
         if patch.l != l:

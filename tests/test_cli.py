@@ -127,7 +127,7 @@ def test_reports_are_byte_identical(capsys):
 def test_cohomology_missing_file(capsys):
     code, _, err = run(capsys, ["cohomology", "/nonexistent/x.alg"])
     assert code == 2
-    assert "input error" in err
+    assert err.startswith("input error: cannot read /nonexistent/x.alg: ")
 
 
 def test_cohomology_parse_error_diagnostics(capsys, tmp_path):
@@ -151,6 +151,7 @@ def test_classify(capsys, oscillator_file):
 def test_classify_bad_k(capsys, oscillator_file):
     code, _, err = run(capsys, ["classify", oscillator_file, "--k", "5"])
     assert code == 2
+    assert err == "input error: --k must be in [1, 2]\n"
 
 
 def test_from_two_form(capsys, tmp_path):
@@ -301,7 +302,7 @@ def test_flow_rejects_non_finite_x0(capsys, tmp_path, x0):
     path = _write(tmp_path, "osc.json", OSC_N1)
     code, out, err = run(capsys, ["flow", path, "--t", "1", "--dt", "0.1", "--x0", x0])
     assert code == 2
-    assert "finite" in err
+    assert err == "input error: x0 coordinates must be finite\n"
     assert "max_det_drift" not in out
 
 
@@ -374,7 +375,7 @@ def test_flow_rejects_non_finite_times(capsys, tmp_path, t, dt):
     path = _write(tmp_path, "osc.json", OSC_N1)
     code, _, err = run(capsys, ["flow", path, "--t", t, "--dt", dt, "--x0", "1,0"])
     assert code == 2
-    assert "finite" in err
+    assert err == "input error: t_final and dt must be finite\n"
 
 
 def test_flow_nan_det_drift_fails(capsys, tmp_path):
@@ -723,7 +724,8 @@ MALFORMED = {
     "float-two-form-coefficient": (
         "from-two-form", {"n": 2, "Q": [[1, 2, [[0.5, 0, 0, 0, 0]]]]}, [], True),
     "zero-denominator-field": (
-        "classify", {"n": 1, "components": [[["1/0", 0, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True),
+        "classify", {"n": 1, "components": [[["1/0", 0, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True,
+        "rational with a zero denominator"),
     "zero-denominator-alg-d": ("cohomology", dict(ALG4, d=[[1, 2, 4, "1/0"]]), [], True),
     "zero-denominator-alg-omega": (
         "cohomology", dict(ALG4, omega=[[1, 3, "1/0"], [2, 4, "1"]]), [], True),
@@ -736,7 +738,21 @@ MALFORMED = {
     "two-form-entry-not-a-list": ("from-two-form", {"n": 2, "Q": [[1, 2, 5]]}, [], True),
     "two-form-block-not-a-list": ("from-two-form", {"n": 2, "Q": 7}, [], True),
     "float-alg-omega": ("cohomology", {"dim": 2, "d": [], "omega": [[1, 2, 0.5]]}, [], True),
-    "field-n-zero": ("classify", {"n": 0, "components": []}, ["--k", "1"], True),
+    "field-n-zero": ("classify", {"n": 0, "components": []}, ["--k", "1"], True,
+                     "n = 0 is outside [1, 6]; desk-scale inputs only"),
+    "monomial-too-short": (
+        "classify", {"n": 1, "components": [[["1", 0]], [["-1", 1, 0]]]}, ["--k", "1"], True,
+        "monomial ['1', 0] needs 1 coefficient + 2 exponents"),
+    "negative-exponent": (
+        "classify", {"n": 1, "components": [[["1", -1, 1]], [["-1", 1, 0]]]}, ["--k", "1"], True,
+        "negative exponent"),
+    "alg-omega-row-too-short": (
+        "cohomology", dict(ALG4, omega=[[1, 3]]), [], True, "omega row [1, 3] needs [i, j, c]"),
+    "two-form-entry-too-short": (
+        "from-two-form", {"n": 2, "Q": [[1, 2]]}, [], True, "Q entry [1, 2] needs [i, j, monomials]"),
+    "no-initial-point": (
+        "flow", OSC_N1, ["--t", "1", "--dt", "0.1"], False,
+        "no initial point: give --x0 or an 'x0' file entry"),
     "alg-omega-not-a-number": (
         "cohomology", dict(ALG4, omega=[[1, 3, "x"], [2, 4, "1"]]), [], True),
     "x0-entry-not-a-number": (
@@ -747,11 +763,14 @@ MALFORMED = {
     "over-step-budget": ("flow", OSC_N1, ["--t", "1e7", "--dt", "1", "--x0", "1,0"], False),
     "chain-l-above-field-n": (
         "flow", OSC_N1, ["--t", "1", "--dt", "0.1", "--chain", "l2.chain"], False),
-    "chain-maps-not-2n": ("chain", dict(CHAIN_N1, maps=[[], [], []]), [], True),
+    "chain-maps-not-2n": ("chain", dict(CHAIN_N1, maps=[[], [], []]), [], True,
+                          "'maps' must list 2n monomial lists"),
+    "chain-order-zero": (
+        "chain", dict(CHAIN_N1, orders=[0, 2]), [], True, "quadrature orders must be >= 1"),
     "chain-l-above-own-n": (
         "chain", dict(CHAIN_N1, l=2, orders=[1, 1, 1, 1],
                       maps=[[["1", 1, 0, 0, 0]], [["1", 0, 1, 0, 0]]]), [], True,
-        "needs l <= n, but l = 2 and n = 1"),
+        "a 2l-chain needs l <= n, but l = 2 and n = 1"),
     "chain-orders-not-2l": (
         "chain", dict(CHAIN_N1, orders=[2, 2, 2]), [], True,
         "need one quadrature order per parameter axis"),
@@ -799,7 +818,12 @@ def _theta_wedge(*pairs):
 
 def _nilm_with(structure=(), omega=None):
     alg = symplab.bundled_algebra("nilm6")
-    return symplab.LieAlgebra(alg.dim, alg.structure + structure, omega or alg.omega)
+    return symplab.LieAlgebra(alg.structure + structure, omega or alg.omega)
+
+
+def _constants(rows):
+    """A matrix of constant polynomials on R^4."""
+    return tuple(tuple(symplab.Poly.constant(4, c) for c in row) for row in rows)
 
 
 def _unit_cube():
@@ -833,11 +857,12 @@ REFUSALS = {
         "distinguished 2-form is not closed",
     ),
     "build_complex-degenerate": (
-        lambda: symplab.build_complex(symplab.LieAlgebra(6, (), _theta_wedge((0, 1)))),
+        lambda: symplab.build_complex(symplab.LieAlgebra((), _theta_wedge((0, 1)))),
         "distinguished 2-form is degenerate: omega^n = 0",
     ),
     "TwoFormData-antisymmetry": (
-        lambda: symplab.TwoFormData.build(symplab.Frame.darboux(2), q=[[0, 1], [1, 0]]),
+        lambda: symplab.TwoFormData(symplab.Frame.darboux(2), _constants([[0, 1], [1, 0]]),
+                                    _constants([[0, 0]] * 2), _constants([[0, 0]] * 2)),
         "Q[1][2] != -Q[2][1]",
     ),
     "check_input_degree": (
@@ -846,13 +871,13 @@ REFUSALS = {
     ),
     "ChainPatch": (
         lambda: symplab.ChainPatch(
-            1, (symplab.Poly.variable(2, 0) ** 12, symplab.Poly.variable(2, 1)), (4, 4)
+            (symplab.Poly.variable(2, 0) ** 12, symplab.Poly.variable(2, 1)), (4, 4)
         ),
         "axis 0: 4 Gauss-Legendre points are exact up to degree 7, but the omega^1 "
         "pullback may reach degree 11; need an order of at least 6",
     ),
     "ChainPatch-odd-maps": (
-        lambda: symplab.ChainPatch(1, (symplab.Poly.variable(2, 0),) * 3, (1, 1)),
+        lambda: symplab.ChainPatch((symplab.Poly.variable(2, 0),) * 3, (1, 1)),
         "need one map component per phase-space coordinate",
     ),
     "FlowConfig": (lambda: symplab.FlowConfig(1.0, 0.0), "dt must be positive"),
@@ -1025,8 +1050,13 @@ def test_flow_work_budget_refused_quickly(capsys, tmp_path):
 
 def test_chain_node_budget_boundary():
     u, v = symplab.Poly.variable(2, 0), symplab.Poly.variable(2, 1)
-    side = math.isqrt(symplab.flows.MAX_CHAIN_NODES)
-    assert side * side == symplab.flows.MAX_CHAIN_NODES
-    symplab.ChainPatch(1, (u, v), (side, side))
-    with pytest.raises(symplab.InputError, match="quadrature nodes"):
-        symplab.ChainPatch(1, (u, v), (side + 1, side))
+    budget = symplab.flows.MAX_CHAIN_NODES
+    side = math.isqrt(budget)
+    assert side * side == budget
+    symplab.ChainPatch((u, v), (side, side))
+    with pytest.raises(
+        symplab.InputError,
+        match=rf"^orders \[{side + 1}, {side}\] give {(side + 1) * side} quadrature nodes, "
+              rf"above the budget of {budget}; desk-scale inputs only$",
+    ):
+        symplab.ChainPatch((u, v), (side + 1, side))

@@ -73,11 +73,7 @@ def test_nilmanifold_differentials(nilm):
 def test_jacobi_violation_rejected(nilm):
     alg, _ = nilm
     # perturb d theta^6 by theta^2 ^ theta^5: d.d on theta^6 then fails
-    bad = LieAlgebra(
-        alg.dim,
-        alg.structure + ((1, 4, 5, Fraction(1)),),
-        alg.omega,
-    )
+    bad = LieAlgebra(alg.structure + ((1, 4, 5, Fraction(1)),), alg.omega)
     with pytest.raises(InputError, match="structure constants violate Jacobi"):
         build_complex(bad)
     # oracle for the same fact: expand d(d theta^6) directly (the CEComplex
@@ -94,21 +90,21 @@ def test_nonclosed_omega_rejected(nilm):
         theta(f, 3), theta(f, 6)
     )
     with pytest.raises(InputError, match="distinguished 2-form is not closed"):
-        build_complex(LieAlgebra(alg.dim, alg.structure, bad_omega))
+        build_complex(LieAlgebra(alg.structure, bad_omega))
 
 
 def test_degenerate_omega_rejected():
     frame = Frame.invariant(6)
     degenerate = wedge(theta(frame, 1), theta(frame, 2))
     with pytest.raises(InputError, match="distinguished 2-form is degenerate"):
-        build_complex(LieAlgebra(6, (), degenerate))
+        build_complex(LieAlgebra((), degenerate))
     # the one decision is the Poisson bivector's, made when the complex is
     # built; a nondegenerate omega gets the inverse of its Gram matrix
     with pytest.raises(InputError, match=r"^distinguished 2-form is degenerate: omega\^n = 0$"):
-        CEComplex(LieAlgebra(6, (), degenerate))
+        CEComplex(LieAlgebra((), degenerate))
     f4 = Frame.invariant(4)
     darboux = wedge(theta(f4, 1), theta(f4, 2)) + wedge(theta(f4, 3), theta(f4, 4))
-    poisson = CEComplex(LieAlgebra(4, (), darboux)).poisson
+    poisson = CEComplex(LieAlgebra((), darboux)).poisson
     assert poisson == [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
@@ -117,7 +113,7 @@ def test_omega_of_mixed_degree_rejected():
     f4 = Frame.invariant(4)
     darboux = wedge(theta(f4, 1), theta(f4, 2)) + wedge(theta(f4, 3), theta(f4, 4))
     with pytest.raises(ValueError, match="^symplectic form must be a 2-form$"):
-        LieAlgebra(4, (), darboux + wedge(wedge(theta(f4, 1), theta(f4, 2)), theta(f4, 3)))
+        LieAlgebra((), darboux + wedge(wedge(theta(f4, 1), theta(f4, 2)), theta(f4, 3)))
 
 
 def test_dd_zero_everywhere(nilm):

@@ -30,7 +30,7 @@ from symplab.fields import (
     two_form_from_data,
     vector_from_two_form,
 )
-from symplab.polynomials import InputError, Poly, decode_json
+from symplab.polynomials import MAX_INPUT_N, InputError, Poly, decode_json
 
 import oracles
 
@@ -50,6 +50,20 @@ def small_poly(nvars):
     exps = st.tuples(*(st.integers(0, 2) for _ in range(nvars)))
     coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
     return st.dictionaries(exps, coeff, max_size=2).map(lambda t: Poly(nvars, t))
+
+
+def two_form(frame, q=None, a=None, p=None):
+    """TwoFormData from n x n matrices of numbers or polynomials; a matrix
+    not given is zero."""
+    n, nv = frame.n, frame.dim
+
+    def fill(mat):
+        return tuple(
+            tuple(e if isinstance(e, Poly) else Poly.constant(nv, e) for e in row)
+            for row in mat or [[0] * n] * n
+        )
+
+    return TwoFormData(frame, fill(q), fill(a), fill(p))
 
 
 def poly_forms(frame, degrees, max_terms=2):
@@ -286,7 +300,7 @@ def test_canonical_equations_recovered(n):
 
 def test_closed_two_form_maps_to_zero():
     frame = Frame.darboux(2)
-    alpha = TwoFormData.build(
+    alpha = two_form(
         frame,
         q=[[0, Fraction(3)], [Fraction(-3), 0]],
         p=[[0, Fraction(-1, 2)], [Fraction(1, 2), 0]],
@@ -305,6 +319,23 @@ def test_field_matches_coordinate_formula_on_paper_verify_forms():
             assert x.components == oracles.two_form_field_components(alpha)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_field_matches_coordinate_formula_up_to_the_input_bound(n):
+    # from-two-form reads n up to MAX_INPUT_N; ten seeded forms per n, each
+    # also meeting the defining identity i_X(omega^n) = -n(n-1) d alpha ^
+    # omega^(n-2) that X is read off
+    assert MAX_INPUT_N == 6
+    rng = random.Random(n)
+    for _ in range(10):
+        alpha = cli._random_two_form(rng, n)
+        x = vector_from_two_form(alpha)
+        assert x.components == oracles.two_form_field_components(alpha)
+        beta = Fraction(-n * (n - 1)) * wedge(
+            exterior_derivative(alpha.to_form()), omega_power(alpha.frame, n - 2)
+        )
+        assert interior(x, omega_power(alpha.frame, n)) == beta
+
+
 def test_linear_system_alpha_reproduces_field():
     spec, x = build_linear_system(None, masses=(1, 2, 1))
     assert vector_from_two_form(linear_system_two_form(spec)).components == x.components
@@ -318,12 +349,12 @@ def test_linear_system_alpha_needs_n_at_least_2():
 def test_antisymmetry_enforced():
     frame = Frame.darboux(2)
     with pytest.raises(InputError, match=r"Q\[1\]\[2\] != -Q\[2\]\[1\]"):
-        TwoFormData.build(frame, q=[[0, 1], [1, 0]])
+        two_form(frame, q=[[0, 1], [1, 0]])
 
 
 def test_two_form_needs_n_at_least_two():
-    with pytest.raises(ValueError):
-        TwoFormData.build(Frame.darboux(1))
+    with pytest.raises(ValueError, match="^two-form dictionary needs n >= 2$"):
+        two_form(Frame.darboux(1))
 
 
 def _two_form_from_form(form):
@@ -366,7 +397,7 @@ def _data_add(x: TwoFormData, y: TwoFormData) -> TwoFormData:
 def test_two_form_data_assembles_correctly():
     # to_form and the test-side unpacking must be mutually inverse
     frame = Frame.darboux(2)
-    alpha = TwoFormData.build(
+    alpha = two_form(
         frame,
         q=[[0, var(4, 2)], [-var(4, 2), 0]],
         a=[[var(4, 0), Fraction(2)], [0, var(4, 3)]],

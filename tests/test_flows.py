@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -64,7 +65,7 @@ def unit_cube():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(t_final=1.0, dt=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t_final must be nonnegative$"):
         FlowConfig(t_final=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         FlowConfig(t_final=math.inf, dt=0.1)
@@ -78,7 +79,7 @@ def test_flow_config_validation():
     [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.1)],
 )
 def test_flow_config_rejects_non_finite(t_final, dt):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^t_final and dt must be finite$"):
         FlowConfig(t_final=t_final, dt=dt)
 
 
@@ -351,15 +352,12 @@ def test_fourth_order_det_convergence_generic_system():
         assert 12 <= coarse / fine <= 20
 
 
-def test_stage_path_against_exact_rk4():
-    # X = (1, x1^2, x1 x2, x2^2 - x3) is strictly triangular: DX is strictly
-    # lower triangular, so J stays exactly unit lower triangular and det J
-    # is exactly 1.  RK4 in Fractions from the stepped longdouble x0, with
-    # the run's own h, pins the stage path's rounding.
-    frame = Frame.darboux(2)
-    x1, x2, x3 = (var(4, i) for i in range(3))
-    x = PolyVectorField(frame, (Poly.constant(4, 1), x1 ** 2, x1 * x2, x2 ** 2 - x3))
-    x0 = np.array([1, -1, 1, 1], dtype=WORK_DTYPE) / np.array([3, 2, 5, 7], dtype=WORK_DTYPE)
+def _pin_triangular_rk4(x, x0):
+    """For a strictly triangular X, DX is strictly lower triangular, so J
+    stays exactly unit lower triangular and det J is exactly 1.  RK4 in
+    Fractions from the stepped longdouble x0, with the run's own h, pins the
+    stage path's rounding, and the exact finals show order 4."""
+    dim = x.frame.dim
     eps = float(np.finfo(WORK_DTYPE).eps)
     finals = []
     for steps in (16, 32, 64, 128, 256):
@@ -370,7 +368,7 @@ def test_stage_path_against_exact_rk4():
         got = [Fraction(*v.as_integer_ratio()) for v in flow.trajectory.states[-1]]
         assert max(abs(g - e) for g, e in zip(got, exact)) <= steps * eps
         js = flow.jacobians
-        assert js.shape == (steps + 1, 4, 4)
+        assert js.shape == (steps + 1, dim, dim)
         assert np.all(np.triu(js, 1) == 0) and np.all(np.diagonal(js, axis1=1, axis2=2) == 1)
         # det J is exactly 1: the drift is batch_det's own rounding
         assert flow.max_det_drift() <= 4 * eps
@@ -379,6 +377,32 @@ def test_stage_path_against_exact_rk4():
              for coarse, fine in zip(finals, finals[1:])]
     for coarse, fine in zip(diffs, diffs[1:]):
         assert 3.9 <= math.log2(coarse / fine) <= 4.1
+
+
+def _rounded_point(nums, dens):
+    return np.array(nums, dtype=WORK_DTYPE) / np.array(dens, dtype=WORK_DTYPE)
+
+
+def test_stage_path_against_exact_rk4():
+    x1, x2, x3 = (var(4, i) for i in range(3))
+    x = PolyVectorField(Frame.darboux(2), (Poly.constant(4, 1), x1 ** 2, x1 * x2, x2 ** 2 - x3))
+    _pin_triangular_rk4(x, _rounded_point([1, -1, 1, 1], [3, 2, 5, 7]))
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_stage_path_against_exact_rk4_on_more_triangular_fields(dim):
+    # cubic entries on R^4; on R^6 each component past the first reads two
+    # earlier coordinates
+    y = [var(dim, i) for i in range(dim)]
+    one = Poly.constant(dim, 1)
+    if dim == 4:
+        comps = (one, y[0] ** 3 - y[0], y[0] * y[1] + y[1] ** 2, y[1] * y[2] - y[0] ** 2)
+        x0 = _rounded_point([-1, 1, 1, -2], [2, 3, 7, 5])
+    else:
+        comps = (one, 2 * y[0] ** 2 - 1, 3 * y[0] * y[1] + y[0], y[1] * y[2] - y[0] ** 3,
+                 y[2] ** 2 + y[0] * y[3], y[3] * y[4] - 2 * y[1] ** 2)
+        x0 = _rounded_point([-1, 2, 3, -1, 2, 5], [2, 3, 5, 7, 11, 13])
+    _pin_triangular_rk4(PolyVectorField(Frame.darboux(dim // 2), comps), x0)
 
 
 @pytest.mark.parametrize("case", ["criterion-7", "quartic", "blow-up"])
@@ -1145,23 +1169,23 @@ def test_reparametrization_invariance():
         smooth(2, 0),  # p1 = s(u)
         Poly.zero(2),
     )
-    patch = ChainPatch(1, maps, (8, 8))
+    patch = ChainPatch(maps, (8, 8))
     assert abs(chain_integral(patch).value - chain_integral(unit_square()).value) < 1e-8
 
 
 def test_quadrature_orders_against_pullback_degree():
     # along u the pullback 12 u^11 needs 2m - 1 >= 11 Gauss-Legendre points
     maps = (var(2, 0) ** 12, var(2, 1))
-    assert ChainPatch(1, maps, (6, 1)).pullback_degree_bound() == [11, 0]
-    assert abs(chain_integral(ChainPatch(1, maps, (6, 1))).value + 1.0) < 1e-12
+    assert ChainPatch(maps, (6, 1)).pullback_degree_bound() == [11, 0]
+    assert abs(chain_integral(ChainPatch(maps, (6, 1))).value + 1.0) < 1e-12
     with pytest.raises(ValueError, match="at least 6"):
-        ChainPatch(1, maps, (5, 1))
+        ChainPatch(maps, (5, 1))
     # the bound adds the 2l largest per-row degrees: rows u^2 and u^3 give
     # 1 + 2 along u, though this pullback is only 2u
     maps = (var(2, 0) ** 2, var(2, 0) ** 3, var(2, 1), Poly.zero(2))
-    assert ChainPatch(1, maps, (2, 1)).pullback_degree_bound() == [3, 0]
+    assert ChainPatch(maps, (2, 1)).pullback_degree_bound() == [3, 0]
     with pytest.raises(ValueError):
-        ChainPatch(1, maps, (1, 1))
+        ChainPatch(maps, (1, 1))
     assert unit_cube().pullback_degree_bound() == [0, 0, 0, 0]
 
 
@@ -1184,7 +1208,7 @@ def test_gauss_legendre_rules_exact_in_longdouble():
 def test_exact_degree_rule_gives_exact_value():
     # the degree-11 pullback of (u^12, v) is integrated exactly by 6 points
     maps = (var(2, 0) ** 12, var(2, 1))
-    assert chain_integral(ChainPatch(1, maps, (6, 1))).value == -1.0
+    assert chain_integral(ChainPatch(maps, (6, 1))).value == -1.0
 
 
 def test_chain_of_signed_patches():
@@ -1212,6 +1236,24 @@ def test_chain_of_mixed_ambient_dimension_is_refused():
         with pytest.raises(InputError, match=r"^patch ambient dimension != 2n$"):
             verify_area_preservation(x, chain, 1, FlowConfig(1.0, 1e-2))
     assert chain_integral([(1, plane), (1, plane)]).value == 2.0
+
+
+@pytest.mark.parametrize("sign", [0.5, 1.9, "1", math.nan, 1.0, True, Fraction(1)])
+def test_chain_coefficient_must_be_an_integer(sign):
+    # int(sign) once read 0.5 as 0 and 1.9 as 1, accepted "1" and raised a
+    # plain ValueError on a NaN; as in files, a float or a bool is refused
+    # even when integral
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    chain = [(1, unit_square()), (sign, unit_square())]
+    message = f"^{re.escape(f'chain coefficient {sign!r} is not an integer')}$"
+    with pytest.raises(InputError, match=message):
+        chain_integral(chain)
+    with pytest.raises(InputError, match=message):
+        verify_area_preservation(x, chain, 1, FlowConfig(1.0, 1e-2))
+
+
+def test_chain_coefficient_of_any_integer_type():
+    assert chain_integral([(np.int64(3), unit_square()), (-1, unit_square())]).value == 2.0
 
 
 def test_empty_chain_is_refused():
@@ -1243,11 +1285,21 @@ def test_compiled_field_names_a_refused_coefficient():
         assert str(err.value) == f"{message} in {WORK_DTYPE.__name__}"
 
 
+def test_chain_degree_is_read_from_the_maps():
+    # l is half the one parameter count the maps share; no second copy of it
+    # is stated, so none can disagree
+    assert (unit_square().l, unit_cube().l) == (1, 2)
+    message = "^map components must share one even, positive parameter count$"
+    for maps in ((var(2, 0), var(4, 1)), (var(3, 0), var(3, 1)), (Poly.zero(0),) * 2):
+        with pytest.raises(InputError, match=message):
+            ChainPatch(maps, (2, 2))
+
+
 def test_chain_validation():
-    with pytest.raises(ValueError):
-        ChainPatch(1, (Poly.zero(2),) * 4, (0, 2))
+    with pytest.raises(InputError, match="^quadrature orders must be >= 1$"):
+        ChainPatch((Poly.zero(2),) * 4, (0, 2))
     with pytest.raises(ValueError, match="Gauss-Legendre"):
-        ChainPatch(1, (var(2, 0) ** 12, var(2, 1)), (4, 4))
+        ChainPatch((var(2, 0) ** 12, var(2, 1)), (4, 4))
     with pytest.raises(InputError, match=r"patch ambient dimension != 2n"):
         chain_integral(unit_cube(), n=3)
 
@@ -1313,7 +1365,7 @@ def test_transport_validates_patch():
     with pytest.raises(InputError, match="patch half-degree differs from l"):
         verify_area_preservation(x, unit_square(), 2, FlowConfig(1.0, 1e-2))
     for l in (0, 3):
-        with pytest.raises(ValueError, match="1 <= l <= n"):
+        with pytest.raises(ValueError, match="^need 1 <= l <= n$"):
             verify_area_preservation(x, unit_square(), l, FlowConfig(1.0, 1e-2))
 
 

@@ -1,10 +1,12 @@
 """Every module-level import of a symplab module is used in that module,
 every module-level private function is referenced somewhere in the
-package, and every dataclass field of the package is read somewhere in the
-package, its tests or its benchmark.  ``__init__.py`` re-exports names and
-is exempt from the first."""
+package, every dataclass field of the package is read somewhere in the
+package, its tests or its benchmark, and every input refusal of the package
+is named by some test.  ``__init__.py`` re-exports names and is exempt from
+the first."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,36 @@ def unread_dataclass_fields(package: list[str], readers: list[str]) -> list[str]
     return [f"{cls}.{name}" for cls, name in fields if name not in read]
 
 
+def refusal_fragments(source: str) -> list[str]:
+    """The longest fixed fragment of each ``raise InputError(...)`` message:
+    the whole of a plain string, the longest literal part of an f-string.
+    A message with no literal text, such as ``str(exc)``, gives none."""
+    fragments = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "InputError" and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        literal = [p.value for p in parts if isinstance(p, ast.Constant)]
+        if literal:
+            fragments.append(max(literal, key=len))
+    return fragments
+
+
+def unnamed_refusals(package: list[str], tests: list[str]) -> list[str]:
+    """Refusal fragments of the package that no string in the tests holds,
+    either as written or with its regex escapes removed."""
+    strings = [
+        node.value
+        for source in tests
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    text = "\n".join(strings + [re.sub(r"\\(.)", r"\1", s) for s in strings])
+    return [f for source in package for f in refusal_fragments(source) if f not in text]
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") == [
         "os", "b",
@@ -102,6 +134,16 @@ def test_checker_finds_an_unread_dataclass_field():
     assert unread_dataclass_fields(package, readers) == ["A.dropped", "B.written"]
 
 
+def test_checker_finds_an_unnamed_refusal():
+    package = [
+        'raise InputError("named")\nraise InputError(f"{x} = {n} is too big")\n'
+        'raise InputError(str(exc))\nraise InputError(f"a [{n}] b")\n'
+        'raise ValueError("not a refusal")\n',
+    ]
+    tests = ['match = "^named$"\nmatch2 = r"a \\[3\\] b"\n']
+    assert unnamed_refusals(package, tests) == [" is too big"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
@@ -120,3 +162,9 @@ def test_no_unread_dataclass_fields():
         for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert unread_dataclass_fields(package, readers) == []
+
+
+def test_every_refusal_is_named_by_a_test():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    tests = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unnamed_refusals(package, tests) == []
