@@ -37,13 +37,15 @@ NORM_CAP = 1e9
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
-# blow-up test per block and, where a det check runs, one batch_det call.  A
-# call gets at most DET_BATCH matrices while m <= DET_BATCH; above that a
-# block is one step, and the stage loop's call gets all m tangent maps (the
-# affine path shares one map among the nodes, so it sends one per step, and
-# with a one-step buffer each step's np.dot reads the whole buffer and writes
-# its first dim rows).  A run that steps chain frames has no det check, and
-# its blocks only batch the blow-up test
+# blow-up test per block.  Where a det check runs, the stage loop makes one
+# batch_det call per block, of at most DET_BATCH matrices while m <=
+# DET_BATCH; above that a block is one step and its call gets all m tangent
+# maps.  The affine path shares one map among the nodes and gathers the maps
+# of successive blocks, so each of its calls gets min(steps, DET_BATCH) of
+# them and the last one what is left (with a one-step block buffer each
+# step's np.dot reads the whole buffer and writes its first dim rows).  A run
+# that steps chain frames has no det check, and its blocks only batch the
+# blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -51,9 +53,10 @@ DET_BATCH = 1024
 # map per node, an upper bound for a run that steps only the 2l < dim
 # columns of chain frames, so which tangents a run steps moves no refusal.
 # STEP_VALUES is a step's fixed cost in values: the stage loop stepping full
-# tangent maps takes at most about 46 + 0.19 x values us per step for the
-# Duffing field and 77 + 0.25 x values for a quartic at n = 2 (2-core
-# x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and kept
+# tangent maps takes at most about 90 + 0.25 x values us per step for the
+# Duffing field and for a quartic at n = 2 (2-core x86-64 whose speed moves
+# by up to 2x; about 45 + 0.16 x values at its fastest).  At 5e7 the stage
+# loop runs at most about 10 to 20 s and kept
 # paths take at most 800 MB; the largest bundled run (area-laws, 16 nodes
 # for 10^4 steps at dim 4) needs 7.0e6
 MAX_FLOW_WORK = 5 * 10**7
@@ -108,14 +111,18 @@ class CompiledField:
     polynomials in nvars variables, such as a chain's parametrization.
     Every value and Jacobian entry is a sum of coefficient-weighted
     monomials, one term row each, in sorted term order.  A call builds a
-    table of the powers x_i^p the rows use, with the same ``powl`` as
-    ``x ** p``, multiplies each row's nonzero-power factors in variable
-    order (skipping x^0 = 1 is exact) and adds the rows into their output
-    slots in row order, from +0, with one flat ``np.add.at``: the sums a
+    table of the powers x_i^p the rows use: first the x_i^1 rows, plain
+    copies of the coordinates, then the x_0^0 pad and the powers p >= 2,
+    formed in place with the same ``powl`` as ``x ** p`` (``powl`` makes x^1
+    = x and x^0 = 1, NaN included, so the copies agree with it to the bit).
+    It multiplies each row's nonzero-power factors in variable order
+    (skipping x^0 = 1 is exact) and adds the rows into their output slots
+    in row order, from +0, with one flat ``np.add.at``: the sums a
     dense evaluation forms (every monomial, each slot's rows added in row
     order), so the results agree to the bit.  The flat index of a call is
-    built once per node count.  It is the one place an input coefficient is
-    rounded and refused (see _round_coefficient).
+    built once per node count, and a call writes only arrays it allocates,
+    so one instance serves several threads.  It is the one place an input
+    coefficient is rounded and refused (see _round_coefficient).
     """
 
     def __init__(self, x):
@@ -129,10 +136,13 @@ class CompiledField:
         factors = [[(i, p) for i, p in enumerate(e) if p] for _, e, _ in rows]
         width = max(1, max(map(len, factors), default=0))
         padded = [f + [(0, 0)] * (width - len(f)) for f in factors]
-        powers = sorted({pair for f in padded for pair in f})
+        # the x_i^1 rows first, then the pad and the powers powl forms
+        powers = sorted({pair for f in padded for pair in f}, key=lambda f: (f[1] != 1, f))
         row_of = {pair: r for r, pair in enumerate(powers)}
         self.table_vars = np.array([i for i, _ in powers], dtype=np.intp)
-        self.table_exps = np.array([p for _, p in powers], dtype=WORK_DTYPE).reshape(-1, 1)
+        self._linear = sum(p == 1 for _, p in powers)
+        self.table_exps = np.array(
+            [p for _, p in powers[self._linear:]], dtype=WORK_DTYPE).reshape(-1, 1)
         self.factors = [
             np.array([row_of[f[col]] for f in padded], dtype=np.intp) for col in range(width)
         ]
@@ -148,7 +158,9 @@ class CompiledField:
         """xs (m, nvars) -> (values (m, k), jacobians (m, k, nvars)).  xs
         may be any strided (m, nvars) view."""
         m = xs.shape[0]
-        table = xs.T.take(self.table_vars, axis=0) ** self.table_exps
+        table = xs.T.take(self.table_vars, axis=0)
+        powered = table[self._linear:]
+        np.power(powered, self.table_exps, powered)
         terms = table.take(self.factors[0], axis=0)
         for factor in self.factors[1:]:
             terms *= table.take(factor, axis=0)
@@ -265,11 +277,18 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     result is J V(0), one einsum at the end.  Otherwise the stage loop
     steps V' = DX V on those c columns alone.
 
-    After each block: one blow-up test, and for square tangents one
-    batch_det call over its tangent maps, folded with np.maximum so that a
-    NaN determinant makes the max drift NaN.  A blow-up cuts the run at the
-    first step past the cap; the later steps of its block are discarded.
-    Kept paths are filled block by block.
+    After each block: one blow-up test, then for square tangents the det
+    check.  The stage path makes one batch_det call over the block's tangent
+    maps.  The affine path copies the block's shared maps, one per step, into
+    a buffer of min(steps, DET_BATCH) maps and calls batch_det whenever it is
+    full and once more at the end on what is left, so its calls carry
+    DET_BATCH maps whatever the node count (a block as long as the buffer,
+    as at m = 1, is passed without the copy).  Each call's max |det J - 1| is
+    folded with np.maximum, so that a NaN determinant makes the max drift
+    NaN; batch_det treats each matrix apart, so the batching moves no bit.  A
+    blow-up cuts the run at the first step past the cap; the later steps of
+    its block are discarded, and so are their maps.  Kept paths are filled
+    block by block.
 
     A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
     values, or whose kept paths exceed MAX_FLOW_WORK values is refused
@@ -308,6 +327,16 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
         tangent_path = np.empty((samples, 1 if affine else m) + vs.shape[1:], dtype=WORK_DTYPE)
         states_path[0], tangent_path[0] = xs, vs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
+
+    def fold(mats):
+        nonlocal max_det
+        max_det = np.maximum(max_det, np.max(np.abs(batch_det(mats) - 1)))
+
+    if affine and square:
+        # the shared maps, one per step, wait here for a full batch_det call;
+        # a block holds at most as many steps, so it fills the buffer at most once
+        shared = np.empty((min(cfg.steps, DET_BATCH), dim, dim), dtype=WORK_DTYPE)
+    held = 0
     taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,14 +348,25 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
-            if square:
-                dets = batch_det(vb[:done].reshape(-1, dim, dim))
-                max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
+            if square and not affine:
+                fold(vb[:done].reshape(-1, dim, dim))
+            elif square and done == len(shared):
+                fold(vb[:done, 0])  # held is 0: this block fills a call by itself
+            elif square:
+                put = min(done, len(shared) - held)
+                shared[held:held + put] = vb[:put, 0]
+                held += put
+                if held == len(shared):
+                    fold(shared)
+                    held = done - put
+                    shared[:held] = vb[put:done, 0]
             xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
             taken += done
             if past.size:
                 blow_step, samples = taken, taken + 1
                 break
+        if held:
+            fold(shared[:held])
     vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
     if tangents is not None and not ride:
         vs = np.einsum("mij,mjl->mil", vs, tangents)

@@ -536,6 +536,25 @@ def test_affine_det_check_batches_samples(monkeypatch):
     assert whole == batched == per_step
 
 
+@pytest.mark.parametrize("case, dt, drift", [
+    ("criterion-7", 1e-2, 1.650709293755416e-09),
+    ("criterion-7", 1e-3, 1.5579024581231088e-08),
+    ("ham", 1e-2, 2.7777524421249145e-11),
+    ("ham", 1e-3, 6.924799275664917e-16),
+])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_area_law_det_drift_is_the_tangent_flow_drift(monkeypatch, case, dt, drift, det_batch):
+    # an affine field's tangent map does not depend on the state, so the
+    # area-laws cube's 16 nodes share the J of a one-point tangent flow, and
+    # the l = n det check reports that flow's drift whatever DET_BATCH is
+    x, _ = _affine_cases()[case]
+    cfg = FlowConfig(10.0, dt)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    report = verify_area_preservation(x, unit_cube(), 2, cfg)
+    flow = tangent_flow(x, [0.3, -0.2, 0.1, 0.5], cfg)
+    assert report.per_step_max_det_drift == flow.max_det_drift() == drift
+
+
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous"])
 @pytest.mark.parametrize("h", [Fraction(1, 10), Fraction(1e-3)])
 def test_affine_propagator_exact(case, h):
@@ -640,6 +659,12 @@ def _evaluator_cases():
         Poly.constant(2, Fraction(5, 9)),
         v ** 2 - Fraction(1, 3) * u + u * u * v,
     )
+    # every exponent from 0 to 6 in each variable: pad, x^1 and powl rows
+    q, p = var(2, 0), var(2, 1)
+    cases["powers-0-to-6"] = PolyVectorField(Frame.darboux(1), (
+        sum((Fraction(a + 1, 3) * q ** a * p ** (6 - a) for a in range(7)), Poly.zero(2)),
+        q ** 6 - Fraction(2, 7) * q * p ** 5 + p ** 2 - Fraction(5, 9),
+    ))
     return cases
 
 
@@ -680,6 +705,25 @@ def test_compiled_evaluator_serves_each_node_count(case):
             want_values, want_jacobians = oracles.dense_evaluate(polys, xs)
         _same_bits(values, want_values)
         _same_bits(jacobians, want_jacobians)
+
+
+def test_compiled_evaluator_special_inputs():
+    # -0.0, +-inf, NaN, subnormals, powers that overflow (2^3000 to the 6th)
+    # and that underflow (2^-3000 to the 6th), each at every node position
+    polys = _evaluator_cases()["powers-0-to-6"].components
+    compiled = CompiledField(polys)
+    big, small = np.ldexp(WORK_DTYPE(1.5), 3000), np.ldexp(WORK_DTYPE(1), -3000)
+    tiny = np.finfo(WORK_DTYPE).smallest_subnormal
+    pool = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -3 * tiny,
+                     big, -big, small, -small, 0.7, -1.3], dtype=WORK_DTYPE)
+    for m in (1, 7, 33):
+        for shift in range(len(pool)):
+            xs = np.resize(np.roll(pool, shift), (m, 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                values, jacobians = compiled(xs)
+                want_values, want_jacobians = oracles.dense_evaluate(polys, xs)
+            _same_bits(values, want_values)
+            _same_bits(jacobians, want_jacobians)
 
 
 def _stage_cases():
@@ -825,10 +869,11 @@ def _affine_oracle_cases():
 @pytest.mark.parametrize("m", [1, 3, 16, 17])
 @pytest.mark.parametrize("det_batch", [16, 40, 1024])
 def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
-    # one joint product per step on [J~ | x~^T], per-block det check and
-    # blow-up test: the same bits as x R^T + c and R J one step at a time.
-    # At m = 17 > DET_BATCH = 16 a block is one step, so the block buffer
-    # holds one Z and each step's np.dot writes into the Z it reads
+    # one joint product per step on [J~ | x~^T], per-block blow-up test and
+    # det checks of up to DET_BATCH shared maps: the same bits as x R^T + c
+    # and R J one step at a time.  At m = 17 > DET_BATCH = 16 a block is one
+    # step, so the block buffer holds one Z and each step's np.dot writes
+    # into the Z it reads
     x, x0, cfg = _affine_oracle_cases()[case]
     assert flows._is_affine(x)
     xs = _starts(x0, m)
@@ -846,12 +891,13 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     _assert_same_run(got, want)
     assert want[4] > 0
     assert (want[5] is not None) == (case == "expanding")
-    # J is shared by the nodes: one matrix per step, one call per block,
-    # the last one cut at the blow-up step
-    block = max(1, min(det_batch // m, cfg.steps))
+    # J is shared by the nodes: one matrix per step, gathered across blocks
+    # into calls of DET_BATCH matrices (all steps where fewer), the last call
+    # cut at the blow-up step
+    batch = min(det_batch, cfg.steps)
     steps = want[5] or cfg.steps
-    full, rest = divmod(steps, block)
-    assert sizes == [block] * full + ([rest] if rest else [])
+    full, rest = divmod(steps, batch)
+    assert sizes == [batch] * full + ([rest] if rest else [])
     # the det check alone, without kept paths, gives the same run
     alone = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
