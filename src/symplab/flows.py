@@ -53,10 +53,9 @@ DET_BATCH = 1024
 # map per node, an upper bound for a run that steps only the 2l < dim
 # columns of chain frames, so which tangents a run steps moves no refusal.
 # STEP_VALUES is a step's fixed cost in values: the stage loop stepping full
-# tangent maps takes at most about 90 + 0.25 x values us per step for the
-# Duffing field and for a quartic at n = 2 (2-core x86-64 whose speed moves
-# by up to 2x; about 45 + 0.16 x values at its fastest).  At 5e7 the stage
-# loop runs at most about 10 to 20 s and kept
+# tangent maps takes at most about 46 + 0.19 x values us per step for the
+# Duffing field and 77 + 0.25 x values for a quartic at n = 2 (2-core
+# x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and kept
 # paths take at most 800 MB; the largest bundled run (area-laws, 16 nodes
 # for 10^4 steps at dim 4) needs 7.0e6
 MAX_FLOW_WORK = 5 * 10**7
@@ -156,8 +155,11 @@ class CompiledField:
 
     def __call__(self, xs: np.ndarray):
         """xs (m, nvars) -> (values (m, k), jacobians (m, k, nvars)).  xs
-        may be any strided (m, nvars) view."""
+        may be any strided (m, nvars) view of any real dtype; it is
+        evaluated in WORK_DTYPE."""
         m = xs.shape[0]
+        if xs.dtype != WORK_DTYPE:
+            xs = xs.astype(WORK_DTYPE)  # the powers below are formed in place
         table = xs.T.take(self.table_vars, axis=0)
         powered = table[self._linear:]
         np.power(powered, self.table_exps, powered)
@@ -282,8 +284,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     maps.  The affine path copies the block's shared maps, one per step, into
     a buffer of min(steps, DET_BATCH) maps and calls batch_det whenever it is
     full and once more at the end on what is left, so its calls carry
-    DET_BATCH maps whatever the node count (a block as long as the buffer,
-    as at m = 1, is passed without the copy).  Each call's max |det J - 1| is
+    DET_BATCH maps whatever the node count.  Each call's max |det J - 1| is
     folded with np.maximum, so that a NaN determinant makes the max drift
     NaN; batch_det treats each matrix apart, so the batching moves no bit.  A
     blow-up cuts the run at the first step past the cap; the later steps of
@@ -350,8 +351,6 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
             if square and not affine:
                 fold(vb[:done].reshape(-1, dim, dim))
-            elif square and done == len(shared):
-                fold(vb[:done, 0])  # held is 0: this block fills a call by itself
             elif square:
                 put = min(done, len(shared) - held)
                 shared[held:held + put] = vb[:put, 0]
