@@ -175,7 +175,6 @@ def cmd_from_two_form(args, rep: Reporter) -> int:
         rep.text(f"d{c}/dt = {format_poly(compo, coord)}")
     for i, compo in enumerate(field.components):
         rep.kv(f"component.{i}", json.dumps(compo.monomial_list()))
-    rep.both("contraction_identity", "verified")
     div = fw.divergence(field)
     rep.both("divergence", format_poly(div, coord))
     return EXIT_OK

@@ -37,15 +37,12 @@ NORM_CAP = 1e9
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
-# blow-up test per block.  Where a det check runs, the stage loop makes one
-# batch_det call per block, of at most DET_BATCH matrices while m <=
-# DET_BATCH; above that a block is one step and its call gets all m tangent
-# maps.  The affine path shares one map among the nodes and gathers the maps
-# of successive blocks, so each of its calls gets min(steps, DET_BATCH) of
-# them and the last one what is left (with a one-step block buffer each
-# step's np.dot reads the whole buffer and writes its first dim rows).  A run
-# that steps chain frames has no det check, and its blocks only batch the
-# blow-up test
+# blow-up test per block.  Where a det check runs, a step makes per maps (m
+# tangent maps on the stage path, one shared map on the affine path) and the
+# run gathers them into batch_det calls of max(1, DET_BATCH // per) steps (the
+# last call what is left): at most DET_BATCH matrices while per <= DET_BATCH,
+# else one step's per.  A run that steps chain frames has no det check, and
+# its blocks only batch the blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -280,16 +277,16 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     steps V' = DX V on those c columns alone.
 
     After each block: one blow-up test, then for square tangents the det
-    check.  The stage path makes one batch_det call over the block's tangent
-    maps.  The affine path copies the block's shared maps, one per step, into
-    a buffer of min(steps, DET_BATCH) maps and calls batch_det whenever it is
-    full and once more at the end on what is left, so its calls carry
-    DET_BATCH maps whatever the node count.  Each call's max |det J - 1| is
-    folded with np.maximum, so that a NaN determinant makes the max drift
-    NaN; batch_det treats each matrix apart, so the batching moves no bit.  A
-    blow-up cuts the run at the first step past the cap; the later steps of
-    its block are discarded, and so are their maps.  Kept paths are filled
-    block by block.
+    check.  Each step makes per maps (m on the stage path, the one shared J
+    on the affine path); the block's maps are copied into a buffer of
+    max(1, min(steps, DET_BATCH // per)) steps, and batch_det is called
+    whenever it is full and once more at the end on what is left; a stage
+    block is as long as the buffer, an affine block at most as long.  Each
+    call's max |det J - 1| is folded with np.maximum, so that a NaN
+    determinant makes the max drift NaN; batch_det treats each matrix apart,
+    so the batching moves no bit.  A blow-up cuts the run at the first step
+    past the cap; the later steps of its block are discarded, and so are
+    their maps.  Kept paths are filled block by block.
 
     A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
     values, or whose kept paths exceed MAX_FLOW_WORK values is refused
@@ -298,9 +295,8 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
 
     Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step),
     vs (m, dim, c); with keep_paths the paths are arrays of shape
-    (samples, m, dim) and (samples, m or 1, dim, c or dim) of what was
-    stepped (the shared J on the affine path), with samples = steps + 1,
-    or blow_step + 1 after a blow-up.
+    (samples, m, dim) and (samples, per, dim, c or dim) of what was
+    stepped, with samples = steps + 1, or blow_step + 1 after a blow-up.
     """
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
@@ -314,6 +310,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
         )
     block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
+    per = 1 if affine else m  # the tangent maps a step makes
     # the tangents ride V' = DX V where neither a det nor a shared J needs J
     square = tangents is None or tangents.shape[2] == dim
     ride = not (affine or square)
@@ -325,18 +322,20 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     samples = cfg.steps + 1
     if keep_paths:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        tangent_path = np.empty((samples, 1 if affine else m) + vs.shape[1:], dtype=WORK_DTYPE)
+        tangent_path = np.empty((samples, per) + vs.shape[1:], dtype=WORK_DTYPE)
         states_path[0], tangent_path[0] = xs, vs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
 
     def fold(mats):
         nonlocal max_det
-        max_det = np.maximum(max_det, np.max(np.abs(batch_det(mats) - 1)))
+        dets = batch_det(mats.reshape(-1, dim, dim))
+        max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
 
-    if affine and square:
-        # the shared maps, one per step, wait here for a full batch_det call;
-        # a block holds at most as many steps, so it fills the buffer at most once
-        shared = np.empty((min(cfg.steps, DET_BATCH), dim, dim), dtype=WORK_DTYPE)
+    if square:
+        # the maps wait here for a full batch_det call; a block holds at most
+        # as many steps, so it fills the buffer at most once
+        gather = np.empty(
+            (max(1, min(cfg.steps, DET_BATCH // per)), per, dim, dim), dtype=WORK_DTYPE)
     held = 0
     taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
@@ -349,23 +348,21 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
-            if square and not affine:
-                fold(vb[:done].reshape(-1, dim, dim))
-            elif square:
-                put = min(done, len(shared) - held)
-                shared[held:held + put] = vb[:put, 0]
+            if square:
+                put = min(done, len(gather) - held)
+                gather[held:held + put] = vb[:put]
                 held += put
-                if held == len(shared):
-                    fold(shared)
+                if held == len(gather):
+                    fold(gather)
                     held = done - put
-                    shared[:held] = vb[put:done, 0]
+                    gather[:held] = vb[put:done]
             xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
             taken += done
             if past.size:
                 blow_step, samples = taken, taken + 1
                 break
         if held:
-            fold(shared[:held])
+            fold(gather[:held])
     vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
     if tangents is not None and not ride:
         vs = np.einsum("mij,mjl->mil", vs, tangents)

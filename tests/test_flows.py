@@ -752,18 +752,8 @@ def _assert_same_run(got, want):
     assert got[5] == want[5]
 
 
-@pytest.mark.parametrize("case", ["quartic", "dissipative"])
-@pytest.mark.parametrize("m", [1, 16])
-@pytest.mark.parametrize("det_batch", [16, 40, 1024])
-def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
-    # per-block det check and blow-up test, stacked paths: the same bits as
-    # one einsum step, one batch_det and one norm test at a time; 50 steps
-    # leave a partial last block for every DET_BATCH // m but 16 // 16
-    x, x0 = _stage_cases()[case]
-    assert not flows._is_affine(x)
-    xs = _starts(x0, m)
-    cfg = FlowConfig(t_final=0.5, dt=0.01)
-    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+def _count_det_calls(monkeypatch):
+    """Wrap flows.batch_det: the list returned gets each call's matrix count."""
     sizes = []
 
     def counted(mats):
@@ -771,9 +761,27 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
         return batch_det(mats)
 
     monkeypatch.setattr(flows, "batch_det", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["quartic", "dissipative"])
+@pytest.mark.parametrize("m", [1, 16, 17])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
+    # per-block det check and blow-up test, stacked paths: the same bits as
+    # one einsum step, one batch_det and one norm test at a time; 50 steps
+    # leave a partial last block at m = 1 for DET_BATCH = 16 and 40, and at
+    # m = 17 > DET_BATCH = 16 a block is one step, its call all 17 maps
+    x, x0 = _stage_cases()[case]
+    assert not flows._is_affine(x)
+    xs = _starts(x0, m)
+    cfg = FlowConfig(t_final=0.5, dt=0.01)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    sizes = _count_det_calls(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
-    # one call per block of DET_BATCH // m steps, never more than DET_BATCH matrices
-    block = min(det_batch // m, cfg.steps)
+    # one call per block of max(1, DET_BATCH // m) steps: at most DET_BATCH
+    # matrices, or one step's m where m > DET_BATCH
+    block = max(1, min(det_batch // m, cfg.steps))
     full, rest = divmod(cfg.steps, block)
     assert sizes == [block * m] * full + ([rest * m] if rest else [])
     monkeypatch.setattr(flows, "batch_det", batch_det)
@@ -880,13 +888,7 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     assert flows._is_affine(x)
     xs = _starts(x0, m)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
-    sizes = []
-
-    def counted(mats):
-        sizes.append(len(mats))
-        return batch_det(mats)
-
-    monkeypatch.setattr(flows, "batch_det", counted)
+    sizes = _count_det_calls(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     monkeypatch.setattr(flows, "batch_det", batch_det)
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
@@ -950,11 +952,15 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     offset = (blow - 1) % block
     assert position == ("first" if offset == 0 else "last" if offset == block - 1 else "middle")
     monkeypatch.setattr(flows, "DET_BATCH", block * m)
+    sizes = _count_det_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     _assert_same_run(got, want)
     assert got[2].shape[0] == blow + 1
+    # one call per block, the last holding only the maps up to the blow-up step
+    full, rest = divmod(blow, block)
+    assert sizes == [block * m] * full + ([rest * m] if rest else [])
     if m == 1:
         traj = tangent_flow(x, [1.0, 0.5], cfg).trajectory
         assert traj.blow_up_step == blow and len(traj.states) == blow + 1

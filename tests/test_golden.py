@@ -1,0 +1,70 @@
+"""Golden reports: the exact stdout and exit code of each command.
+
+Each file ``tests/golden/<case>.<format>`` holds ``exit=<code>`` on its first
+line and the command's stdout, byte for byte, after it; the input files are
+in ``tests/golden/inputs``.  The flow and chain reports are longdouble
+numerics, so the files are pinned on 80-bit extended precision (a 63-bit
+mantissa) only.  After a deliberate report change, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from symplab import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+HAM2 = str(INPUTS / "ham2.json")  # the field of H = |x|^2/2 + q1^2 p2
+SQUARE = str(INPUTS / "square.json")
+TWO_FORM3 = str(INPUTS / "two_form3.json")
+FORMATS = ("text", "machine")
+
+CASES = {
+    **{f"sl2-check-n{n}": ["sl2-check", "--n", str(n)] for n in range(1, 5)},
+    **{
+        f"cohomology-{name}{flag}": ["cohomology", name] + ([flag] if flag else [])
+        for name in ("nilm6", "torus6")
+        for flag in ("", "--betti", "--el", "--harmonic")
+    },
+    **{f"classify-k{k}": ["classify", HAM2, "--k", str(k)] for k in (1, 2)},
+    "from-two-form": ["from-two-form", TWO_FORM3],
+    "flow-x0": ["flow", HAM2, "--t", "1", "--dt", "0.01", "--x0", "0.3,-0.2,0.1,0.25"],
+    "flow-chain": ["flow", HAM2, "--t", "1", "--dt", "0.01", "--chain", SQUARE],
+    "chain": ["chain", SQUARE],
+    "paper-verify": ["paper-verify"],
+}
+
+
+def golden_path(case: str, fmt: str) -> Path:
+    return GOLDEN / f"{case}.{fmt}"
+
+
+def report(case: str, fmt: str) -> str:
+    """The exit code line and stdout of one case."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(CASES[case] + ["--format", fmt])
+    return f"exit={code}\n{out.getvalue()}"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="golden numerics are x87 extended precision"
+)
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, fmt):
+    assert report(case, fmt) == golden_path(case, fmt).read_text()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for fmt in FORMATS:
+            golden_path(case, fmt).write_text(report(case, fmt))
