@@ -31,6 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
+from .polynomials import Poly, format_poly
 
 
 @dataclass(frozen=True)
@@ -552,8 +553,6 @@ def format_form(form: Form) -> str:
     Fraction coefficients print as num/den; polynomial coefficients print as
     parenthesized monomial sums in the frame's coordinate names.
     """
-    from .polynomials import Poly, format_poly
-
     if form.is_zero:
         return "0"
     parts = []

@@ -312,6 +312,8 @@ def build_linear_system(
     oscillators m_i q_i'' = -coupling (q_other - q_i); their k matrix is
     asymmetric (hence the system non-Hamiltonian) exactly when m1 != m2.
     """
+    if (kmat is None) == (masses is None):
+        raise ValueError("give exactly one of kmat and masses")
     if masses is not None:
         m1, m2, c = (Fraction(str(v)) for v in masses)
         kmat = [[-c / m1, c / m1], [c / m2, -c / m2]]

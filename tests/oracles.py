@@ -6,13 +6,20 @@ come from explicit insertion-sort parity, matrix ranks come from sympy, and
 RK4 determinants of linear fields and RK4 runs of any polynomial field are
 exact rationals.  The dense polynomial evaluator and the one-step-at-a-time
 RK4 loops the package used before its kernels were batched are kept here as
-bitwise references.
+bitwise references, and so is the all-degree d.d product check the complex
+made before it checked Jacobi on the generators.  The invariant-field
+dimensions are built from the package's exterior algebra, along a route
+(contractions i_X omega^k) that ``el_dim`` does not take.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import sympy
+
+from symplab import linalg
+from symplab.cohomology import differential, exactness_rank
+from symplab.exterior import Form, image_matrix, interior, wedge_power
 
 # -- tuple-based exterior algebra -------------------------------------------
 
@@ -211,7 +218,7 @@ def two_form_field_components(alpha):
     return tuple(dq + dp)
 
 
-# -- cohomology representatives by prefix ranks ------------------------------
+# -- cohomology: prefix ranks, d.d products and invariant fields ------------
 
 
 def prefix_rank_representatives(cx, m):
@@ -222,8 +229,6 @@ def prefix_rank_representatives(cx, m):
     vectors before it raises the rank.  The package picks the same vectors
     from the pivots of one rref.
     """
-    from symplab import linalg
-
     size = len(cx.bases[m])
     closed = (
         linalg.nullspace(cx.d[m], cols=size)
@@ -243,6 +248,35 @@ def prefix_rank_representatives(cx, m):
             reps.append(cx.to_form(closed[idx], m))
             current = rank
     return tuple(reps)
+
+
+def dd_product_failure(cx):
+    """The first degree m with d_{m+1} d_m != 0, by exact matrix products
+    over every degree, or None.  This is the Jacobi check ``build_complex``
+    made before it checked d(d theta^k) = 0 on the generators alone."""
+    for m in range(cx.alg.dim - 1):
+        if any(any(row) for row in linalg.matmul(cx.d[m + 1], cx.d[m])):
+            return m
+    return None
+
+
+def invariant_field_dims(cx, k):
+    """(dim S_k, dim H_k) over the invariant fields X of (g, omega).
+
+    S_k holds the X with d(i_X omega^k) = 0, the symplectic-like fields of
+    order k; H_k holds those whose i_X omega^k is exact, the
+    Hamiltonian-like ones.  X -> [i_X omega^k] maps S_k into H^{2k-1} with
+    kernel H_k, so dim H_k is dim S_k less the rank of its classes.
+    """
+    wk = wedge_power(cx.alg.omega, k)
+    contractions = [interior(g, wk) for g in range(cx.alg.dim)]
+    d_matrix = image_matrix(cx.frame, [differential(cx, a) for a in contractions], 2 * k)
+    s_basis = linalg.nullspace(d_matrix, cols=cx.alg.dim)
+    forms = [
+        sum((c * a for c, a in zip(v, contractions) if c), Form.zero(cx.frame))
+        for v in s_basis
+    ]
+    return len(s_basis), len(s_basis) - exactness_rank(cx, forms, 2 * k - 1)
 
 
 # -- exact RK4 determinant oracle for linear fields ---------------------------

@@ -659,6 +659,35 @@ def test_paper_verify(capsys):
     assert not missing
 
 
+def test_paper_verify_transports_only_where_the_hypothesis_holds(capsys, monkeypatch):
+    # the osc square violates L_X omega = 0, which is decided exactly, so
+    # it is not transported; the three chains that are transported all meet
+    # their theorem's hypothesis
+    reports = []
+    transport = cli.fw.verify_area_preservation
+
+    def recording(*args):
+        reports.append(transport(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli.fw, "verify_area_preservation", recording)
+    code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 0
+    assert [report.hypothesis_ok for report in reports] == [True, True, True]
+
+
+def test_area_laws_fails_if_the_oscillator_were_symplectic(capsys, monkeypatch):
+    # area-laws asserts the exact test L_X omega != 0 for the osc square
+    checks = dict(cli._bundled_checks())
+    monkeypatch.setattr(cli, "_bundled_checks", lambda: [("area-laws", checks["area-laws"])])
+    monkeypatch.setattr(cli.fl, "lie_derivative", lambda x, a: symplab.Form.zero(a.frame))
+    code, out, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 1
+    assert out.splitlines() == [
+        "area-laws.status=fail", "area-laws.error=assertion failed", "suite.status=fail",
+    ]
+
+
 def _failing_suite(name, message):
     """The bundled suite with the check ``name`` failing with ``message``."""
     checks = cli._bundled_checks()
@@ -997,6 +1026,12 @@ MISUSES = {
         lambda: symplab.tangent_flow(_zero_field(1), [0.0], symplab.FlowConfig(1.0, 0.1)),
         "x0 must have one coordinate per generator",
     ),
+    "build_linear_system-both": (
+        lambda: symplab.build_linear_system([[5, 0], [0, 7]], masses=(1, 2, 1)),
+        "give exactly one of kmat and masses",
+    ),
+    "build_linear_system-neither": (
+        lambda: symplab.build_linear_system(None), "give exactly one of kmat and masses"),
     "ChainPatch.affine-axes": (
         lambda: symplab.ChainPatch.affine(1, [0, 0], [[1, 0]], orders=(2, 2)),
         "need 2l axis vectors of the ambient dimension",

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -81,6 +82,45 @@ def test_jacobi_violation_rejected(nilm):
     bad_cx = CEComplex(bad)
     dd = differential(bad_cx, differential(bad_cx, theta(alg.frame, 6)))
     assert not dd.is_zero
+
+
+JACOBI_REFUSAL = "d.d != 0 from degree 1: structure constants violate Jacobi"
+
+
+def random_structure(rng, dim):
+    """Two to four structure rows (i < j, any k) with c in {-1, 1, 2}."""
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        i, j = sorted(rng.sample(range(dim), 2))
+        rows.append((i, j, rng.randrange(dim), Fraction(rng.choice((-1, 1, 2)))))
+    return tuple(rows)
+
+
+def test_jacobi_refusals_match_the_product_reference():
+    # d(d theta^k) = 0 on the generators refuses exactly the structure
+    # constants whose d.d products fail in some degree, and the products
+    # always fail first in degree 1
+    rng = random.Random(26)
+    refused = 0
+    for trial in range(100):
+        frame = Frame.invariant(4 + 2 * (trial % 2))
+        darboux = sum(
+            (wedge(theta(frame, i), theta(frame, i + 1)) for i in range(1, frame.dim, 2)),
+            Form.zero(frame),
+        )
+        alg = LieAlgebra(random_structure(rng, frame.dim), darboux)
+        flagged = oracles.dd_product_failure(CEComplex(alg))
+        try:
+            build_complex(alg)
+            message = None
+        except InputError as exc:
+            message = str(exc)
+        if flagged is None:
+            assert message in (None, "distinguished 2-form is not closed"), alg.structure
+        else:
+            assert (flagged, message) == (1, JACOBI_REFUSAL), alg.structure
+            refused += 1
+    assert 20 < refused < 80
 
 
 def test_nonclosed_omega_rejected(nilm):
@@ -457,6 +497,47 @@ def test_four_dimensional_nilpotent_algebra():
     assert el_dim(cx, 2) == betti(cx, 3) == 3
     for m in range(5):
         assert 0 <= harmonic_dim(cx, m) <= betti(cx, m)
+
+
+@pytest.fixture(scope="module")
+def omega_pair():
+    """g = (0,0,0,0,14,15-34), i.e. d theta^5 = theta^1 ^ theta^4 and
+    d theta^6 = theta^1 ^ theta^5 - theta^3 ^ theta^4, with two symplectic
+    forms: omega_a = -theta^16 - theta^24 + theta^35 and
+    omega_b = omega_a - theta^23."""
+    d = [[1, 4, 5, "1"], [1, 5, 6, "1"], [3, 4, 6, "-1"]]
+    omega_a = [[1, 6, "-1"], [2, 4, "-1"], [3, 5, "1"]]
+    omega_b = omega_a + [[2, 3, "-1"]]
+    return tuple(
+        build_complex(algebra_from_data({"dim": 6, "d": d, "omega": w}))
+        for w in (omega_a, omega_b)
+    )
+
+
+def test_el_and_harmonic_dims_move_with_omega(omega_pair):
+    # one algebra, two symplectic forms: the Betti numbers agree, but the
+    # degree-3 Euler-Lagrange and harmonic dimensions do not
+    cx_a, cx_b = omega_pair
+    for cx in omega_pair:
+        assert [betti(cx, m) for m in range(7)] == [1, 4, 7, 8, 7, 4, 1]
+    assert [el_dim(cx_a, k) for k in (1, 2, 3)] == [4, 3, 4]
+    assert [el_dim(cx_b, k) for k in (1, 2, 3)] == [4, 4, 4]
+    assert [harmonic_dim(cx_a, m) for m in range(7)] == [1, 4, 7, 7, 4, 2, 1]
+    assert [harmonic_dim(cx_b, m) for m in range(7)] == [1, 4, 7, 6, 4, 2, 1]
+
+
+def test_invariant_fields_split_el_dim(nilm, torus, omega_pair):
+    # dim S_k - dim H_k (symplectic-like less Hamiltonian-like invariant
+    # fields) is el_dim(k), computed from contractions i_X omega^k instead
+    # of the Lefschetz map out of H^1
+    cx_a, cx_b = omega_pair
+    dims = {cx: [oracles.invariant_field_dims(cx, k) for k in (1, 2, 3)]
+            for cx in (nilm[1], torus[1], cx_a, cx_b)}
+    assert dims[nilm[1]] == [(3, 0), (3, 1), (6, 3)]
+    assert dims[torus[1]] == [(6, 0)] * 3
+    assert dims[cx_a][1][1] == 1 and dims[cx_b][1][1] == 0
+    for cx, values in dims.items():
+        assert [s - h for s, h in values] == [el_dim(cx, k) for k in (1, 2, 3)]
 
 
 def structure_differential(alg, k):

@@ -2,8 +2,8 @@
 every module-level private function is referenced somewhere in the
 package, every dataclass field of the package is read somewhere in the
 package, its tests or its benchmark, and every input refusal of the package
-is named by some test.  ``__init__.py`` re-exports names and is exempt from
-the first."""
+is named by some test, and no symplab module imports inside a function.
+``__init__.py`` re-exports names and is exempt from the first."""
 
 import ast
 import re
@@ -47,6 +47,18 @@ def dead_private_functions(sources: list[str]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return [name for name in defined if name not in used]
+
+
+def function_imports(source: str) -> list[str]:
+    """Each import statement inside a function body, in source order."""
+    nested = {
+        inner
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [ast.unparse(node) for node in sorted(nested, key=lambda node: node.lineno)]
 
 
 def _is_dataclass(node) -> bool:
@@ -123,6 +135,15 @@ def test_checker_finds_a_dead_private_function():
     assert dead_private_functions(sources) == ["_dead"]
 
 
+def test_checker_finds_an_import_in_a_function():
+    source = (
+        "import os\nfrom . import a\n"
+        "def f():\n    from .b import c\n    def g():\n        import d\n    return c\n"
+        "class K:\n    async def m(self):\n        import e, f as h\n"
+    )
+    assert function_imports(source) == ["from .b import c", "import d", "import e, f as h"]
+
+
 def test_checker_finds_an_unread_dataclass_field():
     package = [
         "@dataclass(frozen=True)\nclass A:\n    kept: int\n    dropped: int\n"
@@ -147,6 +168,11 @@ def test_checker_finds_an_unnamed_refusal():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_imports_inside_functions(module):
+    assert function_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_no_dead_private_functions():
