@@ -35,7 +35,6 @@ from .polynomials import (
     InputError,
     Poly,
     _as_int,
-    check_input_degree,
     check_input_n,
     decode_json,
     format_poly,
@@ -102,8 +101,6 @@ def _chain_from_data(data: dict) -> fw.ChainPatch:
             raise InputError("'maps' must list 2n monomial lists")
         polys = tuple(poly_from_monomials(2 * l, m) for m in maps)
         orders = tuple(_as_int(o) for o in data.get("orders", [4] * (2 * l)))
-    for poly in polys:
-        check_input_degree(poly, "chain map component")
     fw.CompiledField(polys)  # refuses a coefficient while the file is named
     return fw.ChainPatch(polys, orders)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .exterior import Frame, omega_power
 from .fields import PolyVectorField, lie_derivative
-from .polynomials import InputError, Poly
+from .polynomials import InputError, Poly, check_input_degree
 
 WORK_DTYPE = np.longdouble
 NORM_CAP = 1e9
@@ -542,9 +542,10 @@ class ChainPatch:
 
     ``maps`` lists one polynomial per phase-space coordinate, all in the
     same 2l parameter variables, so the maps fix both n and the half-degree
-    l; ``orders`` gives the Gauss-Legendre point count per axis.  An order
-    too small to integrate the omega^l pullback exactly along its axis is
-    refused (see ``pullback_degree_bound``).
+    l; ``orders`` gives the Gauss-Legendre point count per axis.  A map
+    component above MAX_INPUT_DEGREE is refused, and so is an order too
+    small to integrate the omega^l pullback exactly along its axis (see
+    ``pullback_degree_bound``).
     """
 
     maps: tuple[Poly, ...]
@@ -556,6 +557,8 @@ class ChainPatch:
         nvars = self.maps[0].nvars
         if nvars < 2 or nvars % 2 or any(p.nvars != nvars for p in self.maps):
             raise InputError("map components must share one even, positive parameter count")
+        for poly in self.maps:
+            check_input_degree(poly, "chain map component")
         if len(self.orders) != 2 * self.l:
             raise InputError("need one quadrature order per parameter axis")
         if any(o < 1 for o in self.orders):

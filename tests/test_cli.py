@@ -802,6 +802,9 @@ MALFORMED = {
     "chain-orders-not-2l": (
         "chain", dict(CHAIN_N1, orders=[2, 2, 2]), [], True,
         "need one quadrature order per parameter axis"),
+    "chain-map-degree": (
+        "chain", dict(CHAIN_N1, orders=[7, 1], maps=[[["1", 13, 0]], [["1", 0, 1]]]), [], True,
+        "chain map component has total degree 13 > 12; desk-scale inputs only"),
 }
 
 
@@ -903,6 +906,12 @@ REFUSALS = {
         ),
         "axis 0: 4 Gauss-Legendre points are exact up to degree 7, but the omega^1 "
         "pullback may reach degree 11; need an order of at least 6",
+    ),
+    "ChainPatch-degree": (
+        lambda: symplab.ChainPatch(
+            (symplab.Poly.variable(2, 0) ** 13, symplab.Poly.variable(2, 1)), (7, 1)
+        ),
+        "chain map component has total degree 13 > 12; desk-scale inputs only",
     ),
     "ChainPatch-odd-maps": (
         lambda: symplab.ChainPatch((symplab.Poly.variable(2, 0),) * 3, (1, 1)),
