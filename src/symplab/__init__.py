@@ -73,6 +73,7 @@ from .flows import (
     chain_integral,
     divergence,
     tangent_flow,
+    verify_area_laws,
     verify_area_preservation,
 )
 from .polynomials import InputError, Poly, format_poly

@@ -15,6 +15,7 @@ small pivoted-LU determinant below.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -53,8 +54,9 @@ DET_BATCH = 1024
 # tangent maps takes at most about 46 + 0.19 x values us per step for the
 # Duffing field and 77 + 0.25 x values for a quartic at n = 2 (2-core
 # x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and kept
-# paths take at most 800 MB; the largest bundled run (area-laws, 16 nodes
-# for 10^4 steps at dim 4) needs 7.0e6
+# paths take at most 800 MB; the largest bundled run (the ham square and
+# cube of area-laws, 32 nodes of 8 term rows for 10^4 steps at dim 4) needs
+# 10^4 x (250 + 32 x 24) = 1.018e7
 MAX_FLOW_WORK = 5 * 10**7
 STEP_VALUES = 250
 
@@ -264,20 +266,20 @@ class TangentFlow:
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
-             tangents=None):
+             tangents=None, check_det=True):
     """The one RK4 loop: a batch of m states and their tangents, in blocks
     of at most max(1, DET_BATCH // m) steps.  A block generator takes the
     steps: _affine_blocks for fields of degree <= 1 (the exact one-step
     propagator applied to [J~ | x~^T]), _stage_blocks for all others.
 
     ``tangents`` are the initial tangents V(0), (m, dim, c); None is the
-    identity.  A run of square tangents (None, or c = dim) checks det J:
-    it steps J from J(0) = I, as the affine path always does, and the
-    result is J V(0), one einsum at the end.  Otherwise the stage loop
-    steps V' = DX V on those c columns alone.
+    identity.  A run of square tangents (None, or c = dim) checks det J,
+    unless ``check_det`` is false: it steps J from J(0) = I, as the affine
+    path always does, and the result is J V(0), one einsum at the end.
+    Otherwise the stage loop steps V' = DX V on those c columns alone.
 
-    After each block: one blow-up test, then for square tangents the det
-    check.  Each step makes per maps (m on the stage path, the one shared J
+    After each block: one blow-up test, then the det check where it runs.
+    Each step makes per maps (m on the stage path, the one shared J
     on the affine path); the block's maps are copied into a buffer of
     max(1, min(steps, DET_BATCH // per)) steps, and batch_det is called
     whenever it is full and once more at the end on what is left; a stage
@@ -304,9 +306,9 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     kept = (cfg.steps + 1) * m * (dim + dim * dim) if keep_paths else 0
     if max(work, kept) > MAX_FLOW_WORK:
         raise InputError(
-            f"{cfg.steps} steps x ({STEP_VALUES} + {m} nodes x {per_node} values per node) "
-            f"= {work} values of RK4 work, and {kept} values of kept paths; the budget "
-            f"is {MAX_FLOW_WORK} of each"
+            f"{_count(cfg.steps)} steps x ({STEP_VALUES} + {m} nodes x {per_node} values per "
+            f"node) = {_count(work)} values of RK4 work, and {_count(kept)} values of kept "
+            f"paths; the budget is {MAX_FLOW_WORK} of each"
         )
     block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
@@ -314,6 +316,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     # the tangents ride V' = DX V where neither a det nor a shared J needs J
     square = tangents is None or tangents.shape[2] == dim
     ride = not (affine or square)
+    check_det = check_det and square
     vs = tangents if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
     if affine:
         blocks = _affine_blocks(compiled, xs, cfg, block)
@@ -331,7 +334,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
         dets = batch_det(mats.reshape(-1, dim, dim))
         max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
 
-    if square:
+    if check_det:
         # the maps wait here for a full batch_det call; a block holds at most
         # as many steps, so it fills the buffer at most once
         gather = np.empty(
@@ -348,7 +351,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
-            if square:
+            if check_det:
                 put = min(done, len(gather) - held)
                 gather[held:held + put] = vb[:put]
                 held += put
@@ -369,6 +372,13 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     if not keep_paths:
         return xs, vs, None, None, float(max_det), blow_step
     return xs, vs, states_path[:samples], tangent_path[:samples], float(max_det), blow_step
+
+
+def _count(value: int) -> str:
+    """A count as a refusal prints it: whole below 10^15, else as %.3e,
+    rounded from the exact integer (a step count near the float range times
+    a step's values passes it)."""
+    return str(value) if value < 10**15 else f"{decimal.Decimal(value):.3e}"
 
 
 def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block):
@@ -753,6 +763,20 @@ class ConservationReport:
     blew_up: bool = False
 
 
+def _hypothesis(x: PolyVectorField, l: int):
+    """The theorem hypothesis L_X omega^l = 0, decided exactly, and its
+    note (div X = 0 for l = n; for l < n, L_X omega = 0, as the wedge with
+    omega^(l-1) is injective on 2-forms)."""
+    ok = lie_derivative(x, omega_power(x.frame, l)).is_zero
+    note = {
+        (True, True): "symplectic field: omega^l conserved for every l",
+        (False, True): "theorem not applicable: X is not symplectic and l < n",
+        (True, False): "divergence-free field: phase volume conserved",
+        (False, False): "theorem not applicable: X has nonzero divergence",
+    }[ok, l < x.frame.n]
+    return ok, note
+
+
 def verify_area_preservation(
     x: PolyVectorField, chain, l: int, cfg: FlowConfig
 ) -> ConservationReport:
@@ -767,44 +791,71 @@ def verify_area_preservation(
     signed list of patches, each of half-degree l in the R^{2n} of X; the
     nodes of all patches ride one RK4 run, and the integral before and
     after is one quadrature over the stacked frames.  The theorem
-    hypothesis L_X omega^l = 0 (div X = 0 for l = n; for l < n,
-    L_X omega = 0, as the wedge with omega^(l-1) is injective on 2-forms) is
-    decided exactly first and reported; a violation flags the report as not
-    applicable instead of failing.
+    hypothesis L_X omega^l = 0 is decided exactly first and reported (see
+    _hypothesis); a violation flags the report as not applicable instead of
+    failing.  This is verify_area_laws with one chain.
+    """
+    return verify_area_laws(x, [(chain, l)], cfg)[0]
+
+
+def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[ConservationReport]:
+    """verify_area_preservation for each (chain, l) of ``chains``: one
+    report per chain, in order.
+
+    On an affine field the nodes of every chain ride one RK4 run, as its one
+    J serves every node: J is stepped once, its det is checked once where
+    some chain has l = n, and each chain's frames are pushed to
+    J . dsigma/du by the einsum a lone run makes, so every report has the
+    bits of a lone verify_area_preservation call.  MAX_FLOW_WORK bounds
+    that one run of all the nodes.  It stops at the first step where any
+    node passes NORM_CAP, so a blow-up flags every report of the call, a
+    chain that alone stays below the cap included.  On any other field each
+    chain runs alone: one stage run would check the det of every chain's
+    node maps together.  Each distinct l's hypothesis is decided once.
     """
     n = x.frame.n
-    if not 1 <= l <= n:
+    if not all(1 <= l <= n for _, l in chains):
         raise InputError("need 1 <= l <= n")
-    ok = lie_derivative(x, omega_power(x.frame, l)).is_zero
-    note = {
-        (True, True): "symplectic field: omega^l conserved for every l",
-        (False, True): "theorem not applicable: X is not symplectic and l < n",
-        (True, False): "divergence-free field: phase volume conserved",
-        (False, False): "theorem not applicable: X has nonzero divergence",
-    }[ok, l < n]
-
-    rule, points, frames = _chain_quadrature(chain, n, l)
-    initial = float(_signed_integral(rule, frames))
-    _, pushed, _, _, max_det, blow = _rk4_run(CompiledField(x), points, cfg, tangents=frames)
-    blew_up = blow is not None
-
-    if blew_up:
-        final_f = abs_drift = float("nan")
+    hypotheses = {l: _hypothesis(x, l) for _, l in chains}
+    quadratures = [_chain_quadrature(chain, n, l) for chain, l in chains]
+    initials = [float(_signed_integral(rule, frames)) for rule, _, frames in quadratures]
+    compiled = CompiledField(x)
+    runs = []  # (pushed frames, max det drift, blow-up step) per chain
+    if _is_affine(x) and quadratures:
+        points = np.concatenate([points for _, points, _ in quadratures])
+        _, js, _, _, max_det, blow = _rk4_run(
+            compiled, points, cfg, check_det=any(l == n for _, l in chains))
+        for _, _, frames in quadratures:
+            # js is the one J broadcast over all nodes; a lone run's einsum
+            j = js[:len(frames)]
+            runs.append((np.einsum("mij,mjl->mil", j, frames), max_det, blow))
     else:
-        final_f = float(_signed_integral(rule, pushed))
-        abs_drift = abs(final_f - initial)
-    rel_drift = abs_drift / abs(initial) if initial else None
-    return ConservationReport(
-        quantity=f"(1/{l}!) int omega^{l}",
-        l=l,
-        t_final=cfg.t_final,
-        dt=cfg.dt,
-        initial=initial,
-        final=final_f,
-        abs_drift=abs_drift,
-        rel_drift=rel_drift,
-        per_step_max_det_drift=max_det if l == n and not blew_up else None,
-        hypothesis_ok=ok,
-        hypothesis_note=note,
-        blew_up=blew_up,
-    )
+        for _, points, frames in quadratures:
+            _, pushed, _, _, max_det, blow = _rk4_run(compiled, points, cfg, tangents=frames)
+            runs.append((pushed, max_det, blow))
+
+    reports = []
+    for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(
+            chains, quadratures, initials, runs):
+        blew_up = blow is not None
+        if blew_up:
+            final_f = abs_drift = float("nan")
+        else:
+            final_f = float(_signed_integral(rule, pushed))
+            abs_drift = abs(final_f - initial)
+        ok, note = hypotheses[l]
+        reports.append(ConservationReport(
+            quantity=f"(1/{l}!) int omega^{l}",
+            l=l,
+            t_final=cfg.t_final,
+            dt=cfg.dt,
+            initial=initial,
+            final=final_f,
+            abs_drift=abs_drift,
+            rel_drift=abs_drift / abs(initial) if initial else None,
+            per_step_max_det_drift=max_det if l == n and not blew_up else None,
+            hypothesis_ok=ok,
+            hypothesis_note=note,
+            blew_up=blew_up,
+        ))
+    return reports

@@ -664,16 +664,40 @@ def test_paper_verify_transports_only_where_the_hypothesis_holds(capsys, monkeyp
     # it is not transported; the three chains that are transported all meet
     # their theorem's hypothesis
     reports = []
-    transport = cli.fw.verify_area_preservation
+    transport = cli.fw.verify_area_laws
 
-    def recording(*args):
-        reports.append(transport(*args))
-        return reports[-1]
+    def recording(x, chains, cfg):
+        reports.extend(transport(x, chains, cfg))
+        return reports[-len(chains):]
 
-    monkeypatch.setattr(cli.fw, "verify_area_preservation", recording)
+    monkeypatch.setattr(cli.fw, "verify_area_laws", recording)
     code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
     assert code == 0
     assert [report.hypothesis_ok for report in reports] == [True, True, True]
+
+
+def test_paper_verify_flow_work(capsys, monkeypatch):
+    # one RK4 run per affine field: the ham square and cube share one, the
+    # osc cube (whose l = n det check liouville-drift reads) the other; each
+    # run checks the det of its 10^4 shared maps in 10 calls, and the three
+    # chains' pullbacks before and after take 8 more of 128 matrices
+    runs, sizes = [], []
+    rk4_run, batch_det = cli.fw._rk4_run, cli.fw.batch_det
+
+    def counted_run(compiled, xs, cfg, *args, **kwargs):
+        runs.append(cfg.steps)
+        return rk4_run(compiled, xs, cfg, *args, **kwargs)
+
+    def counted_det(mats):
+        sizes.append(len(mats))
+        return batch_det(mats)
+
+    monkeypatch.setattr(cli.fw, "_rk4_run", counted_run)
+    monkeypatch.setattr(cli.fw, "batch_det", counted_det)
+    code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 0
+    assert runs == [10**4, 10**4]
+    assert len(sizes) == 28 and sum(sizes) == 20128
 
 
 def test_area_laws_fails_if_the_oscillator_were_symplectic(capsys, monkeypatch):
@@ -1169,6 +1193,20 @@ def test_flow_work_budget_refused_quickly(capsys, tmp_path):
     assert err == (
         "input error: 1000000 steps x (250 + 4096 nodes x 8 values per node) = 33018000000 "
         f"values of RK4 work, and 0 values of kept paths; the budget is "
+        f"{symplab.flows.MAX_FLOW_WORK} of each\n"
+    )
+
+
+def test_flow_work_refusal_is_one_line(capsys, tmp_path):
+    # at dt = 1e-300 the counts are about 300 digits long; they print as
+    # %.3e, so the refusal stays one short line
+    field = _write(tmp_path, "osc.json", OSC_N1)
+    code, out, err = run(capsys, ["flow", field, "--t", "1", "--dt", "1e-300", "--x0", "1,0"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "input error: 1.000e+300 steps x (250 + 1 nodes x 8 values per node) = 2.580e+302 "
+        "values of RK4 work, and 6.000e+300 values of kept paths; the budget is "
         f"{symplab.flows.MAX_FLOW_WORK} of each\n"
     )
 

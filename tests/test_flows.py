@@ -138,6 +138,23 @@ def test_flow_work_budget_refuses_before_allocating():
         assert time.perf_counter() - start < 1.0
 
 
+def test_flow_work_refusal_prints_large_counts_in_e_notation():
+    # counts below 10^15 print whole, as the messages above; larger ones as
+    # %.3e, rounded from the exact integer, past the float range too
+    assert flows._count(10**15 - 1) == "999999999999999"
+    assert flows._count(10**15) == "1.000e+15"
+    assert flows._count(123456 * 10**300) == "1.235e+305"
+    assert flows._count(10**400 - 1) == "1.000e+400"
+    osc = PolyVectorField(Frame.darboux(1), (var(2, 1), -var(2, 0)))
+    with pytest.raises(InputError) as err:
+        tangent_flow(osc, [1.0, 0.0], FlowConfig(t_final=1.0, dt=1e-300))
+    assert str(err.value) == (
+        "1.000e+300 steps x (250 + 1 nodes x 8 values per node) = 2.580e+302 values of "
+        f"RK4 work, and 6.000e+300 values of kept paths; the budget is {flows.MAX_FLOW_WORK} "
+        "of each"
+    )
+
+
 def test_flow_config_step_budget():
     # a ratio that overflows to inf is refused by the config itself, before
     # int(round(...)) could raise OverflowError
@@ -547,6 +564,109 @@ def test_area_law_det_drift_is_the_tangent_flow_drift(monkeypatch, det_batch):
     report = verify_area_preservation(x, unit_cube(), 2, cfg)
     flow = tangent_flow(x, [0.3, -0.2, 0.1, 0.5], cfg)
     assert report.per_step_max_det_drift == flow.max_det_drift()
+    # paper-verify's liouville-drift reads its osc cube's det drift for the
+    # tangent flow of the same field from x0 = [1.0, 0.5, 0.25, -0.3] at
+    # t = 10, dt = 1e-3: the same number
+    cfg = FlowConfig(10.0, 1e-3)
+    report = flows.verify_area_laws(x, [(unit_cube(), 2)], cfg)[0]
+    flow = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], cfg)
+    assert report.per_step_max_det_drift == flow.max_det_drift() > 0
+
+
+def _lone_reports(x, chains, cfg):
+    return [verify_area_preservation(x, chain, l, cfg) for chain, l in chains]
+
+
+def _assert_same_reports(got, want):
+    # every field; a float's repr round-trips, so equal reprs are equal bits
+    # (and a NaN equals a NaN)
+    assert [repr(g) for g in got] == [repr(w) for w in want]
+
+
+def _n1_squares():
+    # two 2-chains at n = 1, so both have l = n
+    return [(ChainPatch.affine(1, [0, 0], [[1, 0], [0, 1]], orders=(4, 4)), 1),
+            (ChainPatch.affine(1, ["1/2", "-1/4"], [[0, 1], [1, "1/2"]], orders=(3, 3)), 1)]
+
+
+@pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous"])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_area_laws_share_an_affine_run_to_the_bit(monkeypatch, case, det_batch):
+    # the chains of one affine field ride one RK4 run, and each report is
+    # the lone verify_area_preservation call's, field by field
+    x, _ = _affine_cases()[case]
+    cfg = FlowConfig(10.0, 1e-2)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    if x.frame.n == 1:
+        chains = _n1_squares()
+    else:
+        chains = [(unit_square(), 1), (unit_cube(), 2), (_two_patch_chain(1), 1)]
+    runs = []
+    rk4_run = flows._rk4_run
+    monkeypatch.setattr(flows, "_rk4_run", lambda *a, **k: runs.append(1) or rk4_run(*a, **k))
+    shared = flows.verify_area_laws(x, chains, cfg)
+    assert len(runs) == 1
+    _assert_same_reports(shared, _lone_reports(x, chains, cfg))
+    assert all(r.per_step_max_det_drift > 0 for r in shared if r.l == x.frame.n)
+    if x.frame.n == 2:
+        # with no l = n chain, no tangent map's det is taken: only the 16-
+        # and 18-node pullbacks before and after, two blades each
+        chains = [(unit_square(), 1), (_two_patch_chain(1), 1)]
+        sizes = _count_det_calls(monkeypatch)
+        shared = flows.verify_area_laws(x, chains, cfg)
+        assert sorted(sizes) == [16] * 4 + [18] * 4
+        monkeypatch.setattr(flows, "batch_det", batch_det)
+        _assert_same_reports(shared, _lone_reports(x, chains, cfg))
+
+
+def test_area_laws_run_each_chain_alone_on_the_stage_path(monkeypatch):
+    # a shared stage run would check the det of every chain's node maps
+    # together, so each chain runs alone, and its report is its own call's
+    x, _ = _stage_cases()["quartic"]
+    cfg = FlowConfig(0.5, 0.01)
+    chains = [(unit_square(), 1), (unit_cube(), 2)]
+    runs = []
+    rk4_run = flows._rk4_run
+    monkeypatch.setattr(flows, "_rk4_run", lambda *a, **k: runs.append(len(a[1])) or rk4_run(*a, **k))
+    shared = flows.verify_area_laws(x, chains, cfg)
+    assert runs == [16, 16]
+    _assert_same_reports(shared, _lone_reports(x, chains, cfg))
+    assert shared[1].per_step_max_det_drift > 0 and shared[0].per_step_max_det_drift is None
+
+
+def test_area_laws_blow_up_flags_every_chain_of_the_run():
+    # x' = x grows like e^t: the unit square at the origin reaches node
+    # norms near 6e8 by t = 20, below NORM_CAP, the cube from [1, 1, 1, 1]
+    # passes it near t = 19.5.  Their shared run stops there, so both
+    # reports are flagged; each keeps the hypothesis and note of its own l
+    x = PolyVectorField(Frame.darboux(2), tuple(var(4, i) for i in range(4)))
+    cube = ChainPatch.affine(
+        2, [1, 1, 1, 1], [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        orders=(2, 2, 2, 2))
+    chains = [(unit_square(), 1), (cube, 2)]
+    cfg = FlowConfig(20.0, 0.01)
+    lone_square, lone_cube = _lone_reports(x, chains, cfg)
+    assert not lone_square.blew_up and lone_cube.blew_up
+    shared = flows.verify_area_laws(x, chains, cfg)
+    for got, lone in zip(shared, (lone_square, lone_cube)):
+        assert got.blew_up and math.isnan(got.final) and math.isnan(got.abs_drift)
+        assert got.per_step_max_det_drift is None
+        assert got.initial == lone.initial
+        assert (got.hypothesis_ok, got.hypothesis_note) == (
+            lone.hypothesis_ok, lone.hypothesis_note)
+    assert [r.hypothesis_note for r in shared] == [
+        "theorem not applicable: X is not symplectic and l < n",
+        "theorem not applicable: X has nonzero divergence",
+    ]
+    _assert_same_reports(flows.verify_area_laws(x, chains[1:], cfg), [lone_cube])
+
+
+def test_area_laws_of_no_chain_and_bad_l():
+    x, _ = _affine_cases()["ham"]
+    cfg = FlowConfig(1.0, 0.1)
+    assert flows.verify_area_laws(x, [], cfg) == []
+    with pytest.raises(InputError, match="^need 1 <= l <= n$"):
+        flows.verify_area_laws(x, [(unit_square(), 1), (unit_cube(), 3)], cfg)
 
 
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous"])
