@@ -10,6 +10,7 @@ for stable ``key=value`` lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -341,29 +342,24 @@ def _bundled_checks():
     failure; ordering is fixed so reports are byte-stable.
     """
 
-    # each flow field's chains ride one verify_area_laws call, made on first
-    # use: the ham square and cube, the osc cube
-    transports = {}
-
-    def transported(name):
-        if name not in transports:
-            square = fw.ChainPatch.affine(
-                1, [0, 0, 0, 0], [[0, 0, 1, 0], [1, 0, 0, 0]], orders=(4, 4)
-            )
-            cube = fw.ChainPatch.affine(
-                2,
-                [0, 0, 0, 0],
-                [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                orders=(2, 2, 2, 2),
-            )
-            if name == "ham":
-                x = fl.hamiltonian_field(Frame.darboux(2), _standard_hamiltonian(2))
-                chains = [(square, 1), (cube, 2)]
-            else:
-                _, x = fl.build_linear_system(None, masses=(1, 2, 1))
-                chains = [(cube, 2)]
-            transports[name] = fw.verify_area_laws(x, chains, fw.FlowConfig(10.0, 1e-3))
-        return transports[name]
+    @functools.cache
+    def transports():
+        # each flow field's chains ride one verify_area_laws call, made on
+        # first use: the ham square and cube, the osc cube
+        square = fw.ChainPatch.affine(
+            1, [0, 0, 0, 0], [[0, 0, 1, 0], [1, 0, 0, 0]], orders=(4, 4)
+        )
+        cube = fw.ChainPatch.affine(
+            2,
+            [0, 0, 0, 0],
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+            orders=(2, 2, 2, 2),
+        )
+        ham = fl.hamiltonian_field(Frame.darboux(2), _standard_hamiltonian(2))
+        _, osc = fl.build_linear_system(None, masses=(1, 2, 1))
+        cfg = fw.FlowConfig(10.0, 1e-3)
+        return (fw.verify_area_laws(ham, [(square, 1), (cube, 2)], cfg),
+                fw.verify_area_laws(osc, [(cube, 2)], cfg))
 
     def sl2():
         blades = 0
@@ -442,19 +438,18 @@ def _bundled_checks():
         # an affine field's J is the same at every point, so the osc cube's
         # l = n det check is that of the tangent flow from any x0, such as
         # [1.0, 0.5, 0.25, -0.3], to the bit
-        (cube,) = transported("osc")
+        _, (cube,) = transports()
         drift = cube.per_step_max_det_drift
         assert drift is not None and drift < DRIFT_TOL, drift
         return {"max_det_drift": f"{drift:.3e}"}
 
     def area_laws():
-        r1, r2 = transported("ham")
+        (r1, r2), (r3,) = transports()
         assert r1.hypothesis_ok and r1.rel_drift < DRIFT_TOL, r1
         assert r2.hypothesis_ok and r2.rel_drift < DRIFT_TOL, r2
         # the osc square's hypothesis, decided as verify_area_preservation does
         _, osc = fl.build_linear_system(None, masses=(1, 2, 1))
         assert not fl.lie_derivative(osc, omega(Frame.darboux(2))).is_zero
-        (r3,) = transported("osc")
         assert r3.hypothesis_ok and r3.rel_drift < DRIFT_TOL, r3
         return {
             "ham_sq_drift": f"{r1.rel_drift:.3e}",

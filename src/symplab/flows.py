@@ -42,8 +42,9 @@ MAX_CHAIN_NODES = 4096
 # tangent maps on the stage path, one shared map on the affine path) and the
 # run gathers them into batch_det calls of max(1, DET_BATCH // per) steps (the
 # last call what is left): at most DET_BATCH matrices while per <= DET_BATCH,
-# else one step's per.  A run that steps chain frames has no det check, and
-# its blocks only batch the blow-up test
+# else one step's per.  A run checks det J exactly when it is given no chain
+# frames or some square ones (l = n); otherwise its blocks only batch the
+# blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -265,18 +266,20 @@ class TangentFlow:
         return self.det_drift
 
 
-def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
-             tangents=None, check_det=True):
+def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, frames=None):
     """The one RK4 loop: a batch of m states and their tangents, in blocks
     of at most max(1, DET_BATCH // m) steps.  A block generator takes the
     steps: _affine_blocks for fields of degree <= 1 (the exact one-step
     propagator applied to [J~ | x~^T]), _stage_blocks for all others.
 
-    ``tangents`` are the initial tangents V(0), (m, dim, c); None is the
-    identity.  A run of square tangents (None, or c = dim) checks det J,
-    unless ``check_det`` is false: it steps J from J(0) = I, as the affine
-    path always does, and the result is J V(0), one einsum at the end.
-    Otherwise the stage loop steps V' = DX V on those c columns alone.
+    ``frames`` lists the tangent frames (m_i, dim, c_i) of the chains whose
+    nodes are stacked in xs, in that order; None stands for J itself.  One
+    rule follows from them.  The run checks det J exactly when frames is
+    None or some frame is square (c_i = dim, l = n).  The affine path steps
+    its one J from J(0) = I.  The stage path steps J where the det is
+    checked, and otherwise rides the frames' columns, V' = DX V, stacked
+    into one (m, dim, c) array.  A run that steps J pushes each chain's
+    frames to J . dsigma/du with one einsum at the end.
 
     After each block: one blow-up test, then the det check where it runs.
     Each step makes per maps (m on the stage path, the one shared J
@@ -295,10 +298,12 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     before anything is allocated; dim^2 tangent values per node bound a run
     that steps fewer columns too.
 
-    Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step),
-    vs (m, dim, c); with keep_paths the paths are arrays of shape
-    (samples, m, dim) and (samples, per, dim, c or dim) of what was
-    stepped, with samples = steps + 1, or blow_step + 1 after a blow-up.
+    Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step):
+    vs is J (m, dim, dim) when frames is None, else the list of each
+    chain's pushed frames (m_i, dim, c_i); with keep_paths the paths are
+    arrays of shape (samples, m, dim) and (samples, per, dim, c or dim) of
+    what was stepped, with samples = steps + 1, or blow_step + 1 after a
+    blow-up.
     """
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
@@ -313,11 +318,10 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
     block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
     per = 1 if affine else m  # the tangent maps a step makes
-    # the tangents ride V' = DX V where neither a det nor a shared J needs J
-    square = tangents is None or tangents.shape[2] == dim
-    ride = not (affine or square)
-    check_det = check_det and square
-    vs = tangents if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
+    check_det = frames is None or any(f.shape[2] == dim for f in frames)
+    # the frames ride V' = DX V where neither a det nor a shared J needs J
+    ride = not (affine or check_det)
+    vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
     if affine:
         blocks = _affine_blocks(compiled, xs, cfg, block)
     else:
@@ -367,8 +371,10 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False,
         if held:
             fold(gather[:held])
     vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
-    if tangents is not None and not ride:
-        vs = np.einsum("mij,mjl->mil", vs, tangents)
+    if frames is not None:
+        # each chain's rows of the stepped columns, or of J
+        parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
+        vs = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
     if not keep_paths:
         return xs, vs, None, None, float(max_det), blow_step
     return xs, vs, states_path[:samples], tangent_path[:samples], float(max_det), blow_step
@@ -784,14 +790,12 @@ def verify_area_preservation(
 
     Quadrature nodes ride the RK4 flow; their tangent frames are pushed
     forward to J . dsigma/du, so quadrature error and integration error stay
-    separate.  For l < n the 2l frame columns ride the variational equation
-    V' = DX V themselves; for l = n, whose per-step det check needs J, and
-    on the affine path, whose one J serves every node, the run steps J and
-    then forms J . dsigma/du.  The chain is a patch or a nonempty
-    signed list of patches, each of half-degree l in the R^{2n} of X; the
-    nodes of all patches ride one RK4 run, and the integral before and
-    after is one quadrature over the stacked frames.  The theorem
-    hypothesis L_X omega^l = 0 is decided exactly first and reported (see
+    separate (which tangents the run steps, and when it checks det J, is
+    _rk4_run's rule).  The chain is a patch or a nonempty signed list of
+    patches, each of half-degree l in the R^{2n} of X; the nodes of all
+    patches ride one RK4 run, and the integral before and after is one
+    quadrature over the stacked frames.  The theorem hypothesis
+    L_X omega^l = 0 is decided exactly first and reported (see
     _hypothesis); a violation flags the report as not applicable instead of
     failing.  This is verify_area_laws with one chain.
     """
@@ -799,8 +803,8 @@ def verify_area_preservation(
 
 
 def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[ConservationReport]:
-    """verify_area_preservation for each (chain, l) of ``chains``: one
-    report per chain, in order.
+    """verify_area_preservation for each (chain, l) of ``chains``, any
+    iterable: one report per chain, in order.
 
     On an affine field the nodes of every chain ride one RK4 run, as its one
     J serves every node: J is stepped once, its det is checked once where
@@ -814,25 +818,20 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     node maps together.  Each distinct l's hypothesis is decided once.
     """
     n = x.frame.n
+    chains = list(chains)
     if not all(1 <= l <= n for _, l in chains):
         raise InputError("need 1 <= l <= n")
     hypotheses = {l: _hypothesis(x, l) for _, l in chains}
     quadratures = [_chain_quadrature(chain, n, l) for chain, l in chains]
     initials = [float(_signed_integral(rule, frames)) for rule, _, frames in quadratures]
     compiled = CompiledField(x)
+    # the chains that share a run: all of them on an affine field, else each alone
+    groups = [quadratures] if quadratures and _is_affine(x) else [[q] for q in quadratures]
     runs = []  # (pushed frames, max det drift, blow-up step) per chain
-    if _is_affine(x) and quadratures:
-        points = np.concatenate([points for _, points, _ in quadratures])
-        _, js, _, _, max_det, blow = _rk4_run(
-            compiled, points, cfg, check_det=any(l == n for _, l in chains))
-        for _, _, frames in quadratures:
-            # js is the one J broadcast over all nodes; a lone run's einsum
-            j = js[:len(frames)]
-            runs.append((np.einsum("mij,mjl->mil", j, frames), max_det, blow))
-    else:
-        for _, points, frames in quadratures:
-            _, pushed, _, _, max_det, blow = _rk4_run(compiled, points, cfg, tangents=frames)
-            runs.append((pushed, max_det, blow))
+    for group in groups:
+        _, pushed, _, _, max_det, blow = _rk4_run(
+            compiled, np.concatenate([q[1] for q in group]), cfg, frames=[q[2] for q in group])
+        runs += [(frames, max_det, blow) for frames in pushed]
 
     reports = []
     for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(

@@ -669,6 +669,42 @@ def test_area_laws_of_no_chain_and_bad_l():
         flows.verify_area_laws(x, [(unit_square(), 1), (unit_cube(), 3)], cfg)
 
 
+@pytest.mark.parametrize("stage", [False, True])
+def test_area_laws_take_any_iterable_of_chains(stage):
+    # chains is read once, so a generator gives the reports of a list
+    x, _ = _stage_cases()["quartic"] if stage else _affine_cases()["ham"]
+    cfg = FlowConfig(1.0, 0.1)
+    chains = [(unit_square(), 1), (unit_cube(), 2)]
+    listed = flows.verify_area_laws(x, chains, cfg)
+    assert len(listed) == 2
+    _assert_same_reports(flows.verify_area_laws(x, (pair for pair in chains), cfg), listed)
+
+
+@pytest.mark.parametrize("path", ["affine", "stage"])
+@pytest.mark.parametrize("given, checked", [
+    ("none", True), ("square", True), ("non-square", False), ("non-square, square", True)])
+def test_frames_decide_the_det_check(monkeypatch, path, given, checked):
+    # _rk4_run's one rule: the J maps' dets are taken exactly when no frames
+    # are given or some frame is square (l = n), on either path
+    if path == "affine":
+        x, (x0, _) = _affine_cases()["ham"]
+    else:
+        x, x0 = _stage_cases()["quartic"]
+    assert flows._is_affine(x) == (path == "affine")
+    dim, m = len(x0), 3
+    square, flat = _frames(m, dim, dim), _frames(m, dim, dim // 2)
+    frames = {"none": None, "square": [square], "non-square": [flat],
+              "non-square, square": [flat, square]}[given]
+    xs = _starts(x0, m if frames is None else m * len(frames))
+    sizes = _count_det_calls(monkeypatch)
+    _, pushed, _, _, drift, blow = flows._rk4_run(
+        CompiledField(x), xs, FlowConfig(0.5, 0.01), frames=frames)
+    assert blow is None
+    assert bool(sizes) == checked and (drift > 0) == checked
+    if frames is not None:
+        assert [p.shape for p in pushed] == [f.shape for f in frames]
+
+
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous"])
 @pytest.mark.parametrize("h", [Fraction(1, 10), Fraction(1e-3)])
 def test_affine_propagator_exact(case, h):
@@ -936,12 +972,12 @@ def test_stage_loop_steps_given_tangents_like_per_step_loop(monkeypatch, case, m
     cfg = FlowConfig(t_final=0.5, dt=0.01)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     monkeypatch.setattr(flows, "batch_det", _no_det)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, tangents=frames)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, frames=[frames])
     want = oracles.rk4_stage_loop(flows, x, xs, cfg, tangents=frames)
-    _assert_same_run(got, want)
+    _assert_same_run(got[:1] + (got[1][0],) + got[2:], want)
     assert got[3].shape == (cfg.steps + 1, m, dim, dim // 2) and want[5] is None
-    alone = flows._rk4_run(CompiledField(x), xs, cfg, tangents=frames)
-    _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
+    alone = flows._rk4_run(CompiledField(x), xs, cfg, frames=[frames])
+    _assert_same_run(alone[:1] + (alone[1][0],) + got[2:4] + alone[4:], want)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -957,8 +993,8 @@ def test_stage_loop_given_tangents_blow_up_inside_block(monkeypatch, m):
     monkeypatch.setattr(flows, "DET_BATCH", (blow // 2 + 3) * m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, tangents=frames)
-    _assert_same_run(got, want)
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, frames=[frames])
+    _assert_same_run(got[:1] + (got[1][0],) + got[2:], want)
     assert got[2].shape[0] == blow + 1
 
 
@@ -971,7 +1007,7 @@ def test_pushed_frames_match_full_tangent_map_within_rounding():
     _, points, frames = flows._chain_quadrature(_two_patch_chain(1), 2, 1)
     compiled = CompiledField(x)
     cfg = FlowConfig(t_final=2.0, dt=0.005)
-    xs, pushed, _, _, _, blow = flows._rk4_run(compiled, points, cfg, tangents=frames)
+    xs, (pushed,), _, _, _, blow = flows._rk4_run(compiled, points, cfg, frames=[frames])
     full_xs, js, _, _, _, _ = flows._rk4_run(compiled, points, cfg)
     want = np.einsum("mij,mjl->mil", js, frames)
     assert blow is None
@@ -982,7 +1018,7 @@ def test_pushed_frames_match_full_tangent_map_within_rounding():
     ham, _ = _affine_cases()["ham"]
     affine = CompiledField(ham)
     js = flows._rk4_run(affine, points, cfg)[1]
-    _same_bits(flows._rk4_run(affine, points, cfg, tangents=frames)[1],
+    _same_bits(flows._rk4_run(affine, points, cfg, frames=[frames])[1][0],
                np.einsum("mij,mjl->mil", js, frames))
 
 
@@ -1114,7 +1150,7 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     final, max_det = WORK_DTYPE(0.0), 0.0
     for part in chain:
         rule, points, tangents = flows._chain_quadrature([part], 2, l)
-        _, pushed, _, _, drift, blow = flows._rk4_run(compiled, points, cfg, tangents=tangents)
+        _, (pushed,), _, _, drift, blow = flows._rk4_run(compiled, points, cfg, frames=[tangents])
         assert blow is None
         max_det = max(max_det, drift)
         final += flows._signed_integral(rule, pushed)

@@ -26,6 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 HAM2 = str(INPUTS / "ham2.json")  # the field of H = |x|^2/2 + q1^2 p2
 SQUARE = str(INPUTS / "square.json")
+# the coupled oscillators of tests/test_cli.py, an affine field with div X = 0
+# that is not symplectic, and the unit l = 2 cube
+OSC = str(INPUTS / "osc.json")
+CUBE = str(INPUTS / "cube.json")
 TWO_FORM3 = str(INPUTS / "two_form3.json")
 FORMATS = ("text", "machine")
 # the one test of whether this platform computes the pinned numerics
@@ -43,6 +47,9 @@ CASES = {
     "from-two-form": ["from-two-form", TWO_FORM3],
     "flow-x0": ["flow", HAM2, "--t", "1", "--dt", "0.01", "--x0", "0.3,-0.2,0.1,0.25"],
     "flow-chain": ["flow", HAM2, "--t", "1", "--dt", "0.01", "--chain", SQUARE],
+    "flow-osc-x0": ["flow", OSC, "--t", "1", "--dt", "0.01", "--x0", "1.0,0.5,0.25,-0.3"],
+    "flow-osc-square": ["flow", OSC, "--t", "1", "--dt", "0.01", "--chain", SQUARE],
+    "flow-osc-cube": ["flow", OSC, "--t", "1", "--dt", "0.01", "--chain", CUBE],
     "chain": ["chain", SQUARE],
     "paper-verify": ["paper-verify"],
 }
