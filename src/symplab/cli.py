@@ -41,6 +41,7 @@ from .polynomials import (
     format_poly,
     poly_from_monomials,
     reading,
+    sum_terms,
 )
 
 EXIT_OK = 0
@@ -305,13 +306,13 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 
 def _random_poly(rng: random.Random, nvars: int, max_degree: int) -> Poly:
-    terms = {}
+    pairs = []
     for _ in range(rng.randint(0, 2)):
         exps = [0] * nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + _random_fraction(rng)
-    return Poly(nvars, terms)
+        pairs.append((tuple(exps), _random_fraction(rng)))
+    return Poly(nvars, sum_terms(pairs))
 
 
 def _random_two_form(rng: random.Random, n: int) -> fl.TwoFormData:
@@ -343,6 +344,11 @@ def _bundled_checks():
     """
 
     @functools.cache
+    def oscillators():
+        # the coupled oscillators m_1 = 1, m_2 = 2, coupling 1: (spec, field)
+        return fl.build_linear_system(None, masses=(1, 2, 1))
+
+    @functools.cache
     def transports():
         # each flow field's chains ride one verify_area_laws call, made on
         # first use: the ham square and cube, the osc cube
@@ -356,7 +362,7 @@ def _bundled_checks():
             orders=(2, 2, 2, 2),
         )
         ham = fl.hamiltonian_field(Frame.darboux(2), _standard_hamiltonian(2))
-        _, osc = fl.build_linear_system(None, masses=(1, 2, 1))
+        _, osc = oscillators()
         cfg = fw.FlowConfig(10.0, 1e-3)
         return (fw.verify_area_laws(ham, [(square, 1), (cube, 2)], cfg),
                 fw.verify_area_laws(osc, [(cube, 2)], cfg))
@@ -424,7 +430,7 @@ def _bundled_checks():
         return {"cases": cases}
 
     def coupled_oscillators():
-        spec, x = fl.build_linear_system(None, masses=(1, 2, 1))
+        spec, x = oscillators()
         assert spec.k[0][1] != spec.k[1][0]
         assert not spec.is_hamiltonian
         assert not fl.classify(x, 1).symplectic_like
@@ -448,7 +454,7 @@ def _bundled_checks():
         assert r1.hypothesis_ok and r1.rel_drift < DRIFT_TOL, r1
         assert r2.hypothesis_ok and r2.rel_drift < DRIFT_TOL, r2
         # the osc square's hypothesis, decided as verify_area_preservation does
-        _, osc = fl.build_linear_system(None, masses=(1, 2, 1))
+        _, osc = oscillators()
         assert not fl.lie_derivative(osc, omega(Frame.darboux(2))).is_zero
         assert r3.hypothesis_ok and r3.rel_drift < DRIFT_TOL, r3
         return {

@@ -28,7 +28,9 @@ from .exterior import (
     wedge,
     wedge_power,
 )
-from .polynomials import InputError, _as_fraction, _as_int, check_input_n, decode_json, reading
+from .polynomials import (
+    InputError, _as_fraction, _as_int, check_input_n, decode_json, reading, sum_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,21 @@ class LieAlgebra:
 
 def generator_differentials(alg: LieAlgebra) -> list[Form]:
     """d theta^k as a 2-form, for each generator k."""
-    frame = alg.frame
-    dgen = [dict() for _ in range(alg.dim)]
-    for i, j, k, c in alg.structure:
-        mask = (1 << i) | (1 << j)
-        dgen[k][mask] = dgen[k].get(mask, Fraction(0)) + c
-    return [Form(frame, t) for t in dgen]
+    return [
+        Form(alg.frame, sum_terms(((1 << i) | (1 << j), c) for i, j, g, c in alg.structure if g == k))
+        for k in range(alg.dim)
+    ]
 
 
 def differential(cx: CEComplex, form: Form) -> Form:
     """The Chevalley-Eilenberg differential as the anti-derivation
     d a = sum_g d theta^g ^ i_g a; generators with d theta^g = 0 add nothing."""
-    out = Form.zero(form.frame)
-    for g, dg in enumerate(cx._dgen):
-        if not dg.is_zero:
-            out = out + wedge(dg, interior(g, form))
-    return out
+    return Form(form.frame, sum_terms(
+        term
+        for g, dg in enumerate(cx._dgen)
+        if not dg.is_zero
+        for term in wedge(dg, interior(g, form)).terms.items()
+    ))
 
 
 class CEComplex:
@@ -121,12 +122,13 @@ class CEComplex:
         """f-hat: contraction with the Poisson bivector inverse to omega."""
         p = self.poisson
         dim = self.alg.dim
-        out = Form.zero(self.frame)
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                if p[a][b]:
-                    out = out + p[a][b] * interior(a, interior(b, form))
-        return out
+        return Form(self.frame, sum_terms(
+            term
+            for a in range(dim)
+            for b in range(a + 1, dim)
+            if p[a][b]
+            for term in (p[a][b] * interior(a, interior(b, form))).terms.items()
+        ))
 
     def delta_matrix(self, m: int) -> linalg.Matrix:
         """delta = f.d - d.f restricted to degree m (maps to degree m-1)."""
@@ -262,7 +264,7 @@ def algebra_from_data(data: dict) -> LieAlgebra:
                 raise InputError(f"structure row {row!r} needs [i, j, k, c]")
             i, j, k = (_as_int(x) for x in row[:3])
             structure.append((i - 1, j - 1, k - 1, _as_fraction(row[3])))
-        omega_terms: dict[int, Fraction] = {}
+        omega_pairs = []
         for row in data.get("omega", []):
             if len(row) != 3:
                 raise InputError(f"omega row {row!r} needs [i, j, c]")
@@ -270,10 +272,10 @@ def algebra_from_data(data: dict) -> LieAlgebra:
             if not 1 <= i < j <= dim:
                 raise InputError(f"omega pair ({i},{j}) needs 1 <= i < j <= dim")
             mask = (1 << (i - 1)) | (1 << (j - 1))
-            omega_terms[mask] = omega_terms.get(mask, Fraction(0)) + _as_fraction(row[2])
-        if not omega_terms:
+            omega_pairs.append((mask, _as_fraction(row[2])))
+        if not omega_pairs:
             raise InputError("missing 'omega'")
-        return LieAlgebra(tuple(structure), Form(frame, omega_terms))
+        return LieAlgebra(tuple(structure), Form(frame, sum_terms(omega_pairs)))
 
 
 def parse_algebra(text: str) -> LieAlgebra:

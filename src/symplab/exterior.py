@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import linalg
-from .polynomials import Poly, format_poly
+from .polynomials import Poly, format_poly, sum_terms
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,7 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            acc = terms.get(mask)
-            terms[mask] = coeff if acc is None else acc + coeff
-        return Form(self.frame, terms)
+        return Form(self.frame, sum_terms([*self.terms.items(), *other.terms.items()]))
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -204,19 +200,13 @@ class Form:
 def wedge(a: Form, b: Form) -> Form:
     """Graded-anticommutative associative product of two forms."""
     a._check(b)
-    terms: dict = {}
-    for mb, cb in b.terms.items():
-        above = _above(mb)
-        for ma, ca in a.terms.items():
-            if ma & mb:
-                continue
-            coeff = ca * cb
-            if (ma & above).bit_count() & 1:
-                coeff = -coeff
-            mask = ma | mb
-            acc = terms.get(mask)
-            terms[mask] = coeff if acc is None else acc + coeff
-    return Form(a.frame, terms)
+    right = [(mb, _above(mb), cb) for mb, cb in b.terms.items()]
+    return Form(a.frame, sum_terms(
+        (ma | mb, -(ca * cb) if (ma & above).bit_count() & 1 else ca * cb)
+        for mb, above, cb in right
+        for ma, ca in a.terms.items()
+        if not ma & mb
+    ))
 
 
 def wedge_power(a: Form, k: int) -> Form:
@@ -240,23 +230,22 @@ def interior(direction, a: Form) -> Form:
         j = direction
         if not 0 <= j < a.frame.dim:
             raise ValueError("generator index out of range")
+        # removing one generator is injective on the blades holding it
         bit = 1 << j
-        terms: dict = {}
-        for mask, coeff in a.terms.items():
-            if mask & bit:
-                new = mask ^ bit
-                c = coeff if contraction_sign(mask, j) > 0 else -coeff
-                acc = terms.get(new)
-                terms[new] = c if acc is None else acc + c
-        return Form(a.frame, terms)
+        return Form(a.frame, {
+            mask ^ bit: coeff if contraction_sign(mask, j) > 0 else -coeff
+            for mask, coeff in a.terms.items()
+            if mask & bit
+        })
 
     if direction.frame != a.frame:
         raise ValueError("vector field and form frames differ")
-    out = Form.zero(a.frame)
-    for j, comp in enumerate(direction.components):
-        if comp:
-            out = out + comp * interior(j, a)
-    return out
+    return Form(a.frame, sum_terms(
+        term
+        for j, comp in enumerate(direction.components)
+        if comp
+        for term in (comp * interior(j, a)).terms.items()
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +274,13 @@ def _toggle_pairs(a: Form, held: bool) -> Form:
     contractions, for addition the sign of wedging with -dq^i ^ dp_i."""
     n = a.frame.n
     between = (1 << (n - 1)) - 1
-    terms: dict = {}
-    for mask, coeff in a.terms.items():
-        for i in range(n):
-            pair = (1 << i) | (1 << (n + i))
-            if mask & pair == (pair if held else 0):
-                c = coeff if ((mask >> (i + 1)) & between).bit_count() & 1 else -coeff
-                new = mask ^ pair
-                acc = terms.get(new)
-                terms[new] = c if acc is None else acc + c
-    return Form(a.frame, terms)
+    pairs = [(i, (1 << i) | (1 << (n + i))) for i in range(n)]
+    return Form(a.frame, sum_terms(
+        (mask ^ pair, coeff if ((mask >> (i + 1)) & between).bit_count() & 1 else -coeff)
+        for mask, coeff in a.terms.items()
+        for i, pair in pairs
+        if mask & pair == (pair if held else 0)
+    ))
 
 
 def op_e(a: Form) -> Form:

@@ -27,6 +27,7 @@ from .polynomials import (
     check_input_n,
     poly_from_monomials,
     reading,
+    sum_terms,
 )
 
 
@@ -97,7 +98,7 @@ def hamiltonian_field(frame: Frame, h: Poly) -> PolyVectorField:
 def exterior_derivative(a: Form) -> Form:
     """d acting on polynomial coefficients by formal partials; d.d = 0."""
     frame = a.frame
-    terms: dict = {}
+    parts = []
     for mask, coeff in a.terms.items():
         coeff = _as_poly(coeff, frame.dim)
         for v in range(frame.dim):
@@ -106,12 +107,8 @@ def exterior_derivative(a: Form) -> Form:
             dc = coeff.diff(v)
             if dc.is_zero:
                 continue
-            if contraction_sign(mask, v) < 0:
-                dc = -dc
-            new = mask | (1 << v)
-            acc = terms.get(new)
-            terms[new] = dc if acc is None else acc + dc
-    return Form(frame, terms)
+            parts.append((mask | (1 << v), dc if contraction_sign(mask, v) > 0 else -dc))
+    return Form(frame, sum_terms(parts))
 
 
 def lie_derivative(x: PolyVectorField, a: Form) -> Form:
@@ -167,7 +164,7 @@ def _radial_primitive(a: Form) -> Form:
     and free of a 0-form component."""
     frame = a.frame
     nvars = frame.dim
-    terms: dict = {}
+    parts = []
     for mask, coeff in a.terms.items():
         k = mask.bit_count()
         coeff = _as_poly(coeff, nvars)
@@ -179,10 +176,8 @@ def _radial_primitive(a: Form) -> Form:
             weight = Fraction(1, sum(exps) + k)
             for j, sign, new_mask in removals:
                 new_exps = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                mono = Poly(nvars, {new_exps: c * weight * sign})
-                acc = terms.get(new_mask)
-                terms[new_mask] = mono if acc is None else acc + mono
-    return Form(frame, terms)
+                parts.append((new_mask, Poly(nvars, {new_exps: c * weight * sign})))
+    return Form(frame, sum_terms(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +215,17 @@ class TwoFormData:
                         )
 
     def to_form(self) -> Form:
+        # every entry has its own blade, so no two terms meet
         n = self.frame.n
-        terms: dict = {}
-
-        def add(mask, poly):
-            if poly.is_zero:
-                return
-            acc = terms.get(mask)
-            terms[mask] = poly if acc is None else acc + poly
-
+        terms = {}
         for i in range(n):
             for j in range(i + 1, n):
-                add((1 << i) | (1 << j), self.q[i][j])
-                add((1 << (n + i)) | (1 << (n + j)), self.p[i][j])
+                terms[(1 << i) | (1 << j)] = self.q[i][j]
+                terms[(1 << (n + i)) | (1 << (n + j))] = self.p[i][j]
         for i in range(n):
             for j in range(n):
                 # dp_i ^ dq^j = -(dq^j ^ dp_i) on the canonical blade
-                add((1 << j) | (1 << (n + i)), -self.a[i][j])
+                terms[(1 << j) | (1 << (n + i))] = -self.a[i][j]
         return Form(self.frame, terms)
 
 

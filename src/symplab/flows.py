@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .exterior import Frame, omega_power
 from .fields import PolyVectorField, lie_derivative
-from .polynomials import InputError, Poly, check_input_degree
+from .polynomials import InputError, Poly, check_input_degree, sum_terms
 
 WORK_DTYPE = np.longdouble
 NORM_CAP = 1e9
@@ -542,10 +542,9 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
 
 def divergence(x: PolyVectorField) -> Poly:
     """Exact divergence; the zero polynomial iff X preserves phase volume."""
-    out = Poly.zero(x.frame.dim)
-    for i, comp in enumerate(x.components):
-        out = out + comp.diff(i)
-    return out
+    return Poly(x.frame.dim, sum_terms(
+        term for i, comp in enumerate(x.components) for term in comp.diff(i).terms.items()
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ``fractions.Fraction``.  Their sizes
-are binomial coefficients C(dim, m) of exterior degrees: a few hundred rows
-and columns at most for the 10-dimensional algebras served (C(10, 5) = 252),
-so Gaussian elimination with exact pivots is fast enough and free of any
-tolerance questions.  The differentials and wedge maps behind them are
-sparse, so ``rref`` works over each pivot row's nonzero columns only.
+are binomial coefficients C(dim, m) of exterior degrees: up to C(12, 6) =
+924 rows and columns for the 12-dimensional algebras that ``MAX_INPUT_N``
+admits, where ``harmonic_dim`` in the middle degree of nilm6 (+) nilm6 takes
+about a second (0.8 s on a 2-core x86-64 Xeon).  Gaussian elimination with
+exact pivots is free of any tolerance questions, and the differentials and
+wedge maps behind the matrices are sparse, so ``rref`` works over each
+pivot row's nonzero columns only.
 """
 
 from __future__ import annotations

@@ -60,6 +60,17 @@ def decode_json(text: str | bytes):
         return json.loads(text)
 
 
+def sum_terms(pairs) -> dict:
+    """The one merge rule of sparse sums: ``(key, value)`` pairs into a
+    dict, the values of equal keys added in the order given.  A sum that
+    cancels stays, for the ``Poly`` or ``Form`` constructor to drop."""
+    out = {}
+    for key, value in pairs:
+        acc = out.get(key)
+        out[key] = value if acc is None else acc + value
+    return out
+
+
 def _as_fraction(value) -> Fraction:
     """The reader of file rationals and of exact values in code: a
     Fraction, an int or a string such as "-1/2".  A float is refused, being
@@ -145,10 +156,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, sum_terms([*self.terms.items(), *other.terms.items()]))
 
     __radd__ = __add__
 
@@ -169,12 +177,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return Poly(self.nvars, terms)
+        return Poly(self.nvars, sum_terms(
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -192,19 +199,21 @@ class Poly:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its constant term, so it hashes as that number
+        if self.total_degree() <= 0:
+            return hash(self.constant_term())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, index: int) -> "Poly":
-        """Formal partial derivative with respect to variable ``index``."""
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                key = exps[:index] + (e - 1,) + exps[index + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        return Poly(self.nvars, terms)
+        """Formal partial derivative with respect to variable ``index``;
+        lowering one exponent is injective, so no two terms meet."""
+        return Poly(self.nvars, {
+            exps[:index] + (exps[index] - 1,) + exps[index + 1:]: coeff * exps[index]
+            for exps, coeff in self.terms.items()
+            if exps[index]
+        })
 
     def eval(self, point) -> Fraction:
         """Exact evaluation at a point of Fractions/ints."""
@@ -233,7 +242,7 @@ class Poly:
 
 def poly_from_monomials(nvars: int, monomials) -> Poly:
     """Parse the ``[coeff, e_1, ..., e_nvars]`` monomial-list file form."""
-    terms: dict[tuple[int, ...], Fraction] = {}
+    pairs = []
     for row in monomials:
         if len(row) != nvars + 1:
             raise InputError(
@@ -243,8 +252,8 @@ def poly_from_monomials(nvars: int, monomials) -> Poly:
         exps = tuple(_as_int(e) for e in row[1:])
         if any(e < 0 for e in exps):
             raise InputError("negative exponent")
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return Poly(nvars, terms)
+        pairs.append((exps, coeff))
+    return Poly(nvars, sum_terms(pairs))
 
 
 def check_input_degree(poly: Poly, what: str = "polynomial"):

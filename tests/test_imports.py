@@ -2,7 +2,8 @@
 every module-level private function is referenced somewhere in the
 package, every dataclass field of the package is read somewhere in the
 package, its tests or its benchmark, and every input refusal of the package
-is named by some test, and no symplab module imports inside a function.
+is named by some test, no symplab module imports inside a function, and
+no function but ``polynomials.sum_terms`` merges the values of equal keys.
 ``__init__.py`` re-exports names and is exempt from the first."""
 
 import ast
@@ -121,6 +122,49 @@ def unnamed_refusals(package: list[str], tests: list[str]) -> list[str]:
     return [f for source in package for f in refusal_fragments(source) if f not in text]
 
 
+def _own_nodes(function):
+    """The nodes of a function's body outside any function nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _get_of(node) -> str | None:
+    """The dumped ``d`` of a ``d.get(...)`` call, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+        return ast.dump(node.func.value)
+    return None
+
+
+def hand_merges(source: str) -> list[str]:
+    """The function name of each assignment, outside ``sum_terms``, that
+    adds into a dict entry read with ``get``: it assigns ``d[...]`` a value
+    holding a ``+`` and ``d.get(...)`` or a name bound to it, in source
+    order.  A cache that stores a fresh value on a missed ``get`` holds
+    neither, so it is no merge."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or function.name == "sum_terms":
+            continue
+        assigns = [node for node in _own_nodes(function) if isinstance(node, ast.Assign)]
+        bound = {
+            target.id: _get_of(node.value)
+            for node in assigns if _get_of(node.value)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in assigns:
+            inner = list(ast.walk(node.value))
+            if not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add) for n in inner):
+                continue
+            read = {_get_of(n) for n in inner} | {bound.get(n.id) for n in inner if isinstance(n, ast.Name)}
+            if any(isinstance(t, ast.Subscript) and ast.dump(t.value) in read for t in node.targets):
+                found.append((node.lineno, function.name))
+    return [name for _, name in sorted(found)]
+
+
 def test_checker_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") == [
         "os", "b",
@@ -165,6 +209,22 @@ def test_checker_finds_an_unnamed_refusal():
     assert unnamed_refusals(package, tests) == [" is too big"]
 
 
+def test_checker_finds_a_hand_merge():
+    source = (
+        "def by_default(d, k, c):\n    d[k] = d.get(k, 0) + c\n"
+        "def by_name(self, k, c):\n    acc = self.t.get(k)\n"
+        "    self.t[k] = c if acc is None else acc + c\n"
+        "def cache(self, m):\n    index = self._scatter.get(m)\n    if index is None:\n"
+        "        index = self._scatter[m] = m * 2 + 1\n    return index\n"
+        "def other_dict(d, e, k):\n    e[k] = d.get(k, 0) + 1\n"
+        "def outer(d):\n    def inner(k):\n        d[k] = d.get(k, 0) + 1\n    return inner\n"
+        "def sum_terms(pairs):\n    out = {}\n    for key, value in pairs:\n"
+        "        acc = out.get(key)\n        out[key] = value if acc is None else acc + value\n"
+        "    return out\n"
+    )
+    assert hand_merges(source) == ["by_default", "by_name", "inner"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
@@ -188,6 +248,11 @@ def test_no_unread_dataclass_fields():
         for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert unread_dataclass_fields(package, readers) == []
+
+
+def test_sums_merge_only_in_sum_terms():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert [name for source in sources for name in hand_merges(source)] == []
 
 
 def test_every_refusal_is_named_by_a_test():

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symplab.exterior import Form, Frame
 from symplab.polynomials import (
     InputError,
     Poly,
     check_input_degree,
     format_poly,
     poly_from_monomials,
+    sum_terms,
 )
 
 
@@ -36,6 +38,37 @@ def test_constant_interop():
     assert 2 * q == q + q
     assert q * Fraction(0) == Poly.zero(2)
     assert Poly.constant(2, Fraction(3, 2)) == Fraction(3, 2)
+
+
+def test_constant_polys_hash_as_their_constant():
+    assert Poly.constant(2, 3) == 3 and hash(Poly.constant(2, 3)) == hash(3)
+    assert Poly.zero(2) == 0 and hash(Poly.zero(2)) == hash(0)
+    frame = Frame.darboux(1)
+    a, b = Form(frame, {1: Fraction(3)}), Form(frame, {1: Poly.constant(2, 3)})
+    assert a == b and len({a, b}) == 1
+
+
+def test_sum_terms_adds_equal_keys_in_the_given_order():
+    # string concatenation does not commute, so it shows the order
+    merged = sum_terms([("a", "x"), ("b", "y"), ("a", "z"), ("a", "w")])
+    assert merged == {"a": "xzw", "b": "y"} and list(merged) == ["a", "b"]
+    assert sum_terms([]) == {}
+    assert sum_terms(iter([(1, Fraction(1, 2)), (1, Fraction(1, 3))])) == {1: Fraction(5, 6)}
+
+
+def test_sum_terms_leaves_a_cancelling_sum_for_poly_and_form_to_drop():
+    merged = sum_terms([((1, 0), Fraction(2)), ((0, 1), Fraction(1)), ((1, 0), Fraction(-2))])
+    assert merged == {(1, 0): 0, (0, 1): 1}
+    assert Poly(2, merged) == Poly.variable(2, 1)
+    frame = Frame.darboux(1)
+    assert Form(frame, sum_terms([(1, Fraction(1)), (1, Fraction(-1))])).is_zero
+
+
+def test_sum_terms_merges_poly_coefficients_of_a_form():
+    frame = Frame.darboux(1)
+    q, p = Poly.variable(2, 0), Poly.variable(2, 1)
+    merged = Form(frame, sum_terms([(1, q), (2, p), (1, q), (2, -p), (3, p)]))
+    assert merged.terms == {1: 2 * q, 3: p}
 
 
 def test_monomial_list_roundtrip():
