@@ -161,7 +161,9 @@ def radial_potential(a: Form) -> Form:
 
 def _radial_primitive(a: Form) -> Form:
     """The radial-homotopy primitive of a form already known to be closed
-    and free of a 0-form component."""
+    and free of a 0-form component.  Its terms merge in one sum_terms keyed
+    by (blade, exponents), then group into one Poly per blade, so no Poly
+    is added to another."""
     frame = a.frame
     nvars = frame.dim
     parts = []
@@ -176,8 +178,11 @@ def _radial_primitive(a: Form) -> Form:
             weight = Fraction(1, sum(exps) + k)
             for j, sign, new_mask in removals:
                 new_exps = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-                parts.append((new_mask, Poly(nvars, {new_exps: c * weight * sign})))
-    return Form(frame, sum_terms(parts))
+                parts.append(((new_mask, new_exps), c * weight * sign))
+    blades = {}
+    for (mask, exps), c in sum_terms(parts).items():
+        blades.setdefault(mask, {})[exps] = c
+    return Form(frame, {mask: Poly(nvars, terms) for mask, terms in blades.items()})
 
 
 # ---------------------------------------------------------------------------

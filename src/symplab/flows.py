@@ -37,12 +37,14 @@ NORM_CAP = 1e9
 # chain integral takes about 0.02 s; 100000 x 100000 nodes would need
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
-# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes), with one
-# blow-up test per block.  Where a det check runs, a step makes per maps (m
-# tangent maps on the stage path, one shared map on the affine path) and the
-# run gathers them into batch_det calls of max(1, DET_BATCH // per) steps (the
-# last call what is left): at most DET_BATCH matrices while per <= DET_BATCH,
-# else one step's per.  A run checks det J exactly when it is given no chain
+# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  An affine
+# block that a rounding bound proves stays within NORM_CAP takes no blow-up
+# test (see _affine_blocks); every other block, each stage block included,
+# tests every node at every step.  Where a det check runs, a step makes per
+# maps (m tangent maps on the stage path, one shared map on the affine path)
+# and the run gathers them into batch_det calls of max(1, DET_BATCH // per)
+# steps (the last call what is left): at most DET_BATCH matrices while per <=
+# DET_BATCH, else one step's per.  A run checks det J exactly when it is given no chain
 # frames or some square ones (l = n); otherwise its blocks only batch the
 # blow-up test
 DET_BATCH = 1024
@@ -281,7 +283,9 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     into one (m, dim, c) array.  A run that steps J pushes each chain's
     frames to J . dsigma/du with one einsum at the end.
 
-    After each block: one blow-up test, then the det check where it runs.
+    After each block: a blow-up test of every node at every step, unless
+    the block generator proves the block stays within NORM_CAP (affine
+    blocks only; see _affine_blocks), then the det check where it runs.
     Each step makes per maps (m on the stage path, the one shared J
     on the affine path); the block's maps are copied into a buffer of
     max(1, min(steps, DET_BATCH // per)) steps, and batch_det is called
@@ -347,11 +351,15 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for xb, vb in blocks:
-            # steps whose largest node norm passes the cap, a NaN norm included
-            norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
-            past = np.flatnonzero(~(norms <= NORM_CAP))
-            done = int(past[0]) + 1 if past.size else len(xb)
+        for xb, vb, proven in blocks:
+            # steps whose largest node norm passes the cap, a NaN norm
+            # included; a proven block has none
+            if proven:
+                past = ()
+            else:
+                norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
+                past = np.flatnonzero(~(norms <= NORM_CAP))
+            done = int(past[0]) + 1 if len(past) else len(xb)
             if keep_paths:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
@@ -365,7 +373,7 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
                     gather[:held] = vb[put:done]
             xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
             taken += done
-            if past.size:
+            if len(past):
                 blow_step, samples = taken, taken + 1
                 break
         if held:
@@ -392,8 +400,9 @@ def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block)
     (m, dim) and the tangents (m or 1, dim, c).  Both step as one array
     Y = [x | V] of shape (m, dim, 1 + c), whose stage derivative is
     [X(x) | DX(x) V], so each RK4 combination is one numpy call on both.
-    Yields each block's states (count, m, dim) and tangents
-    (count, m, dim, c), views of a buffer the next block overwrites."""
+    Yields each block's states (count, m, dim), tangents (count, m, dim, c),
+    views of a buffer the next block overwrites, and False: no stage block
+    is proven, so each is tested for a blow-up."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
@@ -421,7 +430,7 @@ def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block)
             k3 = derivative(y + half * k2, k3p)
             k4 = derivative(y + dt * k3, k4p)
             y = np.add(y, sixth * (k1 + two * k2 + two * k3 + k4), out=ybuf[s])
-        yield ybuf[:count, :, :, 0], ybuf[:count, :, :, 1:]
+        yield ybuf[:count, :, :, 0], ybuf[:count, :, :, 1:], False
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +499,61 @@ def _round_coefficient(c: Fraction, term):
     return value
 
 
+# the step bound's relative margin, far above both the gamma_{dim+1} ~
+# (dim + 1) eps / 2 of a WORK_DTYPE dot product at any dim a run can afford
+# and the float64 rounding of the bound itself; and its absolute floor, far
+# above what underflow can lose in WORK_DTYPE or in the float64 norms
+_BOUND_MARGIN = 1 + 2.0**-30
+_BOUND_FLOOR = 2.0**-900
+
+
+def _step_bound(aug):
+    """(r, g) with |fl(R x + c)| <= r |x| + g (2-norms) for every state x
+    and the rounded R~ = [R | c] (dim, dim + 1) of an affine step.
+
+    Each entry of the computed step is a longdouble dot product of
+    length dim + 1, so |fl(R~ x~) - R~ x~| <= gamma_{dim+1} |R~| |x~|
+    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3).  Both ||R||_2 and || |R| ||_2 are at most sqrt(||R||_1
+    ||R||_inf), so |fl(R x + c)| <= (1 + gamma) (sqrt(||R||_1 ||R||_inf)
+    |x| + |c|); _BOUND_MARGIN and _BOUND_FLOOR cover gamma, underflow and
+    the float64 arithmetic here.  An inf or NaN in R~ makes r or g
+    non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(aug)
+        col_sum = float(np.max(np.sum(mag[:, :-1], axis=0)))
+        row_sum = float(np.max(np.sum(mag[:, :-1], axis=1)))
+        shift = float(np.sqrt(np.sum(mag[:, -1] * mag[:, -1])))
+    r = math.sqrt(col_sum) * math.sqrt(row_sum)
+    return r * _BOUND_MARGIN + _BOUND_FLOOR, shift * _BOUND_MARGIN + _BOUND_FLOOR
+
+
+def _proven(r, g, nodes, k) -> bool:
+    """Whether k affine steps from the nodes (dim, m) keep every node's norm
+    within NORM_CAP / 2, by the step bound |x_{j+1}| <= r |x_j| + g: by
+    induction |x_j| <= max(1, r)^j (N0 + j g), with N0 the largest norm of
+    the nodes.  The half of the cap left over covers the rounding of N0, of
+    the bound, and of the norm the blow-up test computes.  A non-finite r,
+    g or N0 (nodes whose squares overflow, in _rk4_run's errstate, give
+    N0 = inf), or a power past the float range, proves nothing."""
+    n0 = float(np.sqrt(np.max(np.sum(nodes * nodes, axis=0))))
+    if not (math.isfinite(r) and math.isfinite(g) and math.isfinite(n0)):
+        return False
+    try:
+        growth = max(1.0, r) ** k
+    except OverflowError:
+        return False
+    return growth * (n0 + k * g) <= NORM_CAP / 2
+
+
 def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     """RK4 of an affine field as one 2-D np.dot per step, with R~ rounded
-    once from exact rationals.  Yields each block's states (count, m, dim)
-    and tangent maps (count, 1, dim, dim).
+    once from exact rationals.  Yields each block's states (count, m, dim),
+    tangent maps (count, 1, dim, dim) and whether _proven clears the block
+    from the nodes that enter it, by _step_bound's r and g.  A proven
+    block passes NORM_CAP at no step, so its exact blow-up test would find
+    nothing; every other block is tested.
 
     Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
     over a zero row, then one column x~ = (x, 1) per node.  J does not
@@ -511,6 +571,7 @@ def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
          for row in _affine_propagator(compiled.field, Fraction(cfg.effective_dt))[:-1]],
         dtype=WORK_DTYPE,
     )
+    r, g = _step_bound(aug)
     m, dim = xs.shape
     z = np.eye(dim + 1, dim + m, dtype=WORK_DTYPE)
     z[:dim, dim:] = xs.T
@@ -521,11 +582,14 @@ def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     steps = [(zs[:dim], zs) for zs in zb]
     for start in range(0, cfg.steps, block):
         count = min(block, cfg.steps - start)
+        proven = _proven(r, g, z[:dim, dim:], count)
         for rows, zs in steps[:count]:
             np.dot(aug, z, out=rows)
             z = zs
-        # C-ordered states, so the norm test sums each one in index order
-        yield zb[:count, :dim, dim:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
+        states = zb[:count, :dim, dim:].transpose(0, 2, 1)
+        # a tested block's states are C-ordered, so the norm test sums each
+        # one in index order
+        yield states if proven else states.copy(), zb[:count, None, :dim, :dim], proven
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:

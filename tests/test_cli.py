@@ -700,6 +700,26 @@ def test_paper_verify_flow_work(capsys, monkeypatch):
     assert len(sizes) == 28 and sum(sizes) == 20128
 
 
+def test_paper_verify_proves_every_affine_block(capsys, monkeypatch):
+    # the step bound clears every block of both affine runs: the ham run's
+    # 313 blocks of 32 steps (32 nodes) and the osc cube run's 157 blocks of
+    # 64 steps (16 nodes), so the exact norm test runs on none of the 470
+    runs = []
+    affine_blocks = cli.fw._affine_blocks
+
+    def counted(*args):
+        runs.append([])
+        for block in affine_blocks(*args):
+            runs[-1].append(block[2])
+            yield block
+
+    monkeypatch.setattr(cli.fw, "_affine_blocks", counted)
+    code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 0
+    assert [len(proven) for proven in runs] == [313, 157]
+    assert sum(proven.count(False) for proven in runs) == 0
+
+
 def test_area_laws_fails_if_the_oscillator_were_symplectic(capsys, monkeypatch):
     # area-laws asserts the exact test L_X omega != 0 for the osc square
     checks = dict(cli._bundled_checks())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symplab import cli
+from symplab import cli, fields
 from symplab.exterior import (
     Form,
     Frame,
@@ -284,6 +284,30 @@ def test_radial_potential_inverts_d(data):
     closed = exterior_derivative(raw)  # exact, hence closed
     beta = radial_potential(closed)
     assert exterior_derivative(beta) == closed
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_radial_primitive_adds_no_polys(monkeypatch, k):
+    # the primitive's terms merge by (blade, exponents) in one sum_terms and
+    # are grouped per blade afterwards: no Poly.__add__ call, each of which
+    # would copy the growing sum, making the merge quadratic in the
+    # monomials per blade.  A dense H makes many terms meet
+    frame = Frame.darboux(2)
+    h = (var(4, 0) + 2 * var(4, 1) - var(4, 2) + Fraction(1, 3) * var(4, 3) + 1) ** 5
+    e = el_form(hamiltonian_field(frame, h), k)
+    adds = []
+    add = Poly.__add__
+
+    def counted(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(Poly, "__add__", counted)
+    monkeypatch.setattr(Poly, "__radd__", counted)
+    beta = fields._radial_primitive(e)
+    monkeypatch.undo()
+    assert adds == []
+    assert exterior_derivative(beta) == e
 
 
 # ---------------------------------------------------------------------------

@@ -1092,6 +1092,167 @@ def test_affine_step_full_overflow_matches_per_step_loop():
     assert np.isinf(got[3][-1]).all() and not np.isnan(got[3]).any()
 
 
+def _random_affine_field(rng, n, diagonal):
+    # X = A x + b, entries in [-2, 2]; a diagonal one is linear (b = 0)
+    dim = 2 * n
+
+    def entry():
+        return Fraction(rng.randint(-20, 20), 10)
+
+    comps = []
+    for i in range(dim):
+        comp = Poly.zero(dim) if diagonal else Poly.constant(dim, entry())
+        for j in range(dim):
+            if i == j or not diagonal:
+                comp = comp + entry() * var(dim, j)
+        comps.append(comp)
+    return PolyVectorField(Frame.darboux(n), tuple(comps))
+
+
+def _rounded_propagator(x, cfg):
+    return np.array(
+        [[flows._round_work(v) for v in row]
+         for row in flows._affine_propagator(x, Fraction(cfg.effective_dt))[:-1]],
+        dtype=WORK_DTYPE,
+    )
+
+
+def _record_proven(monkeypatch):
+    """Wrap flows._affine_blocks: the list returned gets each block's flag,
+    True where the step bound proves it and the norm test is skipped."""
+    proven = []
+    affine_blocks = flows._affine_blocks
+
+    def recorded(*args):
+        for block in affine_blocks(*args):
+            proven.append(block[2])
+            yield block
+
+    monkeypatch.setattr(flows, "_affine_blocks", recorded)
+    return proven
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_step_bound_holds_on_every_step(n, dt):
+    # every computed step of a seeded random affine field (dense, and
+    # diagonal and linear, where sqrt(||R||_1 ||R||_inf) is the 2-norm of R,
+    # so the bound is tight up to its margin) meets |x_{j+1}| <= r |x_j| + g
+    # with the package's own r and g, from seeded states of scales 1e-3 to
+    # 1e6, some of them on a coordinate axis; a run stops past NORM_CAP
+    rng = random.Random(n * 1000 + round(1 / dt))
+    states = np.random.default_rng(n * 1000 + round(1 / dt))
+    cfg = FlowConfig(40 * dt, dt)
+    dim = 2 * n
+    for diagonal in (False, True):
+        for _ in range(4):
+            x = _random_affine_field(rng, n, diagonal)
+            r, g = flows._step_bound(_rounded_propagator(x, cfg))
+            assert math.isfinite(r) and math.isfinite(g)
+            xs = np.concatenate([
+                states.uniform(-1, 1, (6, dim)) * 10.0 ** states.uniform(-3, 6, (6, 1)),
+                np.eye(dim) * 10.0 ** states.uniform(-3, 6, (dim, 1)),
+            ]).astype(WORK_DTYPE)
+            path = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)[2]
+            norms = np.sqrt(np.sum(path * path, axis=2))
+            assert np.all(norms[1:] <= WORK_DTYPE(r) * norms[:-1] + WORK_DTYPE(g))
+
+
+def test_step_bound_proves_nothing_it_cannot_bound():
+    # an inf or NaN in R~ (or an entry past the float64 range) makes r or g
+    # non-finite, and a power max(1, r)^k past the float range proves
+    # nothing either: the block takes the exact test, and nothing raises or
+    # warns
+    nodes = np.ones((2, 3), dtype=WORK_DTYPE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf, np.nan, WORK_DTYPE("1e4000")):
+            for where in ((0, 1), (1, 2)):
+                aug = np.array([[1, 0, 0], [0, 1, 0]], dtype=WORK_DTYPE)
+                aug[where] = bad
+                r, g = flows._step_bound(aug)
+                assert not (math.isfinite(r) and math.isfinite(g))
+                assert not flows._proven(r, g, nodes, 1)
+        r, g = flows._step_bound(np.array([[2, 0, 0], [0, 2, 0]], dtype=WORK_DTYPE))
+        # the nodes' norm is sqrt(2): 2^28 sqrt(2) < NORM_CAP / 2 < 2^29 sqrt(2)
+        assert flows._proven(r, g, nodes, 28)
+        assert not flows._proven(r, g, nodes, 29)
+        assert not flows._proven(r, g, nodes, 1100)  # 2.0 ** 1100 overflows
+        for bad in (np.inf, np.nan):
+            assert not flows._proven(1.0, 0.0, np.full((2, 3), bad, dtype=WORK_DTYPE), 1)
+
+
+def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
+    # X = a (p, q) with a = 10^2000: (h a)^4 / 24 overflows longdouble, so
+    # R is all inf; the block is not proven, its exact test flags the inf
+    # states at step 1, and the run has the per-step loop's bits
+    big = Fraction(10) ** 2000
+    x = PolyVectorField(Frame.darboux(1), (big * var(2, 1), big * var(2, 0)))
+    xs = np.array([[1.0, 0.5]], dtype=WORK_DTYPE)
+    cfg = FlowConfig(5, 1)
+    assert np.isinf(_rounded_propagator(x, cfg)[:, :2]).all()
+    proven = _record_proven(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
+    assert proven == [False] and got[5] == 1
+
+
+@pytest.mark.parametrize("scale, dt", [(3e8, 1e-3), (0.5, 3.0)])
+def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt):
+    # the ham rotation with 32 nodes, so 32-step blocks.  From nodes near
+    # 6e8, N0 > NORM_CAP / 2 and no block is proven: every block takes the
+    # exact test, with the bits of the per-step loop and no blow-up.  At
+    # dt = 3, past RK4's stability bound, a step grows |x| by |R(3i)| ~ 1.5:
+    # from |x| ~ 1 the first block is proven, the second is not and blows up
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    xs = scale * _starts([1.0] * 4, 32)
+    cfg = FlowConfig(200 * dt, dt)
+    proven = _record_proven(monkeypatch)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    monkeypatch.undo()
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
+    _assert_same_run(got, want)
+    if dt < 1:
+        assert want[5] is None and len(proven) == 7 and not any(proven)
+        assert np.all(np.sqrt(np.sum(xs * xs, axis=1)) > flows.NORM_CAP / 2)
+    else:
+        assert 32 < want[5] <= 64 and proven == [True, False]
+
+
+def test_contraction_identity_fields_conserve_volume_at_rk4_order():
+    # paper-verify's 50 seeded divergence-free fields (15 of them affine:
+    # the 2 zero fields, the constant one and 12 more), each flowed along
+    # the volume cube of side 0.2 at (0.1, 0.2, ...) for t = 0.2.  The
+    # theorem says the volume stays; RK4's error is C h^4 + O(h^5), so
+    # halving dt divides the drift by 16 as h -> 0.  The bound allows a
+    # factor 2 for the O(h^5) term at 10 and 20 steps: the drift shrinks by
+    # at least 8 = 2^3, unless it sits below the rounding floor
+    # steps x eps (float64 eps, relative), which covers the two float64
+    # roundings of the reported integrals and, far below them, the
+    # longdouble steps; so a zero drift passes
+    from symplab import cli
+    from symplab.fields import vector_from_two_form
+
+    eps = float(np.finfo(np.float64).eps)
+    cfgs = FlowConfig(0.2, 0.02), FlowConfig(0.2, 0.01)
+    rng = random.Random(20040812)
+    affine = 0
+    for n in (2, 3):
+        dim = 2 * n
+        cube = ChainPatch.affine(
+            n, [0.1 * (i + 1) for i in range(dim)], (0.2 * np.eye(dim)).tolist(), (2,) * dim)
+        for _ in range(25):
+            x = vector_from_two_form(cli._random_two_form(rng, n))
+            affine += flows._is_affine(x)
+            coarse, fine = (verify_area_preservation(x, cube, n, cfg) for cfg in cfgs)
+            assert coarse.hypothesis_ok and fine.hypothesis_ok
+            assert not (coarse.blew_up or fine.blew_up)
+            assert fine.rel_drift <= max(coarse.rel_drift / 8, cfgs[1].steps * eps)
+    assert affine == 15
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 @pytest.mark.parametrize("m", [1, 3])
 def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
