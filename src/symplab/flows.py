@@ -37,16 +37,15 @@ NORM_CAP = 1e9
 # chain integral takes about 0.02 s; 100000 x 100000 nodes would need
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
-# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  An affine
-# block that a rounding bound proves stays within NORM_CAP takes no blow-up
-# test (see _affine_blocks); every other block, each stage block included,
-# tests every node at every step.  Where a det check runs, a step makes per
-# maps (m tangent maps on the stage path, one shared map on the affine path)
-# and the run gathers them into batch_det calls of max(1, DET_BATCH // per)
-# steps (the last call what is left): at most DET_BATCH matrices while per <=
-# DET_BATCH, else one step's per.  A run checks det J exactly when it is given no chain
-# frames or some square ones (l = n); otherwise its blocks only batch the
-# blow-up test
+# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  A run
+# tests every node at every step for a blow-up, unless it is an affine run a
+# rounding bound proves stays within NORM_CAP (see _rk4_run).  Where a det
+# check runs, a step makes per maps (m tangent maps on the stage path, one
+# shared map on the affine path) and the run gathers them into batch_det
+# calls of max(1, DET_BATCH // per) steps (the last call what is left): at
+# most DET_BATCH matrices while per <= DET_BATCH, else one step's per.  A run
+# checks det J exactly when it is given no chain frames or some square ones
+# (l = n); otherwise its blocks only batch the blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -283,9 +282,12 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     into one (m, dim, c) array.  A run that steps J pushes each chain's
     frames to J . dsigma/du with one einsum at the end.
 
-    After each block: a blow-up test of every node at every step, unless
-    the block generator proves the block stays within NORM_CAP (affine
-    blocks only; see _affine_blocks), then the det check where it runs.
+    One blow-up decision per run: an affine run that _proven clears for
+    all its steps from its entry nodes, by _step_bound of the rounded R~ it
+    steps with, passes NORM_CAP at no step and takes no test.  Every other
+    run tests every node at every step after each block (an affine block's
+    states as a C-ordered copy, so each norm sums in index order), then
+    checks the det where it runs.
     Each step makes per maps (m on the stage path, the one shared J
     on the affine path); the block's maps are copied into a buffer of
     max(1, min(steps, DET_BATCH // per)) steps, and batch_det is called
@@ -327,7 +329,8 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     ride = not (affine or check_det)
     vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
     if affine:
-        blocks = _affine_blocks(compiled, xs, cfg, block)
+        aug = _rounded_propagator(compiled.field, cfg)
+        blocks = _affine_blocks(aug, xs, cfg, block)
     else:
         blocks = _stage_blocks(compiled, xs, vs, cfg, block)
     samples = cfg.steps + 1
@@ -351,13 +354,15 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     taken, blow_step = 0, None
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for xb, vb, proven in blocks:
+        proven = affine and _proven(*_step_bound(aug), xs.T, cfg.steps)
+        for xb, vb in blocks:
             # steps whose largest node norm passes the cap, a NaN norm
-            # included; a proven block has none
+            # included; a proven run has none
             if proven:
                 past = ()
             else:
-                norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
+                tested = xb.copy() if affine else xb
+                norms = np.sqrt(np.max(np.sum(tested * tested, axis=2), axis=1))
                 past = np.flatnonzero(~(norms <= NORM_CAP))
             done = int(past[0]) + 1 if len(past) else len(xb)
             if keep_paths:
@@ -400,9 +405,8 @@ def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block)
     (m, dim) and the tangents (m or 1, dim, c).  Both step as one array
     Y = [x | V] of shape (m, dim, 1 + c), whose stage derivative is
     [X(x) | DX(x) V], so each RK4 combination is one numpy call on both.
-    Yields each block's states (count, m, dim), tangents (count, m, dim, c),
-    views of a buffer the next block overwrites, and False: no stage block
-    is proven, so each is tested for a blow-up."""
+    Yields each block's states (count, m, dim) and tangents (count, m, dim,
+    c), views of a buffer the next block overwrites."""
     dt = WORK_DTYPE(cfg.effective_dt)
     half = WORK_DTYPE(0.5) * dt
     sixth = dt / WORK_DTYPE(6.0)
@@ -430,7 +434,7 @@ def _stage_blocks(compiled: CompiledField, xs, tangents, cfg: FlowConfig, block)
             k3 = derivative(y + half * k2, k3p)
             k4 = derivative(y + dt * k3, k4p)
             y = np.add(y, sixth * (k1 + two * k2 + two * k3 + k4), out=ybuf[s])
-        yield ybuf[:count, :, :, 0], ybuf[:count, :, :, 1:], False
+        yield ybuf[:count, :, :, 0], ybuf[:count, :, :, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +511,13 @@ _BOUND_MARGIN = 1 + 2.0**-30
 _BOUND_FLOOR = 2.0**-900
 
 
+def _rounded_propagator(x: PolyVectorField, cfg: FlowConfig):
+    """R~[:dim] = [R | c] (dim, dim + 1) at cfg's step width, each entry
+    of _affine_propagator rounded once into WORK_DTYPE."""
+    exact = _affine_propagator(x, Fraction(cfg.effective_dt))[:-1]
+    return np.array([[_round_work(v) for v in row] for row in exact], dtype=WORK_DTYPE)
+
+
 def _step_bound(aug):
     """(r, g) with |fl(R x + c)| <= r |x| + g (2-norms) for every state x
     and the rounded R~ = [R | c] (dim, dim + 1) of an affine step.
@@ -547,13 +558,11 @@ def _proven(r, g, nodes, k) -> bool:
     return growth * (n0 + k * g) <= NORM_CAP / 2
 
 
-def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
-    """RK4 of an affine field as one 2-D np.dot per step, with R~ rounded
-    once from exact rationals.  Yields each block's states (count, m, dim),
-    tangent maps (count, 1, dim, dim) and whether _proven clears the block
-    from the nodes that enter it, by _step_bound's r and g.  A proven
-    block passes NORM_CAP at no step, so its exact blow-up test would find
-    nothing; every other block is tested.
+def _affine_blocks(aug, xs, cfg: FlowConfig, block):
+    """RK4 of an affine field as one 2-D np.dot per step with the rounded
+    rows aug = R~[:dim] of _rounded_propagator.  Yields each block's states
+    (count, m, dim), a transposed view, and tangent maps (count, 1, dim,
+    dim), views of a buffer the next block overwrites.
 
     Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
     over a zero row, then one column x~ = (x, 1) per node.  J does not
@@ -566,12 +575,6 @@ def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     takes an out that overlaps its input, as it does when a block is one
     step.
     """
-    aug = np.array(
-        [[_round_work(v) for v in row]
-         for row in _affine_propagator(compiled.field, Fraction(cfg.effective_dt))[:-1]],
-        dtype=WORK_DTYPE,
-    )
-    r, g = _step_bound(aug)
     m, dim = xs.shape
     z = np.eye(dim + 1, dim + m, dtype=WORK_DTYPE)
     z[:dim, dim:] = xs.T
@@ -582,14 +585,10 @@ def _affine_blocks(compiled: CompiledField, xs, cfg: FlowConfig, block):
     steps = [(zs[:dim], zs) for zs in zb]
     for start in range(0, cfg.steps, block):
         count = min(block, cfg.steps - start)
-        proven = _proven(r, g, z[:dim, dim:], count)
         for rows, zs in steps[:count]:
             np.dot(aug, z, out=rows)
             z = zs
-        states = zb[:count, :dim, dim:].transpose(0, 2, 1)
-        # a tested block's states are C-ordered, so the norm test sums each
-        # one in index order
-        yield states if proven else states.copy(), zb[:count, None, :dim, :dim], proven
+        yield zb[:count, :dim, dim:].transpose(0, 2, 1), zb[:count, None, :dim, :dim]
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:

@@ -701,23 +701,27 @@ def test_paper_verify_flow_work(capsys, monkeypatch):
 
 
 def test_paper_verify_proves_every_affine_block(capsys, monkeypatch):
-    # the step bound clears every block of both affine runs: the ham run's
-    # 313 blocks of 32 steps (32 nodes) and the osc cube run's 157 blocks of
-    # 64 steps (16 nodes), so the exact norm test runs on none of the 470
-    runs = []
-    affine_blocks = cli.fw._affine_blocks
+    # the step bound clears both affine runs, one decision each: the ham
+    # run's 313 blocks of 32 steps (32 nodes) and the osc cube run's 157
+    # blocks of 64 steps (16 nodes), so none of the 470 takes the norm test
+    decisions, blocks = [], []
+    proven, affine_blocks = cli.fw._proven, cli.fw._affine_blocks
+
+    def decided(*args):
+        decisions.append(proven(*args))
+        return decisions[-1]
 
     def counted(*args):
-        runs.append([])
+        blocks.append(0)
         for block in affine_blocks(*args):
-            runs[-1].append(block[2])
+            blocks[-1] += 1
             yield block
 
+    monkeypatch.setattr(cli.fw, "_proven", decided)
     monkeypatch.setattr(cli.fw, "_affine_blocks", counted)
     code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
     assert code == 0
-    assert [len(proven) for proven in runs] == [313, 157]
-    assert sum(proven.count(False) for proven in runs) == 0
+    assert decisions == [True, True] and blocks == [313, 157]
 
 
 def test_area_laws_fails_if_the_oscillator_were_symplectic(capsys, monkeypatch):

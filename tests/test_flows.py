@@ -1109,27 +1109,26 @@ def _random_affine_field(rng, n, diagonal):
     return PolyVectorField(Frame.darboux(n), tuple(comps))
 
 
-def _rounded_propagator(x, cfg):
-    return np.array(
-        [[flows._round_work(v) for v in row]
-         for row in flows._affine_propagator(x, Fraction(cfg.effective_dt))[:-1]],
-        dtype=WORK_DTYPE,
-    )
+def _record_runs(monkeypatch):
+    """Wrap flows._proven and flows._affine_blocks: the lists returned get
+    each affine run's blow-up decision, True where the step bound proves
+    the run and no block takes the norm test, and each run's block count."""
+    decisions, blocks = [], []
+    proven, affine_blocks = flows._proven, flows._affine_blocks
 
+    def decided(*args):
+        decisions.append(proven(*args))
+        return decisions[-1]
 
-def _record_proven(monkeypatch):
-    """Wrap flows._affine_blocks: the list returned gets each block's flag,
-    True where the step bound proves it and the norm test is skipped."""
-    proven = []
-    affine_blocks = flows._affine_blocks
-
-    def recorded(*args):
+    def counted(*args):
+        blocks.append(0)
         for block in affine_blocks(*args):
-            proven.append(block[2])
+            blocks[-1] += 1
             yield block
 
-    monkeypatch.setattr(flows, "_affine_blocks", recorded)
-    return proven
+    monkeypatch.setattr(flows, "_proven", decided)
+    monkeypatch.setattr(flows, "_affine_blocks", counted)
+    return decisions, blocks
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
@@ -1147,7 +1146,7 @@ def test_affine_step_bound_holds_on_every_step(n, dt):
     for diagonal in (False, True):
         for _ in range(4):
             x = _random_affine_field(rng, n, diagonal)
-            r, g = flows._step_bound(_rounded_propagator(x, cfg))
+            r, g = flows._step_bound(flows._rounded_propagator(x, cfg))
             assert math.isfinite(r) and math.isfinite(g)
             xs = np.concatenate([
                 states.uniform(-1, 1, (6, dim)) * 10.0 ** states.uniform(-3, 6, (6, 1)),
@@ -1161,7 +1160,7 @@ def test_affine_step_bound_holds_on_every_step(n, dt):
 def test_step_bound_proves_nothing_it_cannot_bound():
     # an inf or NaN in R~ (or an entry past the float64 range) makes r or g
     # non-finite, and a power max(1, r)^k past the float range proves
-    # nothing either: the block takes the exact test, and nothing raises or
+    # nothing either: the run takes the exact test, and nothing raises or
     # warns
     nodes = np.ones((2, 3), dtype=WORK_DTYPE)
     with warnings.catch_warnings():
@@ -1184,41 +1183,67 @@ def test_step_bound_proves_nothing_it_cannot_bound():
 
 def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
     # X = a (p, q) with a = 10^2000: (h a)^4 / 24 overflows longdouble, so
-    # R is all inf; the block is not proven, its exact test flags the inf
+    # R is all inf; the run is not proven, its exact test flags the inf
     # states at step 1, and the run has the per-step loop's bits
     big = Fraction(10) ** 2000
     x = PolyVectorField(Frame.darboux(1), (big * var(2, 1), big * var(2, 0)))
     xs = np.array([[1.0, 0.5]], dtype=WORK_DTYPE)
     cfg = FlowConfig(5, 1)
-    assert np.isinf(_rounded_propagator(x, cfg)[:, :2]).all()
-    proven = _record_proven(monkeypatch)
+    assert np.isinf(flows._rounded_propagator(x, cfg)[:, :2]).all()
+    decisions, blocks = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert proven == [False] and got[5] == 1
+    assert decisions == [False] and blocks == [1] and got[5] == 1
 
 
 @pytest.mark.parametrize("scale, dt", [(3e8, 1e-3), (0.5, 3.0)])
 def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt):
     # the ham rotation with 32 nodes, so 32-step blocks.  From nodes near
-    # 6e8, N0 > NORM_CAP / 2 and no block is proven: every block takes the
-    # exact test, with the bits of the per-step loop and no blow-up.  At
+    # 6e8, N0 > NORM_CAP / 2 and the run is not proven: all 7 blocks take
+    # the exact test, with the bits of the per-step loop and no blow-up.  At
     # dt = 3, past RK4's stability bound, a step grows |x| by |R(3i)| ~ 1.5:
-    # from |x| ~ 1 the first block is proven, the second is not and blows up
+    # from |x| ~ 1 the run is not proven, and it blows up in its second block
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = scale * _starts([1.0] * 4, 32)
     cfg = FlowConfig(200 * dt, dt)
-    proven = _record_proven(monkeypatch)
+    decisions, blocks = _record_runs(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     monkeypatch.undo()
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
+    assert decisions == [False]
     if dt < 1:
-        assert want[5] is None and len(proven) == 7 and not any(proven)
+        assert want[5] is None and blocks == [7]
         assert np.all(np.sqrt(np.sum(xs * xs, axis=1)) > flows.NORM_CAP / 2)
     else:
-        assert 32 < want[5] <= 64 and proven == [True, False]
+        assert 32 < want[5] <= 64 and blocks == [2]
+
+
+def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch):
+    # the ham rotation from 32 nodes near (1, 1, 1, 1) for t = 20 at
+    # dt = 0.01: each step keeps |x|, but the crude whole-run bound
+    # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so all 63 blocks
+    # take the exact test, with the per-step loop's bits and no blow-up
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    xs = _starts([1.0] * 4, 32)
+    cfg = FlowConfig(20, 0.01)
+    decisions, blocks = _record_runs(monkeypatch)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    monkeypatch.undo()
+    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
+    assert decisions == [False] and blocks == [63] and got[5] is None
+
+
+def test_proven_affine_run_takes_no_norm_test(monkeypatch):
+    # the dt = 3 run above blows up in its second block; declared proven,
+    # it takes no norm test, so it steps on past NORM_CAP unflagged
+    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    xs = 0.5 * _starts([1.0] * 4, 32)
+    monkeypatch.setattr(flows, "_proven", lambda *args: True)
+    got = flows._rk4_run(CompiledField(x), xs, FlowConfig(600, 3.0), keep_paths=True)
+    assert got[5] is None and np.max(np.abs(got[2][-1])) > flows.NORM_CAP
 
 
 def test_contraction_identity_fields_conserve_volume_at_rk4_order():
