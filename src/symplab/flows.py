@@ -885,7 +885,7 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
         raise InputError("need 1 <= l <= n")
     hypotheses = {l: _hypothesis(x, l) for _, l in chains}
     quadratures = [_chain_quadrature(chain, n, l) for chain, l in chains]
-    initials = [float(_signed_integral(rule, frames)) for rule, _, frames in quadratures]
+    initials = [_signed_integral(rule, frames) for rule, _, frames in quadratures]
     compiled = CompiledField(x)
     # the chains that share a run: all of them on an affine field, else each alone
     groups = [quadratures] if quadratures and _is_affine(x) else [[q] for q in quadratures]
@@ -899,21 +899,22 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(
             chains, quadratures, initials, runs):
         blew_up = blow is not None
-        if blew_up:
-            final_f = abs_drift = float("nan")
-        else:
-            final_f = float(_signed_integral(rule, pushed))
-            abs_drift = abs(final_f - initial)
+        final = WORK_DTYPE("nan") if blew_up else _signed_integral(rule, pushed)
+        # both drifts are formed in WORK_DTYPE and rounded once; integrals
+        # past its range warn about nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = abs(final - initial)
+            rel_drift = float(drift / abs(initial)) if float(initial) else None
         ok, note = hypotheses[l]
         reports.append(ConservationReport(
             quantity=f"(1/{l}!) int omega^{l}",
             l=l,
             t_final=cfg.t_final,
             dt=cfg.dt,
-            initial=initial,
-            final=final_f,
-            abs_drift=abs_drift,
-            rel_drift=abs_drift / abs(initial) if initial else None,
+            initial=float(initial),
+            final=float(final),
+            abs_drift=float(drift),
+            rel_drift=rel_drift,
             per_step_max_det_drift=max_det if l == n and not blew_up else None,
             hypothesis_ok=ok,
             hypothesis_note=note,

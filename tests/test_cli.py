@@ -643,8 +643,8 @@ PAPER_VERIFY_MACHINE = [
     "liouville-drift.status=pass",
     "liouville-drift.max_det_drift=1.558e-08",
     "area-laws.status=pass",
-    "area-laws.ham_sq_drift=4.441e-16",
-    "area-laws.ham_cube_drift=6.661e-16",
+    "area-laws.ham_sq_drift=3.463e-16",
+    "area-laws.ham_cube_drift=6.926e-16",
     "area-laws.osc_sq_hypothesis=violated",
     "area-laws.osc_cube_drift=1.238e-08",
     "suite.status=pass",

@@ -1333,17 +1333,23 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     # way the stacked run does: riding V' = DX V for l = 1 < n, as J . dsigma
     # after a J run with its det check for l = n = 2
     compiled = CompiledField(x)
-    final, max_det = WORK_DTYPE(0.0), 0.0
+    # (the stacked quadrature adds the patches' signed integrals in patch
+    # order from 0, so these sums have its bits)
+    initial = final = WORK_DTYPE(0.0)
+    max_det = 0.0
     for part in chain:
         rule, points, tangents = flows._chain_quadrature([part], 2, l)
         _, (pushed,), _, _, drift, blow = flows._rk4_run(compiled, points, cfg, frames=[tangents])
         assert blow is None
         max_det = max(max_det, drift)
+        initial += flows._signed_integral(rule, tangents)
         final += flows._signed_integral(rule, pushed)
     assert report.hypothesis_ok and not report.blew_up
-    assert report.initial == chain_integral(chain, 2).value
+    assert report.initial == chain_integral(chain, 2).value == float(initial)
     assert report.final == float(final)
-    assert report.abs_drift == abs(float(final) - report.initial)
+    # both drifts are formed in WORK_DTYPE and rounded once
+    assert report.abs_drift == float(abs(final - initial))
+    assert report.rel_drift == float(abs(final - initial) / abs(initial))
     if l == 2:
         assert report.per_step_max_det_drift == max_det > 0
     else:
@@ -1738,9 +1744,15 @@ def test_zero_field_zero_drift():
 def test_report_fields_consistent():
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2))
-    report = verify_area_preservation(x, unit_square(), 1, FlowConfig(1.0, 1e-2))
-    assert report.abs_drift == abs(report.final - report.initial)
-    assert report.rel_drift == report.abs_drift / abs(report.initial)
+    cfg = FlowConfig(1.0, 1e-2)
+    report = verify_area_preservation(x, unit_square(), 1, cfg)
+    # the integrals and both drifts in WORK_DTYPE, each rounded once
+    rule, points, frames = flows._chain_quadrature(unit_square(), 2, 1)
+    (pushed,) = flows._rk4_run(CompiledField(x), points, cfg, frames=[frames])[1]
+    initial, final = flows._signed_integral(rule, frames), flows._signed_integral(rule, pushed)
+    assert (report.initial, report.final) == (float(initial), float(final))
+    assert report.abs_drift == float(abs(final - initial))
+    assert report.rel_drift == float(abs(final - initial) / abs(initial))
     assert report.l == 1 and not hasattr(report, "k")
     assert report.t_final == 1.0 and report.dt == 1e-2
 
