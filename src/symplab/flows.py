@@ -8,9 +8,10 @@ compared against the exact predictions of the symbolic layer.
 All floating-point work uses numpy's extended-precision ``longdouble``.
 Tangent flows of the bundled linear systems stretch by ~1e5 over t = 10, so
 det J sits at condition number ~1e10; double precision would bury the 1e-6
-drift budget under rounding (measured: ~1e-5), extended precision keeps the
-measurement honest (~1e-8).  ``numpy.linalg`` refuses longdouble, hence the
-small pivoted-LU determinant below.
+drift budget under rounding (measured: ~1e-5, in tests/test_cli.py's
+test_paper_verify_fails_its_drift_checks_in_double_precision), extended
+precision keeps the measurement honest (~1e-8).  ``numpy.linalg`` refuses
+longdouble, hence the small pivoted-LU determinant below.
 """
 
 from __future__ import annotations
@@ -282,22 +283,23 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     into one (m, dim, c) array.  A run that steps J pushes each chain's
     frames to J . dsigma/du with one einsum at the end.
 
-    One blow-up decision per run: an affine run that _proven clears for
-    all its steps from its entry nodes, by _step_bound of the rounded R~ it
-    steps with, passes NORM_CAP at no step and takes no test.  Every other
-    run tests every node at every step after each block (an affine block's
-    states as a C-ordered copy, so each norm sums in index order), then
-    checks the det where it runs.
-    Each step makes per maps (m on the stage path, the one shared J
-    on the affine path); the block's maps are copied into a buffer of
-    max(1, min(steps, DET_BATCH // per)) steps, and batch_det is called
-    whenever it is full and once more at the end on what is left; a stage
-    block is as long as the buffer, an affine block at most as long.  Each
-    call's max |det J - 1| is folded with np.maximum, so that a NaN
-    determinant makes the max drift NaN; batch_det treats each matrix apart,
-    so the batching moves no bit.  A blow-up cuts the run at the first step
-    past the cap; the later steps of its block are discarded, and so are
-    their maps.  Kept paths are filled block by block.
+    After each block a run tests every node at every step for a blow-up,
+    then checks the det where it runs.  An affine run that _proven clears
+    for all its steps from its entry nodes, by _step_bound of the rounded
+    R~ it steps with, passes NORM_CAP at no step and takes no test: one
+    decision per run.  The test takes a C-ordered copy of an affine block's
+    states, whose norms numpy then sums as a stage block's (pairwise over a
+    contiguous row from 8 entries on; along the transposed view it would
+    sum in index order).  Each step makes per maps (m on the stage path,
+    the one shared J on the affine path); the block's maps are copied into
+    a buffer of max(1, min(steps, DET_BATCH // per)) steps, and batch_det
+    is called whenever it is full and once more at the end on what is
+    left; a stage block is as long as the buffer, an affine block at most
+    as long.  Each call's max |det J - 1| is folded with np.maximum, so
+    that a NaN determinant makes the max drift NaN; batch_det treats each
+    matrix apart, so the batching moves no bit.  A blow-up cuts the run at
+    the first step past the cap; the later steps of its block are
+    discarded, and so are their maps.  Kept paths are filled block by block.
 
     A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
     values, or whose kept paths exceed MAX_FLOW_WORK values is refused
@@ -351,16 +353,14 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
         gather = np.empty(
             (max(1, min(cfg.steps, DET_BATCH // per)), per, dim, dim), dtype=WORK_DTYPE)
     held = 0
-    taken, blow_step = 0, None
+    # the steps of a block whose largest node norm passes the cap, a NaN
+    # norm included; a proven run has none
+    taken, blow_step, past = 0, None, ()
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
         proven = affine and _proven(*_step_bound(aug), xs.T, cfg.steps)
         for xb, vb in blocks:
-            # steps whose largest node norm passes the cap, a NaN norm
-            # included; a proven run has none
-            if proven:
-                past = ()
-            else:
+            if not proven:
                 tested = xb.copy() if affine else xb
                 norms = np.sqrt(np.max(np.sum(tested * tested, axis=2), axis=1))
                 past = np.flatnonzero(~(norms <= NORM_CAP))
@@ -896,28 +896,27 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
         runs += [(frames, max_det, blow) for frames in pushed]
 
     reports = []
-    for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(
-            chains, quadratures, initials, runs):
-        blew_up = blow is not None
-        final = WORK_DTYPE("nan") if blew_up else _signed_integral(rule, pushed)
-        # both drifts are formed in WORK_DTYPE and rounded once; integrals
-        # past its range warn about nothing
-        with np.errstate(over="ignore", invalid="ignore"):
+    # each drift is formed in WORK_DTYPE and rounded once; integrals past
+    # its range warn about nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(
+                chains, quadratures, initials, runs):
+            blew_up = blow is not None
+            final = WORK_DTYPE("nan") if blew_up else _signed_integral(rule, pushed)
             drift = abs(final - initial)
-            rel_drift = float(drift / abs(initial)) if float(initial) else None
-        ok, note = hypotheses[l]
-        reports.append(ConservationReport(
-            quantity=f"(1/{l}!) int omega^{l}",
-            l=l,
-            t_final=cfg.t_final,
-            dt=cfg.dt,
-            initial=float(initial),
-            final=float(final),
-            abs_drift=float(drift),
-            rel_drift=rel_drift,
-            per_step_max_det_drift=max_det if l == n and not blew_up else None,
-            hypothesis_ok=ok,
-            hypothesis_note=note,
-            blew_up=blew_up,
-        ))
+            ok, note = hypotheses[l]
+            reports.append(ConservationReport(
+                quantity=f"(1/{l}!) int omega^{l}",
+                l=l,
+                t_final=cfg.t_final,
+                dt=cfg.dt,
+                initial=float(initial),
+                final=float(final),
+                abs_drift=float(drift),
+                rel_drift=float(drift / abs(initial)) if float(initial) else None,
+                per_step_max_det_drift=max_det if l == n and not blew_up else None,
+                hypothesis_ok=ok,
+                hypothesis_note=note,
+                blew_up=blew_up,
+            ))
     return reports

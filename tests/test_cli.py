@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -657,6 +658,28 @@ def test_paper_verify(capsys):
     rest = iter(out.splitlines())
     missing = [line for line in PAPER_VERIFY_MACHINE if line not in rest]
     assert not missing
+
+
+def test_paper_verify_fails_its_drift_checks_in_double_precision(capsys, monkeypatch):
+    # why the flows run in longdouble: with float64 in their place the osc
+    # cube's det drift is about 8.6e-6 and its volume drift about 1.8e-6,
+    # both past DRIFT_TOL = 1e-6, so liouville-drift and area-laws fail;
+    # every exact check and both ham drifts still pass
+    f64 = np.finfo(np.float64)
+    monkeypatch.setattr(cli.fw, "WORK_DTYPE", np.float64)
+    monkeypatch.setattr(cli.fw, "_MANT_BITS", f64.nmant + 1)
+    monkeypatch.setattr(cli.fw, "_QUANTUM_SHIFT", f64.nmant - f64.minexp)
+    code, out, _ = run(capsys, ["paper-verify", "--format", "machine"])
+    assert code == 1
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    failed = [key for key, value in lines.items() if key.endswith(".status") and value == "fail"]
+    assert failed == ["liouville-drift.status", "area-laws.status", "suite.status"]
+    assert 4e-6 < float(lines["liouville-drift.error"]) < 2e-5
+    # area-laws asserts the ham square and cube before the osc cube, the
+    # one divergence-free but not symplectic field, whose report it shows
+    error = lines["area-laws.error"]
+    assert "divergence-free field: phase volume conserved" in error
+    assert 1e-6 < float(re.search(r"rel_drift=([^,]+),", error)[1]) < 4e-6
 
 
 def test_paper_verify_transports_only_where_the_hypothesis_holds(capsys, monkeypatch):

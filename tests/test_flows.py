@@ -1198,6 +1198,37 @@ def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
     assert decisions == [False] and blocks == [1] and got[5] == 1
 
 
+def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
+    # nodes near 1e2500, whose squares overflow longdouble: the run's proof
+    # sees N0 = inf and proves nothing, warning about nothing; the exact
+    # test flags step 1, with the per-step loop's bits
+    x = hamiltonian_field(Frame.darboux(1), standard_h(1))
+    xs = np.array([[WORK_DTYPE("1e2500"), WORK_DTYPE("-2e2500")]])
+    cfg = FlowConfig(1, 0.1)
+    decisions, blocks = _record_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
+    assert decisions == [False] and blocks == [1] and got[5] == 1
+
+
+def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
+    # the zero field at n = 4 keeps its two nodes, the first
+    # (1e9, 1/8, ..., 1/8), whose exact norm^2 is 1e18 + 7/64.  Summed over
+    # the C-ordered states, as the per-step loop does, it rounds to
+    # 1e18 + 1/16 and the node is past NORM_CAP at step 1; summed along the
+    # transposed view _affine_blocks yields (2 nodes, so node-major), it
+    # would round to 1e18 and pass.  N0 > NORM_CAP / 2: the run is tested
+    x = PolyVectorField(Frame.darboux(4), (Poly.zero(8),) * 8)
+    xs = np.array([[1e9] + [0.125] * 7, [0.5] * 8], dtype=WORK_DTYPE)
+    cfg = FlowConfig(0.3, 0.1)
+    decisions, _ = _record_runs(monkeypatch)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
+    assert decisions == [False] and got[5] == 1
+
+
 @pytest.mark.parametrize("scale, dt", [(3e8, 1e-3), (0.5, 3.0)])
 def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt):
     # the ham rotation with 32 nodes, so 32-step blocks.  From nodes near
@@ -1249,33 +1280,42 @@ def test_proven_affine_run_takes_no_norm_test(monkeypatch):
 def test_contraction_identity_fields_conserve_volume_at_rk4_order():
     # paper-verify's 50 seeded divergence-free fields (15 of them affine:
     # the 2 zero fields, the constant one and 12 more), each flowed along
-    # the volume cube of side 0.2 at (0.1, 0.2, ...) for t = 0.2.  The
-    # theorem says the volume stays; RK4's error is C h^4 + O(h^5), so
-    # halving dt divides the drift by 16 as h -> 0.  The bound allows a
-    # factor 2 for the O(h^5) term at 10 and 20 steps: the drift shrinks by
-    # at least 8 = 2^3, unless it sits below the rounding floor
-    # steps x eps (float64 eps, relative), which covers the two float64
-    # roundings of the reported integrals and, far below them, the
-    # longdouble steps; so a zero drift passes
+    # the volume cube of side 0.2 at (0.1, 0.2, ...) for t = 0.2, and the 8
+    # symplectic ones also along the (q1, p1) square of side 0.2 there, in
+    # the same verify_area_laws call.  The theorem says the volume and the
+    # symplectic area stay; RK4's error is C h^4 + O(h^5), so halving dt
+    # divides a drift by 16 as h -> 0.  The bound allows a factor 2 for the
+    # O(h^5) term at 10 and 20 steps: each drift shrinks by at least
+    # 8 = 2^3, unless it sits below the rounding floor steps x eps (float64
+    # eps, relative), which covers the one float64 rounding of the reported
+    # drift and, far below it, the longdouble steps; so a zero drift passes
     from symplab import cli
-    from symplab.fields import vector_from_two_form
+    from symplab.fields import lie_derivative, vector_from_two_form
 
     eps = float(np.finfo(np.float64).eps)
     cfgs = FlowConfig(0.2, 0.02), FlowConfig(0.2, 0.01)
     rng = random.Random(20040812)
-    affine = 0
+    affine = symplectic = 0
     for n in (2, 3):
         dim = 2 * n
-        cube = ChainPatch.affine(
-            n, [0.1 * (i + 1) for i in range(dim)], (0.2 * np.eye(dim)).tolist(), (2,) * dim)
+        origin = [0.1 * (i + 1) for i in range(dim)]
+        side = 0.2 * np.eye(dim)
+        cube = ChainPatch.affine(n, origin, side.tolist(), (2,) * dim)
+        # oriented so its symplectic area is +0.04, as unit_square's is +1
+        square = ChainPatch.affine(1, origin, side[[n, 0]].tolist(), (2, 2))
         for _ in range(25):
             x = vector_from_two_form(cli._random_two_form(rng, n))
             affine += flows._is_affine(x)
-            coarse, fine = (verify_area_preservation(x, cube, n, cfg) for cfg in cfgs)
-            assert coarse.hypothesis_ok and fine.hypothesis_ok
-            assert not (coarse.blew_up or fine.blew_up)
-            assert fine.rel_drift <= max(coarse.rel_drift / 8, cfgs[1].steps * eps)
-    assert affine == 15
+            chains = [(cube, n)]
+            if lie_derivative(x, omega(x.frame)).is_zero:
+                symplectic += 1
+                chains.append((square, 1))
+            runs = [flows.verify_area_laws(x, chains, cfg) for cfg in cfgs]
+            for coarse, fine in zip(*runs):
+                assert coarse.hypothesis_ok and fine.hypothesis_ok
+                assert not (coarse.blew_up or fine.blew_up)
+                assert fine.rel_drift <= max(coarse.rel_drift / 8, cfgs[1].steps * eps)
+    assert affine == 15 and symplectic == 8
 
 
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -1755,6 +1795,21 @@ def test_report_fields_consistent():
     assert report.rel_drift == float(abs(final - initial) / abs(initial))
     assert report.l == 1 and not hasattr(report, "k")
     assert report.t_final == 1.0 and report.dt == 1e-2
+
+
+def test_transport_with_infinite_integrals_warns_about_nothing():
+    # the square c (u - 1/2) with c = 10^3000 and one node per axis: the
+    # node maps to 0 exactly, so the run stays below the cap, but its
+    # pullback c^2 overflows longdouble, before and after.  inf - inf makes
+    # the drifts NaN, with no warning
+    x = hamiltonian_field(Frame.darboux(1), standard_h(1))
+    c = Fraction(10) ** 3000
+    patch = ChainPatch.affine(1, [-c / 2, -c / 2], [[c, 0], [0, c]], (1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_area_preservation(x, patch, 1, FlowConfig(0.1, 0.01))
+    assert not report.blew_up and math.isinf(report.initial) and math.isinf(report.final)
+    assert math.isnan(report.abs_drift) and math.isnan(report.rel_drift)
 
 
 def test_transport_of_signed_patch_sum():
