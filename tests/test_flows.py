@@ -1217,9 +1217,10 @@ def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
     # the zero field at n = 4 keeps its two nodes, the first
     # (1e9, 1/8, ..., 1/8), whose exact norm^2 is 1e18 + 7/64.  Summed over
     # the C-ordered states, as the per-step loop does, it rounds to
-    # 1e18 + 1/16 and the node is past NORM_CAP at step 1; summed along the
-    # transposed view _affine_blocks yields (2 nodes, so node-major), it
-    # would round to 1e18 and pass.  N0 > NORM_CAP / 2: the run is tested
+    # 1e18 + 1/16 and the node is past NORM_CAP at step 1.  Along the
+    # transposed view _affine_blocks yields, numpy (with 2 nodes) would sum
+    # each norm in index order, to 1e18, and pass it.  N0 > NORM_CAP / 2:
+    # the run is tested
     x = PolyVectorField(Frame.darboux(4), (Poly.zero(8),) * 8)
     xs = np.array([[1e9] + [0.125] * 7, [0.5] * 8], dtype=WORK_DTYPE)
     cfg = FlowConfig(0.3, 0.1)
