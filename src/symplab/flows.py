@@ -40,13 +40,15 @@ NORM_CAP = 1e9
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  A run
 # tests every node at every step for a blow-up, unless it is an affine run a
-# rounding bound proves stays within NORM_CAP (see _rk4_run).  Where a det
-# check runs, a step makes per maps (m tangent maps on the stage path, one
-# shared map on the affine path) and the run gathers them into batch_det
-# calls of max(1, DET_BATCH // per) steps (the last call what is left): at
-# most DET_BATCH matrices while per <= DET_BATCH, else one step's per.  A run
-# checks det J exactly when it is given no chain frames or some square ones
-# (l = n); otherwise its blocks only batch the blow-up test
+# rounding bound proves stays within NORM_CAP (see _rk4_run); such a run
+# that keeps no paths steps J alone and no node, in the same blocks of its
+# m nodes' length.  Where a det check runs, a step makes per maps (m
+# tangent maps on the stage path, one shared map on the affine path) and
+# the run gathers them into batch_det calls of max(1, DET_BATCH // per)
+# steps (the last call what is left): at most DET_BATCH matrices while per
+# <= DET_BATCH, else one step's per.  A run checks det J exactly when it is
+# given no chain frames or some square ones (l = n); otherwise its blocks
+# only batch the blow-up test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -287,7 +289,11 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     then checks the det where it runs.  An affine run that _proven clears
     for all its steps from its entry nodes, by _step_bound of the rounded
     R~ it steps with, passes NORM_CAP at no step and takes no test: one
-    decision per run.  The test takes a C-ordered copy of an affine block's
+    decision per run, made before the stepper is built.  If such a run
+    keeps no paths, nothing reads its states, so it hands _affine_blocks no
+    node and steps J alone (with the same bits: each entry of a longdouble
+    product is summed on its own), still in blocks of DET_BATCH // m steps
+    for its m nodes.  The test takes a C-ordered copy of an affine block's
     states, whose norms numpy then sums as a stage block's (pairwise over a
     contiguous row from 8 entries on; along the transposed view it would
     sum in index order).  Each step makes per maps (m on the stage path,
@@ -307,7 +313,8 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     that steps fewer columns too.
 
     Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step):
-    vs is J (m, dim, dim) when frames is None, else the list of each
+    xs is None for a run that stepped J alone, else the final states (m,
+    dim); vs is J (m, dim, dim) when frames is None, else the list of each
     chain's pushed frames (m_i, dim, c_i); with keep_paths the paths are
     arrays of shape (samples, m, dim) and (samples, per, dim, c or dim) of
     what was stepped, with samples = steps + 1, or blow_step + 1 after a
@@ -330,9 +337,16 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     # the frames ride V' = DX V where neither a det nor a shared J needs J
     ride = not (affine or check_det)
     vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
+    proven = False
     if affine:
         aug = _rounded_propagator(compiled.field, cfg)
-        blocks = _affine_blocks(aug, xs, cfg, block)
+        # nodes whose squares overflow give N0 = inf, warning about nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            proven = _proven(*_step_bound(aug), xs.T, cfg.steps)
+        # a proven run that keeps no paths has no reader of its states: no
+        # blow-up test to feed, and the reports read only J, so it steps J
+        # alone
+        blocks = _affine_blocks(aug, xs[:0] if proven and not keep_paths else xs, cfg, block)
     else:
         blocks = _stage_blocks(compiled, xs, vs, cfg, block)
     samples = cfg.steps + 1
@@ -358,7 +372,6 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     taken, blow_step, past = 0, None, ()
     # states stepped past a blow-up may overflow; they are discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        proven = affine and _proven(*_step_bound(aug), xs.T, cfg.steps)
         for xb, vb in blocks:
             if not proven:
                 tested = xb.copy() if affine else xb
@@ -389,7 +402,8 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
         parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
         vs = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
     if not keep_paths:
-        return xs, vs, None, None, float(max_det), blow_step
+        # a run that stepped J alone has no final states
+        return xs if len(xs) else None, vs, None, None, float(max_det), blow_step
     return xs, vs, states_path[:samples], tangent_path[:samples], float(max_det), blow_step
 
 
@@ -566,14 +580,16 @@ def _affine_blocks(aug, xs, cfg: FlowConfig, block):
 
     Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
     over a zero row, then one column x~ = (x, 1) per node.  J does not
-    depend on x, so one (dim, dim) map serves every node.  A step computes
-    only the first dim rows, R~[:dim] Z; the last row stays the constant
-    [0...0 | 1...1] of the buffer.  numpy has no longdouble BLAS and sums
-    each entry of a longdouble product in index order from +0, so each
-    state is fl(fl(R x) + c * 1) and each J entry gains c * 0: the bits of
-    x -> R x + c and J -> R J taken apart, an overflowed J included.  np.dot
-    takes an out that overlaps its input, as it does when a block is one
-    step.
+    depend on x, so one (dim, dim) map serves every node, and with m = 0
+    the run steps Z = [J; 0] alone (its states are (count, 0, dim)); the
+    caller picks the block length.  A step computes only the first dim
+    rows, R~[:dim] Z; the last row stays the constant [0...0 | 1...1] of
+    the buffer.  numpy has no longdouble BLAS and sums each entry of a
+    longdouble product on its own, in index order from +0, so each state is
+    fl(fl(R x) + c * 1) and each J entry gains c * 0: the bits of x -> R x +
+    c and J -> R J taken apart, an overflowed J included, whatever m is.
+    np.dot takes an out that overlaps its input, as it does when a block is
+    one step.
     """
     m, dim = xs.shape
     z = np.eye(dim + 1, dim + m, dtype=WORK_DTYPE)
@@ -852,14 +868,15 @@ def verify_area_preservation(
 
     Quadrature nodes ride the RK4 flow; their tangent frames are pushed
     forward to J . dsigma/du, so quadrature error and integration error stay
-    separate (which tangents the run steps, and when it checks det J, is
-    _rk4_run's rule).  The chain is a patch or a nonempty signed list of
-    patches, each of half-degree l in the R^{2n} of X; the nodes of all
-    patches ride one RK4 run, and the integral before and after is one
-    quadrature over the stacked frames.  The theorem hypothesis
-    L_X omega^l = 0 is decided exactly first and reported (see
-    _hypothesis); a violation flags the report as not applicable instead of
-    failing.  This is verify_area_laws with one chain.
+    separate (which tangents the run steps, when it checks det J, and
+    whether a proven affine run steps the nodes at all, is _rk4_run's
+    rule).  The chain is a patch or a nonempty signed list of patches, each
+    of half-degree l in the R^{2n} of X; all patches share one RK4 run, and
+    the integral before and after is one quadrature over the stacked
+    frames.  The theorem hypothesis L_X omega^l = 0 is decided exactly
+    first and reported (see _hypothesis); a violation flags the report as
+    not applicable instead of failing.  This is verify_area_laws with one
+    chain.
     """
     return verify_area_laws(x, [(chain, l)], cfg)[0]
 
@@ -868,14 +885,17 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     """verify_area_preservation for each (chain, l) of ``chains``, any
     iterable: one report per chain, in order.
 
-    On an affine field the nodes of every chain ride one RK4 run, as its one
-    J serves every node: J is stepped once, its det is checked once where
-    some chain has l = n, and each chain's frames are pushed to
-    J . dsigma/du by the einsum a lone run makes, so every report has the
-    bits of a lone verify_area_preservation call.  MAX_FLOW_WORK bounds
-    that one run of all the nodes.  It stops at the first step where any
-    node passes NORM_CAP, so a blow-up flags every report of the call, a
-    chain that alone stays below the cap included.  On any other field each
+    On an affine field every chain shares one RK4 run, as its one J serves
+    every node: J is stepped once, its det is checked once where some chain
+    has l = n, and each chain's frames are pushed to J . dsigma/du by the
+    einsum a lone run makes, so every report has the bits of a lone
+    verify_area_preservation call.  The reports read only the pushed
+    frames, the det drift and the blow-up step, so a run the step bound
+    proves stays under NORM_CAP steps J alone and no node; an unproven run
+    steps every node and stops at the first step where any node passes
+    NORM_CAP, so a blow-up flags every report of the call, a chain that
+    alone stays below the cap included.  MAX_FLOW_WORK bounds the run as
+    if it stepped every node of every chain.  On any other field each
     chain runs alone: one stage run would check the det of every chain's
     node maps together.  Each distinct l's hypothesis is decided once.
     """

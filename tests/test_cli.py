@@ -726,17 +726,20 @@ def test_paper_verify_flow_work(capsys, monkeypatch):
 def test_paper_verify_proves_every_affine_block(capsys, monkeypatch):
     # the step bound clears both affine runs, one decision each: the ham
     # run's 313 blocks of 32 steps (32 nodes) and the osc cube run's 157
-    # blocks of 64 steps (16 nodes), so none of the 470 takes the norm test
-    decisions, blocks = [], []
+    # blocks of 64 steps (16 nodes), so none of the 470 takes the norm test.
+    # Neither keeps paths, so each steps its J alone: both hand
+    # _affine_blocks 0 nodes
+    decisions, blocks, nodes = [], [], []
     proven, affine_blocks = cli.fw._proven, cli.fw._affine_blocks
 
     def decided(*args):
         decisions.append(proven(*args))
         return decisions[-1]
 
-    def counted(*args):
+    def counted(aug, xs, *args):
         blocks.append(0)
-        for block in affine_blocks(*args):
+        nodes.append(len(xs))
+        for block in affine_blocks(aug, xs, *args):
             blocks[-1] += 1
             yield block
 
@@ -744,7 +747,7 @@ def test_paper_verify_proves_every_affine_block(capsys, monkeypatch):
     monkeypatch.setattr(cli.fw, "_affine_blocks", counted)
     code, _, _ = run(capsys, ["paper-verify", "--format", "machine"])
     assert code == 0
-    assert decisions == [True, True] and blocks == [313, 157]
+    assert decisions == [True, True] and blocks == [313, 157] and nodes == [0, 0]
 
 
 def test_area_laws_fails_if_the_oscillator_were_symplectic(capsys, monkeypatch):
@@ -1242,6 +1245,29 @@ def test_flow_work_budget_refused_quickly(capsys, tmp_path):
         f"values of RK4 work, and 0 values of kept paths; the budget is "
         f"{symplab.flows.MAX_FLOW_WORK} of each\n"
     )
+
+
+def test_flow_work_budget_counts_every_node_of_a_proven_run(capsys, tmp_path, monkeypatch):
+    # a proven osc square transport keeping no paths steps J alone, but the
+    # budget still counts its 16 nodes' term rows and full tangent maps:
+    # 10^5 steps x (250 + 16 x 28) = 6.98e7 values are refused, and 71633
+    # steps (49999834 values, just under the budget) run, on no node column
+    field = _write(tmp_path, "osc.json", OSCILLATOR)
+    chain = _write(tmp_path, "square.chain", SQUARE_CHAIN)
+    code, out, err = run(capsys, ["flow", field, "--chain", chain, "--t", "1e5", "--dt", "1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: 100000 steps x (250 + 16 nodes x 28 values per node) = 69800000 values "
+        "of RK4 work, and 0 values of kept paths; the budget is 50000000 of each\n"
+    )
+    steps = symplab.flows.MAX_FLOW_WORK // (250 + 16 * 28)
+    assert steps == 71633
+    nodes, affine_blocks = [], cli.fw._affine_blocks
+    monkeypatch.setattr(cli.fw, "_affine_blocks",
+                        lambda aug, xs, *args: nodes.append(len(xs)) or affine_blocks(aug, xs, *args))
+    code, out, err = run(capsys, ["flow", field, "--chain", chain, "--t", "7.1633", "--dt", "1e-4"])
+    assert code == cli.EXIT_HYPOTHESIS and err == "" and "blow_up: false" in out
+    assert nodes == [0]
 
 
 def test_flow_work_refusal_is_one_line(capsys, tmp_path):

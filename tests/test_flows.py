@@ -619,6 +619,32 @@ def test_area_laws_share_an_affine_run_to_the_bit(monkeypatch, case, det_batch):
         _assert_same_reports(shared, _lone_reports(x, chains, cfg))
 
 
+@pytest.mark.parametrize("which, m", [("l < n", 34), ("l = n", 16), ("both", 50)])
+def test_proven_area_laws_step_no_nodes(monkeypatch, which, m):
+    # a proven affine run that keeps no paths hands _affine_blocks no node
+    # columns, in blocks of DET_BATCH // m steps for its m chain nodes; every
+    # report field has the bits of the same chains run with every node
+    # stepped, as a run with kept paths steps them
+    x, _ = _affine_cases()["ham"]
+    cfg = FlowConfig(10.0, 1e-2)
+    chains = {
+        "l < n": [(unit_square(), 1), (_two_patch_chain(1), 1)],
+        "l = n": [(unit_cube(), 2)],
+        "both": [(unit_square(), 1), (unit_cube(), 2), (_two_patch_chain(1), 1)],
+    }[which]
+    decisions, blocks, nodes = _record_runs(monkeypatch)
+    got = flows.verify_area_laws(x, chains, cfg)
+    assert decisions == [True] and nodes == [0]
+    assert blocks == [-(-cfg.steps // (flows.DET_BATCH // m))]
+    monkeypatch.undo()
+    rk4_run = flows._rk4_run
+    monkeypatch.setattr(flows, "_rk4_run", lambda *a, **k: rk4_run(*a, keep_paths=True, **k))
+    decisions, kept_blocks, nodes = _record_runs(monkeypatch)
+    _assert_same_reports(got, flows.verify_area_laws(x, chains, cfg))
+    assert decisions == [True] and nodes == [m] and kept_blocks == blocks
+    assert all(r.per_step_max_det_drift > 0 for r in got if r.l == 2)
+
+
 def test_area_laws_run_each_chain_alone_on_the_stage_path(monkeypatch):
     # a shared stage run would check the det of every chain's node maps
     # together, so each chain runs alone, and its report is its own call's
@@ -1058,9 +1084,13 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     steps = want[5] or cfg.steps
     full, rest = divmod(steps, batch)
     assert sizes == [batch] * full + ([rest] if rest else [])
-    # the det check alone, without kept paths, gives the same run
+    # without kept paths, a proven run steps J alone and has no final
+    # states; its J, max drift and blow-up step are the loop's bits.  The
+    # unproven expanding run still steps every node
     alone = flows._rk4_run(CompiledField(x), xs, cfg)
-    _assert_same_run(alone[:2] + got[2:4] + alone[4:], want)
+    assert (alone[0] is None) == (case != "expanding")
+    final = want[:1] if alone[0] is None else alone[:1]
+    _assert_same_run(final + alone[1:2] + got[2:4] + alone[4:], want)
 
 
 def test_affine_step_saddle_overflow_matches_per_step_loop():
@@ -1112,23 +1142,25 @@ def _random_affine_field(rng, n, diagonal):
 def _record_runs(monkeypatch):
     """Wrap flows._proven and flows._affine_blocks: the lists returned get
     each affine run's blow-up decision, True where the step bound proves
-    the run and no block takes the norm test, and each run's block count."""
-    decisions, blocks = [], []
+    the run and no block takes the norm test, each run's block count, and
+    the node count each run hands _affine_blocks."""
+    decisions, blocks, nodes = [], [], []
     proven, affine_blocks = flows._proven, flows._affine_blocks
 
     def decided(*args):
         decisions.append(proven(*args))
         return decisions[-1]
 
-    def counted(*args):
+    def counted(aug, xs, *args):
         blocks.append(0)
-        for block in affine_blocks(*args):
+        nodes.append(len(xs))
+        for block in affine_blocks(aug, xs, *args):
             blocks[-1] += 1
             yield block
 
     monkeypatch.setattr(flows, "_proven", decided)
     monkeypatch.setattr(flows, "_affine_blocks", counted)
-    return decisions, blocks
+    return decisions, blocks, nodes
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
@@ -1190,7 +1222,7 @@ def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
     xs = np.array([[1.0, 0.5]], dtype=WORK_DTYPE)
     cfg = FlowConfig(5, 1)
     assert np.isinf(flows._rounded_propagator(x, cfg)[:, :2]).all()
-    decisions, blocks = _record_runs(monkeypatch)
+    decisions, blocks, _ = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
@@ -1205,7 +1237,7 @@ def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
     x = hamiltonian_field(Frame.darboux(1), standard_h(1))
     xs = np.array([[WORK_DTYPE("1e2500"), WORK_DTYPE("-2e2500")]])
     cfg = FlowConfig(1, 0.1)
-    decisions, blocks = _record_runs(monkeypatch)
+    decisions, blocks, _ = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
@@ -1224,7 +1256,7 @@ def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
     x = PolyVectorField(Frame.darboux(4), (Poly.zero(8),) * 8)
     xs = np.array([[1e9] + [0.125] * 7, [0.5] * 8], dtype=WORK_DTYPE)
     cfg = FlowConfig(0.3, 0.1)
-    decisions, _ = _record_runs(monkeypatch)
+    decisions, _, _ = _record_runs(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
     assert decisions == [False] and got[5] == 1
@@ -1240,7 +1272,7 @@ def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = scale * _starts([1.0] * 4, 32)
     cfg = FlowConfig(200 * dt, dt)
-    decisions, blocks = _record_runs(monkeypatch)
+    decisions, blocks, _ = _record_runs(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
     monkeypatch.undo()
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
@@ -1253,19 +1285,22 @@ def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt
         assert 32 < want[5] <= 64 and blocks == [2]
 
 
-def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch):
+@pytest.mark.parametrize("keep", [True, False])
+def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch, keep):
     # the ham rotation from 32 nodes near (1, 1, 1, 1) for t = 20 at
     # dt = 0.01: each step keeps |x|, but the crude whole-run bound
     # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so all 63 blocks
-    # take the exact test, with the per-step loop's bits and no blow-up
+    # take the exact test, with the per-step loop's bits and no blow-up.
+    # Unproven, the run steps every node with or without kept paths
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = _starts([1.0] * 4, 32)
     cfg = FlowConfig(20, 0.01)
-    decisions, blocks = _record_runs(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    decisions, blocks, nodes = _record_runs(monkeypatch)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=keep)
     monkeypatch.undo()
-    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and blocks == [63] and got[5] is None
+    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
+    _assert_same_run(got if keep else got[:2] + want[2:4] + got[4:], want)
+    assert decisions == [False] and blocks == [63] and nodes == [32] and got[5] is None
 
 
 def test_proven_affine_run_takes_no_norm_test(monkeypatch):
