@@ -40,15 +40,16 @@ NORM_CAP = 1e9
 MAX_CHAIN_NODES = 4096
 # RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  A run
 # tests every node at every step for a blow-up, unless it is an affine run a
-# rounding bound proves stays within NORM_CAP (see _rk4_run); such a run
-# that keeps no paths steps J alone and no node, in the same blocks of its
-# m nodes' length.  Where a det check runs, a step makes per maps (m
-# tangent maps on the stage path, one shared map on the affine path) and
-# the run gathers them into batch_det calls of max(1, DET_BATCH // per)
-# steps (the last call what is left): at most DET_BATCH matrices while per
-# <= DET_BATCH, else one step's per.  A run checks det J exactly when it is
-# given no chain frames or some square ones (l = n); otherwise its blocks
-# only batch the blow-up test
+# rounding bound proves stays within NORM_CAP (see _rk4_run); a proven
+# transport steps J alone and no node, in the same blocks of its m nodes'
+# length.  Where a det check runs, a step makes per maps (m tangent maps on
+# the stage path, one shared map on the affine path) and the run gathers
+# them into batch_det calls of the most whole blocks within max(1,
+# DET_BATCH // per) steps (the last call what is left): at most DET_BATCH
+# matrices while per <= DET_BATCH, else one step's per; one block's on the
+# stage path.  A run checks det J exactly when it is given no chain frames
+# or some square ones (l = n); otherwise its blocks only batch the blow-up
+# test
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
@@ -270,60 +271,56 @@ class TangentFlow:
         return self.det_drift
 
 
-def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, frames=None):
+def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
     """The one RK4 loop: a batch of m states and their tangents, in blocks
     of at most max(1, DET_BATCH // m) steps.  A block generator takes the
     steps: _affine_blocks for fields of degree <= 1 (the exact one-step
     propagator applied to [J~ | x~^T]), _stage_blocks for all others.
 
-    ``frames`` lists the tangent frames (m_i, dim, c_i) of the chains whose
-    nodes are stacked in xs, in that order; None stands for J itself.  One
-    rule follows from them.  The run checks det J exactly when frames is
-    None or some frame is square (c_i = dim, l = n).  The affine path steps
-    its one J from J(0) = I.  The stage path steps J where the det is
+    ``frames`` decides the run.  None makes it a tangent flow: it steps J
+    from J(0) = I, checks det J and keeps its paths.  Otherwise frames lists
+    the tangent frames (m_i, dim, c_i) of the chains whose nodes are stacked
+    in xs, in that order, and the run is a transport: it keeps no paths and
+    checks det J exactly when some frame is square (c_i = dim, l = n).  The
+    affine path steps its one J.  The stage path steps J where the det is
     checked, and otherwise rides the frames' columns, V' = DX V, stacked
-    into one (m, dim, c) array.  A run that steps J pushes each chain's
-    frames to J . dsigma/du with one einsum at the end.
+    into one (m, dim, c) array.  A transport that steps J pushes each
+    chain's frames to J . dsigma/du with one einsum at the end.
 
     After each block a run tests every node at every step for a blow-up,
     then checks the det where it runs.  An affine run that _proven clears
     for all its steps from its entry nodes, by _step_bound of the rounded
     R~ it steps with, passes NORM_CAP at no step and takes no test: one
-    decision per run, made before the stepper is built.  If such a run
-    keeps no paths, nothing reads its states, so it hands _affine_blocks no
-    node and steps J alone (with the same bits: each entry of a longdouble
-    product is summed on its own), still in blocks of DET_BATCH // m steps
-    for its m nodes.  The test takes a C-ordered copy of an affine block's
-    states, whose norms numpy then sums as a stage block's (pairwise over a
-    contiguous row from 8 entries on; along the transposed view it would
-    sum in index order).  Each step makes per maps (m on the stage path,
-    the one shared J on the affine path); the block's maps are copied into
-    a buffer of max(1, min(steps, DET_BATCH // per)) steps, and batch_det
-    is called whenever it is full and once more at the end on what is
-    left; a stage block is as long as the buffer, an affine block at most
-    as long.  Each call's max |det J - 1| is folded with np.maximum, so
-    that a NaN determinant makes the max drift NaN; batch_det treats each
-    matrix apart, so the batching moves no bit.  A blow-up cuts the run at
-    the first step past the cap; the later steps of its block are
-    discarded, and so are their maps.  Kept paths are filled block by block.
+    decision per run, made before the stepper is built.  A proven transport
+    has no reader of its states, so it hands _affine_blocks no node and
+    steps J alone (with the same bits: each entry of a longdouble product
+    is summed on its own), still in blocks of DET_BATCH // m steps for its
+    m nodes.  Each step makes per maps (m on the stage path, the one shared
+    J on the affine path); the maps of whole blocks are copied into a
+    buffer of the most whole blocks within max(1, DET_BATCH // per) steps,
+    at most the run, so a stage buffer holds one block.  batch_det is
+    called whenever the buffer is full and once more at the end on what is
+    left.  Each call's max |det J - 1| is folded with np.maximum, so that a
+    NaN determinant makes the max drift NaN; batch_det treats each matrix
+    apart, so the batching moves no bit.  A blow-up cuts the run at the
+    first step past the cap; the later steps of its block are discarded,
+    and so are their maps.  A tangent flow's paths are filled block by
+    block.
 
     A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
     values, or whose kept paths exceed MAX_FLOW_WORK values is refused
     before anything is allocated; dim^2 tangent values per node bound a run
     that steps fewer columns too.
 
-    Returns (xs, vs, states_path, tangent_path, max_det_drift, blow_step):
-    xs is None for a run that stepped J alone, else the final states (m,
-    dim); vs is J (m, dim, dim) when frames is None, else the list of each
-    chain's pushed frames (m_i, dim, c_i); with keep_paths the paths are
-    arrays of shape (samples, m, dim) and (samples, per, dim, c or dim) of
-    what was stepped, with samples = steps + 1, or blow_step + 1 after a
-    blow-up.
+    Returns (paths, max_det_drift, blow_step).  A tangent flow's paths are
+    its states (samples, m, dim) and tangent maps (samples, per, dim, dim),
+    with samples = steps + 1, or blow_step + 1 after a blow-up; a
+    transport's are the list of each chain's pushed frames (m_i, dim, c_i).
     """
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
     work = cfg.steps * (STEP_VALUES + m * per_node)
-    kept = (cfg.steps + 1) * m * (dim + dim * dim) if keep_paths else 0
+    kept = (cfg.steps + 1) * m * (dim + dim * dim) if frames is None else 0
     if max(work, kept) > MAX_FLOW_WORK:
         raise InputError(
             f"{_count(cfg.steps)} steps x ({STEP_VALUES} + {m} nodes x {per_node} values per "
@@ -343,16 +340,15 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
         # nodes whose squares overflow give N0 = inf, warning about nothing
         with np.errstate(over="ignore", invalid="ignore"):
             proven = _proven(*_step_bound(aug), xs.T, cfg.steps)
-        # a proven run that keeps no paths has no reader of its states: no
-        # blow-up test to feed, and the reports read only J, so it steps J
-        # alone
-        blocks = _affine_blocks(aug, xs[:0] if proven and not keep_paths else xs, cfg, block)
+        # a proven transport has no reader of its states: no blow-up test
+        # to feed, and the reports read only J, so it steps J alone
+        blocks = _affine_blocks(aug, xs[:0] if proven and frames is not None else xs, cfg, block)
     else:
         blocks = _stage_blocks(compiled, xs, vs, cfg, block)
     samples = cfg.steps + 1
-    if keep_paths:
+    if frames is None:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        tangent_path = np.empty((samples, per) + vs.shape[1:], dtype=WORK_DTYPE)
+        tangent_path = np.empty((samples, per, dim, dim), dtype=WORK_DTYPE)
         states_path[0], tangent_path[0] = xs, vs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
 
@@ -362,10 +358,9 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
         max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
 
     if check_det:
-        # the maps wait here for a full batch_det call; a block holds at most
-        # as many steps, so it fills the buffer at most once
-        gather = np.empty(
-            (max(1, min(cfg.steps, DET_BATCH // per)), per, dim, dim), dtype=WORK_DTYPE)
+        # whole blocks of maps wait here for a batch_det call
+        whole = max(1, DET_BATCH // per // block)
+        gather = np.empty((min(cfg.steps, whole * block), per, dim, dim), dtype=WORK_DTYPE)
     held = 0
     # the steps of a block whose largest node norm passes the cap, a NaN
     # norm included; a proven run has none
@@ -374,37 +369,32 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, keep_paths=False, fra
     with np.errstate(over="ignore", invalid="ignore"):
         for xb, vb in blocks:
             if not proven:
-                tested = xb.copy() if affine else xb
-                norms = np.sqrt(np.max(np.sum(tested * tested, axis=2), axis=1))
+                norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
                 past = np.flatnonzero(~(norms <= NORM_CAP))
             done = int(past[0]) + 1 if len(past) else len(xb)
-            if keep_paths:
+            if frames is None:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
             if check_det:
-                put = min(done, len(gather) - held)
-                gather[held:held + put] = vb[:put]
-                held += put
+                gather[held:held + done] = vb[:done]
+                held += done
                 if held == len(gather):
                     fold(gather)
-                    held = done - put
-                    gather[:held] = vb[put:done]
-            xs, vs = xb[done - 1].copy(), vb[done - 1].copy()
+                    held = 0
+            vs = vb[done - 1].copy()
             taken += done
             if len(past):
                 blow_step, samples = taken, taken + 1
                 break
         if held:
             fold(gather[:held])
+    if frames is None:
+        return (states_path[:samples], tangent_path[:samples]), float(max_det), blow_step
+    # each chain's rows of the stepped columns, or of J
     vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
-    if frames is not None:
-        # each chain's rows of the stepped columns, or of J
-        parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
-        vs = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
-    if not keep_paths:
-        # a run that stepped J alone has no final states
-        return xs if len(xs) else None, vs, None, None, float(max_det), blow_step
-    return xs, vs, states_path[:samples], tangent_path[:samples], float(max_det), blow_step
+    parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
+    pushed = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
+    return pushed, float(max_det), blow_step
 
 
 def _count(value: int) -> str:
@@ -575,16 +565,19 @@ def _proven(r, g, nodes, k) -> bool:
 def _affine_blocks(aug, xs, cfg: FlowConfig, block):
     """RK4 of an affine field as one 2-D np.dot per step with the rounded
     rows aug = R~[:dim] of _rounded_propagator.  Yields each block's states
-    (count, m, dim), a transposed view, and tangent maps (count, 1, dim,
-    dim), views of a buffer the next block overwrites.
+    (count, m, dim), a C-ordered copy, and tangent maps (count, 1, dim,
+    dim), a view of a buffer the next block overwrites.  The blow-up test
+    sums the norms of the copy as a stage block's (numpy sums pairwise over
+    a contiguous row from 8 entries on; along the transposed view of the
+    buffer it would sum in index order).
 
     Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
     over a zero row, then one column x~ = (x, 1) per node.  J does not
     depend on x, so one (dim, dim) map serves every node, and with m = 0
-    the run steps Z = [J; 0] alone (its states are (count, 0, dim)); the
-    caller picks the block length.  A step computes only the first dim
-    rows, R~[:dim] Z; the last row stays the constant [0...0 | 1...1] of
-    the buffer.  numpy has no longdouble BLAS and sums each entry of a
+    a proven transport steps Z = [J; 0] alone (its states are (count, 0,
+    dim)); the caller picks the block length.  A step computes only the
+    first dim rows, R~[:dim] Z; the last row stays the constant [0...0 |
+    1...1] of the buffer.  numpy has no longdouble BLAS and sums each entry of a
     longdouble product on its own, in index order from +0, so each state is
     fl(fl(R x) + c * 1) and each J entry gains c * 0: the bits of x -> R x +
     c and J -> R J taken apart, an overflowed J included, whatever m is.
@@ -604,7 +597,7 @@ def _affine_blocks(aug, xs, cfg: FlowConfig, block):
         for rows, zs in steps[:count]:
             np.dot(aug, z, out=rows)
             z = zs
-        yield zb[:count, :dim, dim:].transpose(0, 2, 1), zb[:count, None, :dim, :dim]
+        yield zb[:count, :dim, dim:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
@@ -615,7 +608,7 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    _, _, path, jpath, drift, blow = _rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    (path, jpath), drift, blow = _rk4_run(CompiledField(x), xs, cfg)
     return TangentFlow(Trajectory(path[:, 0], blow), jpath[:, 0], drift)
 
 
@@ -869,9 +862,9 @@ def verify_area_preservation(
     Quadrature nodes ride the RK4 flow; their tangent frames are pushed
     forward to J . dsigma/du, so quadrature error and integration error stay
     separate (which tangents the run steps, when it checks det J, and
-    whether a proven affine run steps the nodes at all, is _rk4_run's
-    rule).  The chain is a patch or a nonempty signed list of patches, each
-    of half-degree l in the R^{2n} of X; all patches share one RK4 run, and
+    that a proven affine transport steps J alone, is _rk4_run's rule).  The
+    chain is a patch or a nonempty signed list of patches, each of
+    half-degree l in the R^{2n} of X; all patches share one RK4 run, and
     the integral before and after is one quadrature over the stacked
     frames.  The theorem hypothesis L_X omega^l = 0 is decided exactly
     first and reported (see _hypothesis); a violation flags the report as
@@ -890,14 +883,14 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     has l = n, and each chain's frames are pushed to J . dsigma/du by the
     einsum a lone run makes, so every report has the bits of a lone
     verify_area_preservation call.  The reports read only the pushed
-    frames, the det drift and the blow-up step, so a run the step bound
-    proves stays under NORM_CAP steps J alone and no node; an unproven run
-    steps every node and stops at the first step where any node passes
-    NORM_CAP, so a blow-up flags every report of the call, a chain that
-    alone stays below the cap included.  MAX_FLOW_WORK bounds the run as
-    if it stepped every node of every chain.  On any other field each
-    chain runs alone: one stage run would check the det of every chain's
-    node maps together.  Each distinct l's hypothesis is decided once.
+    frames, the det drift and the blow-up step, so a proven transport
+    (under NORM_CAP by the step bound) steps J alone and no node; an
+    unproven run steps every node and stops at the first step where any
+    node passes NORM_CAP, so a blow-up flags every report of the call, a
+    chain that alone stays below the cap included.  MAX_FLOW_WORK bounds
+    the run as if it stepped every node of every chain.  On any other field
+    each chain runs alone: one stage run would check the det of every
+    chain's node maps together.  Each distinct l's hypothesis is decided once.
     """
     n = x.frame.n
     chains = list(chains)
@@ -911,7 +904,7 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     groups = [quadratures] if quadratures and _is_affine(x) else [[q] for q in quadratures]
     runs = []  # (pushed frames, max det drift, blow-up step) per chain
     for group in groups:
-        _, pushed, _, _, max_det, blow = _rk4_run(
+        pushed, max_det, blow = _rk4_run(
             compiled, np.concatenate([q[1] for q in group]), cfg, frames=[q[2] for q in group])
         runs += [(frames, max_det, blow) for frames in pushed]
 

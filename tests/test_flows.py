@@ -86,35 +86,37 @@ def test_flow_config_rejects_non_finite(t_final, dt):
 @pytest.mark.parametrize("keep", [False, True])
 def test_flow_work_budget_boundary(monkeypatch, keep):
     # q' = q^2, p' = p has 4 term rows (2 values, 2 Jacobian entries), so a
-    # step of 3 nodes computes STEP_VALUES + 3 x (4 + 2^2) values and keeps
-    # 3 x (2 + 2^2)
+    # step of 3 nodes computes STEP_VALUES + 3 x (4 + 2^2) values; a tangent
+    # flow keeps 3 x (2 + 2^2) per sample, a transport of frames keeps none
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, var(2, 1)))
     compiled = CompiledField(x)
     assert len(compiled.slots) == 4
     xs = np.full((3, 2), 0.1, dtype=WORK_DTYPE)
+    frames = None if keep else [_frames(3, 2, 1)]
     cfg = FlowConfig(t_final=1.0, dt=0.1)
     step = flows.STEP_VALUES
     work, kept = 10 * (step + 3 * 8), 11 * 3 * 6
     assert kept < work
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work)
-    flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
+    flows._rk4_run(compiled, xs, cfg, frames)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work - 1)
     want = f"10 steps x ({step} + 3 nodes x 8 values per node) = {work} values of RK4 " \
            f"work, and {kept if keep else 0} values of kept paths; the budget is {work - 1} of each"
     with pytest.raises(InputError) as err:
-        flows._rk4_run(compiled, xs, cfg, keep_paths=keep)
+        flows._rk4_run(compiled, xs, cfg, frames)
     assert str(err.value) == want
     # kept paths alone can pass the budget: the zero field has no term rows,
-    # and STEP_VALUES nodes keep 6 values each per sample but compute 4
+    # and a tangent flow of STEP_VALUES nodes keeps 6 values each per sample
+    # but computes 4
     zero = CompiledField(PolyVectorField.zero(Frame.darboux(1)))
     many = np.full((step, 2), 0.1, dtype=WORK_DTYPE)
     zero_work, kept = 10 * (step + step * 4), 11 * step * 6
     assert zero_work < kept
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept)
-    flows._rk4_run(zero, many, cfg, keep_paths=True)
+    flows._rk4_run(zero, many, cfg)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept - 1)
     with pytest.raises(InputError, match=f"= {zero_work} values of RK4 work, and {kept} values "):
-        flows._rk4_run(zero, many, cfg, keep_paths=True)
+        flows._rk4_run(zero, many, cfg)
 
 
 def test_flow_work_budget_refuses_before_allocating():
@@ -498,8 +500,8 @@ def _both_paths(x, x0s, cfg):
     xs = np.array(x0s, dtype=WORK_DTYPE)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_is_affine", lambda field: False)  # force the stage loop
-        ref = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
-    got = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
+        ref = flows._rk4_run(compiled, xs, cfg)
+    got = flows._rk4_run(compiled, xs, cfg)
     return ref, got
 
 
@@ -511,32 +513,30 @@ def test_affine_propagator_matches_stage_loop(case):
     x, x0s = _affine_cases()[case]
     assert flows._is_affine(x)
     cfg = FlowConfig(t_final=10.0, dt=1e-2)
-    ref, got = _both_paths(x, x0s, cfg)
+    ((states_ref, jac_ref), drift_ref, blow_ref), ((states_got, jac_got), drift, blow) = \
+        _both_paths(x, x0s, cfg)
     steps = cfg.steps
-    states_ref, states_got = np.array(ref[2]), np.array(got[2])
-    jac_ref, jac_got = np.array(ref[3]), np.array(got[3])
     assert states_ref.shape == states_got.shape == (steps + 1,) + np.shape(x0s)
     assert jac_got.shape[1] == 1 and jac_ref.shape[1] == len(x0s)
     tol = steps * EPS
     assert np.max(np.abs(states_got - states_ref)) <= tol * np.max(np.abs(states_ref))
     assert np.max(np.abs(jac_got - jac_ref)) <= tol * np.max(np.abs(jac_ref))
-    assert np.array_equal(got[0], states_got[-1]) and np.array_equal(got[1][0], jac_got[-1, 0])
     cond = float(np.max(np.linalg.cond(np.asarray(jac_ref[:, 0], dtype=float))))
-    assert abs(got[4] - ref[4]) <= 4 * tol * cond
-    assert ref[4] > 0 and got[4] > 0
-    assert ref[5] is None and got[5] is None
+    assert abs(drift - drift_ref) <= 4 * tol * cond
+    assert drift_ref > 0 and drift > 0
+    assert blow_ref is None and blow is None
 
 
 def test_affine_propagator_blow_up_matches_stage_loop():
     frame = Frame.darboux(1)
     expanding = PolyVectorField(frame, (var(2, 0) + 1, Fraction(1, 2) * var(2, 1)))
-    ref, got = _both_paths(expanding, [[1.0, 1.0], [0.5, 0.0]], FlowConfig(25.0, 1e-2))
-    assert ref[5] is not None and got[5] == ref[5]
-    states_ref, states_got = np.array(ref[2]), np.array(got[2])
-    assert states_got.shape == states_ref.shape == (ref[5] + 1, 2, 2)
+    ((states_ref, _), drift_ref, blow), ((states_got, _), drift, blow_got) = \
+        _both_paths(expanding, [[1.0, 1.0], [0.5, 0.0]], FlowConfig(25.0, 1e-2))
+    assert blow is not None and blow_got == blow
+    assert states_got.shape == states_ref.shape == (blow + 1, 2, 2)
     scale = np.max(np.abs(states_ref), axis=(1, 2))
-    assert np.all(np.max(np.abs(states_got - states_ref), axis=(1, 2)) <= ref[5] * EPS * scale)
-    assert abs(got[4] - ref[4]) <= ref[5] * EPS * abs(ref[4])
+    assert np.all(np.max(np.abs(states_got - states_ref), axis=(1, 2)) <= blow * EPS * scale)
+    assert abs(drift - drift_ref) <= blow * EPS * abs(drift_ref)
 
 
 def test_affine_det_check_batches_samples(monkeypatch):
@@ -546,9 +546,9 @@ def test_affine_det_check_batches_samples(monkeypatch):
     cfg = FlowConfig(t_final=2.5, dt=1e-2)
     compiled = CompiledField(x)
     xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
-    _, _, _, path, whole, _ = flows._rk4_run(compiled, xs, cfg, keep_paths=True)
+    (_, path), whole, _ = flows._rk4_run(compiled, xs, cfg)
     monkeypatch.setattr(flows, "DET_BATCH", 16)
-    _, _, _, _, batched, _ = flows._rk4_run(compiled, xs, cfg)
+    _, batched, _ = flows._rk4_run(compiled, xs, cfg)
     per_step = max(float(abs(batch_det(j)[0] - 1)) for j in path)
     assert whole == batched == per_step
 
@@ -621,10 +621,10 @@ def test_area_laws_share_an_affine_run_to_the_bit(monkeypatch, case, det_batch):
 
 @pytest.mark.parametrize("which, m", [("l < n", 34), ("l = n", 16), ("both", 50)])
 def test_proven_area_laws_step_no_nodes(monkeypatch, which, m):
-    # a proven affine run that keeps no paths hands _affine_blocks no node
-    # columns, in blocks of DET_BATCH // m steps for its m chain nodes; every
-    # report field has the bits of the same chains run with every node
-    # stepped, as a run with kept paths steps them
+    # a proven affine transport hands _affine_blocks no node columns, in
+    # blocks of DET_BATCH // m steps for its m chain nodes; every report
+    # field has the bits of the same chains run unproven, which steps and
+    # norm-tests every node
     x, _ = _affine_cases()["ham"]
     cfg = FlowConfig(10.0, 1e-2)
     chains = {
@@ -637,11 +637,10 @@ def test_proven_area_laws_step_no_nodes(monkeypatch, which, m):
     assert decisions == [True] and nodes == [0]
     assert blocks == [-(-cfg.steps // (flows.DET_BATCH // m))]
     monkeypatch.undo()
-    rk4_run = flows._rk4_run
-    monkeypatch.setattr(flows, "_rk4_run", lambda *a, **k: rk4_run(*a, keep_paths=True, **k))
-    decisions, kept_blocks, nodes = _record_runs(monkeypatch)
+    monkeypatch.setattr(flows, "_proven", lambda *args: False)
+    decisions, tested_blocks, nodes = _record_runs(monkeypatch)
     _assert_same_reports(got, flows.verify_area_laws(x, chains, cfg))
-    assert decisions == [True] and nodes == [m] and kept_blocks == blocks
+    assert decisions == [False] and nodes == [m] and tested_blocks == blocks
     assert all(r.per_step_max_det_drift > 0 for r in got if r.l == 2)
 
 
@@ -723,8 +722,7 @@ def test_frames_decide_the_det_check(monkeypatch, path, given, checked):
               "non-square, square": [flat, square]}[given]
     xs = _starts(x0, m if frames is None else m * len(frames))
     sizes = _count_det_calls(monkeypatch)
-    _, pushed, _, _, drift, blow = flows._rk4_run(
-        CompiledField(x), xs, FlowConfig(0.5, 0.01), frames=frames)
+    pushed, drift, blow = flows._rk4_run(CompiledField(x), xs, FlowConfig(0.5, 0.01), frames)
     assert blow is None
     assert bool(sizes) == checked and (drift > 0) == checked
     if frames is not None:
@@ -929,9 +927,20 @@ def _starts(x0, m):
 
 
 def _assert_same_run(got, want):
-    for g, w in zip(got[:5], want[:5]):
-        _same_bits(g, w)
-    assert got[5] == want[5]
+    """A run's (paths, max drift, blow-up step) against an oracle loop's
+    (states, tangents, state path, tangent path, max drift, blow-up step),
+    bit for bit: a tangent flow's paths, whose last samples are the loop's
+    final states and tangents, or the pushed frames of a transport of one
+    chain riding its frames, which are the loop's final tangents."""
+    paths, drift, blow = got
+    if isinstance(paths, tuple):
+        _same_bits(paths[0], want[2])
+        _same_bits(paths[1], want[3])
+    else:
+        (pushed,) = paths
+        _same_bits(pushed, want[1])
+    _same_bits(drift, want[4])
+    assert blow == want[5]
 
 
 def _count_det_calls(monkeypatch):
@@ -960,7 +969,7 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
     cfg = FlowConfig(t_final=0.5, dt=0.01)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     sizes = _count_det_calls(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     # one call per block of max(1, DET_BATCH // m) steps: at most DET_BATCH
     # matrices, or one step's m where m > DET_BATCH
     block = max(1, min(det_batch // m, cfg.steps))
@@ -970,9 +979,10 @@ def test_stage_loop_matches_per_step_loop(monkeypatch, case, m, det_batch):
     want = oracles.rk4_stage_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert want[4] > 0 and want[5] is None
-    # the det check alone, without kept paths, gives the same max drift
-    alone = flows._rk4_run(CompiledField(x), xs, cfg)
-    assert alone[4] == want[4]
+    # a transport of square frames steps the same J and checks its det,
+    # keeping no paths: the same max drift
+    square = flows._rk4_run(CompiledField(x), xs, cfg, [_frames(m, len(x0), len(x0))])
+    assert square[1:] == (want[4], None)
 
 
 def _frames(m, dim, c):
@@ -990,20 +1000,21 @@ def _no_det(mats):
 @pytest.mark.parametrize("det_batch", [16, 1024])
 def test_stage_loop_steps_given_tangents_like_per_step_loop(monkeypatch, case, m, det_batch):
     # tangents (m, dim, dim / 2) ride V' = DX V on their own columns:
-    # states, pushed tangents, kept paths and blow-up step are the bits of
-    # the per-step loop started from the same tangents
+    # pushed tangents and blow-up step are the bits of the per-step loop
+    # started from the same tangents, and so are the states, which a
+    # tangent flow of the same nodes steps as the transport does
     x, x0 = _stage_cases()[case]
     dim = len(x0)
     xs, frames = _starts(x0, m), _frames(m, dim, dim // 2)
     cfg = FlowConfig(t_final=0.5, dt=0.01)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     monkeypatch.setattr(flows, "batch_det", _no_det)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, frames=[frames])
+    got = flows._rk4_run(CompiledField(x), xs, cfg, [frames])
     want = oracles.rk4_stage_loop(flows, x, xs, cfg, tangents=frames)
-    _assert_same_run(got[:1] + (got[1][0],) + got[2:], want)
-    assert got[3].shape == (cfg.steps + 1, m, dim, dim // 2) and want[5] is None
-    alone = flows._rk4_run(CompiledField(x), xs, cfg, frames=[frames])
-    _assert_same_run(alone[:1] + (alone[1][0],) + got[2:4] + alone[4:], want)
+    _assert_same_run(got, want)
+    assert got[0][0].shape == (m, dim, dim // 2) and want[5] is None
+    monkeypatch.setattr(flows, "batch_det", batch_det)
+    _same_bits(flows._rk4_run(CompiledField(x), xs, cfg)[0][0], want[2])
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -1019,33 +1030,37 @@ def test_stage_loop_given_tangents_blow_up_inside_block(monkeypatch, m):
     monkeypatch.setattr(flows, "DET_BATCH", (blow // 2 + 3) * m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True, frames=[frames])
-    _assert_same_run(got[:1] + (got[1][0],) + got[2:], want)
-    assert got[2].shape[0] == blow + 1
+        got = flows._rk4_run(CompiledField(x), xs, cfg, [frames])
+        (states, _), _, flow_blow = flows._rk4_run(CompiledField(x), xs, cfg)
+    _assert_same_run(got, want)
+    # the tangent flow of the same nodes steps the transport's states
+    assert flow_blow == blow
+    _same_bits(states, want[2])
 
 
 def test_pushed_frames_match_full_tangent_map_within_rounding():
     # an l < n stage transport steps its 2l frame columns, which rounds
-    # otherwise than stepping J and forming J . dsigma; the states are the
-    # same bits, and the pushed frames differ by at most one rounding of
-    # each of the 4 stage products per step, relative to the largest entry
+    # otherwise than stepping J and forming J . dsigma from the last sample
+    # of the tangent flow of the same nodes; the pushed frames differ by at
+    # most one rounding of each of the 4 stage products per step, relative
+    # to the largest entry
     x, _ = _stage_cases()["quartic"]
     _, points, frames = flows._chain_quadrature(_two_patch_chain(1), 2, 1)
     compiled = CompiledField(x)
     cfg = FlowConfig(t_final=2.0, dt=0.005)
-    xs, (pushed,), _, _, _, blow = flows._rk4_run(compiled, points, cfg, frames=[frames])
-    full_xs, js, _, _, _, _ = flows._rk4_run(compiled, points, cfg)
-    want = np.einsum("mij,mjl->mil", js, frames)
-    assert blow is None
-    _same_bits(xs, full_xs)
+    (pushed,), _, blow = flows._rk4_run(compiled, points, cfg, [frames])
+    (_, jpath), _, flow_blow = flows._rk4_run(compiled, points, cfg)
+    want = np.einsum("mij,mjl->mil", jpath[-1], frames)
+    assert blow is None and flow_blow is None
     gap = np.max(np.abs(pushed - want))
     assert 0 < gap <= 4 * cfg.steps * EPS * np.max(np.abs(want))
     # the affine path, whose one J serves every node, forms J . dsigma itself
     ham, _ = _affine_cases()["ham"]
     affine = CompiledField(ham)
-    js = flows._rk4_run(affine, points, cfg)[1]
-    _same_bits(flows._rk4_run(affine, points, cfg, frames=[frames])[1][0],
-               np.einsum("mij,mjl->mil", js, frames))
+    js = flows._rk4_run(affine, points, cfg)[0][1][-1]
+    _same_bits(flows._rk4_run(affine, points, cfg, [frames])[0][0],
+               np.einsum("mij,mjl->mil", np.broadcast_to(js, frames.shape[:1] + js.shape[1:]),
+                         frames))
 
 
 def _affine_oracle_cases():
@@ -1062,7 +1077,7 @@ def _affine_oracle_cases():
 @pytest.mark.parametrize("det_batch", [16, 40, 1024])
 def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     # one joint product per step on [J~ | x~^T], per-block blow-up test and
-    # det checks of up to DET_BATCH shared maps: the same bits as x R^T + c
+    # det checks of whole blocks of shared maps: the same bits as x R^T + c
     # and R J one step at a time.  At m = 17 > DET_BATCH = 16 a block is one
     # step, so the block buffer holds one Z and each step's np.dot writes
     # into the Z it reads
@@ -1071,26 +1086,35 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     xs = _starts(x0, m)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     sizes = _count_det_calls(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     monkeypatch.setattr(flows, "batch_det", batch_det)
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
     assert want[4] > 0
     assert (want[5] is not None) == (case == "expanding")
     # J is shared by the nodes: one matrix per step, gathered across blocks
-    # into calls of DET_BATCH matrices (all steps where fewer), the last call
-    # cut at the blow-up step
-    batch = min(det_batch, cfg.steps)
+    # of max(1, DET_BATCH // m) steps into calls of the most whole blocks
+    # within DET_BATCH matrices (all steps where fewer), the last call cut
+    # at the blow-up step.  So at m = 3 and DET_BATCH = 16 the unproven
+    # expanding run's blocks of 5 steps make calls of 15 matrices
+    block = max(1, min(det_batch // m, cfg.steps))
+    batch = min(cfg.steps, det_batch // block * block)
     steps = want[5] or cfg.steps
     full, rest = divmod(steps, batch)
     assert sizes == [batch] * full + ([rest] if rest else [])
-    # without kept paths, a proven run steps J alone and has no final
-    # states; its J, max drift and blow-up step are the loop's bits.  The
-    # unproven expanding run still steps every node
-    alone = flows._rk4_run(CompiledField(x), xs, cfg)
-    assert (alone[0] is None) == (case != "expanding")
-    final = want[:1] if alone[0] is None else alone[:1]
-    _assert_same_run(final + alone[1:2] + got[2:4] + alone[4:], want)
+    if (case, m, det_batch) == ("expanding", 3, 16):
+        assert sizes[:-1] == [15] * full and 0 < sizes[-1] < 15
+    # a transport of square frames, which steps J alone where the run is
+    # proven and every node otherwise, pushes them by the loop's J with
+    # the same det calls, max drift and blow-up step
+    frames = _frames(m, len(x0), len(x0))
+    frame_sizes = _count_det_calls(monkeypatch)
+    decisions, _, nodes = _record_runs(monkeypatch)
+    (pushed,), drift, blow = flows._rk4_run(CompiledField(x), xs, cfg, [frames])
+    assert decisions == [case != "expanding"] and nodes == [0 if decisions[0] else m]
+    assert frame_sizes == sizes
+    _same_bits(pushed, np.einsum("mij,mjl->mil", want[1], frames))
+    assert (drift, blow) == (want[4], want[5])
 
 
 def test_affine_step_saddle_overflow_matches_per_step_loop():
@@ -1101,11 +1125,12 @@ def test_affine_step_saddle_overflow_matches_per_step_loop():
     x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
     xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
-    assert math.isnan(got[4]) and got[5] is None
-    assert np.isinf(got[3]).any() and np.isnan(got[3][-1]).any() and not np.any(got[2])
+    (states, jacobians), drift, blow = got
+    assert math.isnan(drift) and blow is None
+    assert np.isinf(jacobians).any() and np.isnan(jacobians[-1]).any() and not np.any(states)
 
 
 def test_affine_step_full_overflow_matches_per_step_loop():
@@ -1115,11 +1140,12 @@ def test_affine_step_full_overflow_matches_per_step_loop():
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) + var(2, 1), var(2, 0) + var(2, 1)))
     xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
-    assert got[5] is None and not np.any(got[2])
-    assert np.isinf(got[3][-1]).all() and not np.isnan(got[3]).any()
+    (states, jacobians), _, blow = got
+    assert blow is None and not np.any(states)
+    assert np.isinf(jacobians[-1]).all() and not np.isnan(jacobians).any()
 
 
 def _random_affine_field(rng, n, diagonal):
@@ -1184,7 +1210,7 @@ def test_affine_step_bound_holds_on_every_step(n, dt):
                 states.uniform(-1, 1, (6, dim)) * 10.0 ** states.uniform(-3, 6, (6, 1)),
                 np.eye(dim) * 10.0 ** states.uniform(-3, 6, (dim, 1)),
             ]).astype(WORK_DTYPE)
-            path = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)[2]
+            path = flows._rk4_run(CompiledField(x), xs, cfg)[0][0]
             norms = np.sqrt(np.sum(path * path, axis=2))
             assert np.all(norms[1:] <= WORK_DTYPE(r) * norms[:-1] + WORK_DTYPE(g))
 
@@ -1225,9 +1251,9 @@ def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
     decisions, blocks, _ = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and blocks == [1] and got[5] == 1
+    assert decisions == [False] and blocks == [1] and got[2] == 1
 
 
 def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
@@ -1240,9 +1266,9 @@ def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
     decisions, blocks, _ = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and blocks == [1] and got[5] == 1
+    assert decisions == [False] and blocks == [1] and got[2] == 1
 
 
 def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
@@ -1257,9 +1283,9 @@ def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
     xs = np.array([[1e9] + [0.125] * 7, [0.5] * 8], dtype=WORK_DTYPE)
     cfg = FlowConfig(0.3, 0.1)
     decisions, _, _ = _record_runs(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and got[5] == 1
+    assert decisions == [False] and got[2] == 1
 
 
 @pytest.mark.parametrize("scale, dt", [(3e8, 1e-3), (0.5, 3.0)])
@@ -1273,7 +1299,7 @@ def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt
     xs = scale * _starts([1.0] * 4, 32)
     cfg = FlowConfig(200 * dt, dt)
     decisions, blocks, _ = _record_runs(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+    got = flows._rk4_run(CompiledField(x), xs, cfg)
     monkeypatch.undo()
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     _assert_same_run(got, want)
@@ -1291,16 +1317,22 @@ def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch, ke
     # dt = 0.01: each step keeps |x|, but the crude whole-run bound
     # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so all 63 blocks
     # take the exact test, with the per-step loop's bits and no blow-up.
-    # Unproven, the run steps every node with or without kept paths
+    # Unproven, the run steps every node, as a tangent flow that keeps its
+    # paths or as a transport of square frames that keeps none
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = _starts([1.0] * 4, 32)
+    frames = _frames(32, 4, 4)
     cfg = FlowConfig(20, 0.01)
     decisions, blocks, nodes = _record_runs(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=keep)
+    got = flows._rk4_run(CompiledField(x), xs, cfg, None if keep else [frames])
     monkeypatch.undo()
     want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
-    _assert_same_run(got if keep else got[:2] + want[2:4] + got[4:], want)
-    assert decisions == [False] and blocks == [63] and nodes == [32] and got[5] is None
+    if keep:
+        _assert_same_run(got, want)
+    else:
+        _same_bits(got[0][0], np.einsum("mij,mjl->mil", want[1], frames))
+        assert got[1] == want[4]
+    assert decisions == [False] and blocks == [63] and nodes == [32] and got[2] is None
 
 
 def test_proven_affine_run_takes_no_norm_test(monkeypatch):
@@ -1309,8 +1341,8 @@ def test_proven_affine_run_takes_no_norm_test(monkeypatch):
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = 0.5 * _starts([1.0] * 4, 32)
     monkeypatch.setattr(flows, "_proven", lambda *args: True)
-    got = flows._rk4_run(CompiledField(x), xs, FlowConfig(600, 3.0), keep_paths=True)
-    assert got[5] is None and np.max(np.abs(got[2][-1])) > flows.NORM_CAP
+    (states, _), _, blow = flows._rk4_run(CompiledField(x), xs, FlowConfig(600, 3.0))
+    assert blow is None and np.max(np.abs(states[-1])) > flows.NORM_CAP
 
 
 def test_contraction_identity_fields_conserve_volume_at_rk4_order():
@@ -1373,9 +1405,9 @@ def test_stage_loop_blow_up_inside_block(monkeypatch, position, m):
     sizes = _count_det_calls(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = flows._rk4_run(CompiledField(x), xs, cfg, keep_paths=True)
+        got = flows._rk4_run(CompiledField(x), xs, cfg)
     _assert_same_run(got, want)
-    assert got[2].shape[0] == blow + 1
+    assert got[0][0].shape[0] == blow + 1
     # one call per block, the last holding only the maps up to the blow-up step
     full, rest = divmod(blow, block)
     assert sizes == [block * m] * full + ([rest * m] if rest else [])
@@ -1415,7 +1447,7 @@ def test_stacked_chain_run_matches_per_patch_runs(l):
     max_det = 0.0
     for part in chain:
         rule, points, tangents = flows._chain_quadrature([part], 2, l)
-        _, (pushed,), _, _, drift, blow = flows._rk4_run(compiled, points, cfg, frames=[tangents])
+        (pushed,), drift, blow = flows._rk4_run(compiled, points, cfg, [tangents])
         assert blow is None
         max_det = max(max_det, drift)
         initial += flows._signed_integral(rule, tangents)
@@ -1824,7 +1856,7 @@ def test_report_fields_consistent():
     report = verify_area_preservation(x, unit_square(), 1, cfg)
     # the integrals and both drifts in WORK_DTYPE, each rounded once
     rule, points, frames = flows._chain_quadrature(unit_square(), 2, 1)
-    (pushed,) = flows._rk4_run(CompiledField(x), points, cfg, frames=[frames])[1]
+    (pushed,) = flows._rk4_run(CompiledField(x), points, cfg, [frames])[0]
     initial, final = flows._signed_integral(rule, frames), flows._signed_integral(rule, pushed)
     assert (report.initial, report.final) == (float(initial), float(final))
     assert report.abs_drift == float(abs(final - initial))

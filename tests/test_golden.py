@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symplab import cli
+from symplab import cli, flows
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -72,6 +72,16 @@ def report(case: str, fmt: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, fmt):
     assert report(case, fmt) == golden_path(case, fmt).read_text()
+
+
+@pytest.mark.skipif(not EXTENDED, reason=NOT_EXTENDED)
+@pytest.mark.parametrize("det_batch", [16, 40])
+def test_paper_verify_batching_moves_no_bit(monkeypatch, det_batch):
+    # DET_BATCH cuts the suite's two RK4 runs into blocks of 1 or 2 steps
+    # and their det checks into calls of 16 or 40 maps, which moves no bit
+    # of any report
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    assert report("paper-verify", "machine") == golden_path("paper-verify", "machine").read_text()
 
 
 if __name__ == "__main__":
