@@ -37,7 +37,7 @@ EXTENDED = np.finfo(np.longdouble).nmant == 63
 NOT_EXTENDED = "golden numerics are x87 extended precision (a 63-bit longdouble mantissa)"
 
 CASES = {
-    **{f"sl2-check-n{n}": ["sl2-check", "--n", str(n)] for n in range(1, 5)},
+    **{f"sl2-check-n{n}": ["sl2-check", "--n", str(n)] for n in range(1, 7)},
     **{
         f"cohomology-{name}{flag}": ["cohomology", name] + ([flag] if flag else [])
         for name in ("nilm6", "torus6")
