@@ -266,49 +266,124 @@ def omega_power(frame: Frame, k: int) -> Form:
     return wedge_power(omega(frame), k)
 
 
-def _toggle_pairs(a: Form, held: bool) -> Form:
+# A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
+# length arrays: entry j adds coefficients[j] * blade masks[j] to form
+# rows[j].  Masks are unsigned arrays of ``_mask_type``; coefficients are
+# exact Python numbers, or any ring element, in object arrays.  Entries are
+# not merged, so a sum of batches is a concatenation, and a linear map acts
+# entry by entry.
+
+def _mask_type(frame: Frame) -> np.dtype:
+    return np.min_scalar_type((1 << frame.dim) - 1)
+
+
+def _odd(x, bits: int):
+    """Whether each entry of ``x``, below 2^bits, has an odd popcount, by
+    xor-folding its bits onto bit 0."""
+    shift = 1
+    while shift < bits:
+        x = x ^ (x >> shift)
+        shift <<= 1
+    return (x & 1).astype(bool)
+
+
+def _batch(a: Form):
+    """A form as a one-row batch."""
+    size = len(a.terms)
+    return (
+        np.zeros(size, np.intp),
+        np.fromiter(a.terms, _mask_type(a.frame), size),
+        np.fromiter(a.terms.values(), object, size),
+    )
+
+
+def _form(frame: Frame, batch) -> Form:
+    """The form of a one-row batch, equal masks merged in entry order."""
+    _, masks, coeffs = batch
+    return Form(frame, sum_terms(zip(masks.tolist(), coeffs)))
+
+
+def _toggle_pairs(frame: Frame, batch, held: bool):
     """Sum over i of the map that removes (``held``) or adds the pair
-    dq^i, dp_i on every blade holding both or neither, in one pass over the
-    terms.  Either way the sign is -1 to the power 1 + (number of generators
-    strictly between dq^i and dp_i): for removal it is the sign of the two
-    contractions, for addition the sign of wedging with -dq^i ^ dp_i."""
-    n = a.frame.n
-    between = (1 << (n - 1)) - 1
-    pairs = [(i, (1 << i) | (1 << (n + i))) for i in range(n)]
-    return Form(a.frame, sum_terms(
-        (mask ^ pair, coeff if ((mask >> (i + 1)) & between).bit_count() & 1 else -coeff)
-        for mask, coeff in a.terms.items()
-        for i, pair in pairs
-        if mask & pair == (pair if held else 0)
-    ))
+    dq^i, dp_i on every blade holding both or neither.  Either way the sign
+    is -1 to the power 1 + (number of generators strictly between dq^i and
+    dp_i): for removal it is the sign of the two contractions, for addition
+    the sign of wedging with -dq^i ^ dp_i."""
+    rows, masks, coeffs = batch
+    n, dtype = frame.n, _mask_type(frame)
+    pairs = np.array([(1 << i) | (1 << (n + i)) for i in range(n)], dtype)
+    entry, pair = np.nonzero((masks[:, None] & pairs) == (pairs if held else 0))
+    masks = masks[entry]
+    between = (masks >> np.arange(1, n + 1).astype(dtype)[pair]) & ((1 << (n - 1)) - 1)
+    out = coeffs[entry]
+    np.negative(out, out=out, where=~_odd(between, n - 1))
+    return rows[entry], masks ^ pairs[pair], out
+
+
+def _e_batch(frame: Frame, batch):
+    """e-hat on a batch: wedge with omega."""
+    return _toggle_pairs(frame, batch, held=False)
+
+
+def _f_batch(frame: Frame, batch):
+    """f-hat on a batch: sum over i of i_{d/dq^i} i_{d/dp_i}."""
+    return _toggle_pairs(frame, batch, held=True)
+
+
+def _h_batch(frame: Frame, batch):
+    """h-hat on a batch: each entry times (its blade's degree - n)."""
+    rows, masks, coeffs = batch
+    degree = masks & 1
+    for i in range(1, frame.dim):
+        degree = degree + ((masks >> i) & 1)
+    return rows, masks, coeffs * (degree.astype(np.intp) - frame.n)
+
+
+def _wedge_batch(batch, form: Form):
+    """The batch image of a -> a ^ form, signed as in ``wedge``; integral
+    Fraction coefficients of ``form`` enter as ints."""
+    rows, masks, coeffs = batch
+    frame, size = form.frame, len(form.terms)
+    dtype = _mask_type(frame)
+    right = np.fromiter(form.terms, dtype, size)
+    above = np.fromiter((_above(t) & ((1 << frame.dim) - 1) for t in form.terms), dtype, size)
+    scale = np.fromiter((
+        c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+        for c in form.terms.values()
+    ), object, size)
+    entry, term = np.nonzero((masks[:, None] & right) == 0)
+    masks = masks[entry]
+    out = coeffs[entry] * scale[term]
+    np.negative(out, out=out, where=_odd(masks & above[term], frame.dim))
+    return rows[entry], masks | right[term], out
 
 
 def op_e(a: Form) -> Form:
     """e-hat: wedge with omega."""
-    return _toggle_pairs(a, held=False)
+    return _form(a.frame, _e_batch(a.frame, _batch(a)))
 
 
 def op_f(a: Form) -> Form:
     """f-hat: sum over i of i_{d/dq^i} i_{d/dp_i}."""
-    return _toggle_pairs(a, held=True)
+    return _form(a.frame, _f_batch(a.frame, _batch(a)))
 
 
 def op_h(a: Form) -> Form:
     """h-hat: multiplication by (degree - n), homogeneous input only."""
-    if a.is_zero:
-        return a
-    deg = a.homogeneous_degree
-    if deg is None:
+    if len(a.degrees()) > 1:
         raise ValueError("h-hat is defined degreewise only")
-    return Fraction(deg - a.frame.n) * a
+    return _form(a.frame, _h_batch(a.frame, _batch(a)))
 
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Blade-by-blade verdict for [h,e] = 2e, [h,f] = -2f, [e,f] = h and
+    """Verdict of the sl(2) certificate at one (n, k), from one evaluation
+    over every basis blade: [h,e] = 2e, [h,f] = -2f, [e,f] = h and
     [e^k,f] = k e^{k-1}(h+k-1); [e,f^k] = k f^{k-1}(h-k+1) follows, as the
     difference of its sides telescopes into sums of f^a D f^c over the
-    defects D of [h,f] = -2f and [e,f] = h."""
+    defects D of [h,f] = -2f and [e,f] = h.  A failure names the smallest
+    failing blade mask and the first identity that fails on it, and counts
+    the blades up to it as checked."""
 
     n: int
     k: int
@@ -327,57 +402,6 @@ class CommutatorReport:
             f"sl2 n={self.n} k={self.k}: FAILED {self.failed_identity} "
             f"on blade mask {self.failed_blade}"
         )
-
-
-def _mask_type(frame: Frame) -> np.dtype:
-    return np.min_scalar_type((1 << frame.dim) - 1)
-
-
-# A blade table of a linear map is a (masks, coefficients) pair: row m of
-# the two (2^dim, width) arrays lists the image of blade m, padded with zero
-# coefficients.  Coefficients are exact Python numbers in object arrays:
-# ints, or Fractions where a value is not an integer.
-
-def _table(frame: Frame, images):
-    """The blade table of a map from its images of the basis blades, given
-    in mask order as tuples of (mask, coefficient) pairs."""
-    width = max(map(len, images))
-    pad = ((0, 0),) * width
-    flat = [term for image in images for term in image + pad[len(image):]]
-    masks = np.array([m for m, _ in flat], dtype=_mask_type(frame)).reshape(len(images), width)
-    coeffs = np.array(
-        [c.numerator if c.denominator == 1 else c for _, c in flat], dtype=object
-    )
-    return masks, coeffs.reshape(masks.shape)
-
-
-def _op_images(frame: Frame, op) -> list[tuple]:
-    """``op`` applied once to every basis blade."""
-    one = Fraction(1)
-    return [tuple(op(Form(frame, {blade: one})).terms.items()) for blade in range(1 << frame.dim)]
-
-
-def _wedge_images(frame: Frame, form: Form) -> list[tuple]:
-    """The images of every basis blade under a -> a ^ form, signed as in
-    ``wedge``."""
-    terms = [(t, _above(t), (c, -c)) for t, c in form.terms.items()]
-    return [
-        tuple((m | t, signed[(m & above).bit_count() & 1]) for t, above, signed in terms if not m & t)
-        for m in range(1 << frame.dim)
-    ]
-
-
-# A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
-# length arrays: entry j adds coefficients[j] * blade masks[j] to form
-# rows[j].  Entries are not merged, so a sum of batches is a concatenation.
-
-def _apply(table, batch):
-    """The batch image of a linear map given by its blade table."""
-    masks, coeffs = table
-    rows, cols, vals = batch
-    out = vals[:, None] * coeffs[cols]
-    keep = out != 0
-    return np.broadcast_to(rows[:, None], keep.shape)[keep], masks[cols][keep], out[keep]
 
 
 def _sum(*terms):
@@ -412,7 +436,9 @@ def commutator_check(n: int, k: int) -> CommutatorReport:
     difference of its sides telescopes into sums of f^a D f^c over the
     defects D of [h,f] = -2f and [e,f] = h.
 
-    The same pass as ``commutator_checks``, for one k.
+    The same pass as ``commutator_checks``, for one k: the batch kernels
+    behind ``op_e``, ``op_f`` and ``op_h`` and the wedge with
+    ``omega_power``, evaluated once over all 2^{2n} blades.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -427,43 +453,40 @@ def commutator_checks(n: int) -> list[CommutatorReport]:
 def _sl2_reports(n: int, ks) -> list[CommutatorReport]:
     """One report per k in ``ks``, from one pass over the blades.
 
-    ``op_e``, ``op_f`` and ``op_h`` are applied once per blade, and each
-    e^p = omega^p ^ is tabulated once from ``omega_power``; every composite
-    is then evaluated from those tables for all blades of one degree at
-    once, on exact Python ints and Fractions, so no coefficient can
-    overflow.  The three k-free identities are evaluated once per degree
-    and the recursion once per degree and k, its right-hand side expanded
-    by linearity.  A report names the smallest failing blade mask and the
-    first identity that fails on it.
+    The pass is one batch holding every basis blade, its row its mask.  It
+    applies the kernels ``_e_batch``, ``_f_batch`` and ``_h_batch``, which
+    ``op_e``, ``op_f`` and ``op_h`` wrap, and ``_wedge_batch`` with
+    ``omega_power`` for e^p, all looked up in the module when the pass
+    runs.  Each side of an identity is one batch expression, on exact
+    Python ints and Fractions, so no coefficient can overflow: the three
+    k-free identities are evaluated once and the recursion once per k, its
+    right-hand side expanded by linearity.  A report names the smallest
+    failing blade mask and the first identity that fails on it.
     """
     frame = Frame.darboux(n)
     size = 1 << frame.dim
-    e, f, h = (partial(_apply, _table(frame, _op_images(frame, op))) for op in (op_e, op_f, op_h))
-    powers = {
-        p: partial(_apply, _table(frame, _wedge_images(frame, omega_power(frame, p))))
-        for p in {p for k in ks for p in (k - 1, k)}
-    }
-    found = {k: [] for k in ks}  # per k: (blade mask, identity) of each failure
+    rows = np.arange(size)
+    b = (rows, rows.astype(_mask_type(frame)), np.ones(size, object))
+    e, f, h = (partial(kernel, frame) for kernel in (_e_batch, _f_batch, _h_batch))
 
-    def failure(basis, diff, identity):
-        row = _first_nonzero_row(diff, size)
-        return [] if row is None else [(int(basis[row]), identity)]
+    def first_failure(*terms):
+        return _first_nonzero_row(_sum(*terms), size)
 
-    for degree in range(frame.dim + 1):
-        basis = np.array(blade_basis(frame.dim, degree), dtype=_mask_type(frame))
-        b = (np.arange(basis.size), basis, np.ones(basis.size, object))
-        eb, fb, hb = e(b), f(b), h(b)
-        common = failure(basis, _sum((1, h(eb)), (-1, e(hb)), (-2, eb)), 0)
-        common += failure(basis, _sum((1, h(fb)), (-1, f(hb)), (2, fb)), 1)
-        common += failure(basis, _sum((1, e(fb)), (-1, f(eb)), (-1, hb)), 2)
-        wb = {p: w(b) for p, w in powers.items()}
-        for k in ks:
-            found[k] += common
-            found[k] += failure(basis, _sum(
-                (1, powers[k](fb)), (-1, f(wb[k])), (-k, powers[k - 1](hb)), (-k * (k - 1), wb[k - 1]),
-            ), 3)
+    powers = {p: omega_power(frame, p) for p in {p for k in ks for p in (k - 1, k)}}
+    wb = {p: _wedge_batch(b, w) for p, w in powers.items()}
+    eb, fb, hb = e(b), f(b), h(b)
+    common = (
+        first_failure((1, h(eb)), (-1, e(hb)), (-2, eb)),
+        first_failure((1, h(fb)), (-1, f(hb)), (2, fb)),
+        first_failure((1, e(fb)), (-1, f(eb)), (-1, hb)),
+    )
     reports = []
-    for k, fails in found.items():
+    for k in ks:
+        failures = [*common, first_failure(
+            (1, _wedge_batch(fb, powers[k])), (-1, f(wb[k])),
+            (-k, _wedge_batch(hb, powers[k - 1])), (-k * (k - 1), wb[k - 1]),
+        )]
+        fails = [(mask, identity) for identity, mask in enumerate(failures) if mask is not None]
         if not fails:
             reports.append(CommutatorReport(n, k, True, size))
             continue

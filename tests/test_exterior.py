@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from symplab.exterior import (
     commutator_check,
     commutator_checks,
     contraction_rank,
+    contraction_sign,
     format_form,
     interior,
     iota_rank,
@@ -145,23 +147,28 @@ def test_wedge_matches_tuple_oracle(data):
 
 
 def test_every_sign_is_the_sort_parity():
-    """wedge, the sl(2) wedge tables and d share one sign rule: check it on
-    every disjoint pair of blades, and every d(x_v blade), at n = 3."""
+    """wedge, the batch wedge of the sl(2) pass and d share one sign rule:
+    check it on every disjoint pair of blades, and every d(x_v blade), at
+    n = 3."""
     frame = Frame.darboux(3)
     one = Fraction(1)
+    rows = np.arange(1 << frame.dim)
+    every = (rows, rows.astype(exterior._mask_type(frame)), np.ones(rows.size, object))
 
     def indices(mask):
         return tuple(i for i in range(frame.dim) if mask >> i & 1)
 
     for mb in range(1 << frame.dim):
         right = Form(frame, {mb: one})
-        table = exterior._wedge_images(frame, right)
+        images = {}
+        for row, mask, coeff in zip(*exterior._wedge_batch(every, right)):
+            images.setdefault(int(row), []).append((int(mask), coeff))
         for ma in range(1 << frame.dim):
             if ma & mb:
                 continue
             _, sign = oracles.sort_parity(indices(ma) + indices(mb))
             assert wedge(Form(frame, {ma: one}), right).terms == {ma | mb: sign}
-            assert table[ma] == ((ma | mb, sign),)
+            assert images[ma] == [(ma | mb, sign)]
         for v in range(frame.dim):
             d = exterior_derivative(Form(frame, {mb: Poly.variable(frame.dim, v)}))
             _, sign = oracles.sort_parity((v,) + indices(mb))
@@ -257,7 +264,7 @@ def test_h_hat_rejects_mixed_degree():
 def test_operators_match_fermionic_composition():
     # e = chi_i chi^i, f = psi_i psi^i, h = chi psi + chi psi - n, built on
     # the independent tuple representation
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         frame = Frame.darboux(n)
         oe, of, oh = oracles.t_e(n), oracles.t_f(n), oracles.t_h(n)
         for blade in oracles.all_blades(2 * n):
@@ -317,16 +324,32 @@ def test_commutator_recursions_n4_k3_against_oracle():
     assert report.passed and report.blades_checked == 256
 
 
-# Faults injected into the operators commutator_check applies, each keeping
+# Faults injected into the batch kernels behind op_e, op_f and op_h, which
+# the pass and the Form operators both look up when called; each fault keeps
 # forms homogeneous.  The expected reports (first failing identity, blade
 # and count) were recorded from the direct operator-composition check.
 
-def _f_without_first_pair(a):
-    n = a.frame.n
-    out = Form.zero(a.frame)
-    for i in range(1, n):
-        out = out + interior(i, interior(n + i, a))
-    return out
+def _entries(batch, keep):
+    return tuple(part[keep] for part in batch)
+
+
+def _degrees(masks):
+    return np.array([m.bit_count() for m in masks.tolist()], dtype=int)
+
+
+def _f_without_first_pair():
+    # f less its first pair's term i_{d/dq^1} i_{d/dp_1}, whose sign is that
+    # of contracting dp_1 first
+    f = exterior._f_batch
+
+    def faulted(frame, batch):
+        pair = 1 | 1 << frame.n
+        held = _entries(batch, (batch[1] & pair) == pair)
+        signs = [contraction_sign(m, frame.n) for m in held[1].tolist()]
+        first = (held[0], held[1] ^ pair, held[2] * np.array(signs, dtype=int))
+        return exterior._sum((1, f(frame, batch)), (-1, first))
+
+    return faulted
 
 
 def _flipped_omega_power(k):
@@ -341,47 +364,44 @@ def _flipped_omega_power(k):
 
 def _scaled_e(scale):
     # e scaled by ``scale`` on blades holding the first and the last generator
-    e = exterior.op_e
+    e = exterior._e_batch
 
-    def scaled(a):
-        top = 1 << (2 * a.frame.n - 1)
-        out = e(a)
-        for mask, c in a.terms.items():
-            if mask & top and mask & 1:
-                out = out + (scale - 1) * c * e(Form(a.frame, {mask: Fraction(1)}))
-        return out
+    def scaled(frame, batch):
+        masks = batch[1]
+        hit = ((masks & 1) != 0) & ((masks >> (frame.dim - 1)) != 0)
+        return exterior._sum((1, e(frame, batch)), (scale - 1, e(frame, _entries(batch, hit))))
 
     return scaled
 
 
 def _shifted_h():
     # h shifted by one on degree n + 1
-    h = exterior.op_h
+    h = exterior._h_batch
 
-    def shifted(a):
-        out = h(a)
-        return out + a if a.homogeneous_degree == a.frame.n + 1 else out
+    def shifted(frame, batch):
+        hit = _degrees(batch[1]) == frame.n + 1
+        return exterior._sum((1, h(frame, batch)), (1, _entries(batch, hit)))
 
     return shifted
 
 
 def _thirded_e():
     # e scaled by 1/3 on blades of degree n or more holding dp1
-    e = exterior.op_e
+    e = exterior._e_batch
 
-    def thirded(a):
-        out = e(a)
-        for mask, c in a.terms.items():
-            if mask >> a.frame.n & 1 and mask.bit_count() >= a.frame.n:
-                out = out - Fraction(2, 3) * c * e(Form(a.frame, {mask: Fraction(1)}))
-        return out
+    def thirded(frame, batch):
+        masks = batch[1]
+        hit = (((masks >> frame.n) & 1) != 0) & (_degrees(masks) >= frame.n)
+        return exterior._sum(
+            (1, e(frame, batch)), (Fraction(-2, 3), e(frame, _entries(batch, hit)))
+        )
 
     return thirded
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (3, 3)])
 def test_commutator_check_reports_f_fault(monkeypatch, n, k):
-    monkeypatch.setattr(exterior, "op_f", _f_without_first_pair)
+    monkeypatch.setattr(exterior, "_f_batch", _f_without_first_pair())
     assert commutator_check(n, k) == CommutatorReport(n, k, False, 1, "[e,f] = h", 0)
 
 
@@ -399,7 +419,7 @@ def test_commutator_check_reports_omega_power_fault(monkeypatch, n, k, identity)
 def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
     # e scaled by 3/2: the first failure is a blade past 0, and images carry
     # non-integral coefficients
-    monkeypatch.setattr(exterior, "op_e", _scaled_e(Fraction(3, 2)))
+    monkeypatch.setattr(exterior, "_e_batch", _scaled_e(Fraction(3, 2)))
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
@@ -410,7 +430,7 @@ def test_commutator_check_reports_late_e_fault(monkeypatch, n, k, blade):
 def test_commutator_check_reports_big_integer_e_fault(monkeypatch, scale, n, k, blade):
     # the late-e fault with integer scales: coefficients reach and pass
     # 2^31, 2^63 and beyond, and every scale gives the same report
-    monkeypatch.setattr(exterior, "op_e", _scaled_e(scale))
+    monkeypatch.setattr(exterior, "_e_batch", _scaled_e(scale))
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
@@ -419,7 +439,7 @@ def test_commutator_check_reports_big_integer_e_fault(monkeypatch, scale, n, k, 
 @pytest.mark.parametrize("n, k, blade", [(2, 1, 1), (3, 2, 3), (4, 3, 7)])
 def test_commutator_check_reports_h_fault(monkeypatch, n, k, blade):
     # [h,e] = 2e first fails on the first blade of degree n - 1
-    monkeypatch.setattr(exterior, "op_h", _shifted_h())
+    monkeypatch.setattr(exterior, "_h_batch", _shifted_h())
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[h,e] = 2e", blade
     )
@@ -430,19 +450,19 @@ def test_commutator_check_reports_third_e_fault(monkeypatch, n, k, blade):
     # every image coefficient of the thirded blades is a non-integral
     # rational, so the check runs on exact rationals; recorded from the
     # blade-by-blade check
-    monkeypatch.setattr(exterior, "op_e", _thirded_e())
+    monkeypatch.setattr(exterior, "_e_batch", _thirded_e())
     assert commutator_check(n, k) == CommutatorReport(
         n, k, False, blade + 1, "[e,f] = h", blade
     )
 
 
 FAULTS = {
-    "f": lambda k: ("op_f", _f_without_first_pair),
+    "f": lambda k: ("_f_batch", _f_without_first_pair()),
     "omega-sign": lambda k: ("omega_power", _flipped_omega_power(k)),
-    "late-e": lambda k: ("op_e", _scaled_e(Fraction(3, 2))),
-    "big-integer-e": lambda k: ("op_e", _scaled_e(2 ** 70 + 1)),
-    "h": lambda k: ("op_h", _shifted_h()),
-    "third-e": lambda k: ("op_e", _thirded_e()),
+    "late-e": lambda k: ("_e_batch", _scaled_e(Fraction(3, 2))),
+    "big-integer-e": lambda k: ("_e_batch", _scaled_e(2 ** 70 + 1)),
+    "h": lambda k: ("_h_batch", _shifted_h()),
+    "third-e": lambda k: ("_e_batch", _thirded_e()),
 }
 
 
@@ -458,8 +478,8 @@ def test_commutator_checks_match_per_k_checks(monkeypatch, n, fault):
 
 
 def _seeded_fault(seed, n):
-    # op_e, op_f or op_h rescaled on a few blades, or a foreign blade (not
-    # a submask of the input) added to op_f's image of a few blades
+    # the kernel of op_e, op_f or op_h rescaled on a few blades, or a foreign
+    # blade (not a submask of the input) added to f's image of a few blades
     rng = random.Random(seed)
     name = rng.choice(("op_e", "op_f", "op_h", "op_f"))
     foreign = name == "op_f" and rng.random() < 0.5
@@ -468,20 +488,18 @@ def _seeded_fault(seed, n):
         rng.randrange(1 << 2 * n): (rng.choice(scales), rng.randrange(1 << 2 * n))
         for _ in range(rng.randint(1, 3))
     }
-    op = getattr(exterior, name)
+    kernel = {"op_e": "_e_batch", "op_f": "_f_batch", "op_h": "_h_batch"}[name]
+    op = getattr(exterior, kernel)
 
-    def faulted(a):
-        out = op(a)
-        for mask, c in a.terms.items():
-            if mask in edits:
-                scale, extra = edits[mask]
-                if foreign:
-                    out = out + Form(a.frame, {extra: c * scale})
-                else:
-                    out = out + (scale - 1) * op(Form(a.frame, {mask: c}))
-        return out
+    def faulted(frame, batch):
+        rows, masks, coeffs = _entries(batch, [m in edits for m in batch[1].tolist()])
+        scale = np.array([edits[m][0] for m in masks.tolist()], dtype=object)
+        if foreign:
+            extra = np.array([edits[m][1] for m in masks.tolist()], dtype=masks.dtype)
+            return exterior._sum((1, op(frame, batch)), (1, (rows, extra, coeffs * scale)))
+        return exterior._sum((1, op(frame, batch)), (1, op(frame, (rows, masks, coeffs * (scale - 1)))))
 
-    return name, faulted
+    return kernel, faulted
 
 
 def _reference_reports(n):
@@ -562,16 +580,64 @@ def test_commutators_n5_all_blades(k):
 
 
 def test_single_pass_operators_match_interior_composition():
-    # op_e and op_f against wedge and the two contractions, on sums of blades
-    # with distinct coefficients, up to n = 5
+    # op_e and op_f against wedge and the two contractions, and op_h against
+    # (degree - n) times each homogeneous part, on sums of blades with
+    # distinct Fraction or polynomial coefficients, up to n = 5; every
+    # image coefficient keeps its type
     for n in range(1, 6):
         frame = Frame.darboux(n)
-        a = Form(frame, {m: Fraction(m + 1, 3) for m in range(0, 1 << (2 * n), 7)})
-        f = Form.zero(frame)
-        for i in range(n):
-            f = f + interior(i, interior(n + i, a))
-        assert op_f(a) == f
-        assert op_e(a) == wedge(a, omega(frame))
+        masks = range(0, 1 << (2 * n), 7)
+        x = Poly.variable(2 * n, 0)
+        for coeff in (lambda m: Fraction(m + 1, 3), lambda m: Fraction(m + 1, 3) * x + m):
+            a = Form(frame, {m: coeff(m) for m in masks})
+            f = Form.zero(frame)
+            for i in range(n):
+                f = f + interior(i, interior(n + i, a))
+            assert op_f(a) == f
+            assert op_e(a) == wedge(a, omega(frame))
+            kind = type(coeff(1))
+            for degree in range(2 * n + 1):
+                part = Form(frame, {m: c for m, c in a.terms.items() if m.bit_count() == degree})
+                assert op_h(part) == Fraction(degree - n) * part
+                for image in (op_e(part), op_f(part), op_h(part)):
+                    assert all(type(c) is kind for c in image.terms.values())
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_operators_on_wide_frames(n):
+    # masks past 32 bits are uint64 arrays, past 64 bits object arrays of ints
+    frame = Frame.darboux(n)
+    top = 1 << (2 * n - 1)
+    a = Form(frame, {0b100001 | top: Fraction(2, 3), 0b1000 | 1 << (n + 3): Fraction(1), 0: Fraction(5)})
+    f = Form.zero(frame)
+    for i in range(n):
+        f = f + interior(i, interior(n + i, a))
+    assert op_f(a) == f
+    assert op_e(a) == wedge(a, omega(frame))
+    b = Form(frame, {0b1000 | 1 << (n + 3) | top: Fraction(1)})
+    assert op_h(b) == Fraction(3 - n) * b
+
+
+def test_sl2_pass_builds_no_form_per_blade(monkeypatch):
+    # the pass evaluates every blade in one batch: the forms it builds are
+    # omega and its powers (16 at n = 4, 22 at n = 5, from cold caches), not
+    # one or more per blade
+    init = Form.__init__
+    counts = []
+    for n in (4, 5):
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Form, "__init__", counted)
+            omega.cache_clear()
+            omega_power.cache_clear()
+            commutator_checks(n)
+        counts.append(len(calls))
+    assert max(counts) < 32
 
 
 def test_commutator_check_validates_range():
