@@ -268,10 +268,11 @@ def omega_power(frame: Frame, k: int) -> Form:
 
 # A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
 # length arrays: entry j adds coefficients[j] * blade masks[j] to form
-# rows[j].  Masks are unsigned arrays of ``_mask_type``; coefficients are
-# exact Python numbers, or any ring element, in object arrays.  Entries are
-# not merged, so a sum of batches is a concatenation, and a linear map acts
-# entry by entry.
+# rows[j].  Masks are arrays of ``_mask_type``, unsigned integers up to 64
+# generators and Python ints past that; coefficients are exact Python
+# numbers, or any ring element, in object arrays.  Entries are not merged,
+# so a sum of batches is a concatenation, and a linear map acts entry by
+# entry.
 
 def _mask_type(frame: Frame) -> np.dtype:
     return np.min_scalar_type((1 << frame.dim) - 1)
@@ -340,8 +341,9 @@ def _h_batch(frame: Frame, batch):
 
 
 def _wedge_batch(batch, form: Form):
-    """The batch image of a -> a ^ form, signed as in ``wedge``; integral
-    Fraction coefficients of ``form`` enter as ints."""
+    """The batch image of a -> a ^ form, signed as in ``wedge``.  Integral
+    Fraction coefficients of ``form`` enter as ints, so that a batch of ints
+    stays on int arithmetic."""
     rows, masks, coeffs = batch
     frame, size = form.frame, len(form.terms)
     dtype = _mask_type(frame)
