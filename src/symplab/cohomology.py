@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import linalg
+import numpy as np
+
+from . import exterior, linalg
 from .exterior import (
     Form,
     Frame,
@@ -80,9 +82,9 @@ def differential(cx: CEComplex, form: Form) -> Form:
 
 
 class CEComplex:
-    """Blade bases, exact differential matrices for every degree and the
-    Poisson bivector: the inverse of omega's Gram matrix, which exists iff
-    omega^n != 0, the one nondegeneracy decision."""
+    """Blade bases, exact differential matrices for every degree and
+    omega's Poisson bivector, whose existence is the one nondegeneracy
+    decision; the batch kernels are looked up in :mod:`symplab.exterior`."""
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
@@ -92,51 +94,57 @@ class CEComplex:
         self.bases = [blade_basis(dim, m) for m in range(dim + 1)]
         # d[m]: matrix of d restricted to degree m (rows: degree m+1 basis)
         self.d = [
-            image_matrix(self.frame, [differential(self, b) for b in self._blades(m)], m + 1)
+            image_matrix(self.frame, [
+                differential(self, Form(self.frame, {mask: Fraction(1)})) for mask in self.bases[m]
+            ], m + 1)
             for m in range(dim + 1)
         ]
-        gram = linalg.zeros(dim, dim)
-        for mask, coeff in alg.omega.terms.items():
-            if mask.bit_count() == 2:
-                a, b = (i for i in range(dim) if mask >> i & 1)
-                gram[a][b], gram[b][a] = coeff, -coeff
         try:
-            self.poisson = linalg.inverse(gram)
+            self.poisson = exterior._poisson(alg.omega)
         except linalg.SingularMatrixError:
             raise InputError("distinguished 2-form is degenerate: omega^n = 0") from None
 
-    # -- vector/form conversions ------------------------------------------
-
-    def _blades(self, degree: int) -> list[Form]:
-        return [Form(self.frame, {mask: Fraction(1)}) for mask in self.bases[degree]]
-
     def to_form(self, vector, degree: int) -> Form:
-        return Form(
-            self.frame,
-            {m: c for m, c in zip(self.bases[degree], vector) if c},
-        )
+        return Form(self.frame, dict(zip(self.bases[degree], vector)))
 
-    # -- the bivector contraction dual to omega ----------------------------
+    # -- the bivector contraction dual to omega and delta -----------------
 
     def bivector_contraction(self, form: Form) -> Form:
         """f-hat: contraction with the Poisson bivector inverse to omega."""
-        p = self.poisson
-        dim = self.alg.dim
-        return Form(self.frame, sum_terms(
-            term
-            for a in range(dim)
-            for b in range(a + 1, dim)
-            if p[a][b]
-            for term in (p[a][b] * interior(a, interior(b, form))).terms.items()
-        ))
+        image = exterior._contract_batch(exterior._batch(form), self.poisson)
+        return exterior._form(self.frame, image)
+
+    def _d_batch(self, degree: int, batch):
+        """d on a batch of degree-``degree`` entries, each blade's image
+        read off the nonzero entries of its column of d[degree]."""
+        rows, masks, coeffs = batch
+        images = blade_basis(self.alg.dim, degree + 1)
+        columns = dict(zip(self.bases[degree], zip(*self.d[degree])))
+        terms = np.array([
+            (j, images[i], c)
+            for j, m in enumerate(masks.tolist()) for i, c in enumerate(columns.get(m, ())) if c
+        ], object).reshape(-1, 3)
+        entry = terms[:, 0].astype(np.intp)
+        return rows[entry], terms[:, 1].astype(masks.dtype), coeffs[entry] * terms[:, 2]
 
     def delta_matrix(self, m: int) -> linalg.Matrix:
-        """delta = f.d - d.f restricted to degree m (maps to degree m-1)."""
+        """delta = f.d - d.f restricted to degree m (maps to degree m-1), from
+        one batch of every degree-m blade, each in the row of its column: d
+        read off d[m] and d[m-2], f the contraction kernel."""
         if m < 1:
             return []
-        f = self.bivector_contraction
-        images = [f(differential(self, b)) - differential(self, f(b)) for b in self._blades(m)]
-        return image_matrix(self.frame, images, m - 1)
+        pi, size = self.poisson, len(self.bases[m])
+        masks = np.array(self.bases[m], exterior._mask_type(self.frame))
+        blades = (np.arange(size), masks, np.ones(size, object))
+        terms = [(1, exterior._contract_batch(self._d_batch(m, blades), pi))]
+        if m >= 2:
+            terms.append((-1, self._d_batch(m - 2, exterior._contract_batch(blades, pi))))
+        cols, images, coeffs = exterior._sum(*terms)
+        index = {mask: i for i, mask in enumerate(self.bases[m - 1])}
+        mat = linalg.zeros(len(index), size)
+        for (col, mask), c in sum_terms(zip(zip(cols.tolist(), images.tolist()), coeffs)).items():
+            mat[index[mask]][col] = c
+        return mat
 
 
 def build_complex(alg: LieAlgebra) -> CEComplex:
@@ -240,13 +248,9 @@ def harmonic_dim(cx: CEComplex, m: int) -> int:
         raise ValueError("degree out of range")
     delta = cx.delta_matrix(m)
     kernel_both = len(cx.bases[m]) - linalg.rank(cx.d[m] + delta)
-    # im d_{m-1} intersect ker delta: restrict delta to the column space
-    if m == 0:
-        exact_harmonic = 0
-    else:
-        prev = cx.d[m - 1]
-        exact_harmonic = linalg.rank(prev) - linalg.rank(linalg.matmul(delta, prev))
-    return kernel_both - exact_harmonic
+    # dim(im d_{m-1} /\ ker delta) = rank d_{m-1} - rank(delta d_{m-1})
+    prev = cx.d[m - 1] if m else []
+    return kernel_both - linalg.rank(prev) + linalg.rank(linalg.matmul(delta, prev))
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,7 @@ def contraction_sign(mask: int, j: int) -> int:
 
 def blade_basis(dim: int, degree: int) -> tuple[int, ...]:
     """All degree-``degree`` blade masks over ``dim`` generators, ascending."""
-    masks = [
-        sum(1 << i for i in combo)
-        for combo in itertools.combinations(range(dim), degree)
-    ]
-    return tuple(sorted(masks))
+    return tuple(sorted(sum(1 << i for i in c) for c in itertools.combinations(range(dim), degree)))
 
 
 def blade_name(mask: int, frame: Frame) -> str:
@@ -266,13 +262,29 @@ def omega_power(frame: Frame, k: int) -> Form:
     return wedge_power(omega(frame), k)
 
 
+def _poisson(w: Form) -> linalg.Matrix:
+    """The Poisson bivector pi^{ab} of the 2-form ``w``: the inverse of its
+    Gram matrix w(e_a, e_b) = +-(coefficient of blade {a, b}), which exists
+    iff w^n != 0, the one nondegeneracy decision (else SingularMatrixError)."""
+    axes = range(w.frame.dim)
+    gram = [[w.terms.get(1 << a | 1 << b, 0) * (-1 if a > b else 1) for b in axes] for a in axes]
+    return linalg.inverse(gram)
+
+
+@lru_cache(maxsize=None)
+def _darboux_poisson(frame: Frame) -> tuple[tuple, ...]:
+    """omega's Poisson bivector as immutable rows, cached as omega is."""
+    return tuple(map(tuple, _poisson(omega(frame))))
+
+
 # A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
 # length arrays: entry j adds coefficients[j] * blade masks[j] to form
 # rows[j].  Masks are arrays of ``_mask_type``, unsigned integers up to 64
 # generators and Python ints past that; coefficients are exact Python
 # numbers, or any ring element, in object arrays.  Entries are not merged,
 # so a sum of batches is a concatenation, and a linear map acts entry by
-# entry.
+# entry.  e-hat and e^p are ``_wedge_batch``; f-hat, the contraction with
+# the Poisson bivector of omega or of any 2-form, is ``_contract_batch``.
 
 def _mask_type(frame: Frame) -> np.dtype:
     return np.min_scalar_type((1 << frame.dim) - 1)
@@ -304,55 +316,54 @@ def _form(frame: Frame, batch) -> Form:
     return Form(frame, sum_terms(zip(masks.tolist(), coeffs)))
 
 
-def _toggle_pairs(frame: Frame, batch, held: bool):
-    """Sum over i of the map that removes (``held``) or adds the pair
-    dq^i, dp_i on every blade holding both or neither.  Either way the sign
-    is -1 to the power 1 + (number of generators strictly between dq^i and
-    dp_i): for removal it is the sign of the two contractions, for addition
-    the sign of wedging with -dq^i ^ dp_i."""
+def _exact(values, size: int):
+    """Exact scalars as an object array, integral Fractions as ints, so int batches stay ints."""
+    exact = (c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in values)
+    return np.fromiter(exact, object, size)
+
+
+def _contract_batch(batch, pi):
+    """The batch image of the contraction with the bivector whose skew
+    matrix is ``pi``, the sum over a < b of pi^{ab} i_a i_b.  Removing
+    generators a < b from a blade holding both has sign -1 to the power
+    1 + (number of its generators strictly between a and b)."""
     rows, masks, coeffs = batch
-    n, dtype = frame.n, _mask_type(frame)
-    pairs = np.array([(1 << i) | (1 << (n + i)) for i in range(n)], dtype)
-    entry, pair = np.nonzero((masks[:, None] & pairs) == (pairs if held else 0))
+    pairs = [(a, b) for a, row in enumerate(pi) for b in range(a + 1, len(pi)) if row[b]]
+    held = np.array([1 << a | 1 << b for a, b in pairs], masks.dtype)
+    between = np.array([(1 << b) - (2 << a) for a, b in pairs], masks.dtype)
+    scale = _exact((pi[a][b] for a, b in pairs), len(pairs))
+    entry, pair = np.nonzero((masks[:, None] & held) == held)
     masks = masks[entry]
-    between = (masks >> np.arange(1, n + 1).astype(dtype)[pair]) & ((1 << (n - 1)) - 1)
-    out = coeffs[entry]
-    np.negative(out, out=out, where=~_odd(between, n - 1))
-    return rows[entry], masks ^ pairs[pair], out
+    out = coeffs[entry] * scale[pair]
+    np.negative(out, out=out, where=~_odd(masks & between[pair], len(pi)))
+    return rows[entry], masks ^ held[pair], out
 
 
 def _e_batch(frame: Frame, batch):
     """e-hat on a batch: wedge with omega."""
-    return _toggle_pairs(frame, batch, held=False)
+    return _wedge_batch(batch, omega(frame))
 
 
 def _f_batch(frame: Frame, batch):
-    """f-hat on a batch: sum over i of i_{d/dq^i} i_{d/dp_i}."""
-    return _toggle_pairs(frame, batch, held=True)
+    """f-hat on a batch: contraction with omega's Poisson bivector."""
+    return _contract_batch(batch, _darboux_poisson(frame))
 
 
 def _h_batch(frame: Frame, batch):
     """h-hat on a batch: each entry times (its blade's degree - n)."""
     rows, masks, coeffs = batch
-    degree = masks & 1
-    for i in range(1, frame.dim):
-        degree = degree + ((masks >> i) & 1)
+    degree = sum((masks >> i) & 1 for i in range(frame.dim))
     return rows, masks, coeffs * (degree.astype(np.intp) - frame.n)
 
 
 def _wedge_batch(batch, form: Form):
-    """The batch image of a -> a ^ form, signed as in ``wedge``.  Integral
-    Fraction coefficients of ``form`` enter as ints, so that a batch of ints
-    stays on int arithmetic."""
+    """The batch image of a -> a ^ form, signed as in ``wedge``."""
     rows, masks, coeffs = batch
     frame, size = form.frame, len(form.terms)
     dtype = _mask_type(frame)
     right = np.fromiter(form.terms, dtype, size)
     above = np.fromiter((_above(t) & ((1 << frame.dim) - 1) for t in form.terms), dtype, size)
-    scale = np.fromiter((
-        c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-        for c in form.terms.values()
-    ), object, size)
+    scale = _exact(form.terms.values(), size)
     entry, term = np.nonzero((masks[:, None] & right) == 0)
     masks = masks[entry]
     out = coeffs[entry] * scale[term]
@@ -432,16 +443,8 @@ def _first_nonzero_row(batch, size: int) -> int | None:
 
 
 def commutator_check(n: int, k: int) -> CommutatorReport:
-    """Verify [h,e]=2e, [h,f]=-2f, [e,f]=h and the k-th power recursion
-    [e^k,f] = k e^{k-1}(h+k-1) on every basis blade of the 2n-dimensional
-    Darboux frame.  [e,f^k] = k f^{k-1}(h-k+1) then holds too: the
-    difference of its sides telescopes into sums of f^a D f^c over the
-    defects D of [h,f] = -2f and [e,f] = h.
-
-    The same pass as ``commutator_checks``, for one k: the batch kernels
-    behind ``op_e``, ``op_f`` and ``op_h`` and the wedge with
-    ``omega_power``, evaluated once over all 2^{2n} blades.
-    """
+    """The sl(2) certificate (see ``CommutatorReport``) at one k, on every
+    basis blade of the 2n-dimensional Darboux frame."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return _sl2_reports(n, (k,))[0]
@@ -453,18 +456,14 @@ def commutator_checks(n: int) -> list[CommutatorReport]:
 
 
 def _sl2_reports(n: int, ks) -> list[CommutatorReport]:
-    """One report per k in ``ks``, from one pass over the blades.
-
-    The pass is one batch holding every basis blade, its row its mask.  It
-    applies the kernels ``_e_batch``, ``_f_batch`` and ``_h_batch``, which
-    ``op_e``, ``op_f`` and ``op_h`` wrap, and ``_wedge_batch`` with
-    ``omega_power`` for e^p, all looked up in the module when the pass
-    runs.  Each side of an identity is one batch expression, on exact
-    Python ints and Fractions, so no coefficient can overflow: the three
-    k-free identities are evaluated once and the recursion once per k, its
-    right-hand side expanded by linearity.  A report names the smallest
-    failing blade mask and the first identity that fails on it.
-    """
+    """One report per k in ``ks``, from one batch holding every basis
+    blade, its row its mask.  The pass applies ``_e_batch`` (the wedge with
+    omega), ``_f_batch`` (the contraction kernel the codifferential of
+    :mod:`symplab.cohomology` uses too) and ``_h_batch``, which ``op_e``,
+    ``op_f`` and ``op_h`` wrap, and ``_wedge_batch`` with ``omega_power``
+    for e^p, all looked up in the module when it runs.  Each side of an
+    identity is one batch expression on exact Python ints and Fractions:
+    the k-free identities once, the recursion once per k."""
     frame = Frame.darboux(n)
     size = 1 << frame.dim
     rows = np.arange(size)
@@ -567,8 +566,5 @@ def format_form(form: Form) -> str:
                 text = f"({text})"
         else:
             text = str(coeff)
-        if mask:
-            parts.append(f"{text}*{blade_name(mask, form.frame)}")
-        else:
-            parts.append(text)
+        parts.append(f"{text}*{blade_name(mask, form.frame)}" if mask else text)
     return " + ".join(parts)

@@ -9,7 +9,9 @@ RK4 loops the package used before its kernels were batched are kept here as
 bitwise references, and so is the all-degree d.d product check the complex
 made before it checked Jacobi on the generators.  The invariant-field
 dimensions are built from the package's exterior algebra, along a route
-(contractions i_X omega^k) that ``el_dim`` does not take.
+(contractions i_X omega^k) that ``el_dim`` does not take, and the Poisson
+contraction is the sum of double ``interior`` products the complex used
+before one batch kernel served it and the sl(2) operators.
 """
 
 from fractions import Fraction
@@ -258,6 +260,18 @@ def dd_product_failure(cx):
         if any(any(row) for row in linalg.matmul(cx.d[m + 1], cx.d[m])):
             return m
     return None
+
+
+def bivector_contraction(cx, form):
+    """f-hat: the sum over a < b of pi^{ab} i_a i_b, pi the complex's
+    Poisson bivector, one ``interior`` pair at a time."""
+    p = cx.poisson
+    out = Form.zero(cx.frame)
+    for a in range(cx.alg.dim):
+        for b in range(a + 1, cx.alg.dim):
+            if p[a][b]:
+                out = out + p[a][b] * interior(a, interior(b, form))
+    return out
 
 
 def invariant_field_dims(cx, k):

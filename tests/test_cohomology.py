@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
+import numpy as np
 import pytest
 
-from symplab import linalg
+from symplab import cohomology, exterior, linalg
 from symplab.cohomology import (
     CEComplex,
     LieAlgebra,
@@ -22,7 +24,16 @@ from symplab.cohomology import (
     lefschetz_map_rank,
     parse_algebra,
 )
-from symplab.exterior import Form, Frame, image_matrix, wedge, wedge_power
+from symplab.exterior import (
+    CommutatorReport,
+    Form,
+    Frame,
+    commutator_check,
+    contraction_sign,
+    image_matrix,
+    wedge,
+    wedge_power,
+)
 from symplab.polynomials import InputError
 
 import oracles
@@ -419,11 +430,11 @@ def test_bivector_contraction_normalization(nilm, torus):
         assert value == Form.scalar(alg.frame, Fraction(n))
 
 
-def test_delta_squares_to_zero(nilm):
-    _, cx = nilm
-    for m in range(2, 7):
-        product = linalg.matmul(cx.delta_matrix(m - 1), cx.delta_matrix(m))
-        assert all(not entry for row in product for entry in row)
+def test_delta_squares_to_zero(nilm, nilm_flat, torus8, omega_pair):
+    for cx in (nilm[1], nilm_flat, torus8, *omega_pair):
+        for m in range(2, cx.alg.dim + 1):
+            product = linalg.matmul(cx.delta_matrix(m - 1), cx.delta_matrix(m))
+            assert all(not entry for row in product for entry in row)
 
 
 def column(cx, form, degree):
@@ -431,11 +442,12 @@ def column(cx, form, degree):
     return [row[0] for row in image_matrix(cx.frame, [form], degree)]
 
 
-def test_matrices_match_form_level_maps(nilm, torus, nilm_flat):
-    # every column of d_m and delta_m is the Form-level image of its blade
-    for cx in (nilm[1], torus[1], nilm_flat):
+def test_matrices_match_form_level_maps(nilm, torus, nilm_flat, torus8, omega_pair):
+    # every column of d_m and delta_m is the Form-level image of its blade,
+    # delta's through the oracle's interior-by-interior contraction
+    for cx in (nilm[1], torus[1], nilm_flat, torus8, *omega_pair):
         dim = cx.alg.dim
-        f = cx.bivector_contraction
+        f = partial(oracles.bivector_contraction, cx)
         for m in range(dim + 1):
             delta = cx.delta_matrix(m)
             for col, mask in enumerate(cx.bases[m]):
@@ -451,6 +463,59 @@ def test_matrices_match_form_level_maps(nilm, torus, nilm_flat):
                     assert delta_col == column(cx, image, m - 1)
                 else:
                     assert delta_col == [] and image.is_zero
+
+
+def test_bivector_contraction_matches_oracle(nilm, omega_pair):
+    # the batch kernel against interior pairs, on a sum of blades of every
+    # degree with distinct coefficients, for a Darboux and two other omegas
+    for cx in (nilm[1], *omega_pair):
+        a = Form(cx.frame, {m: Fraction(m + 1, 3) for m in range(0, 1 << cx.alg.dim, 3)})
+        assert cx.bivector_contraction(a) == oracles.bivector_contraction(cx, a)
+
+
+def test_harmonic_sweep_recomputes_no_differential(monkeypatch, nilm_flat):
+    # delta reads d off the complex's matrices: a harmonic_dim sweep of
+    # nilm6 + R^2 once made 510 differential calls, 255 of them recomputing
+    # columns of d
+    calls = []
+    differential_ = cohomology.differential
+
+    def counted(*args):
+        calls.append(None)
+        return differential_(*args)
+
+    monkeypatch.setattr(cohomology, "differential", counted)
+    assert [harmonic_dim(nilm_flat, m) for m in range(9)] == [1, 5, 11, 13, 10, 6, 3, 2, 1]
+    assert len(calls) == 0
+
+
+def _slipped_contraction():
+    # the contraction kernel with the sign of its first pair's terms flipped
+    contract = exterior._contract_batch
+
+    def slipped(batch, pi):
+        a, b = min((a, b) for a in range(len(pi)) for b in range(a + 1, len(pi)) if pi[a][b])
+        pair = 1 << a | 1 << b
+        rows, masks, coeffs = (part[(batch[1] & pair) == pair] for part in batch)
+        signs = [contraction_sign(m, b) * contraction_sign(m ^ 1 << b, a) for m in masks.tolist()]
+        first = (rows, masks ^ pair, coeffs * np.array(signs, dtype=int) * pi[a][b])
+        return exterior._sum((1, contract(batch, pi)), (-2, first))
+
+    return slipped
+
+
+def test_one_contraction_fault_reaches_sl2_and_cohomology(monkeypatch, nilm, nilm_flat):
+    # the sl(2) pass and the codifferential share one contraction kernel, so
+    # one sign slip in it fails the sl(2) certificate, delta^2 = 0 and the
+    # pinned harmonic table alike
+    _, cx = nilm
+    monkeypatch.setattr(exterior, "_contract_batch", _slipped_contraction())
+    assert commutator_check(2, 1) == CommutatorReport(2, 1, False, 1, "[e,f] = h", 0)
+    assert any(
+        any(any(row) for row in linalg.matmul(cx.delta_matrix(m - 1), cx.delta_matrix(m)))
+        for m in range(2, 7)
+    )
+    assert [harmonic_dim(nilm_flat, m) for m in range(9)] != [1, 5, 11, 13, 10, 6, 3, 2, 1]
 
 
 def test_nilmanifold_harmonic_bounded_by_betti(nilm):
