@@ -441,9 +441,9 @@ def _bundled_checks():
         return {"k12": str(spec.k[0][1]), "k21": str(spec.k[1][0])}
 
     def liouville_drift():
-        # an affine field's J is the same at every point, so the osc cube's
-        # l = n det check is that of the tangent flow from any x0, such as
-        # [1.0, 0.5, 0.25, -0.3], to the bit
+        # the osc cube's l = n det drift is RK4's exact truncation |(det
+        # R)^N - 1|, an affine field's J being the same at every point: that
+        # of the tangent flow from any x0, such as [1.0, 0.5, 0.25, -0.3]
         _, (cube,) = transports()
         drift = cube.per_step_max_det_drift
         assert drift is not None and drift < DRIFT_TOL, drift

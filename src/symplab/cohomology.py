@@ -100,7 +100,7 @@ class CEComplex:
             for m in range(dim + 1)
         ]
         try:
-            self.poisson = exterior._poisson(alg.omega)
+            self.poisson = tuple(map(tuple, exterior._poisson(alg.omega)))
         except linalg.SingularMatrixError:
             raise InputError("distinguished 2-form is degenerate: omega^n = 0") from None
 

@@ -113,7 +113,7 @@ def blade_name(mask: int, frame: Frame) -> str:
 class Form:
     """A sparse exterior form: blade mask -> coefficient, no stored zeros."""
 
-    __slots__ = ("frame", "terms")
+    __slots__ = ("frame", "terms", "_hash")
 
     def __init__(self, frame: Frame, terms=None):
         object.__setattr__(self, "frame", frame)
@@ -187,7 +187,9 @@ class Form:
         )
 
     def __hash__(self):
-        return hash((self.frame, frozenset(self.terms.items())))
+        if not hasattr(self, "_hash"):  # formed once: omega's powers key caches
+            object.__setattr__(self, "_hash", hash((self.frame, frozenset(self.terms.items()))))
+        return self._hash
 
     def __repr__(self):
         return f"Form({format_form(self)!r})"
@@ -273,8 +275,8 @@ def _poisson(w: Form) -> linalg.Matrix:
 
 @lru_cache(maxsize=None)
 def _darboux_poisson(frame: Frame) -> tuple[tuple, ...]:
-    """omega's Poisson bivector as immutable rows, cached as omega is."""
-    return tuple(map(tuple, _poisson(omega(frame))))
+    """omega's Poisson bivector as immutable rows of ints, a cheap cache key."""
+    return tuple(tuple(int(v) for v in row) for row in _poisson(omega(frame)))
 
 
 # A batch of sparse forms is a (rows, masks, coefficients) triple of equal-
@@ -316,22 +318,36 @@ def _form(frame: Frame, batch) -> Form:
     return Form(frame, sum_terms(zip(masks.tolist(), coeffs)))
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: a cached table serves every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _exact(values, size: int):
     """Exact scalars as an object array, integral Fractions as ints, so int batches stay ints."""
     exact = (c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in values)
     return np.fromiter(exact, object, size)
 
 
+@lru_cache(maxsize=None)
+def _contract_table(pi: tuple[tuple, ...], dtype: np.dtype):
+    """(held, between, scale) of each pair a < b with pi^{ab} != 0, read-
+    only, built once per bivector (immutable skew rows) and mask type."""
+    pairs = [(a, b) for a, row in enumerate(pi) for b in range(a + 1, len(pi)) if row[b]]
+    held = np.array([1 << a | 1 << b for a, b in pairs], dtype)
+    between = np.array([(1 << b) - (2 << a) for a, b in pairs], dtype)
+    return _read_only(held, between, _exact((pi[a][b] for a, b in pairs), len(pairs)))
+
+
 def _contract_batch(batch, pi):
     """The batch image of the contraction with the bivector whose skew
-    matrix is ``pi``, the sum over a < b of pi^{ab} i_a i_b.  Removing
-    generators a < b from a blade holding both has sign -1 to the power
-    1 + (number of its generators strictly between a and b)."""
+    matrix is ``pi`` (immutable rows), the sum over a < b of pi^{ab} i_a
+    i_b.  Removing generators a < b from a blade holding both has sign -1
+    to the power 1 + (number of its generators strictly between a and b)."""
     rows, masks, coeffs = batch
-    pairs = [(a, b) for a, row in enumerate(pi) for b in range(a + 1, len(pi)) if row[b]]
-    held = np.array([1 << a | 1 << b for a, b in pairs], masks.dtype)
-    between = np.array([(1 << b) - (2 << a) for a, b in pairs], masks.dtype)
-    scale = _exact((pi[a][b] for a, b in pairs), len(pairs))
+    held, between, scale = _contract_table(pi, masks.dtype)
     entry, pair = np.nonzero((masks[:, None] & held) == held)
     masks = masks[entry]
     out = coeffs[entry] * scale[pair]
@@ -356,18 +372,25 @@ def _h_batch(frame: Frame, batch):
     return rows, masks, coeffs * (degree.astype(np.intp) - frame.n)
 
 
-def _wedge_batch(batch, form: Form):
-    """The batch image of a -> a ^ form, signed as in ``wedge``."""
-    rows, masks, coeffs = batch
+@lru_cache(maxsize=None)
+def _wedge_table(form: Form):
+    """(right, above, scale) of ``form``'s terms, read-only, built once per
+    form."""
     frame, size = form.frame, len(form.terms)
     dtype = _mask_type(frame)
     right = np.fromiter(form.terms, dtype, size)
     above = np.fromiter((_above(t) & ((1 << frame.dim) - 1) for t in form.terms), dtype, size)
-    scale = _exact(form.terms.values(), size)
+    return _read_only(right, above, _exact(form.terms.values(), size))
+
+
+def _wedge_batch(batch, form: Form):
+    """The batch image of a -> a ^ form, signed as in ``wedge``."""
+    rows, masks, coeffs = batch
+    right, above, scale = _wedge_table(form)
     entry, term = np.nonzero((masks[:, None] & right) == 0)
     masks = masks[entry]
     out = coeffs[entry] * scale[term]
-    np.negative(out, out=out, where=_odd(masks & above[term], frame.dim))
+    np.negative(out, out=out, where=_odd(masks & above[term], form.frame.dim))
     return rows[entry], masks | right[term], out
 
 

@@ -3,15 +3,16 @@
 Fixed-step classical RK4 is a measurement instrument here, not a
 structure-preserving scheme: trajectories, the variational (tangent) flow
 J' = DX(x(t)) J and transported chain integrals are all computed with it and
-compared against the exact predictions of the symbolic layer.
+compared against the exact predictions of the symbolic layer.  On an affine
+field one RK4 step is an exact rational map, so the det drift and J after N
+steps come from its exact N-th power: they are RK4's truncation, free of
+the rounding a stepped J piles up (det J_N at condition number ~5e10).
 
-All floating-point work uses numpy's extended-precision ``longdouble``.
-Tangent flows of the bundled linear systems stretch by ~1e5 over t = 10, so
-det J sits at condition number ~1e10; double precision would bury the 1e-6
-drift budget under rounding (measured: ~1e-5, in tests/test_cli.py's
-test_paper_verify_fails_its_drift_checks_in_double_precision), extended
-precision keeps the measurement honest (~1e-8).  ``numpy.linalg`` refuses
-longdouble, hence the small pivoted-LU determinant below.
+All floating-point work uses numpy's extended-precision ``longdouble``: the
+det of a stepped J loses to rounding about as many digits as its condition
+number has, and extended precision keeps three more than double does.
+``numpy.linalg`` refuses longdouble, hence the small pivoted-LU determinant
+below.
 """
 
 from __future__ import annotations
@@ -38,31 +39,20 @@ NORM_CAP = 1e9
 # chain integral takes about 0.02 s; 100000 x 100000 nodes would need
 # 75 GiB.  MAX_FLOW_WORK bounds the RK4 transport of the nodes
 MAX_CHAIN_NODES = 4096
-# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  A run
-# tests every node at every step for a blow-up, unless it is an affine run a
-# rounding bound proves stays within NORM_CAP (see _rk4_run); a proven
-# transport steps J alone and no node, in the same blocks of its m nodes'
-# length.  Where a det check runs, a step makes per maps (m tangent maps on
-# the stage path, one shared map on the affine path) and the run gathers
-# them into batch_det calls of the most whole blocks within max(1,
-# DET_BATCH // per) steps (the last call what is left): at most DET_BATCH
-# matrices while per <= DET_BATCH, else one step's per; one block's on the
-# stage path.  A run checks det J exactly when it is given no chain frames
-# or some square ones (l = n); otherwise its blocks only batch the blow-up
-# test
+# RK4 runs go in blocks of max(1, DET_BATCH // m) steps (m nodes).  A
+# nonlinear run that steps J (a tangent flow, or a transport with some l = n
+# chain) checks its det with one batch_det call per block, of m maps a step:
+# at most DET_BATCH matrices, or one step's m where m > DET_BATCH
 DET_BATCH = 1024
 # one budget on a flow run, in longdouble values: both its RK4 work,
 # steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
-# its kept paths hold are refused above it.  The dim^2 counts a full tangent
-# map per node, an upper bound for a run that steps only the 2l < dim
-# columns of chain frames, so which tangents a run steps moves no refusal.
-# STEP_VALUES is a step's fixed cost in values: the stage loop stepping full
-# tangent maps takes at most about 46 + 0.19 x values us per step for the
-# Duffing field and 77 + 0.25 x values for a quartic at n = 2 (2-core
-# x86-64).  At 5e7 the stage loop runs at most about 10 to 20 s and kept
-# paths take at most 800 MB; the largest bundled run (the ham square and
-# cube of area-laws, 32 nodes of 8 term rows for 10^4 steps at dim 4) needs
-# 10^4 x (250 + 32 x 24) = 1.018e7
+# its kept paths hold are refused above it.  dim^2 counts a full tangent
+# map per node, so how a run steps (fewer columns, or no step on a proven
+# affine transport) moves no refusal.  STEP_VALUES is a step's fixed cost:
+# the stage loop stepping full tangent maps takes at most about 46 + 0.19 x
+# values us per step for the Duffing field and 77 + 0.25 x values for a
+# quartic at n = 2 (2-core x86-64), so at 5e7 it runs at most about 10 to
+# 20 s, and kept paths take at most 800 MB
 MAX_FLOW_WORK = 5 * 10**7
 STEP_VALUES = 250
 
@@ -260,8 +250,8 @@ class Trajectory:
 
 @dataclass
 class TangentFlow:
-    """A tangent flow; det_drift is max |det J - 1| over the kept samples,
-    folded by the RK4 run that made them."""
+    """A tangent flow; det_drift is max |det J - 1| over its steps, exact
+    on an affine field (see _rk4_run)."""
 
     trajectory: Trajectory
     jacobians: np.ndarray
@@ -272,51 +262,37 @@ class TangentFlow:
 
 
 def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
-    """The one RK4 loop: a batch of m states and their tangents, in blocks
-    of at most max(1, DET_BATCH // m) steps.  A block generator takes the
-    steps: _affine_blocks for fields of degree <= 1 (the exact one-step
-    propagator applied to [J~ | x~^T]), _stage_blocks for all others.
+    """The one RK4 run: a batch of m states and their tangents, stepped by
+    _stage_blocks in blocks of at most max(1, DET_BATCH // m) steps.
 
     ``frames`` decides the run.  None makes it a tangent flow: it steps J
-    from J(0) = I, checks det J and keeps its paths.  Otherwise frames lists
-    the tangent frames (m_i, dim, c_i) of the chains whose nodes are stacked
-    in xs, in that order, and the run is a transport: it keeps no paths and
-    checks det J exactly when some frame is square (c_i = dim, l = n).  The
-    affine path steps its one J.  The stage path steps J where the det is
-    checked, and otherwise rides the frames' columns, V' = DX V, stacked
-    into one (m, dim, c) array.  A transport that steps J pushes each
-    chain's frames to J . dsigma/du with one einsum at the end.
+    from J(0) = I and keeps its paths.  Otherwise frames lists the tangent
+    frames (m_i, dim, c_i) of the chains whose nodes are stacked in xs, in
+    that order, and the run is a transport: it keeps no paths and pushes
+    each chain's frames to J . dsigma/du with one einsum at the end, or, on
+    a nonlinear field with no square frame (c_i = dim, l = n), rides their
+    columns, V' = DX V, stacked into one (m, dim, c) array.  After each
+    block every node is tested at every step for a blow-up: the first step
+    past NORM_CAP (a NaN norm included) cuts the run.  A nonlinear run that
+    steps J takes one batch_det call per block and folds each call's max
+    |det J - 1| with np.maximum, so a NaN determinant makes the drift NaN.
 
-    After each block a run tests every node at every step for a blow-up,
-    then checks the det where it runs.  An affine run that _proven clears
-    for all its steps from its entry nodes, by _step_bound of the rounded
-    R~ it steps with, passes NORM_CAP at no step and takes no test: one
-    decision per run, made before the stepper is built.  A proven transport
-    has no reader of its states, so it hands _affine_blocks no node and
-    steps J alone (with the same bits: each entry of a longdouble product
-    is summed on its own), still in blocks of DET_BATCH // m steps for its
-    m nodes.  Each step makes per maps (m on the stage path, the one shared
-    J on the affine path); the maps of whole blocks are copied into a
-    buffer of the most whole blocks within max(1, DET_BATCH // per) steps,
-    at most the run, so a stage buffer holds one block.  batch_det is
-    called whenever the buffer is full and once more at the end on what is
-    left.  Each call's max |det J - 1| is folded with np.maximum, so that a
-    NaN determinant makes the max drift NaN; batch_det treats each matrix
-    apart, so the batching moves no bit.  A blow-up cuts the run at the
-    first step past the cap; the later steps of its block are discarded,
-    and so are their maps.  A tangent flow's paths are filled block by
-    block.
+    On an affine field one RK4 step is the exact R~ of _affine_propagator,
+    so the run reports J_N = R^N (_propagator_power) and the drift of det
+    J_N = (det R)^N (_det_change), N the steps taken.  A tangent flow steps
+    J to keep its path; a transport steps its states alone, for the blow-up
+    test, or none at all where _proven clears it.
 
-    A run whose work, steps x (STEP_VALUES + m x (field term rows + dim^2))
-    values, or whose kept paths exceed MAX_FLOW_WORK values is refused
-    before anything is allocated; dim^2 tangent values per node bound a run
-    that steps fewer columns too.
+    A run whose work or kept paths exceed MAX_FLOW_WORK values is refused
+    before anything is allocated.
 
-    Returns (paths, max_det_drift, blow_step).  A tangent flow's paths are
-    its states (samples, m, dim) and tangent maps (samples, per, dim, dim),
-    with samples = steps + 1, or blow_step + 1 after a blow-up; a
-    transport's are the list of each chain's pushed frames (m_i, dim, c_i).
-    """
+    Returns (paths, drift, blow_step).  A tangent flow's paths are its
+    states (samples, m, dim) and tangent maps (samples, m, dim, dim), with
+    samples = steps + 1, or blow_step + 1 after a blow-up; a transport's
+    are the list of each chain's pushed frames (m_i, dim, c_i).  drift is
+    the max |det J - 1| of a nonlinear run (0 where it takes no det), or
+    the exact det J_N - 1 of an affine one, signed, whose size is that max
+    as det R > 0 makes (det R)^n monotone."""
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
     work = cfg.steps * (STEP_VALUES + m * per_node)
@@ -327,73 +303,51 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
             f"node) = {_count(work)} values of RK4 work, and {_count(kept)} values of kept "
             f"paths; the budget is {MAX_FLOW_WORK} of each"
         )
-    block = max(1, min(cfg.steps, DET_BATCH // m))
     affine = _is_affine(compiled.field)
-    per = 1 if affine else m  # the tangent maps a step makes
-    check_det = frames is None or any(f.shape[2] == dim for f in frames)
-    # the frames ride V' = DX V where neither a det nor a shared J needs J
-    ride = not (affine or check_det)
-    vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None]
-    proven = False
-    if affine:
-        aug = _rounded_propagator(compiled.field, cfg)
-        # nodes whose squares overflow give N0 = inf, warning about nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            proven = _proven(*_step_bound(aug), xs.T, cfg.steps)
-        # a proven transport has no reader of its states: no blow-up test
-        # to feed, and the reports read only J, so it steps J alone
-        blocks = _affine_blocks(aug, xs[:0] if proven and frames is not None else xs, cfg, block)
-    else:
-        blocks = _stage_blocks(compiled, xs, vs, cfg, block)
+    step = _affine_propagator(compiled.field, Fraction(cfg.effective_dt)) if affine else None
+    check_det = not affine and (frames is None or any(f.shape[2] == dim for f in frames))
+    ride = frames is not None and not (affine or check_det)
+    # an affine transport steps J's first 0 columns: its states alone
+    columns = 0 if frames is not None and affine else dim
+    vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None, :, :columns]
     samples = cfg.steps + 1
     if frames is None:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        tangent_path = np.empty((samples, per, dim, dim), dtype=WORK_DTYPE)
+        tangent_path = np.empty((samples, m, dim, dim), dtype=WORK_DTYPE)
         states_path[0], tangent_path[0] = xs, vs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
-
-    def fold(mats):
-        nonlocal max_det
-        dets = batch_det(mats.reshape(-1, dim, dim))
-        max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
-
-    if check_det:
-        # whole blocks of maps wait here for a batch_det call
-        whole = max(1, DET_BATCH // per // block)
-        gather = np.empty((min(cfg.steps, whole * block), per, dim, dim), dtype=WORK_DTYPE)
-    held = 0
-    # the steps of a block whose largest node norm passes the cap, a NaN
-    # norm included; a proven run has none
-    taken, blow_step, past = 0, None, ()
-    # states stepped past a blow-up may overflow; they are discarded
+    block = max(1, min(cfg.steps, DET_BATCH // m))
+    # nodes whose squares overflow (N0 = inf), states stepped past a blow-up
+    # (discarded) and an overflowed J_N warn about nothing
     with np.errstate(over="ignore", invalid="ignore"):
+        proven = affine and frames is not None and _proven(*_step_bound(step), xs.T, cfg.steps)
+        blocks = () if proven else _stage_blocks(compiled, xs, vs, cfg, block)
+        taken, blow_step = cfg.steps if proven else 0, None
         for xb, vb in blocks:
-            if not proven:
-                norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
-                past = np.flatnonzero(~(norms <= NORM_CAP))
+            norms = np.sqrt(np.max(np.sum(xb * xb, axis=2), axis=1))
+            past = np.flatnonzero(~(norms <= NORM_CAP))
             done = int(past[0]) + 1 if len(past) else len(xb)
             if frames is None:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
                 tangent_path[taken + 1:taken + 1 + done] = vb[:done]
             if check_det:
-                gather[held:held + done] = vb[:done]
-                held += done
-                if held == len(gather):
-                    fold(gather)
-                    held = 0
+                dets = batch_det(vb[:done].reshape(-1, dim, dim))
+                max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
             vs = vb[done - 1].copy()
             taken += done
             if len(past):
                 blow_step, samples = taken, taken + 1
                 break
-        if held:
-            fold(gather[:held])
-    if frames is None:
-        return (states_path[:samples], tangent_path[:samples]), float(max_det), blow_step
-    # each chain's rows of the stepped columns, or of J
-    vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
-    parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
-    pushed = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
+        if affine:
+            max_det = _det_change(step, taken)
+        if frames is None:
+            return (states_path[:samples], tangent_path[:samples]), float(max_det), blow_step
+        if affine:
+            vs = _propagator_power(step, taken)[None]
+        # each chain's rows of the stepped columns, or of J
+        vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
+        parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
+        pushed = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
     return pushed, float(max_det), blow_step
 
 
@@ -507,36 +461,22 @@ def _round_coefficient(c: Fraction, term):
     return value
 
 
-# the step bound's relative margin, far above both the gamma_{dim+1} ~
-# (dim + 1) eps / 2 of a WORK_DTYPE dot product at any dim a run can afford
-# and the float64 rounding of the bound itself; and its absolute floor, far
-# above what underflow can lose in WORK_DTYPE or in the float64 norms
+# the step bound's relative margin, far above the eps / 2 that rounds each
+# entry of R~ into WORK_DTYPE and the float64 rounding of the bound; and its
+# absolute floor, far above what underflow can lose in either
 _BOUND_MARGIN = 1 + 2.0**-30
 _BOUND_FLOOR = 2.0**-900
 
 
-def _rounded_propagator(x: PolyVectorField, cfg: FlowConfig):
-    """R~[:dim] = [R | c] (dim, dim + 1) at cfg's step width, each entry
-    of _affine_propagator rounded once into WORK_DTYPE."""
-    exact = _affine_propagator(x, Fraction(cfg.effective_dt))[:-1]
-    return np.array([[_round_work(v) for v in row] for row in exact], dtype=WORK_DTYPE)
-
-
-def _step_bound(aug):
-    """(r, g) with |fl(R x + c)| <= r |x| + g (2-norms) for every state x
-    and the rounded R~ = [R | c] (dim, dim + 1) of an affine step.
-
-    Each entry of the computed step is a longdouble dot product of
-    length dim + 1, so |fl(R~ x~) - R~ x~| <= gamma_{dim+1} |R~| |x~|
-    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3).  Both ||R||_2 and || |R| ||_2 are at most sqrt(||R||_1
-    ||R||_inf), so |fl(R x + c)| <= (1 + gamma) (sqrt(||R||_1 ||R||_inf)
-    |x| + |c|); _BOUND_MARGIN and _BOUND_FLOOR cover gamma, underflow and
-    the float64 arithmetic here.  An inf or NaN in R~ makes r or g
-    non-finite.
-    """
+def _step_bound(step):
+    """(r, g) with |R x + c| <= r |x| + g (2-norms) for every state x and
+    the exact affine RK4 step R~ = [[R, c], [0, 1]] of _affine_propagator,
+    from its entries rounded once into WORK_DTYPE (to +-inf past it):
+    ||R||_2 <= sqrt(||R||_1 ||R||_inf), and _BOUND_MARGIN and _BOUND_FLOOR
+    cover that rounding, underflow and the float64 arithmetic here.  An
+    entry past the range makes r or g non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mag = np.abs(aug)
+        mag = np.abs(np.array([[_round_work(v) for v in row] for row in step[:-1]], WORK_DTYPE))
         col_sum = float(np.max(np.sum(mag[:, :-1], axis=0)))
         row_sum = float(np.max(np.sum(mag[:, :-1], axis=1)))
         shift = float(np.sqrt(np.sum(mag[:, -1] * mag[:, -1])))
@@ -545,13 +485,13 @@ def _step_bound(aug):
 
 
 def _proven(r, g, nodes, k) -> bool:
-    """Whether k affine steps from the nodes (dim, m) keep every node's norm
-    within NORM_CAP / 2, by the step bound |x_{j+1}| <= r |x_j| + g: by
-    induction |x_j| <= max(1, r)^j (N0 + j g), with N0 the largest norm of
-    the nodes.  The half of the cap left over covers the rounding of N0, of
-    the bound, and of the norm the blow-up test computes.  A non-finite r,
-    g or N0 (nodes whose squares overflow, in _rk4_run's errstate, give
-    N0 = inf), or a power past the float range, proves nothing."""
+    """Whether k exact affine steps from the nodes (dim, m) keep every
+    node's norm within NORM_CAP / 2, by the step bound |x_{j+1}| <= r |x_j|
+    + g: by induction |x_j| <= max(1, r)^j (N0 + j g), with N0 the largest
+    norm of the nodes.  The other half of the cap covers the rounding of
+    N0, of the bound and of the stage loop.  A non-finite r, g or N0 (N0 =
+    inf where the nodes' squares overflow), or a power past the float
+    range, proves nothing."""
     n0 = float(np.sqrt(np.max(np.sum(nodes * nodes, axis=0))))
     if not (math.isfinite(r) and math.isfinite(g) and math.isfinite(n0)):
         return False
@@ -562,42 +502,71 @@ def _proven(r, g, nodes, k) -> bool:
     return growth * (n0 + k * g) <= NORM_CAP / 2
 
 
-def _affine_blocks(aug, xs, cfg: FlowConfig, block):
-    """RK4 of an affine field as one 2-D np.dot per step with the rounded
-    rows aug = R~[:dim] of _rounded_propagator.  Yields each block's states
-    (count, m, dim), a C-ordered copy, and tangent maps (count, 1, dim,
-    dim), a view of a buffer the next block overwrites.  The blow-up test
-    sums the norms of the copy as a stage block's (numpy sums pairwise over
-    a contiguous row from 8 entries on; along the transposed view of the
-    buffer it would sum in index order).
+def _exact_det(rows) -> Fraction:
+    """The determinant of a square matrix of Fractions, by elimination."""
+    a, det = [list(row) for row in rows], Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), c)
+        if pivot != c:
+            a[c], a[pivot], det = a[pivot], a[c], -det
+        det *= a[c][c]
+        if not det:
+            return det
+        for row in a[c + 1:]:
+            factor = row[c] / a[c][c]
+            row[c:] = [v - factor * p for v, p in zip(row[c:], a[c][c:])]
+    return det
 
-    Z = [J | x~^T] is (dim + 1, dim + m): the tangent map from the identity
-    over a zero row, then one column x~ = (x, 1) per node.  J does not
-    depend on x, so one (dim, dim) map serves every node, and with m = 0
-    a proven transport steps Z = [J; 0] alone (its states are (count, 0,
-    dim)); the caller picks the block length.  A step computes only the
-    first dim rows, R~[:dim] Z; the last row stays the constant [0...0 |
-    1...1] of the buffer.  numpy has no longdouble BLAS and sums each entry of a
-    longdouble product on its own, in index order from +0, so each state is
-    fl(fl(R x) + c * 1) and each J entry gains c * 0: the bits of x -> R x +
-    c and J -> R J taken apart, an overflowed J included, whatever m is.
-    np.dot takes an out that overlaps its input, as it does when a block is
-    one step.
-    """
-    m, dim = xs.shape
-    z = np.eye(dim + 1, dim + m, dtype=WORK_DTYPE)
-    z[:dim, dim:] = xs.T
-    z[dim, dim:] = 1
-    zb = np.empty((block,) + z.shape, dtype=WORK_DTYPE)
-    zb[:, dim] = z[dim]
-    # (the rows a step writes, the Z it leaves) for each step of a block
-    steps = [(zs[:dim], zs) for zs in zb]
-    for start in range(0, cfg.steps, block):
-        count = min(block, cfg.steps - start)
-        for rows, zs in steps[:count]:
-            np.dot(aug, z, out=rows)
-            z = zs
-        yield zb[:count, :dim, dim:].transpose(0, 2, 1).copy(), zb[:count, None, :dim, :dim]
+
+def _det_change(step, n: int) -> float:
+    """(det R)^n - 1 for the exact affine RK4 step R~ = [[R, c], [0, 1]],
+    as expm1(n log det R): log det R is log1p(det R - 1) near 1, so no
+    digit cancels, and the logs of its numerator and denominator elsewhere;
+    inf past the float range.  det R >= 0, as RK4's quartic stability
+    function has no real root; it is 0 only where an eigenvalue of hA is
+    one of its complex roots."""
+    det = _exact_det([row[:-1] for row in step[:-1]])
+    if not det:
+        return -1.0 if n else 0.0
+    if abs(det - 1) < Fraction(1, 2):
+        log_det = math.log1p(float(det - 1))
+    else:
+        log_det = math.log(det.numerator) - math.log(det.denominator)
+    with np.errstate(over="ignore"):
+        return float(np.expm1(n * log_det))
+
+
+# R^n at 80 significant digits (120 give the same figures), over the widest
+# exponent range and with no trap: Infinity and NaN round as inf and NaN
+_POWER_CONTEXT = decimal.Context(prec=80, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
+
+
+def _propagator_power(step, n: int):
+    """R^n (dim, dim) for the exact affine RK4 step R~ = [[R, c], [0, 1]]:
+    the tangent map J_n of n steps, by binary powering in decimal at
+    _POWER_CONTEXT, each entry rounded once into WORK_DTYPE."""
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    dim = len(step) - 1
+    with decimal.localcontext(_POWER_CONTEXT) as ctx:
+        base = [[ctx.divide(v.numerator, v.denominator) for v in row[:-1]] for row in step[:-1]]
+        power = [[decimal.Decimal(int(i == j)) for j in range(dim)] for i in range(dim)]
+        while n:
+            if n & 1:
+                power = times(power, base)
+            n >>= 1
+            if n:
+                base = times(base, base)
+    return np.array([[_round_decimal(v) for v in row] for row in power], dtype=WORK_DTYPE)
+
+
+def _round_decimal(d: decimal.Decimal):
+    """d rounded once into WORK_DTYPE; past 10^+-5000, beyond its range,
+    as float's +-inf or +-0, without forming d's integer ratio."""
+    if not d.is_finite() or abs(d.adjusted()) > 5000:
+        return WORK_DTYPE(float(d))
+    return _round_work(Fraction(d))
 
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
@@ -609,7 +578,7 @@ def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
     (path, jpath), drift, blow = _rk4_run(CompiledField(x), xs, cfg)
-    return TangentFlow(Trajectory(path[:, 0], blow), jpath[:, 0], drift)
+    return TangentFlow(Trajectory(path[:, 0], blow), jpath[:, 0], abs(drift))
 
 
 def divergence(x: PolyVectorField) -> Poly:
@@ -861,8 +830,8 @@ def verify_area_preservation(
 
     Quadrature nodes ride the RK4 flow; their tangent frames are pushed
     forward to J . dsigma/du, so quadrature error and integration error stay
-    separate (which tangents the run steps, when it checks det J, and
-    that a proven affine transport steps J alone, is _rk4_run's rule).  The
+    separate (which tangents the run steps, and when it checks det J or
+    reports RK4's exact J_N, is _rk4_run's rule).  The
     chain is a patch or a nonempty signed list of patches, each of
     half-degree l in the R^{2n} of X; all patches share one RK4 run, and
     the integral before and after is one quadrature over the stacked
@@ -879,18 +848,15 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     iterable: one report per chain, in order.
 
     On an affine field every chain shares one RK4 run, as its one J serves
-    every node: J is stepped once, its det is checked once where some chain
-    has l = n, and each chain's frames are pushed to J . dsigma/du by the
-    einsum a lone run makes, so every report has the bits of a lone
-    verify_area_preservation call.  The reports read only the pushed
-    frames, the det drift and the blow-up step, so a proven transport
-    (under NORM_CAP by the step bound) steps J alone and no node; an
-    unproven run steps every node and stops at the first step where any
-    node passes NORM_CAP, so a blow-up flags every report of the call, a
-    chain that alone stays below the cap included.  MAX_FLOW_WORK bounds
-    the run as if it stepped every node of every chain.  On any other field
-    each chain runs alone: one stage run would check the det of every
-    chain's node maps together.  Each distinct l's hypothesis is decided once.
+    every node, with the bits of lone verify_area_preservation calls, and
+    reports RK4's exact figures (see _rk4_run): l < n frames are pushed by
+    J_N, and an l = n integral is scaled by det J_N, so its rel_drift is
+    the det drift.  An affine run that steps stops at the first step where
+    any node passes NORM_CAP, so a blow-up flags every report of the call,
+    a chain that alone stays below the cap included; MAX_FLOW_WORK bounds
+    it as if it stepped every node of every chain.  On any other field each
+    chain runs alone: one stage run would check the det of every chain's
+    node maps together.  Each distinct l's hypothesis is decided once.
     """
     n = x.frame.n
     chains = list(chains)
@@ -900,9 +866,10 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     quadratures = [_chain_quadrature(chain, n, l) for chain, l in chains]
     initials = [_signed_integral(rule, frames) for rule, _, frames in quadratures]
     compiled = CompiledField(x)
+    affine = _is_affine(x)
     # the chains that share a run: all of them on an affine field, else each alone
-    groups = [quadratures] if quadratures and _is_affine(x) else [[q] for q in quadratures]
-    runs = []  # (pushed frames, max det drift, blow-up step) per chain
+    groups = [quadratures] if quadratures and affine else [[q] for q in quadratures]
+    runs = []  # (pushed frames, det drift, blow-up step) per chain
     for group in groups:
         pushed, max_det, blow = _rk4_run(
             compiled, np.concatenate([q[1] for q in group]), cfg, frames=[q[2] for q in group])
@@ -912,11 +879,17 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
     # each drift is formed in WORK_DTYPE and rounded once; integrals past
     # its range warn about nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for (_, l), (rule, _, _), initial, (pushed, max_det, blow) in zip(
+        for (_, l), (rule, _, _), initial, (pushed, det_drift, blow) in zip(
                 chains, quadratures, initials, runs):
             blew_up = blow is not None
-            final = WORK_DTYPE("nan") if blew_up else _signed_integral(rule, pushed)
-            drift = abs(final - initial)
+            if affine and l == n and not blew_up and np.isfinite(initial):
+                # a constant J scales the integral by det J_N: the change
+                # from the exact det drift, with no digit cancelled
+                change = initial * WORK_DTYPE(det_drift)
+                final, drift = initial + change, abs(change)
+            else:
+                final = WORK_DTYPE("nan") if blew_up else _signed_integral(rule, pushed)
+                drift = abs(final - initial)
             ok, note = hypotheses[l]
             reports.append(ConservationReport(
                 quantity=f"(1/{l}!) int omega^{l}",
@@ -927,7 +900,7 @@ def verify_area_laws(x: PolyVectorField, chains, cfg: FlowConfig) -> list[Conser
                 final=float(final),
                 abs_drift=float(drift),
                 rel_drift=float(drift / abs(initial)) if float(initial) else None,
-                per_step_max_det_drift=max_det if l == n and not blew_up else None,
+                per_step_max_det_drift=abs(det_drift) if l == n and not blew_up else None,
                 hypothesis_ok=ok,
                 hypothesis_note=note,
                 blew_up=blew_up,

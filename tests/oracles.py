@@ -5,7 +5,7 @@ than the package: blades are ascending index tuples (not bitmasks), signs
 come from explicit insertion-sort parity, matrix ranks come from sympy, and
 RK4 determinants of linear fields and RK4 runs of any polynomial field are
 exact rationals.  The dense polynomial evaluator and the one-step-at-a-time
-RK4 loops the package used before its kernels were batched are kept here as
+RK4 loop the package used before its kernels were batched are kept here as
 bitwise references, and so is the all-degree d.d product check the complex
 made before it checked Jacobi on the generators.  The invariant-field
 dimensions are built from the package's exterior algebra, along a route
@@ -14,6 +14,7 @@ contraction is the sum of double ``interior`` products the complex used
 before one batch kernel served it and the sl(2) operators.
 """
 
+import decimal
 from fractions import Fraction
 
 import numpy as np
@@ -320,9 +321,9 @@ def constant_jacobian(field):
     return [[Fraction(int(e.p), int(e.q)) for e in row] for row in jac.tolist()]
 
 
-def rk4_stability_det(a, h):
-    """det R(hA) for R(z) = sum_{k<=4} z^k/k!, the exact one-step RK4 map
-    J -> R(hA) J of the tangent flow of X(x) = A x."""
+def rk4_stability_matrix(a, h):
+    """R(hA) for R(z) = sum_{k<=4} z^k/k!, in Fractions: the exact one-step
+    RK4 map J -> R(hA) J of the tangent flow of X(x) = A x + b."""
     h = Fraction(h)
     dim = len(a)
     ha = [[h * entry for entry in row] for row in a]
@@ -334,10 +335,39 @@ def rk4_stability_det(a, h):
             for i in range(dim)
         ]
         r = [[r[i][j] + term[i][j] for j in range(dim)] for i in range(dim)]
-    det = sympy.Matrix(
-        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in r]
-    ).det()
+    return r
+
+
+def rk4_stability_det(a, h):
+    """det R(hA), by sympy."""
+    r = rk4_stability_matrix(a, h)
+    det = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in r])
+    det = det.det()
     return Fraction(int(det.p), int(det.q))
+
+
+def rk4_stability_power(a, h, steps):
+    """R(hA)^steps, the tangent map after ``steps`` RK4 steps, as 60-digit
+    Decimals: the exact R(hA) squared and multiplied left to right along
+    the bits of ``steps`` (exact Fraction powers grow too long)."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        r = [[decimal.Decimal(v.numerator) / v.denominator for v in row]
+             for row in rk4_stability_matrix(a, h)]
+        power = [[decimal.Decimal(int(i == j)) for j in range(len(r))] for i in range(len(r))]
+        for bit in bin(steps)[2:]:
+            power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*power)] for row in power]
+            if bit == "1":
+                power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*r)] for row in power]
+    return power
+
+
+def rk4_det_power_drift(a, h, steps):
+    """|det R(hA)^steps - 1|, the exact det drift of ``steps`` RK4 steps of
+    X(x) = A x + b, from rk4_stability_det raised in 60-digit decimal (too
+    many steps for rk4_linear_det_drift's Fractions)."""
+    det = rk4_stability_det(a, h)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return float(abs((decimal.Decimal(det.numerator) / det.denominator) ** steps - 1))
 
 
 def rk4_linear_det_drift(a, h, steps):
@@ -474,34 +504,4 @@ def rk4_stage_loop(flows, field, xs, cfg, tangents=None):
         if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
             blow_step = step + 1
             break
-    return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step
-
-
-def rk4_affine_step_loop(flows, field, xs, cfg):
-    """RK4 of an affine field through the package's rounded one-step
-    propagator R~ = [[R, c], [0, 1]], one step at a time: x -> fl(fl(x R^T)
-    + c) and J -> fl(R J) as two products, one batch_det per step folded
-    with np.maximum, a norm test per step.  Returns what the package's
-    _rk4_run returns, with every path kept."""
-    work = np.longdouble
-    aug = flows._affine_propagator(field, Fraction(cfg.effective_dt))
-    r = np.array([[flows._round_work(v) for v in row[:-1]] for row in aug[:-1]], dtype=work)
-    c = np.array([flows._round_work(row[-1]) for row in aug[:-1]], dtype=work)
-    r_t = r.T.copy()
-    m, dim = xs.shape
-    js = np.eye(dim, dtype=work)[None]
-    states, jacs = [xs.copy()], [js.copy()]
-    max_det = _batch_det_drift(flows, js)
-    blow_step = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.steps):
-            xs = xs @ r_t + c
-            js = r @ js
-            states.append(xs.copy())
-            jacs.append(js.copy())
-            max_det = np.maximum(max_det, _batch_det_drift(flows, js))
-            if not np.sqrt(np.max(np.sum(xs * xs, axis=1))) <= flows.NORM_CAP:
-                blow_step = step + 1
-                break
-    js = np.broadcast_to(js, (m, dim, dim))
     return xs, js, np.array(states), np.array(jacs), float(max_det), blow_step

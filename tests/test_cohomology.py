@@ -156,7 +156,8 @@ def test_degenerate_omega_rejected():
     f4 = Frame.invariant(4)
     darboux = wedge(theta(f4, 1), theta(f4, 2)) + wedge(theta(f4, 3), theta(f4, 4))
     poisson = CEComplex(LieAlgebra((), darboux)).poisson
-    assert poisson == [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    # stored as immutable rows, a contraction-table cache key
+    assert poisson == ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
 
 
 def test_omega_of_mixed_degree_rejected():

@@ -424,14 +424,13 @@ def test_stage_path_against_exact_rk4_on_more_triangular_fields(dim):
     _pin_triangular_rk4(PolyVectorField(Frame.darboux(dim // 2), comps), x0)
 
 
-@pytest.mark.parametrize("case", ["criterion-7", "quartic", "blow-up"])
+@pytest.mark.parametrize("case", ["quartic", "blow-up"])
 @pytest.mark.parametrize("det_batch", [16, 1024])
 def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_batch):
-    # the drift the run folds block by block is, bit for bit, the max of
-    # |det J - 1| over every kept sample in one batch_det call
-    _, coupled = build_linear_system(None, masses=(1, 2, 1))
+    # on a nonlinear field the drift the run folds block by block is, bit
+    # for bit, the max of |det J - 1| over every kept sample in one
+    # batch_det call (an affine field's is exact: test_affine_det_drift_is_exact)
     x, x0, cfg = {
-        "criterion-7": (coupled, [1.0, 0.5, 0.25, -0.3], FlowConfig(10.0, 0.05)),
         "quartic": (*_stage_cases()["quartic"], FlowConfig(2.0, 0.01)),
         "blow-up": (PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1))),
                     [1.0, 0.5], FlowConfig(2.0, 0.01)),
@@ -505,62 +504,80 @@ def _both_paths(x, x0s, cfg):
     return ref, got
 
 
+def _exact_drift(x, cfg, steps):
+    """RK4's exact det drift |(det R)^steps - 1| on the affine field x, from
+    the stability oracle."""
+    a = oracles.constant_jacobian(x)
+    return oracles.rk4_det_power_drift(a, Fraction(cfg.effective_dt), steps)
+
+
+def _exact_power(x, cfg, steps):
+    """RK4's tangent map R^steps on the affine field x, from the stability
+    oracle's 60 digits, each entry rounded once into WORK_DTYPE."""
+    power = oracles.rk4_stability_power(
+        oracles.constant_jacobian(x), Fraction(cfg.effective_dt), steps)
+    return np.array([[flows._round_work(Fraction(v)) for v in row] for row in power],
+                    dtype=WORK_DTYPE)
+
+
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "osc", "inhomogeneous"])
 def test_affine_propagator_matches_stage_loop(case):
-    # states and J agree within steps * eps times their largest entry (one
-    # rounding per step); the det drift within 4 * steps * eps * max cond(J),
+    # an affine tangent flow steps its states and J through the stage loop,
+    # to the bit, but reports the exact det drift of its N steps; the
+    # stepped maps' drift is within 4 * steps * eps * max cond(J) of it,
     # since a relative change delta in J moves det J by up to cond(J) delta
     x, x0s = _affine_cases()[case]
     assert flows._is_affine(x)
     cfg = FlowConfig(t_final=10.0, dt=1e-2)
     ((states_ref, jac_ref), drift_ref, blow_ref), ((states_got, jac_got), drift, blow) = \
         _both_paths(x, x0s, cfg)
-    steps = cfg.steps
-    assert states_ref.shape == states_got.shape == (steps + 1,) + np.shape(x0s)
-    assert jac_got.shape[1] == 1 and jac_ref.shape[1] == len(x0s)
-    tol = steps * EPS
-    assert np.max(np.abs(states_got - states_ref)) <= tol * np.max(np.abs(states_ref))
-    assert np.max(np.abs(jac_got - jac_ref)) <= tol * np.max(np.abs(jac_ref))
+    assert states_ref.shape == (cfg.steps + 1,) + np.shape(x0s)
+    _same_bits(states_got, states_ref)
+    _same_bits(jac_got, jac_ref)
+    assert abs(drift) == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
     cond = float(np.max(np.linalg.cond(np.asarray(jac_ref[:, 0], dtype=float))))
-    assert abs(drift - drift_ref) <= 4 * tol * cond
-    assert drift_ref > 0 and drift > 0
+    assert abs(abs(drift) - drift_ref) <= 4 * cfg.steps * EPS * cond
+    assert drift_ref > 0 and drift != 0
     assert blow_ref is None and blow is None
 
 
 def test_affine_propagator_blow_up_matches_stage_loop():
+    # the blow-up test reads the stage loop's states, so an affine run
+    # blows up at its step; the drift is the exact one up to that step
     frame = Frame.darboux(1)
     expanding = PolyVectorField(frame, (var(2, 0) + 1, Fraction(1, 2) * var(2, 1)))
-    ((states_ref, _), drift_ref, blow), ((states_got, _), drift, blow_got) = \
-        _both_paths(expanding, [[1.0, 1.0], [0.5, 0.0]], FlowConfig(25.0, 1e-2))
+    cfg = FlowConfig(25.0, 1e-2)
+    ((states_ref, _), _, blow), ((states_got, _), drift, blow_got) = \
+        _both_paths(expanding, [[1.0, 1.0], [0.5, 0.0]], cfg)
     assert blow is not None and blow_got == blow
-    assert states_got.shape == states_ref.shape == (blow + 1, 2, 2)
-    scale = np.max(np.abs(states_ref), axis=(1, 2))
-    assert np.all(np.max(np.abs(states_got - states_ref), axis=(1, 2)) <= blow * EPS * scale)
-    assert abs(drift - drift_ref) <= blow * EPS * abs(drift_ref)
+    assert states_got.shape == (blow + 1, 2, 2)
+    _same_bits(states_got, states_ref)
+    assert drift == pytest.approx(_exact_drift(expanding, cfg, blow), rel=1e-12)
 
 
-def test_affine_det_check_batches_samples(monkeypatch):
-    # the per-step det check, batched across a partial last batch, gives the
-    # same max drift as one batch_det call per step
-    _, x = build_linear_system(None, masses=(1, 2, 1))
-    cfg = FlowConfig(t_final=2.5, dt=1e-2)
-    compiled = CompiledField(x)
-    xs = np.array([[1.0, 0.5, 0.25, -0.3]], dtype=WORK_DTYPE)
-    (_, path), whole, _ = flows._rk4_run(compiled, xs, cfg)
-    monkeypatch.setattr(flows, "DET_BATCH", 16)
-    _, batched, _ = flows._rk4_run(compiled, xs, cfg)
-    per_step = max(float(abs(batch_det(j)[0] - 1)) for j in path)
-    assert whole == batched == per_step
+def test_affine_det_drift_is_exact():
+    # the criterion 7 field's tangent flow and l = n transport, and the
+    # ham cube, report RK4's det truncation |(det R)^N - 1| from the
+    # stability oracle, to 1e-12 relative; the tangent flow takes no det
+    _, coupled = build_linear_system(None, masses=(1, 2, 1))
+    ham = hamiltonian_field(Frame.darboux(2), standard_h(2))
+    cfg = FlowConfig(10.0, 1e-2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "batch_det", _no_det)
+        flow = tangent_flow(coupled, [1.0, 0.5, 0.25, -0.3], cfg)
+    assert flow.max_det_drift() == pytest.approx(_exact_drift(coupled, cfg, cfg.steps), rel=1e-12)
+    (volume,) = flows.verify_area_laws(coupled, [(unit_cube(), 2)], cfg)
+    assert volume.per_step_max_det_drift == flow.max_det_drift() == volume.rel_drift
+    (cube,) = flows.verify_area_laws(ham, [(unit_cube(), 2)], cfg)
+    assert cube.rel_drift == pytest.approx(_exact_drift(ham, cfg, cfg.steps), rel=1e-12)
 
 
-@pytest.mark.parametrize("det_batch", [16, 40, 1024])
-def test_area_law_det_drift_is_the_tangent_flow_drift(monkeypatch, det_batch):
+def test_area_law_det_drift_is_the_tangent_flow_drift():
     # an affine field's tangent map does not depend on the state, so the
     # area-laws cube's 16 nodes share the J of a one-point tangent flow, and
-    # the l = n det check reports that flow's drift whatever DET_BATCH is
+    # the l = n report gives that flow's exact det drift
     x, _ = _affine_cases()["criterion-7"]
     cfg = FlowConfig(10.0, 1e-2)
-    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     report = verify_area_preservation(x, unit_cube(), 2, cfg)
     flow = tangent_flow(x, [0.3, -0.2, 0.1, 0.5], cfg)
     assert report.per_step_max_det_drift == flow.max_det_drift()
@@ -620,11 +637,11 @@ def test_area_laws_share_an_affine_run_to_the_bit(monkeypatch, case, det_batch):
 
 
 @pytest.mark.parametrize("which, m", [("l < n", 34), ("l = n", 16), ("both", 50)])
-def test_proven_area_laws_step_no_nodes(monkeypatch, which, m):
-    # a proven affine transport hands _affine_blocks no node columns, in
-    # blocks of DET_BATCH // m steps for its m chain nodes; every report
-    # field has the bits of the same chains run unproven, which steps and
-    # norm-tests every node
+def test_proven_affine_transport_takes_no_step(monkeypatch, which, m):
+    # the step bound clears the ham transport of m chain nodes, which takes
+    # no RK4 step; run unproven it steps its m nodes' states alone (no
+    # tangent column) through the stage loop, and every report field has
+    # the same bits, as both push the frames by the exact J_N
     x, _ = _affine_cases()["ham"]
     cfg = FlowConfig(10.0, 1e-2)
     chains = {
@@ -632,15 +649,14 @@ def test_proven_area_laws_step_no_nodes(monkeypatch, which, m):
         "l = n": [(unit_cube(), 2)],
         "both": [(unit_square(), 1), (unit_cube(), 2), (_two_patch_chain(1), 1)],
     }[which]
-    decisions, blocks, nodes = _record_runs(monkeypatch)
+    decisions, runs = _record_runs(monkeypatch)
     got = flows.verify_area_laws(x, chains, cfg)
-    assert decisions == [True] and nodes == [0]
-    assert blocks == [-(-cfg.steps // (flows.DET_BATCH // m))]
+    assert decisions == [True] and runs == []
     monkeypatch.undo()
     monkeypatch.setattr(flows, "_proven", lambda *args: False)
-    decisions, tested_blocks, nodes = _record_runs(monkeypatch)
+    _, runs = _record_runs(monkeypatch)
     _assert_same_reports(got, flows.verify_area_laws(x, chains, cfg))
-    assert decisions == [False] and nodes == [m] and tested_blocks == blocks
+    assert runs == [(m, 0, -(-cfg.steps // (flows.DET_BATCH // m)))]
     assert all(r.per_step_max_det_drift > 0 for r in got if r.l == 2)
 
 
@@ -709,8 +725,10 @@ def test_area_laws_take_any_iterable_of_chains(stage):
 @pytest.mark.parametrize("given, checked", [
     ("none", True), ("square", True), ("non-square", False), ("non-square, square", True)])
 def test_frames_decide_the_det_check(monkeypatch, path, given, checked):
-    # _rk4_run's one rule: the J maps' dets are taken exactly when no frames
-    # are given or some frame is square (l = n), on either path
+    # _rk4_run's one rule: on a nonlinear field the J maps' dets are taken
+    # exactly when no frames are given or some frame is square (l = n); an
+    # affine run takes none and reports the exact det drift, whatever the
+    # frames
     if path == "affine":
         x, (x0, _) = _affine_cases()["ham"]
     else:
@@ -722,9 +740,13 @@ def test_frames_decide_the_det_check(monkeypatch, path, given, checked):
               "non-square, square": [flat, square]}[given]
     xs = _starts(x0, m if frames is None else m * len(frames))
     sizes = _count_det_calls(monkeypatch)
-    pushed, drift, blow = flows._rk4_run(CompiledField(x), xs, FlowConfig(0.5, 0.01), frames)
+    cfg = FlowConfig(0.5, 0.01)
+    pushed, drift, blow = flows._rk4_run(CompiledField(x), xs, cfg, frames)
     assert blow is None
-    assert bool(sizes) == checked and (drift > 0) == checked
+    if path == "affine":
+        assert not sizes and abs(drift) == pytest.approx(_exact_drift(x, cfg, 50), rel=1e-12)
+    else:
+        assert bool(sizes) == checked and (drift > 0) == checked
     if frames is not None:
         assert [p.shape for p in pushed] == [f.shape for f in frames]
 
@@ -1054,13 +1076,12 @@ def test_pushed_frames_match_full_tangent_map_within_rounding():
     assert blow is None and flow_blow is None
     gap = np.max(np.abs(pushed - want))
     assert 0 < gap <= 4 * cfg.steps * EPS * np.max(np.abs(want))
-    # the affine path, whose one J serves every node, forms J . dsigma itself
+    # the affine path, whose one J serves every node, pushes the frames by
+    # RK4's exact J_N, rounded once
     ham, _ = _affine_cases()["ham"]
-    affine = CompiledField(ham)
-    js = flows._rk4_run(affine, points, cfg)[0][1][-1]
-    _same_bits(flows._rk4_run(affine, points, cfg, [frames])[0][0],
-               np.einsum("mij,mjl->mil", np.broadcast_to(js, frames.shape[:1] + js.shape[1:]),
-                         frames))
+    js = np.broadcast_to(_exact_power(ham, cfg, cfg.steps), (len(frames), 4, 4))
+    _same_bits(flows._rk4_run(CompiledField(ham), points, cfg, [frames])[0][0],
+               np.einsum("mij,mjl->mil", js, frames))
 
 
 def _affine_oracle_cases():
@@ -1072,79 +1093,93 @@ def _affine_oracle_cases():
     return cases
 
 
+def _stage_oracle(x, xs, cfg):
+    """oracles.rk4_stage_loop, whose overflowed maps warn about nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return oracles.rk4_stage_loop(flows, x, xs, cfg)
+
+
+@functools.cache
+def _affine_case_oracle(case, m):
+    x, x0, cfg = _affine_oracle_cases()[case]
+    return _stage_oracle(x, _starts(x0, m), cfg)
+
+
+def _assert_same_affine_run(x, cfg, got, want):
+    """An affine tangent flow against the stage-loop oracle: its paths and
+    blow-up step, bit for bit, and the exact det drift of the steps taken."""
+    (states, jacobians), drift, blow = got
+    _same_bits(states, want[2])
+    _same_bits(jacobians, want[3])
+    assert blow == want[5]
+    assert abs(drift) == pytest.approx(_exact_drift(x, cfg, blow or cfg.steps), rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous", "expanding"])
-@pytest.mark.parametrize("m", [1, 3, 16, 17])
-@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+@pytest.mark.parametrize("m", [1, 3, 17])
+@pytest.mark.parametrize("det_batch", [16, 1024])
 def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
-    # one joint product per step on [J~ | x~^T], per-block blow-up test and
-    # det checks of whole blocks of shared maps: the same bits as x R^T + c
-    # and R J one step at a time.  At m = 17 > DET_BATCH = 16 a block is one
-    # step, so the block buffer holds one Z and each step's np.dot writes
-    # into the Z it reads
+    # an affine tangent flow steps in blocks of max(1, DET_BATCH // m) steps
+    # the bits of the one-step-at-a-time stage loop, blow-up step included,
+    # and takes no det.  A transport of square frames reports the same
+    # drift and blow-up step, and pushes the frames by the exact J_N; the
+    # step bound clears it but on the expanding field, where it steps its
+    # states alone in the tangent flow's blocks
     x, x0, cfg = _affine_oracle_cases()[case]
     assert flows._is_affine(x)
     xs = _starts(x0, m)
+    want = _affine_case_oracle(case, m)
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
-    sizes = _count_det_calls(monkeypatch)
+    monkeypatch.setattr(flows, "batch_det", _no_det)
     got = flows._rk4_run(CompiledField(x), xs, cfg)
-    monkeypatch.setattr(flows, "batch_det", batch_det)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
-    _assert_same_run(got, want)
-    assert want[4] > 0
+    _assert_same_affine_run(x, cfg, got, want)
     assert (want[5] is not None) == (case == "expanding")
-    # J is shared by the nodes: one matrix per step, gathered across blocks
-    # of max(1, DET_BATCH // m) steps into calls of the most whole blocks
-    # within DET_BATCH matrices (all steps where fewer), the last call cut
-    # at the blow-up step.  So at m = 3 and DET_BATCH = 16 the unproven
-    # expanding run's blocks of 5 steps make calls of 15 matrices
-    block = max(1, min(det_batch // m, cfg.steps))
-    batch = min(cfg.steps, det_batch // block * block)
-    steps = want[5] or cfg.steps
-    full, rest = divmod(steps, batch)
-    assert sizes == [batch] * full + ([rest] if rest else [])
-    if (case, m, det_batch) == ("expanding", 3, 16):
-        assert sizes[:-1] == [15] * full and 0 < sizes[-1] < 15
-    # a transport of square frames, which steps J alone where the run is
-    # proven and every node otherwise, pushes them by the loop's J with
-    # the same det calls, max drift and blow-up step
     frames = _frames(m, len(x0), len(x0))
-    frame_sizes = _count_det_calls(monkeypatch)
-    decisions, _, nodes = _record_runs(monkeypatch)
+    decisions, runs = _record_runs(monkeypatch)
     (pushed,), drift, blow = flows._rk4_run(CompiledField(x), xs, cfg, [frames])
-    assert decisions == [case != "expanding"] and nodes == [0 if decisions[0] else m]
-    assert frame_sizes == sizes
-    _same_bits(pushed, np.einsum("mij,mjl->mil", want[1], frames))
-    assert (drift, blow) == (want[4], want[5])
+    assert (drift, blow) == got[1:]
+    assert decisions == [case != "expanding"]
+    if blow is None:
+        assert runs == []
+        j = np.broadcast_to(_exact_power(x, cfg, cfg.steps), frames.shape)
+        _same_bits(pushed, np.einsum("mij,mjl->mil", j, frames))
+    else:
+        block = max(1, min(det_batch // m, cfg.steps))
+        assert runs == [(m, 0, -(-blow // block))]
 
 
-def test_affine_step_saddle_overflow_matches_per_step_loop():
-    # q' = q, p' = -p at dt = 1: R = diag(65/24, 3/8), so J overflows to inf
-    # at step 11399 (NaN from 11400 on) and underflows to 0 at step 11623,
-    # while the states stay exactly 0; det J turns NaN, and no false blow-up
-    # may be flagged
+def test_affine_step_saddle_overflow_matches_stage_loop():
+    # q' = q, p' = -p at dt = 1: R = diag(65/24, 3/8), so the stepped J
+    # overflows to inf near step 11400 (NaN after it) and underflows to 0,
+    # while the states stay exactly 0; no false blow-up may be flagged, and
+    # the drift is the exact (195/192)^12000 - 1 ~ 2e80, not a NaN det
     x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
-    xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
-    _assert_same_run(got, want)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (want, _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
+    _same_bits(got[0][0], want[0])
+    _same_bits(got[0][1], want[1])
     (states, jacobians), drift, blow = got
-    assert math.isnan(drift) and blow is None
+    assert blow_ref is None
+    assert drift == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
+    assert 1e80 < drift < 1e81 and blow is None
     assert np.isinf(jacobians).any() and np.isnan(jacobians[-1]).any() and not np.any(states)
 
 
-def test_affine_step_full_overflow_matches_per_step_loop():
-    # q' = q + p, p' = q + p at dt = 1: every entry of R is positive, so J
-    # overflows to inf at step 5837 and stays inf; no product term is
-    # 0 * inf, and no entry may turn NaN, while the states stay exactly 0
+def test_affine_step_full_overflow_matches_stage_loop():
+    # q' = q + p, p' = q + p at dt = 1: every entry of R is positive, so
+    # the stepped J overflows to inf and stays inf, with no entry NaN, while
+    # the states stay exactly 0; det R = R(0) R(2) = 7, so the exact drift
+    # 7^12000 - 1 is inf
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) + var(2, 1), var(2, 0) + var(2, 1)))
-    xs = np.zeros((1, 2), dtype=WORK_DTYPE)
     cfg = FlowConfig(12000, 1)
-    got = flows._rk4_run(CompiledField(x), xs, cfg)
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
-    _assert_same_run(got, want)
-    (states, jacobians), _, blow = got
-    assert blow is None and not np.any(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (want, _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
+    _same_bits(got[0][0], want[0])
+    _same_bits(got[0][1], want[1])
+    (states, jacobians), drift, blow = got
+    assert blow_ref is None
+    assert blow is None and not np.any(states) and drift == math.inf
     assert np.isinf(jacobians[-1]).all() and not np.isnan(jacobians).any()
 
 
@@ -1166,27 +1201,28 @@ def _random_affine_field(rng, n, diagonal):
 
 
 def _record_runs(monkeypatch):
-    """Wrap flows._proven and flows._affine_blocks: the lists returned get
-    each affine run's blow-up decision, True where the step bound proves
-    the run and no block takes the norm test, each run's block count, and
-    the node count each run hands _affine_blocks."""
-    decisions, blocks, nodes = [], [], []
-    proven, affine_blocks = flows._proven, flows._affine_blocks
+    """Wrap flows._proven and flows._stage_blocks: the lists returned get
+    each affine transport's decision, True where the step bound clears it
+    and it takes no step, and each stepped run's (nodes, tangent columns,
+    blocks)."""
+    decisions, runs = [], []
+    proven, stage_blocks = flows._proven, flows._stage_blocks
 
     def decided(*args):
         decisions.append(proven(*args))
         return decisions[-1]
 
-    def counted(aug, xs, *args):
-        blocks.append(0)
-        nodes.append(len(xs))
-        for block in affine_blocks(aug, xs, *args):
-            blocks[-1] += 1
+    def counted(compiled, xs, tangents, *args):
+        nodes, columns, blocks = len(xs), tangents.shape[2], 0
+        runs.append((nodes, columns, blocks))
+        for block in stage_blocks(compiled, xs, tangents, *args):
+            blocks += 1
+            runs[-1] = (nodes, columns, blocks)
             yield block
 
     monkeypatch.setattr(flows, "_proven", decided)
-    monkeypatch.setattr(flows, "_affine_blocks", counted)
-    return decisions, blocks, nodes
+    monkeypatch.setattr(flows, "_stage_blocks", counted)
+    return decisions, runs
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0])
@@ -1204,7 +1240,7 @@ def test_affine_step_bound_holds_on_every_step(n, dt):
     for diagonal in (False, True):
         for _ in range(4):
             x = _random_affine_field(rng, n, diagonal)
-            r, g = flows._step_bound(flows._rounded_propagator(x, cfg))
+            r, g = flows._step_bound(flows._affine_propagator(x, Fraction(cfg.effective_dt)))
             assert math.isfinite(r) and math.isfinite(g)
             xs = np.concatenate([
                 states.uniform(-1, 1, (6, dim)) * 10.0 ** states.uniform(-3, 6, (6, 1)),
@@ -1216,21 +1252,24 @@ def test_affine_step_bound_holds_on_every_step(n, dt):
 
 
 def test_step_bound_proves_nothing_it_cannot_bound():
-    # an inf or NaN in R~ (or an entry past the float64 range) makes r or g
-    # non-finite, and a power max(1, r)^k past the float range proves
-    # nothing either: the run takes the exact test, and nothing raises or
-    # warns
+    # an entry of R~ past the longdouble range (rounding to +-inf) or past
+    # the float64 one makes r or g non-finite, and a power max(1, r)^k past
+    # the float range proves nothing either: the run takes the exact test,
+    # and nothing raises or warns
+    def step(rows):
+        return [[Fraction(v) for v in row] for row in rows] + [[0, 0, 1]]
+
     nodes = np.ones((2, 3), dtype=WORK_DTYPE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (np.inf, -np.inf, np.nan, WORK_DTYPE("1e4000")):
+        for bad in (Fraction(10) ** 5000, -Fraction(10) ** 5000, Fraction(10) ** 4000):
             for where in ((0, 1), (1, 2)):
-                aug = np.array([[1, 0, 0], [0, 1, 0]], dtype=WORK_DTYPE)
-                aug[where] = bad
-                r, g = flows._step_bound(aug)
+                rows = [[1, 0, 0], [0, 1, 0]]
+                rows[where[0]][where[1]] = bad
+                r, g = flows._step_bound(step(rows))
                 assert not (math.isfinite(r) and math.isfinite(g))
                 assert not flows._proven(r, g, nodes, 1)
-        r, g = flows._step_bound(np.array([[2, 0, 0], [0, 2, 0]], dtype=WORK_DTYPE))
+        r, g = flows._step_bound(step([[2, 0, 0], [0, 2, 0]]))
         # the nodes' norm is sqrt(2): 2^28 sqrt(2) < NORM_CAP / 2 < 2^29 sqrt(2)
         assert flows._proven(r, g, nodes, 28)
         assert not flows._proven(r, g, nodes, 29)
@@ -1241,108 +1280,118 @@ def test_step_bound_proves_nothing_it_cannot_bound():
 
 def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
     # X = a (p, q) with a = 10^2000: (h a)^4 / 24 overflows longdouble, so
-    # R is all inf; the run is not proven, its exact test flags the inf
-    # states at step 1, and the run has the per-step loop's bits
+    # the rounded R is all inf and no transport is proven; the stage loop
+    # flags the inf states at step 1, as the per-step loop does, the exact
+    # drift is inf, and nothing warns or raises
     big = Fraction(10) ** 2000
     x = PolyVectorField(Frame.darboux(1), (big * var(2, 1), big * var(2, 0)))
     xs = np.array([[1.0, 0.5]], dtype=WORK_DTYPE)
     cfg = FlowConfig(5, 1)
-    assert np.isinf(flows._rounded_propagator(x, cfg)[:, :2]).all()
-    decisions, blocks, _ = _record_runs(monkeypatch)
+    assert flows._step_bound(flows._affine_propagator(x, Fraction(1)))[0] == math.inf
+    want = _stage_oracle(x, xs, cfg)
+    decisions, runs = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg)
-    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and blocks == [1] and got[2] == 1
+        transport = flows._rk4_run(CompiledField(x), xs, cfg, [_frames(1, 2, 2)])
+    _assert_same_affine_run(x, cfg, got, want)
+    assert got[1:] == transport[1:] == (math.inf, 1)
+    assert decisions == [False] and runs == [(1, 2, 1), (1, 0, 1)]
+
+
+def test_affine_power_past_the_range_warns_about_nothing(monkeypatch):
+    # the saddle q' = q, p' = -p at n = 2, from a square collapsed to the
+    # origin: its one node steps (r^12000 overflows, proving nothing) and
+    # stays at 0, no blow-up, while R^12000 = diag(65/24, 65/24, 3/8,
+    # 3/8)^12000 is past the longdouble range both ways; J_N rounds to inf
+    # and 0, the pushed zero frames to NaN, and nothing warns or raises
+    x = PolyVectorField(Frame.darboux(2), (var(4, 0), var(4, 1), -var(4, 2), -var(4, 3)))
+    chain = ChainPatch.affine(1, [0] * 4, [[0] * 4, [0] * 4], orders=(1, 1))
+    decisions, runs = _record_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_area_preservation(x, chain, 1, FlowConfig(12000, 1))
+        power = flows._propagator_power(flows._affine_propagator(x, Fraction(1)), 12000)
+    assert decisions == [False] and runs == [(1, 0, 12)]
+    assert not report.blew_up and report.initial == 0 and math.isnan(report.final)
+    _same_bits(power, np.diag(np.array([np.inf, np.inf, 0, 0], dtype=WORK_DTYPE)))
+
+
+def test_affine_step_with_a_singular_propagator():
+    # X = A x with A the companion matrix of 24 R(z) = z^4 + 4z^3 + 12z^2 +
+    # 24z + 24, RK4's stability polynomial: at dt = 1, R(A) = 0 by
+    # Cayley-Hamilton, so det R = 0 and every state and J is 0 after one
+    # step.  The exact det drift is |0^N - 1| = 1, and an l = n integral is
+    # scaled to 0, with no log of 0 taken
+    y = [var(4, i) for i in range(4)]
+    last = -24 * y[0] - 24 * y[1] - 12 * y[2] - 4 * y[3]
+    x = PolyVectorField(Frame.darboux(2), (y[1], y[2], y[3], last))
+    cfg = FlowConfig(3.0, 1.0)
+    flow = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], cfg)
+    assert flow.max_det_drift() == 1.0 and not np.any(flow.jacobians[1:])
+    (cube,) = flows.verify_area_laws(x, [(unit_cube(), 2)], cfg)
+    assert (cube.initial, cube.final, cube.per_step_max_det_drift) == (1.0, 0.0, 1.0)
 
 
 def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
-    # nodes near 1e2500, whose squares overflow longdouble: the run's proof
-    # sees N0 = inf and proves nothing, warning about nothing; the exact
-    # test flags step 1, with the per-step loop's bits
+    # nodes near 1e2500, whose squares overflow longdouble: a transport's
+    # proof sees N0 = inf and proves nothing, warning about nothing; the
+    # stage loop flags step 1, with the per-step loop's bits
     x = hamiltonian_field(Frame.darboux(1), standard_h(1))
     xs = np.array([[WORK_DTYPE("1e2500"), WORK_DTYPE("-2e2500")]])
     cfg = FlowConfig(1, 0.1)
-    decisions, blocks, _ = _record_runs(monkeypatch)
+    want = _stage_oracle(x, xs, cfg)
+    decisions, runs = _record_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = flows._rk4_run(CompiledField(x), xs, cfg)
-    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and blocks == [1] and got[2] == 1
+        transport = flows._rk4_run(CompiledField(x), xs, cfg, [_frames(1, 2, 1)])
+    _assert_same_affine_run(x, cfg, got, want)
+    assert got[2] == transport[2] == 1
+    assert decisions == [False] and runs == [(1, 2, 1), (1, 0, 1)]
 
 
 def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
     # the zero field at n = 4 keeps its two nodes, the first
     # (1e9, 1/8, ..., 1/8), whose exact norm^2 is 1e18 + 7/64.  Summed over
     # the C-ordered states, as the per-step loop does, it rounds to
-    # 1e18 + 1/16 and the node is past NORM_CAP at step 1.  Along the
-    # transposed view _affine_blocks yields, numpy (with 2 nodes) would sum
-    # each norm in index order, to 1e18, and pass it.  N0 > NORM_CAP / 2:
-    # the run is tested
+    # 1e18 + 1/16 and the node is past NORM_CAP at step 1 (summed in index
+    # order it would round to 1e18 and pass).  N0 > NORM_CAP / 2: a
+    # transport is tested too
     x = PolyVectorField(Frame.darboux(4), (Poly.zero(8),) * 8)
     xs = np.array([[1e9] + [0.125] * 7, [0.5] * 8], dtype=WORK_DTYPE)
     cfg = FlowConfig(0.3, 0.1)
-    decisions, _, _ = _record_runs(monkeypatch)
+    decisions, _ = _record_runs(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg)
-    _assert_same_run(got, oracles.rk4_affine_step_loop(flows, x, xs, cfg))
-    assert decisions == [False] and got[2] == 1
-
-
-@pytest.mark.parametrize("scale, dt", [(3e8, 1e-3), (0.5, 3.0)])
-def test_affine_blocks_past_the_bound_match_per_step_loop(monkeypatch, scale, dt):
-    # the ham rotation with 32 nodes, so 32-step blocks.  From nodes near
-    # 6e8, N0 > NORM_CAP / 2 and the run is not proven: all 7 blocks take
-    # the exact test, with the bits of the per-step loop and no blow-up.  At
-    # dt = 3, past RK4's stability bound, a step grows |x| by |R(3i)| ~ 1.5:
-    # from |x| ~ 1 the run is not proven, and it blows up in its second block
-    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
-    xs = scale * _starts([1.0] * 4, 32)
-    cfg = FlowConfig(200 * dt, dt)
-    decisions, blocks, _ = _record_runs(monkeypatch)
-    got = flows._rk4_run(CompiledField(x), xs, cfg)
-    monkeypatch.undo()
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
-    _assert_same_run(got, want)
+    _assert_same_affine_run(x, cfg, got, _stage_oracle(x, xs, cfg))
+    assert got[2] == flows._rk4_run(CompiledField(x), xs, cfg, [_frames(2, 8, 8)])[2] == 1
     assert decisions == [False]
-    if dt < 1:
-        assert want[5] is None and blocks == [7]
-        assert np.all(np.sqrt(np.sum(xs * xs, axis=1)) > flows.NORM_CAP / 2)
-    else:
-        assert 32 < want[5] <= 64 and blocks == [2]
 
 
 @pytest.mark.parametrize("keep", [True, False])
 def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch, keep):
     # the ham rotation from 32 nodes near (1, 1, 1, 1) for t = 20 at
     # dt = 0.01: each step keeps |x|, but the crude whole-run bound
-    # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so all 63 blocks
-    # take the exact test, with the per-step loop's bits and no blow-up.
-    # Unproven, the run steps every node, as a tangent flow that keeps its
-    # paths or as a transport of square frames that keeps none
+    # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so a transport
+    # is not proven: all 63 blocks take the exact test, with no blow-up.  A
+    # tangent flow that keeps its paths steps J too, with the per-step
+    # loop's bits; a transport of square frames steps the states alone and
+    # pushes the frames by the exact J_N
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = _starts([1.0] * 4, 32)
     frames = _frames(32, 4, 4)
     cfg = FlowConfig(20, 0.01)
-    decisions, blocks, nodes = _record_runs(monkeypatch)
+    decisions, runs = _record_runs(monkeypatch)
     got = flows._rk4_run(CompiledField(x), xs, cfg, None if keep else [frames])
     monkeypatch.undo()
-    want = oracles.rk4_affine_step_loop(flows, x, xs, cfg)
     if keep:
-        _assert_same_run(got, want)
+        _assert_same_affine_run(x, cfg, got, _stage_oracle(x, xs, cfg))
     else:
-        _same_bits(got[0][0], np.einsum("mij,mjl->mil", want[1], frames))
-        assert got[1] == want[4]
-    assert decisions == [False] and blocks == [63] and nodes == [32] and got[2] is None
-
-
-def test_proven_affine_run_takes_no_norm_test(monkeypatch):
-    # the dt = 3 run above blows up in its second block; declared proven,
-    # it takes no norm test, so it steps on past NORM_CAP unflagged
-    x = hamiltonian_field(Frame.darboux(2), standard_h(2))
-    xs = 0.5 * _starts([1.0] * 4, 32)
-    monkeypatch.setattr(flows, "_proven", lambda *args: True)
-    (states, _), _, blow = flows._rk4_run(CompiledField(x), xs, FlowConfig(600, 3.0))
-    assert blow is None and np.max(np.abs(states[-1])) > flows.NORM_CAP
+        j = np.broadcast_to(_exact_power(x, cfg, cfg.steps), frames.shape)
+        _same_bits(got[0][0], np.einsum("mij,mjl->mil", j, frames))
+        assert abs(got[1]) == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
+        assert decisions == [False]
+    assert runs == [(32, 4 if keep else 0, 63)] and got[2] is None
 
 
 def test_contraction_identity_fields_conserve_volume_at_rk4_order():
@@ -1491,17 +1540,25 @@ def test_transport_builds_each_rule_and_map_once(monkeypatch, patches, l):
 
 @pytest.mark.parametrize("stage_loop", [False, True])
 def test_nan_determinant_makes_det_drift_nan(monkeypatch, stage_loop):
-    # the saddle q' = q, p' = -p keeps the origin fixed while J overflows:
-    # det J turns NaN (inf times 0) long before t = 12000, and the max drift
-    # must not keep the last finite block maximum
+    # the saddle q' = q, p' = -p keeps the origin fixed while J overflows.
+    # Stepped by the stage loop, det J turns NaN (inf times 0) long before
+    # t = 12000, and the max drift must not keep the last finite block
+    # maximum.  As the affine field it is, its drift is the exact
+    # (195/192)^12000 - 1, which scales the zero integral to 0
     x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
     if stage_loop:
         monkeypatch.setattr(flows, "_is_affine", lambda field: False)
     chain = ChainPatch.affine(1, [0, 0], [[0, 0], [0, 0]], orders=(1, 1))
-    report = verify_area_preservation(x, chain, 1, FlowConfig(12000, 1))
+    cfg = FlowConfig(12000, 1)
+    report = verify_area_preservation(x, chain, 1, cfg)
     assert report.hypothesis_ok and not report.blew_up
-    assert math.isnan(report.final)
-    assert math.isnan(report.per_step_max_det_drift)
+    if stage_loop:
+        assert math.isnan(report.final)
+        assert math.isnan(report.per_step_max_det_drift)
+    else:
+        assert report.final == 0
+        exact = _exact_drift(x, cfg, 12000)
+        assert report.per_step_max_det_drift == pytest.approx(exact, rel=1e-12)
 
 
 def test_transport_blow_up_report():

@@ -75,13 +75,15 @@ def test_report_matches_golden(case, fmt):
 
 
 @pytest.mark.skipif(not EXTENDED, reason=NOT_EXTENDED)
+@pytest.mark.parametrize("case", ["flow-x0", "flow-chain", "flow-osc-x0"])
 @pytest.mark.parametrize("det_batch", [16, 40])
-def test_paper_verify_batching_moves_no_bit(monkeypatch, det_batch):
-    # DET_BATCH cuts the suite's two RK4 runs into blocks of 1 or 2 steps
-    # and their det checks into calls of 16 or 40 maps, which moves no bit
-    # of any report
+def test_stage_batching_moves_no_bit(monkeypatch, case, det_batch):
+    # DET_BATCH cuts the RK4 runs of the cases that step into blocks of 16
+    # or 40 steps at one node, or of 1 or 2 steps at the square's 16 nodes,
+    # and the tangent flows' det checks into calls of 16 or 40 maps, which
+    # moves no bit of any report
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
-    assert report("paper-verify", "machine") == golden_path("paper-verify", "machine").read_text()
+    assert report(case, "machine") == golden_path(case, "machine").read_text()
 
 
 if __name__ == "__main__":
