@@ -424,13 +424,19 @@ def test_stage_path_against_exact_rk4_on_more_triangular_fields(dim):
     _pin_triangular_rk4(PolyVectorField(Frame.darboux(dim // 2), comps), x0)
 
 
-@pytest.mark.parametrize("case", ["quartic", "blow-up"])
+@pytest.mark.parametrize("case", ["criterion-7", "quartic", "blow-up"])
 @pytest.mark.parametrize("det_batch", [16, 1024])
 def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_batch):
-    # on a nonlinear field the drift the run folds block by block is, bit
-    # for bit, the max of |det J - 1| over every kept sample in one
-    # batch_det call (an affine field's is exact: test_affine_det_drift_is_exact)
+    # on the stage loop the drift the run folds block by block is, bit for
+    # bit, the max of |det J - 1| over every kept sample in one batch_det
+    # call.  The criterion 7 field is affine, so it is sent down the stage
+    # loop by hand (its own run reports the exact drift:
+    # test_affine_det_drift_is_exact)
+    _, coupled = build_linear_system(None, masses=(1, 2, 1))
+    if case == "criterion-7":
+        monkeypatch.setattr(flows, "_is_affine", lambda field: False)
     x, x0, cfg = {
+        "criterion-7": (coupled, [1.0, 0.5, 0.25, -0.3], FlowConfig(10.0, 0.05)),
         "quartic": (*_stage_cases()["quartic"], FlowConfig(2.0, 0.01)),
         "blow-up": (PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, -var(2, 1))),
                     [1.0, 0.5], FlowConfig(2.0, 0.01)),
@@ -572,12 +578,14 @@ def test_affine_det_drift_is_exact():
     assert cube.rel_drift == pytest.approx(_exact_drift(ham, cfg, cfg.steps), rel=1e-12)
 
 
-def test_area_law_det_drift_is_the_tangent_flow_drift():
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
+def test_area_law_det_drift_is_the_tangent_flow_drift(monkeypatch, det_batch):
     # an affine field's tangent map does not depend on the state, so the
     # area-laws cube's 16 nodes share the J of a one-point tangent flow, and
-    # the l = n report gives that flow's exact det drift
+    # the l = n report gives that flow's exact det drift whatever DET_BATCH is
     x, _ = _affine_cases()["criterion-7"]
     cfg = FlowConfig(10.0, 1e-2)
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     report = verify_area_preservation(x, unit_cube(), 2, cfg)
     flow = tangent_flow(x, [0.3, -0.2, 0.1, 0.5], cfg)
     assert report.per_step_max_det_drift == flow.max_det_drift()
@@ -1116,12 +1124,13 @@ def _assert_same_affine_run(x, cfg, got, want):
 
 
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous", "expanding"])
-@pytest.mark.parametrize("m", [1, 3, 17])
-@pytest.mark.parametrize("det_batch", [16, 1024])
+@pytest.mark.parametrize("m", [1, 3, 16, 17])
+@pytest.mark.parametrize("det_batch", [16, 40, 1024])
 def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
     # an affine tangent flow steps in blocks of max(1, DET_BATCH // m) steps
     # the bits of the one-step-at-a-time stage loop, blow-up step included,
-    # and takes no det.  A transport of square frames reports the same
+    # and takes no det.  At m >= DET_BATCH = 16 a block is one step.  A
+    # transport of square frames reports the same
     # drift and blow-up step, and pushes the frames by the exact J_N; the
     # step bound clears it but on the expanding field, where it steps its
     # states alone in the tangent flow's blocks

@@ -75,6 +75,16 @@ def test_report_matches_golden(case, fmt):
 
 
 @pytest.mark.skipif(not EXTENDED, reason=NOT_EXTENDED)
+@pytest.mark.parametrize("det_batch", [16, 40])
+def test_paper_verify_batching_moves_no_bit(monkeypatch, det_batch):
+    # the suite's affine runs report from the exact propagator power and
+    # take no stage step, so a DET_BATCH of 16 or 40 moves no bit of the
+    # report; a stepped or det-checked run slipped back in must keep it too
+    monkeypatch.setattr(flows, "DET_BATCH", det_batch)
+    assert report("paper-verify", "machine") == golden_path("paper-verify", "machine").read_text()
+
+
+@pytest.mark.skipif(not EXTENDED, reason=NOT_EXTENDED)
 @pytest.mark.parametrize("case", ["flow-x0", "flow-chain", "flow-osc-x0"])
 @pytest.mark.parametrize("det_batch", [16, 40])
 def test_stage_batching_moves_no_bit(monkeypatch, case, det_batch):
