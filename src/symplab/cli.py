@@ -161,8 +161,6 @@ def cmd_classify(args, rep: Reporter) -> int:
         raise InputError(f"--k must be in [1, {n}]")
     result = fl.classify(field, k)
     rep.both("symplectic_like", str(result.symplectic_like).lower())
-    # on R^{2n} a closed form is exact: Hamiltonian-like iff symplectic-like
-    rep.both("hamiltonian_like", str(result.symplectic_like).lower())
     if result.potential is not None:
         rep.both("potential", format_form(result.potential))
     else:

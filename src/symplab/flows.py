@@ -44,15 +44,16 @@ MAX_CHAIN_NODES = 4096
 # chain) checks its det with one batch_det call per block, of m maps a step:
 # at most DET_BATCH matrices, or one step's m where m > DET_BATCH
 DET_BATCH = 1024
-# one budget on a flow run, in longdouble values: both its RK4 work,
-# steps x (STEP_VALUES + nodes x (field term rows + dim^2)), and the values
-# its kept paths hold are refused above it.  dim^2 counts a full tangent
-# map per node, so how a run steps (fewer columns, or no step on a proven
-# affine transport) moves no refusal.  STEP_VALUES is a step's fixed cost:
-# the stage loop stepping full tangent maps takes at most about 46 + 0.19 x
+# one budget on a flow run, in longdouble values: its RK4 work, steps x
+# (STEP_VALUES + nodes x (field term rows + dim^2)), is refused above it.
+# dim^2 counts a full tangent map per node, so how a run steps (fewer
+# columns, or no step on a proven affine transport) moves no refusal, and
+# the states path a tangent flow keeps, (steps + 1) x nodes x dim values,
+# is within it at steps >= 1.  STEP_VALUES is a step's fixed cost: the
+# stage loop stepping full tangent maps takes at most about 46 + 0.19 x
 # values us per step for the Duffing field and 77 + 0.25 x values for a
 # quartic at n = 2 (2-core x86-64), so at 5e7 it runs at most about 10 to
-# 20 s, and kept paths take at most 800 MB
+# 20 s
 MAX_FLOW_WORK = 5 * 10**7
 STEP_VALUES = 250
 
@@ -250,11 +251,12 @@ class Trajectory:
 
 @dataclass
 class TangentFlow:
-    """A tangent flow; det_drift is max |det J - 1| over its steps, exact
-    on an affine field (see _rk4_run)."""
+    """A tangent flow: its states, its final tangent map J and det_drift,
+    max |det J - 1| over its steps, exact on an affine field (see
+    _rk4_run)."""
 
     trajectory: Trajectory
-    jacobians: np.ndarray
+    jacobian: np.ndarray
     det_drift: float
 
     def max_det_drift(self) -> float:
@@ -266,55 +268,53 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
     _stage_blocks in blocks of at most max(1, DET_BATCH // m) steps.
 
     ``frames`` decides the run.  None makes it a tangent flow: it steps J
-    from J(0) = I and keeps its paths.  Otherwise frames lists the tangent
-    frames (m_i, dim, c_i) of the chains whose nodes are stacked in xs, in
-    that order, and the run is a transport: it keeps no paths and pushes
-    each chain's frames to J . dsigma/du with one einsum at the end, or, on
-    a nonlinear field with no square frame (c_i = dim, l = n), rides their
-    columns, V' = DX V, stacked into one (m, dim, c) array.  After each
-    block every node is tested at every step for a blow-up: the first step
-    past NORM_CAP (a NaN norm included) cuts the run.  A nonlinear run that
-    steps J takes one batch_det call per block and folds each call's max
-    |det J - 1| with np.maximum, so a NaN determinant makes the drift NaN.
+    from J(0) = I and keeps its states path.  Otherwise frames lists the
+    tangent frames (m_i, dim, c_i) of the chains whose nodes are stacked in
+    xs, in that order, and the run is a transport: it keeps no path and
+    pushes each chain's frames to J . dsigma/du with one einsum at the end,
+    or, on a nonlinear field with no square frame (c_i = dim, l = n), rides
+    their columns, V' = DX V, stacked into one (m, dim, c) array.  After
+    each block every node is tested at every step for a blow-up: the first
+    step past NORM_CAP (a NaN norm included) cuts the run.  A nonlinear run
+    that steps J takes one batch_det call per block and folds each call's
+    max |det J - 1| with np.maximum, so a NaN determinant makes the drift
+    NaN.
 
     On an affine field one RK4 step is the exact R~ of _affine_propagator,
     so the run reports J_N = R^N (_propagator_power) and the drift of det
-    J_N = (det R)^N (_det_change), N the steps taken.  A tangent flow steps
-    J to keep its path; a transport steps its states alone, for the blow-up
-    test, or none at all where _proven clears it.
+    J_N = (det R)^N (_det_change), N the steps taken, and steps no tangent
+    column: its states alone, for the blow-up test and a tangent flow's
+    path, or none at all where _proven clears a transport.
 
-    A run whose work or kept paths exceed MAX_FLOW_WORK values is refused
-    before anything is allocated.
+    A run whose work exceeds MAX_FLOW_WORK values is refused before
+    anything is allocated.
 
     Returns (paths, drift, blow_step).  A tangent flow's paths are its
-    states (samples, m, dim) and tangent maps (samples, m, dim, dim), with
-    samples = steps + 1, or blow_step + 1 after a blow-up; a transport's
-    are the list of each chain's pushed frames (m_i, dim, c_i).  drift is
-    the max |det J - 1| of a nonlinear run (0 where it takes no det), or
-    the exact det J_N - 1 of an affine one, signed, whose size is that max
-    as det R > 0 makes (det R)^n monotone."""
+    states (samples, m, dim), with samples = steps + 1, or blow_step + 1
+    after a blow-up, and its final tangent maps (m, dim, dim); a
+    transport's are the list of each chain's pushed frames (m_i, dim, c_i).
+    drift is the max |det J - 1| of a nonlinear run (0 where it takes no
+    det), or the exact det J_N - 1 of an affine one, signed, whose size is
+    that max as det R > 0 makes (det R)^n monotone."""
     m, dim = xs.shape
     per_node = len(compiled.slots) + dim * dim
     work = cfg.steps * (STEP_VALUES + m * per_node)
-    kept = (cfg.steps + 1) * m * (dim + dim * dim) if frames is None else 0
-    if max(work, kept) > MAX_FLOW_WORK:
+    if work > MAX_FLOW_WORK:
         raise InputError(
             f"{_count(cfg.steps)} steps x ({STEP_VALUES} + {m} nodes x {per_node} values per "
-            f"node) = {_count(work)} values of RK4 work, and {_count(kept)} values of kept "
-            f"paths; the budget is {MAX_FLOW_WORK} of each"
+            f"node) = {_count(work)} values of RK4 work; the budget is {MAX_FLOW_WORK}"
         )
     affine = _is_affine(compiled.field)
     step = _affine_propagator(compiled.field, Fraction(cfg.effective_dt)) if affine else None
     check_det = not affine and (frames is None or any(f.shape[2] == dim for f in frames))
     ride = frames is not None and not (affine or check_det)
-    # an affine transport steps J's first 0 columns: its states alone
-    columns = 0 if frames is not None and affine else dim
+    # an affine run steps J's first 0 columns: its states alone
+    columns = 0 if affine else dim
     vs = np.concatenate(frames) if ride else np.eye(dim, dtype=WORK_DTYPE)[None, :, :columns]
     samples = cfg.steps + 1
     if frames is None:
         states_path = np.empty((samples, m, dim), dtype=WORK_DTYPE)
-        tangent_path = np.empty((samples, m, dim, dim), dtype=WORK_DTYPE)
-        states_path[0], tangent_path[0] = xs, vs
+        states_path[0] = xs
     max_det = WORK_DTYPE(0.0)  # |det I - 1|
     block = max(1, min(cfg.steps, DET_BATCH // m))
     # nodes whose squares overflow (N0 = inf), states stepped past a blow-up
@@ -329,7 +329,6 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
             done = int(past[0]) + 1 if len(past) else len(xb)
             if frames is None:
                 states_path[taken + 1:taken + 1 + done] = xb[:done]
-                tangent_path[taken + 1:taken + 1 + done] = vb[:done]
             if check_det:
                 dets = batch_det(vb[:done].reshape(-1, dim, dim))
                 max_det = np.maximum(max_det, np.max(np.abs(dets - 1)))
@@ -340,12 +339,11 @@ def _rk4_run(compiled: CompiledField, xs, cfg: FlowConfig, frames=None):
                 break
         if affine:
             max_det = _det_change(step, taken)
-        if frames is None:
-            return (states_path[:samples], tangent_path[:samples]), float(max_det), blow_step
-        if affine:
             vs = _propagator_power(step, taken)[None]
-        # each chain's rows of the stepped columns, or of J
+        # each node's stepped columns, or J
         vs = np.broadcast_to(vs, (m,) + vs.shape[1:])
+        if frames is None:
+            return (states_path[:samples], vs), float(max_det), blow_step
         parts = np.split(vs, np.cumsum([len(f) for f in frames[:-1]]))
         pushed = parts if ride else [np.einsum("mij,mjl->mil", j, f) for j, f in zip(parts, frames)]
     return pushed, float(max_det), blow_step
@@ -571,14 +569,14 @@ def _round_decimal(d: decimal.Decimal):
 
 def tangent_flow(x: PolyVectorField, x0, cfg: FlowConfig) -> TangentFlow:
     """RK4 from one point with a sample at every step: the trajectory plus
-    the variational flow J(t), J(0) = identity, and the run's max
-    |det J - 1|.  Blow-up is flagged, not raised (state norm cap
+    the final map J of the variational flow, J(0) = identity, and the run's
+    max |det J - 1|.  Blow-up is flagged, not raised (state norm cap
     NORM_CAP)."""
     xs = np.array([x0], dtype=WORK_DTYPE)
     if xs.shape != (1, x.frame.dim):
         raise ValueError("x0 must have one coordinate per generator")
-    (path, jpath), drift, blow = _rk4_run(CompiledField(x), xs, cfg)
-    return TangentFlow(Trajectory(path[:, 0], blow), jpath[:, 0], abs(drift))
+    (path, js), drift, blow = _rk4_run(CompiledField(x), xs, cfg)
+    return TangentFlow(Trajectory(path[:, 0], blow), js[0], abs(drift))
 
 
 def divergence(x: PolyVectorField) -> Poly:

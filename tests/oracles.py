@@ -472,8 +472,10 @@ def rk4_stage_loop(flows, field, xs, cfg, tangents=None):
     """Four-stage RK4 of a field and its tangents V' = DX V from V(0) =
     tangents (m, dim, c), the identity by default, one step at a time:
     dense_evaluate, einsum stage products, one batch_det per step when V
-    starts at the identity, a norm test per step.  Returns what the
-    package's _rk4_run returns, with every path kept."""
+    starts at the identity, a norm test per step.  Returns (final states,
+    final tangents, states path, tangent path, max |det J - 1|, blow-up
+    step), with every path kept, where the package's _rk4_run keeps a
+    tangent flow's states path and final tangents alone."""
     polys = field.components
     work = np.longdouble
     dt = work(cfg.effective_dt)

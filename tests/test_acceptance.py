@@ -284,7 +284,7 @@ def test_criterion_9_convergence_order():
     # 1 + (lh)^6/72 + (lh)^8/576: per-step error O(h^6), drift O(h^5), ratio 2^5.
     # (The generic 4th-order band is covered in test_flows.py.)  The drifts are
     # pinned to that exact oracle; an off-by-one step count moves a drift by
-    # only 1/steps, so the Jacobian sample count is checked exactly.
+    # only 1/steps, so the trajectory's sample count is checked exactly.
     start = time.monotonic()
     _, x = build_linear_system(None, masses=(1, 2, 1))
     a = oracles.constant_jacobian(x)
@@ -297,7 +297,7 @@ def test_criterion_9_convergence_order():
         ok = ok and oracles.rk4_stability_det(a, h) == 1 + z2**3 / 72 + z2**4 / 576
         steps = int(t_final / h)
         flow = tangent_flow(x, x0, FlowConfig(float(t_final), float(h)))
-        ok = ok and len(flow.jacobians) == steps + 1
+        ok = ok and len(flow.trajectory.states) == steps + 1
         measured.append(flow.max_det_drift())
         exact.append(float(oracles.rk4_linear_det_drift(a, h, steps)))
     ratio = measured[0] / measured[1]

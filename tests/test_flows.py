@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -86,8 +87,9 @@ def test_flow_config_rejects_non_finite(t_final, dt):
 @pytest.mark.parametrize("keep", [False, True])
 def test_flow_work_budget_boundary(monkeypatch, keep):
     # q' = q^2, p' = p has 4 term rows (2 values, 2 Jacobian entries), so a
-    # step of 3 nodes computes STEP_VALUES + 3 x (4 + 2^2) values; a tangent
-    # flow keeps 3 x (2 + 2^2) per sample, a transport of frames keeps none
+    # step of 3 nodes computes STEP_VALUES + 3 x (4 + 2^2) values, whether
+    # the run is a tangent flow, which keeps its states path, or a transport
+    # of frames, which keeps none
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) ** 2, var(2, 1)))
     compiled = CompiledField(x)
     assert len(compiled.slots) == 4
@@ -95,43 +97,30 @@ def test_flow_work_budget_boundary(monkeypatch, keep):
     frames = None if keep else [_frames(3, 2, 1)]
     cfg = FlowConfig(t_final=1.0, dt=0.1)
     step = flows.STEP_VALUES
-    work, kept = 10 * (step + 3 * 8), 11 * 3 * 6
-    assert kept < work
+    work = 10 * (step + 3 * 8)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work)
     flows._rk4_run(compiled, xs, cfg, frames)
     monkeypatch.setattr(flows, "MAX_FLOW_WORK", work - 1)
     want = f"10 steps x ({step} + 3 nodes x 8 values per node) = {work} values of RK4 " \
-           f"work, and {kept if keep else 0} values of kept paths; the budget is {work - 1} of each"
+           f"work; the budget is {work - 1}"
     with pytest.raises(InputError) as err:
         flows._rk4_run(compiled, xs, cfg, frames)
     assert str(err.value) == want
-    # kept paths alone can pass the budget: the zero field has no term rows,
-    # and a tangent flow of STEP_VALUES nodes keeps 6 values each per sample
-    # but computes 4
-    zero = CompiledField(PolyVectorField.zero(Frame.darboux(1)))
-    many = np.full((step, 2), 0.1, dtype=WORK_DTYPE)
-    zero_work, kept = 10 * (step + step * 4), 11 * step * 6
-    assert zero_work < kept
-    monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept)
-    flows._rk4_run(zero, many, cfg)
-    monkeypatch.setattr(flows, "MAX_FLOW_WORK", kept - 1)
-    with pytest.raises(InputError, match=f"= {zero_work} values of RK4 work, and {kept} values "):
-        flows._rk4_run(zero, many, cfg)
 
 
 def test_flow_work_budget_refuses_before_allocating():
-    # a linear field at n = 6 over 10^6 steps would keep (10^6 + 1) x 156
-    # longdoubles of paths, 2.5 GB.  The Duffing field q' = p, p' = -q - q^3
-    # computes only 10 values a step, but a stage-loop step on one node
+    # a linear field at n = 6 over 10^6 steps would keep (10^6 + 1) x 12
+    # longdoubles of states path, 190 MB.  The Duffing field q' = p, p' = -q
+    # - q^3 computes only 10 values a step, but a stage-loop step on one node
     # takes about 50 us, a minute at 10^6 steps.  Both are refused before
     # the first step
     linear = hamiltonian_field(Frame.darboux(6), standard_h(6))
     duffing = PolyVectorField(Frame.darboux(1), (var(2, 1), -var(2, 0) - var(2, 0) ** 3))
     cases = [
         (linear, [0.5] * 12, r"^1000000 steps x \(250 \+ 1 nodes x 168 values per node\) "
-                             r"= 418000000 values of RK4 work, and 156000156 values of kept"),
+                             r"= 418000000 values of RK4 work; the budget is 50000000$"),
         (duffing, [0.5, 0.0], r"^1000000 steps x \(250 \+ 1 nodes x 10 values per node\) "
-                              r"= 260000000 values of RK4 work"),
+                              r"= 260000000 values of RK4 work; the budget is 50000000$"),
     ]
     for x, x0, message in cases:
         start = time.perf_counter()
@@ -152,8 +141,7 @@ def test_flow_work_refusal_prints_large_counts_in_e_notation():
         tangent_flow(osc, [1.0, 0.0], FlowConfig(t_final=1.0, dt=1e-300))
     assert str(err.value) == (
         "1.000e+300 steps x (250 + 1 nodes x 8 values per node) = 2.580e+302 values of "
-        f"RK4 work, and 6.000e+300 values of kept paths; the budget is {flows.MAX_FLOW_WORK} "
-        "of each"
+        f"RK4 work; the budget is {flows.MAX_FLOW_WORK}"
     )
 
 
@@ -311,7 +299,7 @@ def test_dilation_det_is_exp_t():
     frame = Frame.darboux(1)
     dilation = PolyVectorField(frame, (var(2, 0), Poly.zero(2)))
     flow = tangent_flow(dilation, [1.0, 0.0], FlowConfig(t_final=1.0, dt=1e-3))
-    assert abs(float(batch_det(flow.jacobians[-1:])[0]) - math.e) < 1e-6
+    assert abs(float(batch_det(flow.jacobian[None])[0]) - math.e) < 1e-6
 
 
 def test_hamiltonian_det_one():
@@ -335,7 +323,7 @@ def test_variational_consistency_bound():
     _, x = build_linear_system(None, masses=(1, 2, 1))
     for dt in (0.1, 0.05):
         flow = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], FlowConfig(10.0, dt))
-        assert abs(float(batch_det(flow.jacobians[-1:])[0]) - 1.0) <= dt ** 4
+        assert abs(float(batch_det(flow.jacobian[None])[0]) - 1.0) <= dt ** 4
 
 
 def test_hamiltonian_det_drift_at_least_fourth_order():
@@ -366,7 +354,7 @@ def test_fourth_order_det_convergence_generic_system():
     errors = []
     for dt in (0.02, 0.01, 0.005):
         flow = tangent_flow(x, [q0, 1.0], FlowConfig(t_final, dt))
-        errors.append(abs(float(batch_det(flow.jacobians[-1:])[0]) - exact))
+        errors.append(abs(float(batch_det(flow.jacobian[None])[0]) - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert 12 <= coarse / fine <= 20
 
@@ -375,7 +363,8 @@ def _pin_triangular_rk4(x, x0):
     """For a strictly triangular X, DX is strictly lower triangular, so J
     stays exactly unit lower triangular and det J is exactly 1.  RK4 in
     Fractions from the stepped longdouble x0, with the run's own h, pins the
-    stage path's rounding, and the exact finals show order 4."""
+    stage path's rounding, and the exact finals show order 4.  The final J
+    is checked; the det drift covers every step's."""
     dim = x.frame.dim
     eps = float(np.finfo(WORK_DTYPE).eps)
     finals = []
@@ -386,9 +375,9 @@ def _pin_triangular_rk4(x, x0):
         exact = oracles.rk4_exact(x, start, Fraction(cfg.effective_dt), cfg.steps)
         got = [Fraction(*v.as_integer_ratio()) for v in flow.trajectory.states[-1]]
         assert max(abs(g - e) for g, e in zip(got, exact)) <= steps * eps
-        js = flow.jacobians
-        assert js.shape == (steps + 1, dim, dim)
-        assert np.all(np.triu(js, 1) == 0) and np.all(np.diagonal(js, axis1=1, axis2=2) == 1)
+        j = flow.jacobian
+        assert j.shape == (dim, dim) and len(flow.trajectory.states) == steps + 1
+        assert np.all(np.triu(j, 1) == 0) and np.all(np.diagonal(j) == 1)
         # det J is exactly 1: the drift is batch_det's own rounding
         assert flow.max_det_drift() <= 4 * eps
         finals.append(exact)
@@ -428,10 +417,10 @@ def test_stage_path_against_exact_rk4_on_more_triangular_fields(dim):
 @pytest.mark.parametrize("det_batch", [16, 1024])
 def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_batch):
     # on the stage loop the drift the run folds block by block is, bit for
-    # bit, the max of |det J - 1| over every kept sample in one batch_det
-    # call.  The criterion 7 field is affine, so it is sent down the stage
-    # loop by hand (its own run reports the exact drift:
-    # test_affine_det_drift_is_exact)
+    # bit, the max of |det J - 1| over every sample of the per-step oracle's
+    # J path in one batch_det call.  The criterion 7 field is affine, so it
+    # is sent down the stage loop by hand (its own run reports the exact
+    # drift: test_affine_det_drift_is_exact)
     _, coupled = build_linear_system(None, masses=(1, 2, 1))
     if case == "criterion-7":
         monkeypatch.setattr(flows, "_is_affine", lambda field: False)
@@ -444,23 +433,26 @@ def test_tangent_flow_det_drift_is_the_whole_path_max(monkeypatch, case, det_bat
     monkeypatch.setattr(flows, "DET_BATCH", det_batch)
     flow = tangent_flow(x, x0, cfg)
     assert flow.trajectory.blew_up == (case == "blow-up")
-    whole = float(np.max(np.abs(batch_det(flow.jacobians) - 1)))
+    want = oracles.rk4_stage_loop(flows, x, np.array([x0], dtype=WORK_DTYPE), cfg)
+    assert want[5] == flow.trajectory.blow_up_step
+    whole = float(np.max(np.abs(batch_det(want[3][:, 0]) - 1)))
     assert flow.max_det_drift() == whole > 0
 
 
 def test_tangent_flow_symplecticity():
-    # J^T Omega J - Omega stays below 1e-7 at every sample for symplectic X
+    # J^T Omega J - Omega stays below 1e-7 for symplectic X, at the final J
+    # of runs to t = 2.5, 5, 7.5 and 10
     frame = Frame.darboux(2)
     x = hamiltonian_field(frame, standard_h(2) + var(4, 0) ** 2 * var(4, 1))
-    flow = tangent_flow(x, [0.3, -0.2, 0.4, 0.1], FlowConfig(10.0, 1e-3))
     gram = np.zeros((4, 4))
     for mask, coeff in omega(frame).terms.items():
         i, j = [b for b in range(4) if mask >> b & 1]
         gram[i, j] = float(coeff)
         gram[j, i] = -float(coeff)
-    j_t = np.asarray(flow.jacobians, dtype=float)
-    residual = np.einsum("tji,jk,tkl->til", j_t, gram, j_t) - gram
-    assert float(np.max(np.abs(residual))) < 1e-7
+    for t_final in (2.5, 5.0, 7.5, 10.0):
+        flow = tangent_flow(x, [0.3, -0.2, 0.4, 0.1], FlowConfig(t_final, 1e-3))
+        j = np.asarray(flow.jacobian, dtype=float)
+        assert float(np.max(np.abs(j.T @ gram @ j - gram))) < 1e-7
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -528,20 +520,22 @@ def _exact_power(x, cfg, steps):
 
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "osc", "inhomogeneous"])
 def test_affine_propagator_matches_stage_loop(case):
-    # an affine tangent flow steps its states and J through the stage loop,
-    # to the bit, but reports the exact det drift of its N steps; the
+    # an affine tangent flow steps its states through the stage loop, to the
+    # bit, but reports the exact J_N and det drift of its N steps; the
     # stepped maps' drift is within 4 * steps * eps * max cond(J) of it,
     # since a relative change delta in J moves det J by up to cond(J) delta
+    # (cond over the per-step oracle's J path)
     x, x0s = _affine_cases()[case]
     assert flows._is_affine(x)
     cfg = FlowConfig(t_final=10.0, dt=1e-2)
-    ((states_ref, jac_ref), drift_ref, blow_ref), ((states_got, jac_got), drift, blow) = \
+    ((states_ref, _), drift_ref, blow_ref), ((states_got, jac_got), drift, blow) = \
         _both_paths(x, x0s, cfg)
     assert states_ref.shape == (cfg.steps + 1,) + np.shape(x0s)
     _same_bits(states_got, states_ref)
-    _same_bits(jac_got, jac_ref)
+    _same_bits(jac_got, np.broadcast_to(_exact_power(x, cfg, cfg.steps), jac_got.shape))
     assert abs(drift) == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
-    cond = float(np.max(np.linalg.cond(np.asarray(jac_ref[:, 0], dtype=float))))
+    jac_path = oracles.rk4_stage_loop(flows, x, np.array(x0s[:1], dtype=WORK_DTYPE), cfg)[3]
+    cond = float(np.max(np.linalg.cond(np.asarray(jac_path[:, 0], dtype=float))))
     assert abs(abs(drift) - drift_ref) <= 4 * cfg.steps * EPS * cond
     assert drift_ref > 0 and drift != 0
     assert blow_ref is None and blow is None
@@ -959,13 +953,13 @@ def _starts(x0, m):
 def _assert_same_run(got, want):
     """A run's (paths, max drift, blow-up step) against an oracle loop's
     (states, tangents, state path, tangent path, max drift, blow-up step),
-    bit for bit: a tangent flow's paths, whose last samples are the loop's
-    final states and tangents, or the pushed frames of a transport of one
-    chain riding its frames, which are the loop's final tangents."""
+    bit for bit: a tangent flow's states path and final tangent maps, or the
+    pushed frames of a transport of one chain riding its frames, which are
+    the loop's final tangents."""
     paths, drift, blow = got
     if isinstance(paths, tuple):
         _same_bits(paths[0], want[2])
-        _same_bits(paths[1], want[3])
+        _same_bits(paths[1], want[1])
     else:
         (pushed,) = paths
         _same_bits(pushed, want[1])
@@ -1079,8 +1073,8 @@ def test_pushed_frames_match_full_tangent_map_within_rounding():
     compiled = CompiledField(x)
     cfg = FlowConfig(t_final=2.0, dt=0.005)
     (pushed,), _, blow = flows._rk4_run(compiled, points, cfg, [frames])
-    (_, jpath), _, flow_blow = flows._rk4_run(compiled, points, cfg)
-    want = np.einsum("mij,mjl->mil", jpath[-1], frames)
+    (_, js), _, flow_blow = flows._rk4_run(compiled, points, cfg)
+    want = np.einsum("mij,mjl->mil", js, frames)
     assert blow is None and flow_blow is None
     gap = np.max(np.abs(pushed - want))
     assert 0 < gap <= 4 * cfg.steps * EPS * np.max(np.abs(want))
@@ -1114,13 +1108,15 @@ def _affine_case_oracle(case, m):
 
 
 def _assert_same_affine_run(x, cfg, got, want):
-    """An affine tangent flow against the stage-loop oracle: its paths and
-    blow-up step, bit for bit, and the exact det drift of the steps taken."""
+    """An affine tangent flow against the stage-loop oracle: its states path
+    and blow-up step, bit for bit, and the exact J_N and det drift of the N
+    steps taken."""
     (states, jacobians), drift, blow = got
     _same_bits(states, want[2])
-    _same_bits(jacobians, want[3])
     assert blow == want[5]
-    assert abs(drift) == pytest.approx(_exact_drift(x, cfg, blow or cfg.steps), rel=1e-12)
+    taken = blow or cfg.steps
+    _same_bits(jacobians, np.broadcast_to(_exact_power(x, cfg, taken), jacobians.shape))
+    assert abs(drift) == pytest.approx(_exact_drift(x, cfg, taken), rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["criterion-7", "ham", "inhomogeneous", "expanding"])
@@ -1158,38 +1154,40 @@ def test_affine_step_matches_per_step_loop(monkeypatch, case, m, det_batch):
 
 
 def test_affine_step_saddle_overflow_matches_stage_loop():
-    # q' = q, p' = -p at dt = 1: R = diag(65/24, 3/8), so the stepped J
+    # q' = q, p' = -p at dt = 1: R = diag(65/24, 3/8), so a stepped J
     # overflows to inf near step 11400 (NaN after it) and underflows to 0,
-    # while the states stay exactly 0; no false blow-up may be flagged, and
-    # the drift is the exact (195/192)^12000 - 1 ~ 2e80, not a NaN det
+    # while the states stay exactly 0; no false blow-up may be flagged, the
+    # drift is the exact (195/192)^12000 - 1 ~ 2e80, not a NaN det, and J_N
+    # is the exact diag(inf, 0), not the stepped NaN
     x = PolyVectorField(Frame.darboux(1), (var(2, 0), -var(2, 1)))
     cfg = FlowConfig(12000, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        (want, _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
-    _same_bits(got[0][0], want[0])
-    _same_bits(got[0][1], want[1])
+        ((want, stepped), _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
+    _same_bits(got[0][0], want)
     (states, jacobians), drift, blow = got
-    assert blow_ref is None
+    assert blow_ref is None and np.isnan(stepped).any()
     assert drift == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
-    assert 1e80 < drift < 1e81 and blow is None
-    assert np.isinf(jacobians).any() and np.isnan(jacobians[-1]).any() and not np.any(states)
+    assert 1e80 < drift < 1e81 and blow is None and not np.any(states)
+    _same_bits(jacobians, np.diag(np.array([np.inf, 0], dtype=WORK_DTYPE))[None])
+    _same_bits(jacobians[0], _exact_power(x, cfg, cfg.steps))
 
 
 def test_affine_step_full_overflow_matches_stage_loop():
-    # q' = q + p, p' = q + p at dt = 1: every entry of R is positive, so
-    # the stepped J overflows to inf and stays inf, with no entry NaN, while
-    # the states stay exactly 0; det R = R(0) R(2) = 7, so the exact drift
-    # 7^12000 - 1 is inf
+    # q' = q + p, p' = q + p at dt = 1: every entry of R is positive, so a
+    # stepped J overflows to inf and stays inf, with no entry NaN, as the
+    # exact J_N does, while the states stay exactly 0; det R = R(0) R(2) =
+    # 7, so the exact drift 7^12000 - 1 is inf
     x = PolyVectorField(Frame.darboux(1), (var(2, 0) + var(2, 1), var(2, 0) + var(2, 1)))
     cfg = FlowConfig(12000, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        (want, _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
-    _same_bits(got[0][0], want[0])
-    _same_bits(got[0][1], want[1])
+        ((want, stepped), _, blow_ref), got = _both_paths(x, [[0.0, 0.0]], cfg)
+    _same_bits(got[0][0], want)
     (states, jacobians), drift, blow = got
     assert blow_ref is None
     assert blow is None and not np.any(states) and drift == math.inf
-    assert np.isinf(jacobians[-1]).all() and not np.isnan(jacobians).any()
+    _same_bits(jacobians, stepped)
+    _same_bits(jacobians[0], _exact_power(x, cfg, cfg.steps))
+    assert np.isinf(jacobians).all()
 
 
 def _random_affine_field(rng, n, diagonal):
@@ -1305,7 +1303,7 @@ def test_affine_run_with_an_infinite_propagator_is_tested(monkeypatch):
         transport = flows._rk4_run(CompiledField(x), xs, cfg, [_frames(1, 2, 2)])
     _assert_same_affine_run(x, cfg, got, want)
     assert got[1:] == transport[1:] == (math.inf, 1)
-    assert decisions == [False] and runs == [(1, 2, 1), (1, 0, 1)]
+    assert decisions == [False] and runs == [(1, 0, 1), (1, 0, 1)]
 
 
 def test_affine_power_past_the_range_warns_about_nothing(monkeypatch):
@@ -1337,7 +1335,7 @@ def test_affine_step_with_a_singular_propagator():
     x = PolyVectorField(Frame.darboux(2), (y[1], y[2], y[3], last))
     cfg = FlowConfig(3.0, 1.0)
     flow = tangent_flow(x, [1.0, 0.5, 0.25, -0.3], cfg)
-    assert flow.max_det_drift() == 1.0 and not np.any(flow.jacobians[1:])
+    assert flow.max_det_drift() == 1.0 and not np.any(flow.jacobian)
     (cube,) = flows.verify_area_laws(x, [(unit_cube(), 2)], cfg)
     assert (cube.initial, cube.final, cube.per_step_max_det_drift) == (1.0, 0.0, 1.0)
 
@@ -1357,7 +1355,7 @@ def test_affine_run_from_overflowing_nodes_is_tested(monkeypatch):
         transport = flows._rk4_run(CompiledField(x), xs, cfg, [_frames(1, 2, 1)])
     _assert_same_affine_run(x, cfg, got, want)
     assert got[2] == transport[2] == 1
-    assert decisions == [False] and runs == [(1, 2, 1), (1, 0, 1)]
+    assert decisions == [False] and runs == [(1, 0, 1), (1, 0, 1)]
 
 
 def test_tested_affine_run_sums_norms_of_c_ordered_states(monkeypatch):
@@ -1383,9 +1381,9 @@ def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch, ke
     # dt = 0.01: each step keeps |x|, but the crude whole-run bound
     # max(1, r)^2000 N0 with r ~ 1 + dt passes NORM_CAP / 2, so a transport
     # is not proven: all 63 blocks take the exact test, with no blow-up.  A
-    # tangent flow that keeps its paths steps J too, with the per-step
-    # loop's bits; a transport of square frames steps the states alone and
-    # pushes the frames by the exact J_N
+    # tangent flow keeps the per-step loop's states path; both it and a
+    # transport of square frames step the states alone and report the
+    # exact J_N, by which the transport pushes its frames
     x = hamiltonian_field(Frame.darboux(2), standard_h(2))
     xs = _starts([1.0] * 4, 32)
     frames = _frames(32, 4, 4)
@@ -1400,7 +1398,33 @@ def test_long_affine_run_past_the_bound_is_tested_on_every_block(monkeypatch, ke
         _same_bits(got[0][0], np.einsum("mij,mjl->mil", j, frames))
         assert abs(got[1]) == pytest.approx(_exact_drift(x, cfg, cfg.steps), rel=1e-12)
         assert decisions == [False]
-    assert runs == [(32, 4 if keep else 0, 63)] and got[2] is None
+    assert runs == [(32, 0, 63)] and got[2] is None
+
+
+def test_affine_tangent_flow_keeps_its_states_alone(monkeypatch):
+    # the harmonic oscillator at n = 6 for 2000 steps: the tangent flow
+    # steps no tangent column, so its blocks hold 12 values per step, and
+    # it keeps its states path and the exact J_N alone.  A (2001, 12, 12)
+    # path of J would take 4.6 MB, a block of J columns 13 times a block of
+    # states; the peak stays within the states path and three blocks of
+    # states (the stage buffer, the norm test's temporary and slack)
+    x = hamiltonian_field(Frame.darboux(6), standard_h(6))
+    cfg = FlowConfig(2.0, 1e-3)
+    assert flows._is_affine(x) and cfg.steps == 2000
+    x0 = [0.1 * (i + 1) for i in range(12)]
+    _, runs = _record_runs(monkeypatch)
+    tracemalloc.start()
+    try:
+        flow = tangent_flow(x, x0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = np.dtype(WORK_DTYPE).itemsize
+    states = (cfg.steps + 1) * 12 * item
+    block = flows.DET_BATCH * 12 * item
+    assert peak < states + 3 * block < (cfg.steps + 1) * 144 * item
+    assert runs == [(1, 0, 2)]
+    assert flow.trajectory.states.nbytes == states and flow.jacobian.shape == (12, 12)
 
 
 def test_contraction_identity_fields_conserve_volume_at_rk4_order():
