@@ -3,7 +3,10 @@
 The complex of invariant forms is the exterior algebra on the dual basis
 theta^1..theta^{2n} with the differential determined by the structure
 constants, d theta^k = sum_{i<j} c^k_{ij} theta^i ^ theta^j, extended as an
-anti-derivation.  For a nilmanifold G/Gamma this complex computes the de Rham
+anti-derivation, d a = sum_g d theta^g ^ i_g a.  That sum is defined once, as
+a batch kernel over the interior and wedge kernels of :mod:`symplab.exterior`:
+the differential matrices, the codifferential and ``differential`` on one
+form all apply it.  For a nilmanifold G/Gamma this complex computes the de Rham
 cohomology, so Betti numbers, Lefschetz ranks, Euler-Lagrange dimensions and
 symplectically harmonic dimensions are all exact rational rank computations.
 
@@ -26,7 +29,6 @@ from .exterior import (
     Frame,
     blade_basis,
     image_matrix,
-    interior,
     wedge,
     wedge_power,
 )
@@ -62,43 +64,34 @@ class LieAlgebra:
         return self.omega.frame.dim
 
 
-def generator_differentials(alg: LieAlgebra) -> list[Form]:
-    """d theta^k as a 2-form, for each generator k."""
-    return [
-        Form(alg.frame, sum_terms(((1 << i) | (1 << j), c) for i, j, g, c in alg.structure if g == k))
-        for k in range(alg.dim)
-    ]
-
-
 def differential(cx: CEComplex, form: Form) -> Form:
-    """The Chevalley-Eilenberg differential as the anti-derivation
-    d a = sum_g d theta^g ^ i_g a; generators with d theta^g = 0 add nothing."""
-    return Form(form.frame, sum_terms(
-        term
-        for g, dg in enumerate(cx._dgen)
-        if not dg.is_zero
-        for term in wedge(dg, interior(g, form)).terms.items()
-    ))
+    """The Chevalley-Eilenberg differential of one form: the complex's
+    batch kernel on a one-row batch."""
+    if form.frame != cx.frame:
+        raise ValueError("form and complex frames differ")
+    return exterior._form(form.frame, cx._d_batch(exterior._batch(form)))
 
 
 class CEComplex:
     """Blade bases, exact differential matrices for every degree and
     omega's Poisson bivector, whose existence is the one nondegeneracy
-    decision; the batch kernels are looked up in :mod:`symplab.exterior`."""
+    decision.  d is one batch kernel over the wedge and interior kernels of
+    :mod:`symplab.exterior`; it builds the matrices d[m], and the
+    codifferential takes its d from it too."""
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
         self.frame = alg.frame
-        self._dgen = generator_differentials(alg)
         dim = alg.dim
+        dgen = (
+            Form(self.frame, sum_terms(((1 << i) | (1 << j), c) for i, j, k, c in alg.structure if k == g))
+            for g in range(dim)
+        )
+        # (g, d theta^g) for each generator g with d theta^g != 0
+        self._dgen = [(g, dg) for g, dg in enumerate(dgen) if not dg.is_zero]
         self.bases = [blade_basis(dim, m) for m in range(dim + 1)]
         # d[m]: matrix of d restricted to degree m (rows: degree m+1 basis)
-        self.d = [
-            image_matrix(self.frame, [
-                differential(self, Form(self.frame, {mask: Fraction(1)})) for mask in self.bases[m]
-            ], m + 1)
-            for m in range(dim + 1)
-        ]
+        self.d = [self._blade_matrix(m, m + 1, self._d_batch) for m in range(dim)] + [[]]
         try:
             self.poisson = tuple(map(tuple, exterior._poisson(alg.omega)))
         except linalg.SingularMatrixError:
@@ -107,44 +100,39 @@ class CEComplex:
     def to_form(self, vector, degree: int) -> Form:
         return Form(self.frame, dict(zip(self.bases[degree], vector)))
 
-    # -- the bivector contraction dual to omega and delta -----------------
+    def _d_batch(self, batch):
+        """d on a batch: the sum over the generators g with d theta^g != 0
+        of i_g a ^ d theta^g, which is d theta^g ^ i_g a as d theta^g is a
+        2-form; an abelian algebra gives an empty batch."""
+        dim = self.alg.dim
+        empty = tuple(x[:0] for x in batch)  # the sum of no terms, in the batch's dtypes
+        parts = [exterior._wedge_batch(exterior._interior_batch(batch, g, dim), dg) for g, dg in self._dgen]
+        return tuple(map(np.concatenate, zip(empty, *parts)))
 
-    def bivector_contraction(self, form: Form) -> Form:
-        """f-hat: contraction with the Poisson bivector inverse to omega."""
-        image = exterior._contract_batch(exterior._batch(form), self.poisson)
-        return exterior._form(self.frame, image)
-
-    def _d_batch(self, degree: int, batch):
-        """d on a batch of degree-``degree`` entries, each blade's image
-        read off the nonzero entries of its column of d[degree]."""
-        rows, masks, coeffs = batch
-        images = blade_basis(self.alg.dim, degree + 1)
-        columns = dict(zip(self.bases[degree], zip(*self.d[degree])))
-        terms = np.array([
-            (j, images[i], c)
-            for j, m in enumerate(masks.tolist()) for i, c in enumerate(columns.get(m, ())) if c
-        ], object).reshape(-1, 3)
-        entry = terms[:, 0].astype(np.intp)
-        return rows[entry], terms[:, 1].astype(masks.dtype), coeffs[entry] * terms[:, 2]
-
-    def delta_matrix(self, m: int) -> linalg.Matrix:
-        """delta = f.d - d.f restricted to degree m (maps to degree m-1), from
-        one batch of every degree-m blade, each in the row of its column: d
-        read off d[m] and d[m-2], f the contraction kernel."""
-        if m < 1:
-            return []
-        pi, size = self.poisson, len(self.bases[m])
+    def _blade_matrix(self, m: int, degree: int, kernel) -> linalg.Matrix:
+        """The exact matrix, on the degree-``degree`` blade basis, of the
+        linear map whose batch kernel is ``kernel``, from one batch of every
+        degree-m blade, each in the row of its column."""
+        size = len(self.bases[m])
         masks = np.array(self.bases[m], exterior._mask_type(self.frame))
-        blades = (np.arange(size), masks, np.ones(size, object))
-        terms = [(1, exterior._contract_batch(self._d_batch(m, blades), pi))]
-        if m >= 2:
-            terms.append((-1, self._d_batch(m - 2, exterior._contract_batch(blades, pi))))
-        cols, images, coeffs = exterior._sum(*terms)
-        index = {mask: i for i, mask in enumerate(self.bases[m - 1])}
+        cols, images, coeffs = kernel((np.arange(size), masks, np.ones(size, object)))
+        index = {mask: i for i, mask in enumerate(self.bases[degree])}
         mat = linalg.zeros(len(index), size)
         for (col, mask), c in sum_terms(zip(zip(cols.tolist(), images.tolist()), coeffs)).items():
             mat[index[mask]][col] = c
         return mat
+
+    def delta_matrix(self, m: int) -> linalg.Matrix:
+        """delta = f.d - d.f restricted to degree m (maps to degree m-1):
+        d the complex's kernel, f the contraction kernel with its Poisson
+        bivector."""
+        if m < 1:
+            return []
+        pi = self.poisson
+        return self._blade_matrix(m, m - 1, lambda blades: exterior._sum(
+            (1, exterior._contract_batch(self._d_batch(blades), pi)),
+            (-1, self._d_batch(exterior._contract_batch(blades, pi))),
+        ))
 
 
 def build_complex(alg: LieAlgebra) -> CEComplex:
@@ -155,7 +143,7 @@ def build_complex(alg: LieAlgebra) -> CEComplex:
     d omega = 0.
     """
     cx = CEComplex(alg)
-    if any(not differential(cx, dg).is_zero for dg in cx._dgen):
+    if any(not differential(cx, dg).is_zero for _, dg in cx._dgen):
         raise InputError("d.d != 0 from degree 1: structure constants violate Jacobi")
     if not differential(cx, alg.omega).is_zero:
         raise InputError("distinguished 2-form is not closed")

@@ -155,11 +155,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
-    @property
-    def homogeneous_degree(self) -> int | None:
-        degs = self.degrees()
-        return degs.pop() if len(degs) == 1 else None
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Form"):
@@ -286,7 +281,9 @@ def _darboux_poisson(frame: Frame) -> tuple[tuple, ...]:
 # numbers, or any ring element, in object arrays.  Entries are not merged,
 # so a sum of batches is a concatenation, and a linear map acts entry by
 # entry.  e-hat and e^p are ``_wedge_batch``; f-hat, the contraction with
-# the Poisson bivector of omega or of any 2-form, is ``_contract_batch``.
+# the Poisson bivector of omega or of any 2-form, is ``_contract_batch``;
+# i_j is ``_interior_batch``, which with ``_wedge_batch`` makes the
+# Chevalley-Eilenberg differential of :mod:`symplab.cohomology`.
 
 def _mask_type(frame: Frame) -> np.dtype:
     return np.min_scalar_type((1 << frame.dim) - 1)
@@ -392,6 +389,18 @@ def _wedge_batch(batch, form: Form):
     out = coeffs[entry] * scale[term]
     np.negative(out, out=out, where=_odd(masks & above[term], form.frame.dim))
     return rows[entry], masks | right[term], out
+
+
+def _interior_batch(batch, j: int, dim: int):
+    """The batch image of a -> i_j a over ``dim`` generators, signed as
+    ``contraction_sign``: the entries holding generator j, with it removed."""
+    rows, masks, coeffs = batch
+    bit = 1 << j
+    entry = np.flatnonzero(masks & bit)
+    masks = masks[entry]
+    out = coeffs[entry]
+    np.negative(out, out=out, where=_odd(masks & (bit - 1), dim))
+    return rows[entry], masks ^ bit, out
 
 
 def op_e(a: Form) -> Form:

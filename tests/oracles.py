@@ -7,11 +7,15 @@ RK4 determinants of linear fields and RK4 runs of any polynomial field are
 exact rationals.  The dense polynomial evaluator and the one-step-at-a-time
 RK4 loop the package used before its kernels were batched are kept here as
 bitwise references, and so is the all-degree d.d product check the complex
-made before it checked Jacobi on the generators.  The invariant-field
-dimensions are built from the package's exterior algebra, along a route
-(contractions i_X omega^k) that ``el_dim`` does not take, and the Poisson
-contraction is the sum of double ``interior`` products the complex used
-before one batch kernel served it and the sl(2) operators.
+made before it checked Jacobi on the generators.  The Chevalley-Eilenberg
+differential is the Form-level anti-derivation the complex used before one
+batch kernel built d, with each d theta^g read off the structure rows; the
+invariant-field dimensions are built from it and the package's exterior
+algebra, along a route (contractions i_X omega^k) that ``el_dim`` does not
+take, and the Poisson contraction is the sum of double ``interior``
+products the complex used before one batch kernel served it and the sl(2)
+operators.  Nilpotent algebras are also generated here, as seeded iterated
+central extensions with seeded symplectic forms, for property tests.
 """
 
 import decimal
@@ -21,8 +25,8 @@ import numpy as np
 import sympy
 
 from symplab import linalg
-from symplab.cohomology import differential, exactness_rank
-from symplab.exterior import Form, image_matrix, interior, wedge_power
+from symplab.cohomology import LieAlgebra, exactness_rank
+from symplab.exterior import Form, Frame, blade_basis, image_matrix, interior, wedge, wedge_power
 
 # -- tuple-based exterior algebra -------------------------------------------
 
@@ -221,7 +225,55 @@ def two_form_field_components(alpha):
     return tuple(dq + dp)
 
 
-# -- cohomology: prefix ranks, d.d products and invariant fields ------------
+# -- cohomology: d, generated algebras, prefix ranks, d.d products and ------
+# -- invariant fields ---------------------------------------------------------
+
+
+def ce_differential(alg, form):
+    """d a = sum_g d theta^g ^ i_g a, one structure row (i, j, g, c) at a
+    time: d theta^g gains c theta^i ^ theta^j, so d a gains
+    c theta^i ^ theta^j ^ i_g a."""
+    f = alg.frame
+    out = Form.zero(f)
+    for i, j, g, c in alg.structure:
+        out = out + c * wedge(wedge(Form.generator(f, i), Form.generator(f, j)), interior(g, form))
+    return out
+
+
+def closed_two_form(rng, alg, generators):
+    """A seeded integer combination, coefficients in [-2, 2], of a basis of
+    the closed 2-forms in theta^1..theta^generators."""
+    blades = [m for m in blade_basis(alg.dim, 2) if m < 1 << generators]
+    images = [ce_differential(alg, Form(alg.frame, {m: Fraction(1)})) for m in blades]
+    basis = linalg.nullspace(image_matrix(alg.frame, images, 3), cols=len(blades))
+    weights = [rng.randint(-2, 2) for _ in basis]
+    return Form(alg.frame, {m: sum(w * v[r] for w, v in zip(weights, basis)) for r, m in enumerate(blades)})
+
+
+def central_extension(rng, dim, abelian):
+    """A seeded nilpotent Lie algebra of dimension ``dim`` as an iterated
+    central extension of R^abelian: each further d theta^k is a
+    ``closed_two_form`` in the generators before it, so d.d = 0 holds by
+    construction.  Its omega is zero; pair its structure with
+    ``symplectic_form``."""
+    alg = LieAlgebra((), Form.zero(Frame.invariant(dim)))
+    for k in range(abelian, dim):
+        rows = tuple(
+            (*(i for i in range(dim) if m >> i & 1), k, Fraction(c))
+            for m, c in closed_two_form(rng, alg, k).terms.items()
+        )
+        alg = LieAlgebra(alg.structure + rows, alg.omega)
+    return alg
+
+
+def symplectic_form(rng, alg):
+    """A seeded ``closed_two_form`` of ``alg`` with omega^n != 0, or None
+    when ten draws give none."""
+    for _ in range(10):
+        omega = closed_two_form(rng, alg, alg.dim)
+        if not wedge_power(omega, alg.dim // 2).is_zero:
+            return omega
+    return None
 
 
 def prefix_rank_representatives(cx, m):
@@ -285,7 +337,7 @@ def invariant_field_dims(cx, k):
     """
     wk = wedge_power(cx.alg.omega, k)
     contractions = [interior(g, wk) for g in range(cx.alg.dim)]
-    d_matrix = image_matrix(cx.frame, [differential(cx, a) for a in contractions], 2 * k)
+    d_matrix = image_matrix(cx.frame, [ce_differential(cx.alg, a) for a in contractions], 2 * k)
     s_basis = linalg.nullspace(d_matrix, cols=cx.alg.dim)
     forms = [
         sum((c * a for c, a in zip(v, contractions) if c), Form.zero(cx.frame))

@@ -197,6 +197,23 @@ def test_interior_squares_to_zero():
         assert interior(j, interior(j, a)).is_zero
 
 
+def test_interior_batch_matches_interior():
+    # the batch i_j that d is built from against the Form-level i_j, on a
+    # batch of every blade with distinct coefficients, each blade its own
+    # row; n = 33 takes the Python-int masks past 64 generators
+    cases = [(Frame.darboux(n), range(1 << 2 * n)) for n in (1, 2, 3)]
+    cases.append((Frame.darboux(33), [0b1011 << 60, (1 << 66) - 1, 1 << 40 | 1 << 3, 5]))
+    for frame, masks in cases:
+        a = Form(frame, {m: Fraction(m + 1, 3) for m in masks})
+        dtype = exterior._mask_type(frame)
+        batch = (np.array(masks, object), np.array(masks, dtype), np.array(list(a.terms.values()), object))
+        for j in range(frame.dim):
+            rows, images, coeffs = exterior._interior_batch(batch, j, frame.dim)
+            assert images.dtype == dtype
+            assert list(rows) == [m | 1 << j for m in images.tolist()]
+            assert dict(zip(images.tolist(), coeffs)) == interior(j, a).terms
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_interior_antiderivation(data):

@@ -1,9 +1,11 @@
 """Every module-level import of a symplab module is used in that module,
 every module-level private function is referenced somewhere in the
 package, every dataclass field of the package is read somewhere in the
-package, its tests or its benchmark, and every input refusal of the package
-is named by some test, no symplab module imports inside a function, and
-no function but ``polynomials.sum_terms`` merges the values of equal keys.
+package, its tests or its benchmark, every public method or property of a
+package class is referenced in the package, its benchmark or the test
+oracles, and every input refusal of the package is named by some test, no
+symplab module imports inside a function, and no function but
+``polynomials.sum_terms`` merges the values of equal keys.
 ``__init__.py`` re-exports names and is exempt from the first."""
 
 import ast
@@ -29,6 +31,16 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def _referenced(trees) -> set[str]:
+    """Every name and attribute the trees refer to."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
 def dead_private_functions(sources: list[str]) -> list[str]:
     """Module-level ``_name`` functions that no name or attribute in the
     sources refers to."""
@@ -40,13 +52,7 @@ def dead_private_functions(sources: list[str]) -> list[str]:
         if isinstance(node, ast.FunctionDef)
         and node.name.startswith("_") and not node.name.startswith("__")
     ]
-    used = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = _referenced(trees)
     return [name for name in defined if name not in used]
 
 
@@ -90,6 +96,23 @@ def unread_dataclass_fields(package: list[str], readers: list[str]) -> list[str]
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def dead_public_methods(package: list[str], readers: list[str]) -> list[str]:
+    """``Class.name`` for each public method or property defined in a class
+    of the package sources that no name or attribute in the package or
+    reader sources refers to."""
+    trees = [ast.parse(source) for source in package + readers]
+    methods = [
+        (node.name, item.name)
+        for tree in trees[:len(package)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    used = _referenced(trees)
+    return [f"{cls}.{name}" for cls, name in methods if name not in used]
 
 
 def refusal_fragments(source: str) -> list[str]:
@@ -199,6 +222,19 @@ def test_checker_finds_an_unread_dataclass_field():
     assert unread_dataclass_fields(package, readers) == ["A.dropped", "B.written"]
 
 
+def test_checker_finds_a_dead_public_method():
+    package = [
+        "class A:\n    def kept(self): pass\n    def dead(self): pass\n"
+        "    def _private(self): pass\n    def __len__(self): return 0\n"
+        "    @property\n    def size(self): return 1\n"
+        "    @classmethod\n    def make(cls): return cls()\n"
+        "def helper(a):\n    return a.kept()\n",
+    ]
+    readers = ["A.make().size\n"]
+    assert dead_public_methods(package, readers) == ["A.dead"]
+    assert dead_public_methods(package, []) == ["A.dead", "A.size", "A.make"]
+
+
 def test_checker_finds_an_unnamed_refusal():
     package = [
         'raise InputError("named")\nraise InputError(f"{x} = {n} is too big")\n'
@@ -248,6 +284,13 @@ def test_no_unread_dataclass_fields():
         for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert unread_dataclass_fields(package, readers) == []
+
+
+def test_no_dead_public_methods():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    readers = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    assert dead_public_methods(package, readers) == []
 
 
 def test_sums_merge_only_in_sum_terms():
